@@ -4,7 +4,7 @@ and reproduce the accompanying experiment statistics."""
 
 from .adaptation import AdaptationSpec, VariantPlan, check_copy_provenance, resolve_variant
 from .align import WordTimingTrack, align_strokes, parse_word_timings
-from .catalog import GestureCatalog, GestureDef, format_catalog, load_catalog, lookup
+from .catalog import GestureCatalog, GestureDef, load_catalog, lookup
 from .dsl import (
     AnnotatedDialog,
     Features,
@@ -17,7 +17,6 @@ from .dsl import (
 from .emitter import ScriptDocument, emit_script, read_script
 from .personality import (
     ParameterSet,
-    PersonalityProfile,
     apply_personality,
     profile_from_extraversion,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "GestureCatalog",
     "GestureDef",
     "ParameterSet",
-    "PersonalityProfile",
     "PipelineSettings",
     "SchedulerConfig",
     "ScriptDocument",
@@ -48,7 +46,6 @@ __all__ = [
     "check_copy_provenance",
     "compile_dialog",
     "emit_script",
-    "format_catalog",
     "format_dialog",
     "load_catalog",
     "lookup",

@@ -28,7 +28,6 @@ from .errors import DomainError, PlanError
 class AdaptationSpec:
     """Convergence deltas applied to the responder's response turn."""
 
-    rate_band: tuple[float, float] = (1.0, 3.0)
     expanse_delta: float = 18.0  # cm further from center
     height_delta: float = 10.0  # cm higher
     outwardness_delta: float = 10.0  # cm more outward

@@ -38,9 +38,6 @@ class TimedWord:
 class WordTimingTrack:
     entries: tuple[TimedWord, ...]
 
-    def turn_entries(self, turn_index: int) -> list[TimedWord]:
-        return [e for e in self.entries if e.turn_index == turn_index]
-
     def turn_onsets(self, turn_index: int) -> list[float]:
         return [e.onset for e in self.entries if e.turn_index == turn_index]
 

@@ -5,8 +5,7 @@ Catalog documents are UTF-8 line-oriented text, one entry per line::
     name, duration_s, hands, category, expanse_cm, height_cm, outwardness_cm
 
 ``#`` begins a comment, blank lines are ignored.  A ``# catalog-version: X``
-comment, when present, sets the catalog version and is re-emitted by
-:func:`format_catalog` so that load/format round-trips are lossless.
+comment, when present, sets the catalog version.
 """
 
 from __future__ import annotations
@@ -66,12 +65,6 @@ class GestureCatalog:
     entries: dict[str, GestureDef]
     version: str = "1"
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def load_catalog(source: str) -> GestureCatalog:
     """Parse a catalog document, validating every entry.
@@ -113,17 +106,6 @@ def load_catalog(source: str) -> GestureCatalog:
     if not entries:
         raise CatalogError("empty catalog")
     return GestureCatalog(entries=entries, version=version)
-
-
-def format_catalog(catalog: GestureCatalog) -> str:
-    """Canonical serialization; load_catalog(format_catalog(c)) == c."""
-    lines = [f"{VERSION_PREFIX} {catalog.version}"]
-    for g in catalog.entries.values():
-        lines.append(
-            f"{g.name}, {g.default_stroke_duration:g}, {g.hands}, {g.category}, "
-            f"{g.base_expanse:g}, {g.base_height:g}, {g.base_outwardness:g}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def lookup(catalog: GestureCatalog, name: str) -> GestureDef:

@@ -1,40 +1,59 @@
 """Line-oriented run configuration.
 
 Same format family as the catalog: UTF-8 text, ``#`` comments, blank lines
-ignored, one ``key = value`` pair per line.  Every key is optional; the
-built-in defaults match the shipped experiment setup.
+ignored, one ``section.field = value`` pair per line.  Each section is one
+settings object of :class:`PipelineSettings` and each field one of its
+dataclass fields::
 
-Recognized keys::
+    introvert.<field>, extravert.<field>   # ParameterSet anchors
+    adaptation.<field>                     # AdaptationSpec deltas
+    scheduler.<field>                      # SchedulerConfig
 
-    # personality anchors (introvert.* / extravert.*)
-    introvert.rate_min, introvert.rate_max
-    introvert.expanse_offset_cm, introvert.height_offset_cm,
-    introvert.outwardness_offset_cm, introvert.speed, introvert.scale
-    extravert.<same fields>
-
-    # adaptation deltas
-    expanse_delta_cm, height_delta_cm, outwardness_delta_cm,
-    speed_factor, scale_factor, adapted_rate_min, adapted_rate_max
-
-    # scheduler
-    hold_threshold_s, prep_duration_s, retract_duration_s,
-    stroke_lead_s, retract_on_turn_end
+for example ``scheduler.hold_threshold_s = 2.0`` or
+``extravert.max_rate = 3``.  Every key is optional; the built-in defaults
+match the shipped experiment setup.  A value is parsed by the type of the
+value it replaces (boolean or number), and an unknown key is an error.
 """
 
 from __future__ import annotations
 
-from .adaptation import AdaptationSpec
+from dataclasses import fields, replace
+
 from .errors import GesturecError
-from .personality import EXTRAVERT_ANCHOR, INTROVERT_ANCHOR, ParameterSet
-from .scheduler import SchedulerConfig
+from .pipeline import PipelineSettings
+
+SECTIONS = ("introvert", "extravert", "adaptation", "scheduler")
 
 
 class ConfigError(GesturecError):
     pass
 
 
-def load_config(text: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _parse(value: str, default: float | bool, where: str) -> float | bool:
+    if isinstance(default, bool):
+        if value.lower() in ("true", "yes", "1"):
+            return True
+        if value.lower() in ("false", "no", "0"):
+            return False
+        raise ConfigError(f"{where}: expected a boolean, got {value!r}")
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
+def load_config(text: str, settings: PipelineSettings = PipelineSettings()) -> PipelineSettings:
+    """``settings`` with the values of a config document applied.
+
+    Each settings object is rebuilt with :func:`dataclasses.replace`, so its
+    own ``__post_init__`` checks the new values.
+    """
+    defaults = {
+        f"{section}.{f.name}": getattr(getattr(settings, section), f.name)
+        for section in SECTIONS
+        for f in fields(getattr(settings, section))
+    }
+    changes: dict[str, dict[str, float | bool]] = {section: {} for section in SECTIONS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -43,72 +62,11 @@ def load_config(text: str) -> dict[str, str]:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key = key.strip()
-        if key in values:
+        if key not in defaults:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        section, _, name = key.partition(".")
+        if name in changes[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = value.strip()
-    return values
-
-
-def _get_float(cfg: dict[str, str], key: str, default: float) -> float:
-    if key not in cfg:
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from None
-
-
-def _get_bool(cfg: dict[str, str], key: str, default: bool) -> bool:
-    if key not in cfg:
-        return default
-    value = cfg[key].lower()
-    if value in ("true", "yes", "1"):
-        return True
-    if value in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {cfg[key]!r}")
-
-
-def _anchor(cfg: dict[str, str], prefix: str, default: ParameterSet) -> ParameterSet:
-    return ParameterSet(
-        rate_band=(
-            _get_float(cfg, f"{prefix}.rate_min", default.rate_band[0]),
-            _get_float(cfg, f"{prefix}.rate_max", default.rate_band[1]),
-        ),
-        expanse_offset=_get_float(cfg, f"{prefix}.expanse_offset_cm", default.expanse_offset),
-        height_offset=_get_float(cfg, f"{prefix}.height_offset_cm", default.height_offset),
-        outwardness_offset=_get_float(cfg, f"{prefix}.outwardness_offset_cm", default.outwardness_offset),
-        speed_multiplier=_get_float(cfg, f"{prefix}.speed", default.speed_multiplier),
-        scale_multiplier=_get_float(cfg, f"{prefix}.scale", default.scale_multiplier),
-    )
-
-
-def anchors_from_config(cfg: dict[str, str]) -> tuple[ParameterSet, ParameterSet]:
-    """(introvert, extravert) anchor parameter sets."""
-    return _anchor(cfg, "introvert", INTROVERT_ANCHOR), _anchor(cfg, "extravert", EXTRAVERT_ANCHOR)
-
-
-def adaptation_from_config(cfg: dict[str, str]) -> AdaptationSpec:
-    default = AdaptationSpec()
-    return AdaptationSpec(
-        rate_band=(
-            _get_float(cfg, "adapted_rate_min", default.rate_band[0]),
-            _get_float(cfg, "adapted_rate_max", default.rate_band[1]),
-        ),
-        expanse_delta=_get_float(cfg, "expanse_delta_cm", default.expanse_delta),
-        height_delta=_get_float(cfg, "height_delta_cm", default.height_delta),
-        outwardness_delta=_get_float(cfg, "outwardness_delta_cm", default.outwardness_delta),
-        speed_factor=_get_float(cfg, "speed_factor", default.speed_factor),
-        scale_factor=_get_float(cfg, "scale_factor", default.scale_factor),
-    )
-
-
-def scheduler_from_config(cfg: dict[str, str]) -> SchedulerConfig:
-    default = SchedulerConfig()
-    return SchedulerConfig(
-        hold_threshold_s=_get_float(cfg, "hold_threshold_s", default.hold_threshold_s),
-        prep_duration_s=_get_float(cfg, "prep_duration_s", default.prep_duration_s),
-        retract_duration_s=_get_float(cfg, "retract_duration_s", default.retract_duration_s),
-        stroke_lead_s=_get_float(cfg, "stroke_lead_s", default.stroke_lead_s),
-        retract_on_turn_end=_get_bool(cfg, "retract_on_turn_end", default.retract_on_turn_end),
-    )
+        changes[section][name] = _parse(value.strip(), defaults[key], f"line {lineno}: {key}")
+    rebuilt = {section: replace(getattr(settings, section), **changes[section]) for section in SECTIONS}
+    return replace(settings, **rebuilt)

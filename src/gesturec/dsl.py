@@ -100,9 +100,6 @@ class AnnotatedDialog:
     turns: list[Turn]
     audio_duration: float
 
-    def speaker_turns(self, speaker: str) -> list[Turn]:
-        return [t for t in self.turns if t.speaker == speaker]
-
 
 def _parse_variant(text: str, lineno: int, col: int, allow_copy: bool) -> tuple[bool, str, str, float]:
     m = _VARIANT_RE.match(text.strip())
@@ -275,33 +272,20 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def segment_sentences(
-    turn: Turn,
-    word_onsets: list[float] | None = None,
-) -> list[tuple[str, list[GestureAnnotation]]]:
+def segment_sentences(turn: Turn) -> list[tuple[str, list[GestureAnnotation]]]:
     """Split a turn into sentences and assign each annotation to one.
 
-    An annotation belongs to the sentence containing its following word.
-    With ``word_onsets`` (one onset per word of the turn, from the timing
-    track) the following word is the first with onset greater than the
-    stroke begin.  Otherwise the annotation's position in the source text
-    decides.  Trailing annotations fall into the last sentence.
+    An annotation belongs to the sentence containing its following word,
+    found by the annotation's position in the source text.  Trailing
+    annotations fall into the last sentence.
     """
     words = turn.text.split()
     spans = sentence_spans(turn.text)
     if not spans:
         return []
     buckets: list[list[GestureAnnotation]] = [[] for _ in spans]
-    use_onsets = word_onsets is not None and len(word_onsets) == len(words)
     for ann in turn.annotations:
-        if use_onsets:
-            pos = next(
-                (i for i, onset in enumerate(word_onsets) if onset > ann.stroke_begin),
-                len(words),
-            )
-        else:
-            pos = ann.word_index
-        pos = min(pos, len(words) - 1)
+        pos = min(ann.word_index, len(words) - 1)
         for k, (start, end) in enumerate(spans):
             if start <= pos < end:
                 buckets[k].append(ann)

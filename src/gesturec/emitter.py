@@ -60,7 +60,10 @@ class ScriptDocument:
 
 
 def document_from_timeline(timeline: Timeline) -> ScriptDocument:
-    """Flatten a timeline into canonical (3-decimal) event records."""
+    """Flatten a timeline into canonical (3-decimal) event records.
+
+    Times are already on the millisecond grid; features are rounded here.
+    """
     events = []
     for arm in ARMS:
         for phase in timeline.tracks[arm].phases:
@@ -68,8 +71,8 @@ def document_from_timeline(timeline: Timeline) -> ScriptDocument:
                 f = phase.features
                 events.append(
                     ScriptEvent(
-                        start=round(phase.start, 3),
-                        end=round(phase.end, 3),
+                        start=phase.start,
+                        end=phase.end,
                         kind=phase.kind,
                         arm=arm,
                         gesture=phase.gesture.gesture_name,
@@ -83,13 +86,13 @@ def document_from_timeline(timeline: Timeline) -> ScriptDocument:
                 )
             else:
                 events.append(
-                    ScriptEvent(start=round(phase.start, 3), end=round(phase.end, 3), kind=phase.kind, arm=arm)
+                    ScriptEvent(start=phase.start, end=phase.end, kind=phase.kind, arm=arm)
                 )
     events.sort(key=lambda e: (e.start, e.arm, e.kind))
     header = ScriptHeader(
         story_id=timeline.story_id,
         speaker=timeline.speaker,
-        audio_duration=round(timeline.audio_duration, 3),
+        audio_duration=timeline.audio_duration,
         config_fingerprint=timeline.config_fingerprint,
     )
     return ScriptDocument(header=header, events=tuple(events))

@@ -1,7 +1,7 @@
 """Extraversion model: numeric gesture parameters and rate reduction.
 
 An extraversion score on the 7-point TIPI scale maps linearly between two
-anchors.  The annotation default is the extravert performance (rate 1-2
+anchors.  The annotation default is the extravert performance (at most 2
 gestures per sentence, neutral offsets and multipliers); the introvert
 anchor narrows, lowers and slows the same gestures and halves the rate.
 Introvert anchor numbers are engineering constants consistent with the
@@ -12,7 +12,7 @@ published values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .catalog import GestureCatalog, lookup
 from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, segment_sentences
@@ -26,7 +26,7 @@ EXTRAVERSION_MAX = 7.0
 class ParameterSet:
     """Numeric gesture-feature parameters for one agent."""
 
-    rate_band: tuple[float, float]  # min/max gestures per sentence
+    max_rate: float  # gestures per sentence
     expanse_offset: float  # cm
     height_offset: float  # cm
     outwardness_offset: float  # cm
@@ -34,9 +34,8 @@ class ParameterSet:
     scale_multiplier: float
 
     def __post_init__(self):
-        lo, hi = self.rate_band
-        if not 0 <= lo <= hi:
-            raise DomainError(f"bad rate band {self.rate_band}")
+        if not self.max_rate >= 0:
+            raise DomainError(f"max_rate must be >= 0, got {self.max_rate}")
         for name in ("speed_multiplier", "scale_multiplier"):
             value = getattr(self, name)
             if not 0 < value <= 4:
@@ -44,7 +43,7 @@ class ParameterSet:
 
 
 EXTRAVERT_ANCHOR = ParameterSet(
-    rate_band=(1.0, 2.0),
+    max_rate=2.0,
     expanse_offset=0.0,
     height_offset=0.0,
     outwardness_offset=0.0,
@@ -53,7 +52,7 @@ EXTRAVERT_ANCHOR = ParameterSet(
 )
 
 INTROVERT_ANCHOR = ParameterSet(
-    rate_band=(0.0, 1.0),
+    max_rate=1.0,
     expanse_offset=-10.0,
     height_offset=-5.0,
     outwardness_offset=-10.0,
@@ -71,31 +70,11 @@ def profile_from_extraversion(
     if not EXTRAVERSION_MIN <= e <= EXTRAVERSION_MAX:
         raise DomainError(f"extraversion must be in [1, 7], got {e}")
     t = (e - EXTRAVERSION_MIN) / (EXTRAVERSION_MAX - EXTRAVERSION_MIN)
-
-    def lerp(a: float, b: float) -> float:
-        return a + t * (b - a)
-
-    return ParameterSet(
-        rate_band=(
-            lerp(introvert.rate_band[0], extravert.rate_band[0]),
-            lerp(introvert.rate_band[1], extravert.rate_band[1]),
-        ),
-        expanse_offset=lerp(introvert.expanse_offset, extravert.expanse_offset),
-        height_offset=lerp(introvert.height_offset, extravert.height_offset),
-        outwardness_offset=lerp(introvert.outwardness_offset, extravert.outwardness_offset),
-        speed_multiplier=lerp(introvert.speed_multiplier, extravert.speed_multiplier),
-        scale_multiplier=lerp(introvert.scale_multiplier, extravert.scale_multiplier),
-    )
-
-
-@dataclass(frozen=True)
-class PersonalityProfile:
-    extraversion: float
-    derived: ParameterSet
-
-    @classmethod
-    def from_extraversion(cls, e: float) -> "PersonalityProfile":
-        return cls(extraversion=e, derived=profile_from_extraversion(e))
+    values = {}
+    for f in fields(ParameterSet):
+        a, b = getattr(introvert, f.name), getattr(extravert, f.name)
+        values[f.name] = a + t * (b - a)
+    return ParameterSet(**values)
 
 
 def _features_for(gesture_name: str, params: ParameterSet, catalog: GestureCatalog) -> Features:
@@ -110,8 +89,8 @@ def _features_for(gesture_name: str, params: ParameterSet, catalog: GestureCatal
 
 
 def _rate_cap(params: ParameterSet) -> int:
-    # round half up: a band max of 1.5 allows 2 gestures per sentence
-    return int(params.rate_band[1] + 0.5)
+    # round half up: a maximum rate of 1.5 allows 2 gestures per sentence
+    return int(params.max_rate + 0.5)
 
 
 def _cap_sentence(anns: list[GestureAnnotation], cap: int) -> set[int]:
@@ -138,9 +117,9 @@ def apply_personality(
     per-sentence rate cap.
 
     Rate-added annotations are exempt from the cap (counted nor dropped):
-    they only exist in adapted performances, whose rate band the adaptation
-    stage owns.  Unknown gesture names (including alternatives) raise
-    :class:`UnknownGestureError`.
+    they only exist in adapted performances, whose extra gestures the
+    adaptation stage owns.  Unknown gesture names (including alternatives)
+    raise :class:`UnknownGestureError`.
     """
     cap = _rate_cap(params)
     new_turns: list[Turn] = []

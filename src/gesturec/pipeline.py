@@ -24,13 +24,13 @@ from .scheduler import SchedulerConfig, ScheduleResult, schedule
 class PipelineSettings:
     scheduler: SchedulerConfig = SchedulerConfig()
     adaptation: AdaptationSpec = AdaptationSpec()
-    anchors: tuple[ParameterSet, ParameterSet] = (INTROVERT_ANCHOR, EXTRAVERT_ANCHOR)
+    introvert: ParameterSet = INTROVERT_ANCHOR
+    extravert: ParameterSet = EXTRAVERT_ANCHOR
     extraversion: dict[str, float] = field(default_factory=lambda: {"A": 7.0, "B": 7.0})
     strict: bool = True
 
     def profile(self, speaker: str) -> ParameterSet:
-        introvert, extravert = self.anchors
-        return profile_from_extraversion(self.extraversion[speaker], introvert, extravert)
+        return profile_from_extraversion(self.extraversion[speaker], self.introvert, self.extravert)
 
 
 @dataclass

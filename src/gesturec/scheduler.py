@@ -15,6 +15,10 @@ A prep precedes the first stroke of each arm and a retract follows the
 last one (compressed or omitted when the audio ends first).  Stroke start
 times are never moved; in strict mode conflicting or overrunning strokes
 raise, in lenient mode they are dropped with a diagnostic.
+
+Every phase boundary is rounded to whole milliseconds once, when the phase
+is created.  A retract ends a fixed duration after the unrounded stroke
+end.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ HOLD = "hold"
 RETRACT = "retract"
 
 ARMS = ("left", "right")
-
-_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,9 @@ class ScheduleResult:
 
 @dataclass(frozen=True)
 class _Stroke:
-    start: float
-    end: float
+    start: float  # millisecond grid
+    end: float  # millisecond grid
+    raw_end: float  # unrounded; retracts are timed from it
     turn_index: int
     annotation: GestureAnnotation
 
@@ -124,11 +127,12 @@ def _collect_strokes(dialog: AnnotatedDialog, speaker: str) -> list[_Stroke]:
                     f"annotation at {ann.stroke_begin:.2f}s has no effective features; "
                     "apply personality before scheduling"
                 )
-            duration = ann.stroke_duration / ann.features.speed
+            end = ann.stroke_begin + ann.stroke_duration / ann.features.speed
             strokes.append(
                 _Stroke(
-                    start=ann.stroke_begin,
-                    end=ann.stroke_begin + duration,
+                    start=round(ann.stroke_begin, 3),
+                    end=round(end, 3),
+                    raw_end=end,
                     turn_index=turn.index,
                     annotation=ann,
                 )
@@ -154,7 +158,7 @@ def _admit_strokes(
     last_end = {arm: float("-inf") for arm in ARMS}
     for stroke in strokes:
         arms = _arms_of(stroke.annotation.hand)
-        if stroke.end > audio_duration + _TIE:
+        if stroke.end > audio_duration:
             message = (
                 f"{speaker}: stroke {stroke.annotation.gesture_name!r} at {stroke.start:.3f}s "
                 f"runs past the audio end ({stroke.end:.3f}s > {audio_duration:.3f}s)"
@@ -163,7 +167,7 @@ def _admit_strokes(
                 raise StrokeOverrunError(message)
             diagnostics.append(f"dropped: {message}")
             continue
-        blocked = next((arm for arm in arms if stroke.start <= last_end[arm] + _TIE), None)
+        blocked = next((arm for arm in arms if stroke.start <= last_end[arm]), None)
         if blocked is not None:
             message = (
                 f"{speaker}/{blocked}: stroke {stroke.annotation.gesture_name!r} at "
@@ -180,23 +184,20 @@ def _admit_strokes(
 
 
 def _connect(track: ArmTrack, cur: _Stroke, nxt: _Stroke, config: SchedulerConfig) -> None:
-    gap = nxt.start - cur.end
-    prep_d = config.prep_duration_s
-    force_retract = (
-        config.retract_on_turn_end
-        and nxt.turn_index != cur.turn_index
-        and gap >= config.retract_duration_s + prep_d
+    prep_start = round(nxt.start - config.prep_duration_s, 3)
+    retract_end = round(cur.raw_end + config.retract_duration_s, 3)
+    retract = nxt.start - cur.end >= config.hold_threshold_s or (
+        config.retract_on_turn_end and nxt.turn_index != cur.turn_index
     )
-    if gap < config.hold_threshold_s and not force_retract:
-        hold_end = nxt.start - prep_d
-        if hold_end > cur.end + _TIE:
-            track.phases.append(GesturePhase(HOLD, cur.end, hold_end))
-            track.phases.append(GesturePhase(PREP, hold_end, nxt.start))
-        else:
-            track.phases.append(GesturePhase(PREP, cur.end, nxt.start))
+    # a retract needs room for itself and the next prep
+    if retract and retract_end <= prep_start:
+        track.phases.append(GesturePhase(RETRACT, cur.end, retract_end))
+        track.phases.append(GesturePhase(PREP, prep_start, nxt.start))
+    elif prep_start > cur.end:
+        track.phases.append(GesturePhase(HOLD, cur.end, prep_start))
+        track.phases.append(GesturePhase(PREP, prep_start, nxt.start))
     else:
-        track.phases.append(GesturePhase(RETRACT, cur.end, cur.end + config.retract_duration_s))
-        track.phases.append(GesturePhase(PREP, nxt.start - prep_d, nxt.start))
+        track.phases.append(GesturePhase(PREP, cur.end, nxt.start))
 
 
 def _build_track(arm: str, strokes: list[_Stroke], audio: float, config: SchedulerConfig) -> ArmTrack:
@@ -204,8 +205,9 @@ def _build_track(arm: str, strokes: list[_Stroke], audio: float, config: Schedul
     if not strokes:
         return track
     first = strokes[0]
-    if first.start > _TIE:
-        track.phases.append(GesturePhase(PREP, max(0.0, first.start - config.prep_duration_s), first.start))
+    if first.start > 0:
+        prep_start = round(max(0.0, first.start - config.prep_duration_s), 3)
+        track.phases.append(GesturePhase(PREP, prep_start, first.start))
     for i, stroke in enumerate(strokes):
         track.phases.append(
             GesturePhase(
@@ -219,8 +221,8 @@ def _build_track(arm: str, strokes: list[_Stroke], audio: float, config: Schedul
         if i + 1 < len(strokes):
             _connect(track, stroke, strokes[i + 1], config)
     last = strokes[-1]
-    retract_end = min(last.end + config.retract_duration_s, audio)
-    if retract_end > last.end + _TIE:
+    retract_end = min(round(last.raw_end + config.retract_duration_s, 3), audio)
+    if retract_end > last.end:
         track.phases.append(GesturePhase(RETRACT, last.end, retract_end))
     return track
 
@@ -233,16 +235,17 @@ def schedule(
     """Build per-arm timelines for both speakers."""
     diagnostics: list[str] = []
     timelines = {}
+    audio = round(dialog.audio_duration, 3)
     for speaker in ("A", "B"):
         strokes = _collect_strokes(dialog, speaker)
-        per_arm = _admit_strokes(strokes, dialog.audio_duration, speaker, strict, diagnostics)
+        per_arm = _admit_strokes(strokes, audio, speaker, strict, diagnostics)
         tracks = {
-            arm: _build_track(arm, per_arm[arm], dialog.audio_duration, config) for arm in ARMS
+            arm: _build_track(arm, per_arm[arm], audio, config) for arm in ARMS
         }
         timelines[speaker] = Timeline(
             speaker=speaker,
             tracks=tracks,
-            audio_duration=dialog.audio_duration,
+            audio_duration=audio,
             story_id=dialog.story_id,
             config_fingerprint=config.fingerprint(),
         )
@@ -257,9 +260,21 @@ _AFTER = {
 }
 
 
+def _off_grid(t: float) -> bool:
+    # t is on the grid iff it is the float nearest k / 1000 for some integer
+    # k; this test costs half of round(t, 3) != t
+    return round(t * 1000) / 1000 != t
+
+
 def validate_timeline(timeline: Timeline) -> list[str]:
-    """Structural diagnostics; empty means the timeline is well formed."""
+    """Structural diagnostics; empty means the timeline is well formed.
+
+    Every time must lie on the millisecond grid; times compare exactly.
+    """
     problems: list[str] = []
+    audio = timeline.audio_duration
+    if _off_grid(audio):
+        problems.append(f"audio duration {audio!r} is off the millisecond grid")
     for arm in ARMS:
         track = timeline.tracks.get(arm)
         if track is None:
@@ -271,10 +286,12 @@ def validate_timeline(timeline: Timeline) -> list[str]:
             if p.kind not in _AFTER:
                 problems.append(f"{where}: unknown phase kind {p.kind!r}")
                 continue
+            if _off_grid(p.start) or _off_grid(p.end):
+                problems.append(f"{where}: times {p.start!r}, {p.end!r} off the millisecond grid")
             if not p.start < p.end:
                 problems.append(f"{where}: start {p.start:.3f} not before end {p.end:.3f}")
-            if p.start < -_TIE or p.end > timeline.audio_duration + _TIE:
-                problems.append(f"{where}: outside [0, {timeline.audio_duration:.3f}]")
+            if p.start < 0 or p.end > audio:
+                problems.append(f"{where}: outside [0, {audio:.3f}]")
             if p.kind == STROKE:
                 if p.gesture is None:
                     problems.append(f"{where}: stroke without a gesture reference")
@@ -285,18 +302,18 @@ def validate_timeline(timeline: Timeline) -> list[str]:
         for i in range(len(phases) - 1):
             p, q = phases[i], phases[i + 1]
             where = f"{arm}[{i}->{i + 1}]"
-            if q.start < p.end - _TIE:
+            if q.start < p.end:
                 problems.append(f"{where}: phases overlap ({p.kind} ends {p.end:.3f}, {q.kind} starts {q.start:.3f})")
             if q.kind not in _AFTER.get(p.kind, ()):
                 problems.append(f"{where}: {p.kind} may not be followed by {q.kind}")
             # only retract->prep may leave a rest gap
-            if p.kind != RETRACT and q.start > p.end + _TIE:
+            if p.kind != RETRACT and q.start > p.end:
                 problems.append(f"{where}: gap between {p.kind} and {q.kind}")
         if phases:
             head, tail = phases[0], phases[-1]
-            if head.kind != PREP and not (head.kind == STROKE and head.start <= _TIE):
+            if head.kind != PREP and not (head.kind == STROKE and head.start == 0):
                 problems.append(f"{arm}[0]: track must begin with a prep")
-            if tail.kind != RETRACT and not (tail.end >= timeline.audio_duration - _TIE):
+            if tail.kind != RETRACT and tail.end != audio:
                 problems.append(f"{arm}[{len(phases) - 1}]: track must end with a retract")
     problems.extend(_check_two_hand_sync(timeline))
     return problems

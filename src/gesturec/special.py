@@ -86,12 +86,6 @@ def student_t_two_tailed(t: float, df: float) -> float:
     return betainc(df / 2.0, 0.5, x)
 
 
-def student_t_sf(t: float, df: float) -> float:
-    """Upper tail P(T > t)."""
-    p = student_t_two_tailed(t, df) / 2.0
-    return p if t >= 0 else 1.0 - p
-
-
 def f_sf(f: float, df1: float, df2: float) -> float:
     """Upper tail P(F > f) for F ~ F(df1, df2)."""
     if df1 <= 0 or df2 <= 0:

@@ -222,14 +222,13 @@ def run_personality_batch(
     extraverted_role: str = "A",
 ) -> list[StimulusBundle]:
     """8 bundles for 4 stories: two gender assignments each."""
-    introvert, extravert = settings.anchors
     bundles: list[StimulusBundle] = []
     for story_id in sorted(stories):
         dialog, track = stories[story_id]
         other = "B" if extraverted_role == "A" else "A"
         scores = {extraverted_role: DEFAULT_EXTRAVERT_SCORE, other: DEFAULT_INTROVERT_SCORE}
         profiles = {
-            speaker: profile_from_extraversion(score, introvert, extravert)
+            speaker: profile_from_extraversion(score, settings.introvert, settings.extravert)
             for speaker, score in scores.items()
         }
         plan = StimulusPlan(story_id=story_id, experiment="personality", extraverted_role=extraverted_role)

@@ -18,6 +18,13 @@ from gesturec.dsl import (
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "gesturec" / "data"
 
+# (dialog, speaker A's extraversion) whose first stroke ends within half a
+# millisecond of a phase boundary.  At A=6.3867 the Cup stroke ends at
+# 1.4696s, which rounds onto the next stroke's start; at A=5.7501 it ends at
+# 1.47999s, which rounds onto the start of the prep before the next stroke.
+TOUCHING_STROKES = ("audio: 5.00s\nA1: [1.00s](Cup, RH 0.46s) one [1.47s](Reject, RH 0.44s) two\n", 6.3867)
+EMPTY_HOLD = ("audio: 5.00s\nA1: [1.00s](Cup, RH 0.46s) one two [1.78s](Reject, RH 0.44s) three\n", 5.7501)
+
 WORDS = (
     "the a storm garden cat we saw big wind rain dog fence they ran home "
     "yeah right so then it was really over there here came went still"

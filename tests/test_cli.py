@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, EMPTY_HOLD, TOUCHING_STROKES
 from gesturec.cli import main
+from gesturec.emitter import read_script
+
+SCRIPTS = ("A.script.json", "A.script.txt", "B.script.json", "B.script.txt")
 
 
 @pytest.fixture()
@@ -28,7 +31,7 @@ def test_compile_writes_scripts(tmp_path, shipped, capsys):
     ])
     assert code == 0
     out_dir = tmp_path / "out"
-    for name in ("A.script.json", "A.script.txt", "B.script.json", "B.script.txt"):
+    for name in SCRIPTS:
         assert (out_dir / name).exists()
     header = json.loads((out_dir / "A.script.json").read_text())["header"]
     assert header["story"] == "protest"
@@ -80,7 +83,7 @@ def test_build_adaptation(tmp_path, shipped):
 
 def test_build_with_config_override(tmp_path, shipped):
     config = tmp_path / "run.cfg"
-    config.write_text("expanse_delta_cm = 5\n", encoding="utf-8")
+    config.write_text("adaptation.expanse_delta = 5\n", encoding="utf-8")
     code = main([
         "build", "--experiment", "adaptation",
         "--stories", shipped["stories"],
@@ -93,6 +96,44 @@ def test_build_with_config_override(tmp_path, shipped):
     script = (tmp_path / "out" / "garden_ABA" / "adapted" / "A.script.json").read_text()
     events = json.loads(script)["events"]
     assert any(e.get("expanse") == 30.0 for e in events if e["kind"] == "stroke")
+
+
+def test_misspelled_config_key_exits_1(tmp_path, shipped, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("scheduler.hold_treshold_s = 0.1\n", encoding="utf-8")
+    code = main([
+        "compile",
+        "--dialog", str(DATA_DIR / "stories" / "protest.dialog"),
+        "--catalog", shipped["catalog"],
+        "--config", str(config),
+        "--out", shipped["out"],
+    ])
+    assert code == 1
+    assert "line 1: unknown key 'scheduler.hold_treshold_s'" in capsys.readouterr().err
+
+
+def _compile_case(tmp_path, shipped, case, *flags):
+    source, score = case
+    dialog = tmp_path / "case.dialog"
+    dialog.write_text(source, encoding="utf-8")
+    return main([
+        "compile", "--dialog", str(dialog), "--catalog", shipped["catalog"],
+        "--extraversion", f"A={score}", "--out", shipped["out"], *flags,
+    ])
+
+
+def test_stroke_rounded_onto_next_start_exits_1(tmp_path, shipped, capsys):
+    assert _compile_case(tmp_path, shipped, TOUCHING_STROKES) == 1
+    assert "overlaps the previous stroke" in capsys.readouterr().err
+    assert _compile_case(tmp_path, shipped, TOUCHING_STROKES, "--lenient") == 0
+    for name in SCRIPTS:
+        read_script((tmp_path / "out" / name).read_bytes())
+
+
+def test_hold_rounded_to_nothing_compiles(tmp_path, shipped):
+    assert _compile_case(tmp_path, shipped, EMPTY_HOLD) == 0
+    for name in SCRIPTS:
+        read_script((tmp_path / "out" / name).read_bytes())
 
 
 def test_analyze_report(tmp_path, capsys):

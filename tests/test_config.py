@@ -1,58 +1,87 @@
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
-from gesturec.config import (
-    ConfigError,
-    adaptation_from_config,
-    anchors_from_config,
-    load_config,
-    scheduler_from_config,
-)
+from gesturec.config import SECTIONS, ConfigError, load_config
+from gesturec.errors import ScheduleError
+from gesturec.pipeline import PipelineSettings
+
+DEFAULTS = PipelineSettings()
+KEYS = [(section, f.name) for section in SECTIONS for f in fields(getattr(DEFAULTS, section))]
 
 
 def test_defaults_without_keys():
-    cfg = load_config("# just comments\n")
-    introvert, extravert = anchors_from_config(cfg)
-    assert extravert.rate_band == (1.0, 2.0)
-    assert introvert.expanse_offset == -10.0
-    spec = adaptation_from_config(cfg)
+    settings = load_config("# just comments\n")
+    assert settings == DEFAULTS
+    assert settings.extravert.max_rate == 2.0
+    assert settings.introvert.expanse_offset == -10.0
+    spec = settings.adaptation
     assert (spec.expanse_delta, spec.height_delta, spec.outwardness_delta) == (18.0, 10.0, 10.0)
     assert (spec.speed_factor, spec.scale_factor) == (1.25, 1.5)
-    assert spec.rate_band == (1.0, 3.0)
-    scheduler = scheduler_from_config(cfg)
+    scheduler = settings.scheduler
     assert scheduler.hold_threshold_s == 2.5
     assert scheduler.prep_duration_s == 0.3
     assert scheduler.retract_duration_s == 0.5
     assert scheduler.stroke_lead_s == 0.2
 
 
+def test_settable_values():
+    assert len(KEYS) == 22
+
+
+@pytest.mark.parametrize("section,name", KEYS)
+def test_every_field_is_a_key(section, name):
+    default = getattr(getattr(DEFAULTS, section), name)
+    if isinstance(default, bool):
+        text, expected = str(not default).lower(), not default
+    else:
+        expected = default + 0.25
+        text = repr(expected)
+    settings = load_config(f"{section}.{name} = {text}\n")
+    assert getattr(getattr(settings, section), name) == expected
+    # no other value moves
+    assert replace(settings, **{section: getattr(DEFAULTS, section)}) == DEFAULTS
+
+
 def test_overrides():
     text = """
     # tighter experiment
-    expanse_delta_cm = 12
-    speed_factor = 1.1
-    hold_threshold_s = 2.0
-    retract_on_turn_end = true
-    introvert.speed = 0.7
+    adaptation.expanse_delta = 12
+    adaptation.speed_factor = 1.1
+    scheduler.hold_threshold_s = 2.0
+    scheduler.retract_on_turn_end = true
+    introvert.speed_multiplier = 0.7
     """
-    cfg = load_config(text)
-    spec = adaptation_from_config(cfg)
-    assert spec.expanse_delta == 12.0
-    assert spec.speed_factor == 1.1
-    scheduler = scheduler_from_config(cfg)
-    assert scheduler.hold_threshold_s == 2.0
-    assert scheduler.retract_on_turn_end is True
-    introvert, _ = anchors_from_config(cfg)
-    assert introvert.speed_multiplier == 0.7
+    given = PipelineSettings(extraversion={"A": 1.0, "B": 7.0}, strict=False)
+    settings = load_config(text, given)
+    assert settings.adaptation.expanse_delta == 12.0
+    assert settings.adaptation.speed_factor == 1.1
+    assert settings.scheduler.hold_threshold_s == 2.0
+    assert settings.scheduler.retract_on_turn_end is True
+    assert settings.introvert.speed_multiplier == 0.7
+    assert settings.extraversion == {"A": 1.0, "B": 7.0}
+    assert settings.strict is False
+
+
+def test_unknown_key_rejected():
+    for key in ("scheduler.hold_treshold_s", "hold_threshold_s", "adaptation.rate_band", "strict"):
+        with pytest.raises(ConfigError) as err:
+            load_config(f"# first line\n{key} = 0.1\n")
+        assert "line 2" in str(err.value)
+        assert repr(key) in str(err.value)
 
 
 def test_bad_lines():
     with pytest.raises(ConfigError):
         load_config("just words\n")
-    with pytest.raises(ConfigError):
-        load_config("a = 1\na = 2\n")
-    with pytest.raises(ConfigError):
-        scheduler_from_config(load_config("hold_threshold_s = often\n"))
-    with pytest.raises(ConfigError):
-        scheduler_from_config(load_config("retract_on_turn_end = sometimes\n"))
+    with pytest.raises(ConfigError, match="line 2: duplicate"):
+        load_config("adaptation.speed_factor = 1\nadaptation.speed_factor = 2\n")
+    with pytest.raises(ConfigError, match="scheduler.hold_threshold_s"):
+        load_config("scheduler.hold_threshold_s = often\n")
+    with pytest.raises(ConfigError, match="scheduler.retract_on_turn_end"):
+        load_config("scheduler.retract_on_turn_end = sometimes\n")
+    # values are checked by the settings object they fill
+    with pytest.raises(ScheduleError):
+        load_config("scheduler.prep_duration_s = 0\n")

@@ -160,15 +160,6 @@ def test_segment_empty_text_returns_nothing():
     assert segment_sentences(turn) == []
 
 
-def test_segment_with_onsets_overrides_positions():
-    # position says sentence 1, timing track says sentence 2
-    ann = GestureAnnotation(2.0, "Cup", "RH", 0.46, word_index=0)
-    turn = Turn(speaker="A", index=1, text="One here. Two there.", annotations=[ann])
-    onsets = [0.5, 1.0, 2.5, 3.0]
-    buckets = segment_sentences(turn, word_onsets=onsets)
-    assert [len(anns) for _, anns in buckets] == [0, 1]
-
-
 def test_segment_counts_preserved(protest_dialog):
     for turn in protest_dialog.turns:
         buckets = segment_sentences(turn)

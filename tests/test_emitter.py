@@ -4,9 +4,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_stroke_dialog
-from gesturec.align import align_strokes
+from conftest import DATA_DIR, make_stroke_dialog
+from gesturec.align import align_strokes, parse_word_timings
 from gesturec.emitter import (
     ScriptEvent,
     document_from_timeline,
@@ -16,7 +18,16 @@ from gesturec.emitter import (
 )
 from gesturec.errors import EmitError, ScriptError
 from gesturec.personality import EXTRAVERT_ANCHOR, apply_personality
+from gesturec.pipeline import PipelineSettings, compile_dialog
 from gesturec.scheduler import ArmTrack, GesturePhase, Timeline, schedule
+
+SHIPPED = {
+    path.stem: (
+        path.read_text(encoding="utf-8"),
+        parse_word_timings((DATA_DIR / "timings" / f"{path.stem}.tsv").read_text(encoding="utf-8")),
+    )
+    for path in sorted((DATA_DIR / "stories").glob("*.dialog"))
+}
 
 
 @pytest.fixture()
@@ -85,6 +96,23 @@ def test_round_trip_on_generated_timelines():
             doc = read_script(blob)
             assert doc == document_from_timeline(timeline)
             assert emit_document(doc, fmt) == blob
+
+
+@given(
+    a=st.floats(min_value=1.0, max_value=7.0),
+    b=st.floats(min_value=1.0, max_value=7.0),
+    story=st.sampled_from(sorted(SHIPPED)),
+    variant=st.sampled_from([None, "adapted", "nonadapted"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_shipped_stories_round_trip_at_any_extraversion(catalog, a, b, story, variant):
+    source, track = SHIPPED[story]
+    lenient = PipelineSettings(extraversion={"A": a, "B": b}, strict=False)
+    result = compile_dialog(source, catalog, timings=track, settings=lenient, variant=variant)
+    for speaker in ("A", "B"):
+        for fmt in ("json", "text"):
+            blob = emit_script(result.schedule.for_speaker(speaker), fmt)
+            assert emit_document(read_script(blob), fmt) == blob
 
 
 def test_invalid_timeline_rejected():

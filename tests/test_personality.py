@@ -11,13 +11,13 @@ from gesturec.personality import (
     EXTRAVERT_ANCHOR,
     INTROVERT_ANCHOR,
     ParameterSet,
-    PersonalityProfile,
     apply_personality,
     profile_from_extraversion,
 )
 from gesturec.scheduler import schedule
 
 _NUMERIC_FIELDS = (
+    "max_rate",
     "expanse_offset",
     "height_offset",
     "outwardness_offset",
@@ -28,7 +28,7 @@ _NUMERIC_FIELDS = (
 
 def test_extravert_anchor_at_seven():
     assert profile_from_extraversion(7.0) == EXTRAVERT_ANCHOR
-    assert EXTRAVERT_ANCHOR.rate_band == (1.0, 2.0)
+    assert EXTRAVERT_ANCHOR.max_rate == 2.0
     assert EXTRAVERT_ANCHOR.speed_multiplier == 1.0
 
 
@@ -44,7 +44,7 @@ def test_midpoint_interpolation():
     assert mid.outwardness_offset == pytest.approx(-5.0)
     assert mid.speed_multiplier == pytest.approx(0.9)
     assert mid.scale_multiplier == pytest.approx(0.9)
-    assert mid.rate_band == pytest.approx((0.5, 1.5))
+    assert mid.max_rate == pytest.approx(1.5)
 
 
 def test_out_of_range_extraversion():
@@ -56,10 +56,10 @@ def test_out_of_range_extraversion():
 
 def test_parameter_set_validation():
     with pytest.raises(DomainError):
-        ParameterSet(rate_band=(2.0, 1.0), expanse_offset=0, height_offset=0,
+        ParameterSet(max_rate=-1.0, expanse_offset=0, height_offset=0,
                      outwardness_offset=0, speed_multiplier=1.0, scale_multiplier=1.0)
     with pytest.raises(DomainError):
-        ParameterSet(rate_band=(1.0, 2.0), expanse_offset=0, height_offset=0,
+        ParameterSet(max_rate=2.0, expanse_offset=0, height_offset=0,
                      outwardness_offset=0, speed_multiplier=5.0, scale_multiplier=1.0)
 
 
@@ -74,13 +74,6 @@ def test_profile_monotone_in_extraversion(e1, e2):
     lo, hi = profile_from_extraversion(e1), profile_from_extraversion(e2)
     for name in _NUMERIC_FIELDS:
         assert getattr(lo, name) <= getattr(hi, name) + 1e-12
-    assert lo.rate_band[0] <= hi.rate_band[0] + 1e-12
-    assert lo.rate_band[1] <= hi.rate_band[1] + 1e-12
-
-
-def test_profile_object_caches_derived():
-    profile = PersonalityProfile.from_extraversion(4.0)
-    assert profile.derived == profile_from_extraversion(4.0)
 
 
 def _aligned_fixture(protest_dialog, protest_track):

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from conftest import make_stroke_dialog, neutral_features
+from conftest import EMPTY_HOLD, TOUCHING_STROKES, make_stroke_dialog, neutral_features
 from gesturec.align import align_strokes
 from gesturec.dsl import GestureAnnotation, parse_dialog
+from gesturec.emitter import emit_script, read_script
 from gesturec.errors import ScheduleError, StrokeOverlapError, StrokeOverrunError
 from gesturec.personality import EXTRAVERT_ANCHOR, apply_personality
+from gesturec.pipeline import PipelineSettings, compile_dialog
 from gesturec.scheduler import (
     GesturePhase,
     SchedulerConfig,
@@ -167,6 +169,36 @@ def test_retract_on_turn_end_flag(catalog):
     assert validate_timeline(forced) == []
 
 
+def _compile(catalog, case, strict):
+    source, score = case
+    settings = PipelineSettings(extraversion={"A": score, "B": 7.0}, strict=strict)
+    return compile_dialog(source, catalog, settings=settings).schedule
+
+
+def _assert_readable(result):
+    for speaker in ("A", "B"):
+        for fmt in ("json", "text"):
+            read_script(emit_script(result.for_speaker(speaker), fmt))
+
+
+def test_stroke_rounded_onto_next_start_overlaps(catalog):
+    with pytest.raises(StrokeOverlapError):
+        _compile(catalog, TOUCHING_STROKES, strict=True)
+    result = _compile(catalog, TOUCHING_STROKES, strict=False)
+    assert [p.gesture.gesture_name for p in result.a.tracks["right"].strokes()] == ["Cup"]
+    assert "overlaps the previous stroke ending at 1.470s" in result.diagnostics[0]
+    _assert_readable(result)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_hold_rounded_to_nothing_is_left_out(catalog, strict):
+    result = _compile(catalog, EMPTY_HOLD, strict)
+    phases = result.a.tracks["right"].phases
+    assert [p.kind for p in phases] == ["prep", "stroke", "prep", "stroke", "retract"]
+    assert (phases[1].end, phases[2].start, phases[2].end) == (1.48, 1.48, 1.78)
+    _assert_readable(result)
+
+
 def test_config_validation():
     with pytest.raises(ScheduleError):
         SchedulerConfig(prep_duration_s=0.0)
@@ -182,6 +214,19 @@ def test_validate_flags_overlapping_phases():
     timeline = _timeline(right=phases)
     problems = validate_timeline(timeline)
     assert any("overlap" in p for p in problems)
+
+
+def test_validate_flags_off_grid_times():
+    phases = [
+        GesturePhase("prep", 0.5, 1.0004),
+        GesturePhase("stroke", 1.0004, 1.4, gesture=_ann(), features=neutral_features()),
+        GesturePhase("retract", 1.4, 1.9),
+    ]
+    problems = validate_timeline(_timeline(right=phases))
+    assert [p for p in problems if "millisecond grid" in p] == [
+        "right[0]: times 0.5, 1.0004 off the millisecond grid",
+        "right[1]: times 1.0004, 1.4 off the millisecond grid",
+    ]
 
 
 def test_validate_flags_stroke_without_gesture():

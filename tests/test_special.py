@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from gesturec.errors import DomainError
-from gesturec.special import betainc, f_sf, student_t_sf, student_t_two_tailed
+from gesturec.special import betainc, f_sf, student_t_two_tailed
 
 mpmath.mp.dps = 40
 
@@ -44,7 +44,7 @@ T_CASES = [
 
 @pytest.mark.parametrize("t,df", T_CASES)
 def test_student_t_tail_against_quadrature(t, df):
-    assert student_t_sf(t, df) == pytest.approx(t_tail_by_quadrature(t, df), abs=1e-8)
+    assert student_t_two_tailed(t, df) / 2 == pytest.approx(t_tail_by_quadrature(t, df), abs=1e-8)
 
 
 F_CASES = [
@@ -83,7 +83,7 @@ def test_two_tailed_at_zero_is_one():
 
 
 def test_tail_monotone_in_t():
-    values = [student_t_sf(t, 12) for t in (0.0, 0.5, 1.0, 2.0, 4.0)]
+    values = [student_t_two_tailed(t, 12) for t in (0.0, 0.5, 1.0, 2.0, 4.0)]
     assert values == sorted(values, reverse=True)
 
 
@@ -95,4 +95,6 @@ def test_f_sf_edges():
 
 
 def test_negative_t_tail_complements():
-    assert student_t_sf(-1.3, 7) == pytest.approx(1.0 - student_t_sf(1.3, 7))
+    # P(T > -1.3) is the complement of half the two-tailed probability
+    upper = 1.0 - student_t_two_tailed(-1.3, 7) / 2
+    assert upper == pytest.approx(t_tail_by_quadrature(-1.3, 7), abs=1e-8)
