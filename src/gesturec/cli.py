@@ -4,7 +4,7 @@ Subcommands::
 
     gesturec compile --dialog F --catalog F [--timings F] [options] --out DIR
     gesturec build --experiment personality|adaptation --stories DIR
-                   --timings DIR --catalog FILE --out DIR [--strict] ...
+                   --timings DIR --catalog FILE --out DIR [--lenient] ...
     gesturec analyze --in CSV --report PATH
 
 ``compile`` runs one dialog through the pipeline and writes per-speaker
@@ -186,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--variant", choices=("adapted", "nonadapted"), default=None)
     p_compile.add_argument("--responder", choices=("A", "B"), default=None)
     p_compile.add_argument("--config", help="key = value overrides file")
-    p_compile.add_argument("--strict", action="store_true", default=True)
     p_compile.add_argument("--lenient", dest="strict", action="store_false")
     p_compile.set_defaults(func=_cmd_compile)
 
@@ -197,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--catalog", required=True)
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--config")
-    p_build.add_argument("--strict", action="store_true", default=True)
     p_build.add_argument("--lenient", dest="strict", action="store_false")
     p_build.set_defaults(func=_cmd_build)
 

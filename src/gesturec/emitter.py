@@ -2,10 +2,14 @@
 
 A script document is the flat, renderer-facing form of one speaker's
 timeline: a header (story, speaker, audio duration, scheduler-config
-fingerprint) and phase events sorted by (start, arm, kind).  All numeric
-fields are printed with exactly three decimal places (millisecond
-precision), which makes emission a canonical form: emit(read(emit(t)))
-== emit(t) byte for byte.
+fingerprint) and phase events sorted by (start, arm, kind).  Times are
+``int`` milliseconds, as in the timeline.  The writers print them as
+seconds through ``format_seconds``, and the readers turn them back into
+milliseconds through one checked function, ``_check_ms``, which rejects a
+time that is not a whole number of milliseconds.  Features are rounded to
+3 decimals when a timeline is flattened.  Every number is printed with
+exactly three decimal places, which makes emission a canonical form:
+emit(read(emit(t))) == emit(t) byte for byte.
 
 Two formats are supported.  JSON (see ``docs/script.schema.json``) and a
 line-oriented text form, one event per line::
@@ -19,21 +23,23 @@ as are the feature columns.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import EmitError, ScriptError
-from .scheduler import ARMS, STROKE, Timeline, validate_timeline
+from .scheduler import ARMS, STROKE, Timeline, format_seconds, validate_timeline
 
 KINDS = ("prep", "stroke", "hold", "retract")
 HANDS = ("LH", "RH", "2H")
+FEATURES = ("expanse", "height", "outward", "speed", "scale")
 
 _TEXT_MAGIC = "# gesture-script v1"
 
 
 @dataclass(frozen=True)
 class ScriptEvent:
-    start: float
-    end: float
+    start: int  # ms
+    end: int  # ms
     kind: str
     arm: str
     gesture: str | None = None
@@ -49,7 +55,7 @@ class ScriptEvent:
 class ScriptHeader:
     story_id: str
     speaker: str
-    audio_duration: float
+    audio_ms: int
     config_fingerprint: str
 
 
@@ -60,10 +66,8 @@ class ScriptDocument:
 
 
 def document_from_timeline(timeline: Timeline) -> ScriptDocument:
-    """Flatten a timeline into canonical (3-decimal) event records.
-
-    Times are already on the millisecond grid; features are rounded here.
-    """
+    """Flatten a timeline into canonical event records; features are
+    rounded to 3 decimals here."""
     events = []
     for arm in ARMS:
         for phase in timeline.tracks[arm].phases:
@@ -92,7 +96,7 @@ def document_from_timeline(timeline: Timeline) -> ScriptDocument:
     header = ScriptHeader(
         story_id=timeline.story_id,
         speaker=timeline.speaker,
-        audio_duration=timeline.audio_duration,
+        audio_ms=timeline.audio_ms,
         config_fingerprint=timeline.config_fingerprint,
     )
     return ScriptDocument(header=header, events=tuple(events))
@@ -100,21 +104,14 @@ def document_from_timeline(timeline: Timeline) -> ScriptDocument:
 
 def _json_event(e: ScriptEvent) -> str:
     parts = [
-        f'"start": {e.start:.3f}',
-        f'"end": {e.end:.3f}',
+        f'"start": {format_seconds(e.start)}',
+        f'"end": {format_seconds(e.end)}',
         f'"kind": {json.dumps(e.kind)}',
         f'"arm": {json.dumps(e.arm)}',
     ]
     if e.kind == STROKE:
-        parts += [
-            f'"gesture": {json.dumps(e.gesture)}',
-            f'"hand": {json.dumps(e.hand)}',
-            f'"expanse": {e.expanse:.3f}',
-            f'"height": {e.height:.3f}',
-            f'"outward": {e.outward:.3f}',
-            f'"speed": {e.speed:.3f}',
-            f'"scale": {e.scale:.3f}',
-        ]
+        parts += [f'"gesture": {json.dumps(e.gesture)}', f'"hand": {json.dumps(e.hand)}']
+        parts += [f'"{name}": {getattr(e, name):.3f}' for name in FEATURES]
     return "    {" + ", ".join(parts) + "}"
 
 
@@ -126,7 +123,7 @@ def emit_document(document: ScriptDocument, format: str = "json") -> bytes:
             '  "header": {'
             f'"story": {json.dumps(h.story_id)}, '
             f'"speaker": {json.dumps(h.speaker)}, '
-            f'"audio": {h.audio_duration:.3f}, '
+            f'"audio": {format_seconds(h.audio_ms)}, '
             f'"config": {json.dumps(h.config_fingerprint)}'
             "},",
             '  "events": [',
@@ -139,18 +136,15 @@ def emit_document(document: ScriptDocument, format: str = "json") -> bytes:
             _TEXT_MAGIC,
             f"# story: {h.story_id}",
             f"# speaker: {h.speaker}",
-            f"# audio: {h.audio_duration:.3f}",
+            f"# audio: {format_seconds(h.audio_ms)}",
             f"# config: {h.config_fingerprint}",
         ]
         for e in document.events:
             if e.kind == STROKE:
-                tail = (
-                    f"{e.gesture}:{e.hand} {e.expanse:.3f} {e.height:.3f} "
-                    f"{e.outward:.3f} {e.speed:.3f} {e.scale:.3f}"
-                )
+                tail = " ".join([f"{e.gesture}:{e.hand}"] + [f"{getattr(e, name):.3f}" for name in FEATURES])
             else:
                 tail = "- - - - - -"
-            lines.append(f"{e.start:.3f} {e.end:.3f} {e.kind} {e.arm} {tail}")
+            lines.append(f"{format_seconds(e.start)} {format_seconds(e.end)} {e.kind} {e.arm} {tail}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise EmitError(f"unknown script format {format!r}")
 
@@ -168,25 +162,62 @@ def _require(condition: bool, message: str, path: str):
         raise ScriptError(message, path=path)
 
 
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _check_number(value, path: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), "expected a number", path)
-    _require(round(float(value), 3) == float(value), "numbers carry exactly 3 decimals", path)
+    _require(_finite(value), "expected a finite number", path)
+    _require(round(value, 3) == value, "numbers carry exactly 3 decimals", path)
     return float(value)
 
 
-def _validate_event(e: ScriptEvent, path: str) -> None:
+def _check_ms(value, path: str) -> int:
+    """A time in seconds as ``int`` milliseconds; any other time is rejected."""
+    _require(_finite(value) and _finite(value * 1000), "expected a finite number", path)
+    ms = round(value * 1000)
+    _require(ms / 1000 == value, "times carry at most 3 decimals", path)
+    return ms
+
+
+def _event(path: str, start, end, kind: str, arm: str, gesture=None, hand=None, features=()) -> ScriptEvent:
+    """One checked event; times in seconds, ``features`` as in ``FEATURES``."""
+    e = ScriptEvent(
+        _check_ms(start, f"{path}.start"),
+        _check_ms(end, f"{path}.end"),
+        kind,
+        arm,
+        gesture,
+        hand,
+        *(None if v is None else _check_number(v, f"{path}.{name}") for name, v in zip(FEATURES, features)),
+    )
     _require(e.kind in KINDS, f"unknown kind {e.kind!r}", f"{path}.kind")
     _require(e.arm in ARMS, f"unknown arm {e.arm!r}", f"{path}.arm")
-    _require(e.end > e.start, f"end {e.end} not after start {e.start}", f"{path}.end")
+    _require(
+        e.end > e.start, f"end {format_seconds(e.end)} not after start {format_seconds(e.start)}", f"{path}.end"
+    )
     _require(e.start >= 0, "start must be >= 0", f"{path}.start")
     if e.kind == STROKE:
         _require(bool(e.gesture), "stroke events need a gesture", f"{path}.gesture")
         _require(e.hand in HANDS, f"unknown hand {e.hand!r}", f"{path}.hand")
-        for name in ("expanse", "height", "outward", "speed", "scale"):
+        for name in FEATURES:
             _require(getattr(e, name) is not None, f"stroke events need {name}", f"{path}.{name}")
         _require(e.speed > 0 and e.scale > 0, "speed and scale must be > 0", f"{path}.speed")
     else:
-        _require(e.gesture is None, f"{e.kind} events carry no gesture", f"{path}.gesture")
+        for name in ("gesture", "hand") + FEATURES:
+            _require(getattr(e, name) is None, f"{e.kind} events carry no {name}", f"{path}.{name}")
+    return e
+
+
+def _float(text: str, message: str, path: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ScriptError(message, path=path) from None
+
+
+def _header(story, speaker, audio, config) -> ScriptHeader:
+    return ScriptHeader(str(story), str(speaker), _check_ms(audio, "header.audio"), str(config))
 
 
 def _read_json(data: bytes) -> ScriptDocument:
@@ -200,34 +231,18 @@ def _read_json(data: bytes) -> ScriptDocument:
     h = raw["header"]
     for key in ("story", "speaker", "audio", "config"):
         _require(key in h, f"missing header field {key!r}", f"header.{key}")
-    header = ScriptHeader(
-        story_id=str(h["story"]),
-        speaker=str(h["speaker"]),
-        audio_duration=_check_number(h["audio"], "header.audio"),
-        config_fingerprint=str(h["config"]),
-    )
+    header = _header(h["story"], h["speaker"], h["audio"], h["config"])
     events = []
     for i, item in enumerate(raw["events"]):
         path = f"events[{i}]"
         _require(isinstance(item, dict), "event must be an object", path)
         for key in ("start", "end", "kind", "arm"):
             _require(key in item, f"missing field {key!r}", f"{path}.{key}")
-        kind = str(item["kind"])
-        event = ScriptEvent(
-            start=_check_number(item["start"], f"{path}.start"),
-            end=_check_number(item["end"], f"{path}.end"),
-            kind=kind,
-            arm=str(item["arm"]),
-            gesture=item.get("gesture"),
-            hand=item.get("hand"),
-            expanse=_check_number(item["expanse"], f"{path}.expanse") if "expanse" in item else None,
-            height=_check_number(item["height"], f"{path}.height") if "height" in item else None,
-            outward=_check_number(item["outward"], f"{path}.outward") if "outward" in item else None,
-            speed=_check_number(item["speed"], f"{path}.speed") if "speed" in item else None,
-            scale=_check_number(item["scale"], f"{path}.scale") if "scale" in item else None,
-        )
-        _validate_event(event, path)
-        events.append(event)
+        features = [item.get(name) for name in FEATURES]
+        events.append(_event(
+            path, item["start"], item["end"], str(item["kind"]), str(item["arm"]),
+            item.get("gesture"), item.get("hand"), features,
+        ))
     return ScriptDocument(header=header, events=tuple(events))
 
 
@@ -247,45 +262,17 @@ def _read_text(text: str) -> ScriptDocument:
         path = f"events[{len(events)}]"
         cols = line.split()
         _require(len(cols) == 10, f"line {lineno}: expected 10 columns, got {len(cols)}", path)
-        try:
-            start, end = float(cols[0]), float(cols[1])
-        except ValueError:
-            raise ScriptError(f"line {lineno}: bad times", path=path) from None
+        start, end = (_float(c, f"line {lineno}: bad times", path) for c in cols[:2])
         gesture = hand = None
-        features = [None] * 5
+        features = ()
         if cols[4] != "-":
             gesture, _, hand = cols[4].partition(":")
-            try:
-                features = [float(c) for c in cols[5:]]
-            except ValueError:
-                raise ScriptError(f"line {lineno}: bad feature columns", path=path) from None
-        event = ScriptEvent(
-            start=_check_number(start, f"{path}.start"),
-            end=_check_number(end, f"{path}.end"),
-            kind=cols[2],
-            arm=cols[3],
-            gesture=gesture,
-            hand=hand or None,
-            expanse=features[0],
-            height=features[1],
-            outward=features[2],
-            speed=features[3],
-            scale=features[4],
-        )
-        _validate_event(event, path)
-        events.append(event)
+            features = [_float(c, f"line {lineno}: bad feature columns", path) for c in cols[5:]]
+        events.append(_event(path, start, end, cols[2], cols[3], gesture, hand or None, features))
     for key in ("story", "speaker", "audio", "config"):
         _require(key in meta, f"missing header line {key!r}", f"header.{key}")
-    try:
-        audio = float(meta["audio"])
-    except ValueError:
-        raise ScriptError("bad audio duration", path="header.audio") from None
-    header = ScriptHeader(
-        story_id=meta["story"],
-        speaker=meta["speaker"],
-        audio_duration=_check_number(audio, "header.audio"),
-        config_fingerprint=meta["config"],
-    )
+    audio = _float(meta["audio"], "bad audio duration", "header.audio")
+    header = _header(meta["story"], meta["speaker"], audio, meta["config"])
     return ScriptDocument(header=header, events=tuple(events))
 
 

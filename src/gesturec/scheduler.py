@@ -16,14 +16,18 @@ last one (compressed or omitted when the audio ends first).  Stroke start
 times are never moved; in strict mode conflicting or overrunning strokes
 raise, in lenient mode they are dropped with a diagnostic.
 
-Every phase boundary is rounded to whole milliseconds once, when the phase
-is created.  A retract ends a fixed duration after the unrounded stroke
-end.
+Every time in a timeline is an ``int`` of milliseconds, and the scheduler
+compares and subtracts only those.  Seconds become milliseconds in one
+helper, ``_ms``: once per stroke (start, end and the end of its retract,
+which lies a fixed duration after the exact stroke end) and once per run
+for the audio, the prep duration and the hold threshold.  Config values and
+annotations stay in seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .dsl import AnnotatedDialog, Features, GestureAnnotation
@@ -37,6 +41,16 @@ RETRACT = "retract"
 ARMS = ("left", "right")
 
 
+def _ms(seconds: float) -> int:
+    """Seconds as whole milliseconds, half a millisecond rounded as
+    ``round(seconds, 3)`` rounds it."""
+    return round(round(seconds, 3) * 1000)
+
+
+def format_seconds(ms: int) -> str:
+    return f"{ms / 1000:.3f}"
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     hold_threshold_s: float = 2.5
@@ -46,6 +60,10 @@ class SchedulerConfig:
     retract_on_turn_end: bool = False
 
     def __post_init__(self):
+        for name in ("hold_threshold_s", "prep_duration_s", "retract_duration_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or _ms(value) / 1000 != value:
+                raise ScheduleError(f"{name} = {value!r} is not a whole number of milliseconds")
         if self.prep_duration_s <= 0 or self.retract_duration_s <= 0:
             raise ScheduleError("prep and retract durations must be > 0")
         if self.hold_threshold_s < self.prep_duration_s + self.retract_duration_s:
@@ -65,8 +83,8 @@ class SchedulerConfig:
 @dataclass
 class GesturePhase:
     kind: str
-    start: float
-    end: float
+    start: int  # ms
+    end: int  # ms
     gesture: GestureAnnotation | None = None
     features: Features | None = None
 
@@ -84,7 +102,7 @@ class ArmTrack:
 class Timeline:
     speaker: str
     tracks: dict[str, ArmTrack]
-    audio_duration: float
+    audio_ms: int
     story_id: str = ""
     config_fingerprint: str = ""
 
@@ -101,9 +119,9 @@ class ScheduleResult:
 
 @dataclass(frozen=True)
 class _Stroke:
-    start: float  # millisecond grid
-    end: float  # millisecond grid
-    raw_end: float  # unrounded; retracts are timed from it
+    start: int
+    end: int
+    retract_end: int
     turn_index: int
     annotation: GestureAnnotation
 
@@ -116,7 +134,7 @@ def _arms_of(hand: str) -> tuple[str, ...]:
     return ARMS
 
 
-def _collect_strokes(dialog: AnnotatedDialog, speaker: str) -> list[_Stroke]:
+def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) -> list[_Stroke]:
     strokes = []
     for turn in dialog.turns:
         if turn.speaker != speaker:
@@ -130,9 +148,9 @@ def _collect_strokes(dialog: AnnotatedDialog, speaker: str) -> list[_Stroke]:
             end = ann.stroke_begin + ann.stroke_duration / ann.features.speed
             strokes.append(
                 _Stroke(
-                    start=round(ann.stroke_begin, 3),
-                    end=round(end, 3),
-                    raw_end=end,
+                    start=_ms(ann.stroke_begin),
+                    end=_ms(end),
+                    retract_end=_ms(end + retract_s),
                     turn_index=turn.index,
                     annotation=ann,
                 )
@@ -143,7 +161,7 @@ def _collect_strokes(dialog: AnnotatedDialog, speaker: str) -> list[_Stroke]:
 
 def _admit_strokes(
     strokes: list[_Stroke],
-    audio_duration: float,
+    audio: int,
     speaker: str,
     strict: bool,
     diagnostics: list[str],
@@ -155,13 +173,13 @@ def _admit_strokes(
     dropped from both arms.
     """
     per_arm: dict[str, list[_Stroke]] = {arm: [] for arm in ARMS}
-    last_end = {arm: float("-inf") for arm in ARMS}
+    last_end = {arm: -1 for arm in ARMS}
     for stroke in strokes:
         arms = _arms_of(stroke.annotation.hand)
-        if stroke.end > audio_duration:
+        if stroke.end > audio:
             message = (
-                f"{speaker}: stroke {stroke.annotation.gesture_name!r} at {stroke.start:.3f}s "
-                f"runs past the audio end ({stroke.end:.3f}s > {audio_duration:.3f}s)"
+                f"{speaker}: stroke {stroke.annotation.gesture_name!r} at {format_seconds(stroke.start)}s "
+                f"runs past the audio end ({format_seconds(stroke.end)}s > {format_seconds(audio)}s)"
             )
             if strict:
                 raise StrokeOverrunError(message)
@@ -171,7 +189,8 @@ def _admit_strokes(
         if blocked is not None:
             message = (
                 f"{speaker}/{blocked}: stroke {stroke.annotation.gesture_name!r} at "
-                f"{stroke.start:.3f}s overlaps the previous stroke ending at {last_end[blocked]:.3f}s"
+                f"{format_seconds(stroke.start)}s overlaps the previous stroke ending at "
+                f"{format_seconds(last_end[blocked])}s"
             )
             if strict:
                 raise StrokeOverlapError(message)
@@ -183,15 +202,12 @@ def _admit_strokes(
     return per_arm
 
 
-def _connect(track: ArmTrack, cur: _Stroke, nxt: _Stroke, config: SchedulerConfig) -> None:
-    prep_start = round(nxt.start - config.prep_duration_s, 3)
-    retract_end = round(cur.raw_end + config.retract_duration_s, 3)
-    retract = nxt.start - cur.end >= config.hold_threshold_s or (
-        config.retract_on_turn_end and nxt.turn_index != cur.turn_index
-    )
+def _connect(track: ArmTrack, cur: _Stroke, nxt: _Stroke, prep: int, hold: int, turn_end: bool) -> None:
+    prep_start = nxt.start - prep
+    retract = nxt.start - cur.end >= hold or (turn_end and nxt.turn_index != cur.turn_index)
     # a retract needs room for itself and the next prep
-    if retract and retract_end <= prep_start:
-        track.phases.append(GesturePhase(RETRACT, cur.end, retract_end))
+    if retract and cur.retract_end <= prep_start:
+        track.phases.append(GesturePhase(RETRACT, cur.end, cur.retract_end))
         track.phases.append(GesturePhase(PREP, prep_start, nxt.start))
     elif prep_start > cur.end:
         track.phases.append(GesturePhase(HOLD, cur.end, prep_start))
@@ -200,14 +216,13 @@ def _connect(track: ArmTrack, cur: _Stroke, nxt: _Stroke, config: SchedulerConfi
         track.phases.append(GesturePhase(PREP, cur.end, nxt.start))
 
 
-def _build_track(arm: str, strokes: list[_Stroke], audio: float, config: SchedulerConfig) -> ArmTrack:
+def _build_track(arm: str, strokes: list[_Stroke], audio: int, prep: int, hold: int, turn_end: bool) -> ArmTrack:
     track = ArmTrack(arm=arm)
     if not strokes:
         return track
     first = strokes[0]
     if first.start > 0:
-        prep_start = round(max(0.0, first.start - config.prep_duration_s), 3)
-        track.phases.append(GesturePhase(PREP, prep_start, first.start))
+        track.phases.append(GesturePhase(PREP, max(0, first.start - prep), first.start))
     for i, stroke in enumerate(strokes):
         track.phases.append(
             GesturePhase(
@@ -219,9 +234,9 @@ def _build_track(arm: str, strokes: list[_Stroke], audio: float, config: Schedul
             )
         )
         if i + 1 < len(strokes):
-            _connect(track, stroke, strokes[i + 1], config)
+            _connect(track, stroke, strokes[i + 1], prep, hold, turn_end)
     last = strokes[-1]
-    retract_end = min(round(last.raw_end + config.retract_duration_s, 3), audio)
+    retract_end = min(last.retract_end, audio)
     if retract_end > last.end:
         track.phases.append(GesturePhase(RETRACT, last.end, retract_end))
     return track
@@ -235,17 +250,19 @@ def schedule(
     """Build per-arm timelines for both speakers."""
     diagnostics: list[str] = []
     timelines = {}
-    audio = round(dialog.audio_duration, 3)
+    audio = _ms(dialog.audio_duration)
+    prep, hold = _ms(config.prep_duration_s), _ms(config.hold_threshold_s)
     for speaker in ("A", "B"):
-        strokes = _collect_strokes(dialog, speaker)
+        strokes = _collect_strokes(dialog, speaker, config.retract_duration_s)
         per_arm = _admit_strokes(strokes, audio, speaker, strict, diagnostics)
         tracks = {
-            arm: _build_track(arm, per_arm[arm], audio, config) for arm in ARMS
+            arm: _build_track(arm, per_arm[arm], audio, prep, hold, config.retract_on_turn_end)
+            for arm in ARMS
         }
         timelines[speaker] = Timeline(
             speaker=speaker,
             tracks=tracks,
-            audio_duration=audio,
+            audio_ms=audio,
             story_id=dialog.story_id,
             config_fingerprint=config.fingerprint(),
         )
@@ -260,21 +277,15 @@ _AFTER = {
 }
 
 
-def _off_grid(t: float) -> bool:
-    # t is on the grid iff it is the float nearest k / 1000 for some integer
-    # k; this test costs half of round(t, 3) != t
-    return round(t * 1000) / 1000 != t
-
-
 def validate_timeline(timeline: Timeline) -> list[str]:
     """Structural diagnostics; empty means the timeline is well formed.
 
-    Every time must lie on the millisecond grid; times compare exactly.
+    Every time must be an ``int`` of milliseconds; messages give times in ms.
     """
     problems: list[str] = []
-    audio = timeline.audio_duration
-    if _off_grid(audio):
-        problems.append(f"audio duration {audio!r} is off the millisecond grid")
+    audio = timeline.audio_ms
+    if type(audio) is not int:
+        problems.append(f"audio duration {audio!r} is not integer milliseconds")
     for arm in ARMS:
         track = timeline.tracks.get(arm)
         if track is None:
@@ -286,12 +297,12 @@ def validate_timeline(timeline: Timeline) -> list[str]:
             if p.kind not in _AFTER:
                 problems.append(f"{where}: unknown phase kind {p.kind!r}")
                 continue
-            if _off_grid(p.start) or _off_grid(p.end):
-                problems.append(f"{where}: times {p.start!r}, {p.end!r} off the millisecond grid")
+            if type(p.start) is not int or type(p.end) is not int:
+                problems.append(f"{where}: times {p.start!r}, {p.end!r} are not integer milliseconds")
             if not p.start < p.end:
-                problems.append(f"{where}: start {p.start:.3f} not before end {p.end:.3f}")
+                problems.append(f"{where}: start {p.start} not before end {p.end}")
             if p.start < 0 or p.end > audio:
-                problems.append(f"{where}: outside [0, {audio:.3f}]")
+                problems.append(f"{where}: outside [0, {audio}]")
             if p.kind == STROKE:
                 if p.gesture is None:
                     problems.append(f"{where}: stroke without a gesture reference")
@@ -303,7 +314,7 @@ def validate_timeline(timeline: Timeline) -> list[str]:
             p, q = phases[i], phases[i + 1]
             where = f"{arm}[{i}->{i + 1}]"
             if q.start < p.end:
-                problems.append(f"{where}: phases overlap ({p.kind} ends {p.end:.3f}, {q.kind} starts {q.start:.3f})")
+                problems.append(f"{where}: phases overlap ({p.kind} ends {p.end}, {q.kind} starts {q.start})")
             if q.kind not in _AFTER.get(p.kind, ()):
                 problems.append(f"{where}: {p.kind} may not be followed by {q.kind}")
             # only retract->prep may leave a rest gap
@@ -332,6 +343,6 @@ def _check_two_hand_sync(timeline: Timeline) -> list[str]:
     for arm, other in (("left", "right"), ("right", "left")):
         for key in sides[arm] - sides[other]:
             problems.append(
-                f"{arm}: two-hand stroke at {key[0]:.3f}s has no synchronized twin on the {other} arm"
+                f"{arm}: two-hand stroke at {key[0]} ms has no synchronized twin on the {other} arm"
             )
     return problems

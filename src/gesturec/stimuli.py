@@ -59,7 +59,6 @@ DEFAULT_INTROVERT_SCORE = 1.0
 @dataclass(frozen=True)
 class StimulusPlan:
     story_id: str
-    experiment: str  # "personality" | "adaptation"
     extraverted_role: str = "A"
     turn_structure: str = ""
     responder: str = ""
@@ -231,7 +230,7 @@ def run_personality_batch(
             speaker: profile_from_extraversion(score, settings.introvert, settings.extravert)
             for speaker, score in scores.items()
         }
-        plan = StimulusPlan(story_id=story_id, experiment="personality", extraverted_role=extraverted_role)
+        plan = StimulusPlan(story_id=story_id, extraverted_role=extraverted_role)
         bundles.extend(
             build_personality_pair(
                 dialog, plan, profiles, catalog, settings, track, extraversion_scores=scores
@@ -254,7 +253,6 @@ def run_adaptation_batch(
         dialog, track = stories[story_id]
         plan = StimulusPlan(
             story_id=story_id,
-            experiment="adaptation",
             turn_structure=structure,
             responder=structure[-1],
         )

@@ -74,7 +74,6 @@ def test_build_adaptation(tmp_path, shipped):
         "--timings", shipped["timings"],
         "--catalog", shipped["catalog"],
         "--out", shipped["out"],
-        "--strict",
     ])
     assert code == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -134,6 +133,23 @@ def test_hold_rounded_to_nothing_compiles(tmp_path, shipped):
     assert _compile_case(tmp_path, shipped, EMPTY_HOLD) == 0
     for name in SCRIPTS:
         read_script((tmp_path / "out" / name).read_bytes())
+
+
+def test_written_gap_of_exactly_the_threshold_retracts(tmp_path, shipped):
+    # A's Cup stroke ends at 2.470s and the next right-arm stroke starts at
+    # 4.970s: a gap of exactly the 2.5s hold threshold gets a retract
+    code = main([
+        "compile",
+        "--dialog", str(DATA_DIR / "stories" / "protest.dialog"),
+        "--catalog", shipped["catalog"],
+        "--extraversion", "A=1.2186,B=2.5145",
+        "--out", shipped["out"],
+    ])
+    assert code == 0
+    lines = (tmp_path / "out" / "A.script.txt").read_text().splitlines()
+    assert "2.470 4.670 hold right - - - - - -" not in lines
+    assert "2.470 2.970 retract right - - - - - -" in lines
+    assert "4.670 4.970 prep right - - - - - -" in lines
 
 
 def test_analyze_report(tmp_path, capsys):

@@ -85,3 +85,5 @@ def test_bad_lines():
     # values are checked by the settings object they fill
     with pytest.raises(ScheduleError):
         load_config("scheduler.prep_duration_s = 0\n")
+    with pytest.raises(ScheduleError, match="hold_threshold_s"):
+        load_config("scheduler.hold_threshold_s = 2.0004\n")

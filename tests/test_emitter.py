@@ -43,8 +43,7 @@ def test_first_stroke_record_speaker_a(fixture_timelines):
     timeline_a, _ = fixture_timelines
     doc = document_from_timeline(timeline_a)
     stroke = next(e for e in doc.events if e.kind == "stroke")
-    assert stroke.start == 1.900
-    assert stroke.end == 2.360
+    assert (stroke.start, stroke.end) == (1900, 2360)
     assert stroke.gesture == "Cup"
     assert stroke.hand == "RH"
 
@@ -68,7 +67,7 @@ def test_empty_timeline_round_trips():
     timeline = Timeline(
         speaker="A",
         tracks={"left": ArmTrack("left"), "right": ArmTrack("right")},
-        audio_duration=10.0,
+        audio_ms=10000,
         story_id="empty",
         config_fingerprint="cfg",
     )
@@ -120,9 +119,9 @@ def test_invalid_timeline_rejected():
         speaker="A",
         tracks={
             "left": ArmTrack("left"),
-            "right": ArmTrack("right", phases=[GesturePhase("stroke", 1.0, 1.5)]),
+            "right": ArmTrack("right", phases=[GesturePhase("stroke", 1000, 1500)]),
         },
-        audio_duration=10.0,
+        audio_ms=10000,
     )
     with pytest.raises(EmitError):
         emit_script(timeline)
@@ -164,6 +163,18 @@ def test_extra_precision_rejected():
     assert "decimals" in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["audio", "start", "expanse"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_numbers_rejected(field, bad):
+    header = {"story": "x", "speaker": "A", "audio": 5.0, "config": "c"}
+    event = {"start": 1.0, "end": 2.0, "kind": "stroke", "arm": "right", "gesture": "Cup", "hand": "RH",
+             "expanse": 25.0, "height": 0.0, "outward": 20.0, "speed": 1.0, "scale": 1.0}
+    (header if field == "audio" else event)[field] = bad
+    with pytest.raises(ScriptError) as err:
+        read_script(json.dumps({"header": header, "events": [event]}).encode())
+    assert "finite" in str(err.value)
+
+
 def test_stroke_event_requires_features():
     event = {"start": 1.0, "end": 2.0, "kind": "stroke", "arm": "right", "gesture": "Cup", "hand": "RH"}
     blob = json.dumps(
@@ -199,5 +210,5 @@ def test_text_and_json_carry_same_events(fixture_timelines):
 
 
 def test_script_event_is_value_object():
-    event = ScriptEvent(start=1.0, end=2.0, kind="prep", arm="left")
-    assert event == ScriptEvent(start=1.0, end=2.0, kind="prep", arm="left")
+    event = ScriptEvent(start=1000, end=2000, kind="prep", arm="left")
+    assert event == ScriptEvent(start=1000, end=2000, kind="prep", arm="left")

@@ -15,6 +15,7 @@ from gesturec.scheduler import (
     GesturePhase,
     SchedulerConfig,
     Timeline,
+    _ms,
     schedule,
     validate_timeline,
 )
@@ -40,12 +41,8 @@ def test_fixture_hold_between_close_strokes(protest_dialog, protest_track, catal
     # Cup stroke [1.90, 2.36], PointingAbstract stroke at 3.17: gap 0.81 < 2.5
     assert phases[1].kind == "stroke" and phases[1].gesture.gesture_name == "Cup"
     hold, prep = phases[2], phases[3]
-    assert hold.kind == "hold"
-    assert hold.start == pytest.approx(2.36)
-    assert hold.end == pytest.approx(2.87)
-    assert prep.kind == "prep"
-    assert prep.start == pytest.approx(2.87)
-    assert prep.end == pytest.approx(3.17)
+    assert (hold.kind, hold.start, hold.end) == ("hold", 2360, 2870)
+    assert (prep.kind, prep.start, prep.end) == ("prep", 2870, 3170)
 
 
 def test_far_strokes_get_retract_then_prep(catalog):
@@ -53,11 +50,9 @@ def test_far_strokes_get_retract_then_prep(catalog):
     timeline = schedule(_single(catalog, source)).a
     assert _kinds(timeline, "right") == ["prep", "stroke", "retract", "prep", "stroke", "retract"]
     retract = timeline.tracks["right"].phases[2]
-    assert retract.start == pytest.approx(1.46)
-    assert retract.end == pytest.approx(1.96)
+    assert (retract.start, retract.end) == (1460, 1960)
     prep = timeline.tracks["right"].phases[3]
-    assert prep.end == pytest.approx(6.00)
-    assert prep.start == pytest.approx(5.70)
+    assert (prep.start, prep.end) == (5700, 6000)
 
 
 def test_single_gesture_prep_stroke_retract(catalog):
@@ -72,16 +67,21 @@ def test_gap_shorter_than_prep_compresses(catalog):
     kinds = _kinds(timeline, "right")
     assert kinds == ["prep", "stroke", "prep", "stroke", "retract"]
     bridge = timeline.tracks["right"].phases[2]
-    assert bridge.start == pytest.approx(1.46)
-    assert bridge.end == pytest.approx(1.66)
+    assert (bridge.start, bridge.end) == (1460, 1660)
     assert validate_timeline(timeline) == []
 
 
 def test_threshold_boundary_uses_retract(catalog):
-    # gap exactly 2.5 is not "less than": retract
-    source = "audio: 10.00s\nA1: [1.00s](Cup, RH 0.46s) one two three [3.96s](Reject, RH 0.44s) four.\n"
-    timeline = schedule(_single(catalog, source)).a
-    assert "retract" in _kinds(timeline, "right")[:3]
+    # a written gap of exactly 2.5 is not "less than": retract, also where
+    # the float difference of the written times is below 2.5 (4.97 - 2.47)
+    assert 4.97 - 2.47 < 2.5
+    for first, duration, second in (("1.00", "0.46", "3.96"), ("2.00", "0.47", "4.97")):
+        source = (
+            f"audio: 10.00s\nA1: [{first}s](Cup, RH {duration}s) one two three "
+            f"[{second}s](Reject, RH 0.44s) four.\n"
+        )
+        timeline = schedule(_single(catalog, source)).a
+        assert _kinds(timeline, "right")[:4] == ["prep", "stroke", "retract", "prep"], source
 
 
 def test_two_hand_gesture_locks_both_arms(catalog):
@@ -132,7 +132,7 @@ def test_stroke_times_never_move(catalog):
     rng = random.Random(7)
     for _ in range(50):
         dialog = make_stroke_dialog(rng)
-        expected = [a.stroke_begin for t in dialog.turns for a in t.annotations]
+        expected = [round(a.stroke_begin * 1000) for t in dialog.turns for a in t.annotations]
         timeline = schedule(dialog).a
         starts = sorted(
             {p.start for arm in ("left", "right") for p in timeline.tracks[arm].strokes()}
@@ -195,7 +195,7 @@ def test_hold_rounded_to_nothing_is_left_out(catalog, strict):
     result = _compile(catalog, EMPTY_HOLD, strict)
     phases = result.a.tracks["right"].phases
     assert [p.kind for p in phases] == ["prep", "stroke", "prep", "stroke", "retract"]
-    assert (phases[1].end, phases[2].start, phases[2].end) == (1.48, 1.48, 1.78)
+    assert (phases[1].end, phases[2].start, phases[2].end) == (1480, 1480, 1780)
     _assert_readable(result)
 
 
@@ -204,12 +204,15 @@ def test_config_validation():
         SchedulerConfig(prep_duration_s=0.0)
     with pytest.raises(ScheduleError):
         SchedulerConfig(hold_threshold_s=0.5, prep_duration_s=0.3, retract_duration_s=0.5)
+    for name in ("hold_threshold_s", "prep_duration_s", "retract_duration_s"):
+        with pytest.raises(ScheduleError, match=name):
+            SchedulerConfig(**{name: getattr(SchedulerConfig(), name) + 0.0004})
 
 
 def test_validate_flags_overlapping_phases():
     phases = [
-        GesturePhase("prep", 0.5, 1.0),
-        GesturePhase("stroke", 0.9, 1.4, gesture=_ann(), features=neutral_features()),
+        GesturePhase("prep", 500, 1000),
+        GesturePhase("stroke", 900, 1400, gesture=_ann(), features=neutral_features()),
     ]
     timeline = _timeline(right=phases)
     problems = validate_timeline(timeline)
@@ -218,19 +221,20 @@ def test_validate_flags_overlapping_phases():
 
 def test_validate_flags_off_grid_times():
     phases = [
-        GesturePhase("prep", 0.5, 1.0004),
-        GesturePhase("stroke", 1.0004, 1.4, gesture=_ann(), features=neutral_features()),
-        GesturePhase("retract", 1.4, 1.9),
+        GesturePhase("prep", 500, 1000.4),
+        GesturePhase("stroke", 1000.4, 1400, gesture=_ann(), features=neutral_features()),
+        GesturePhase("retract", 1400, 1900),
     ]
-    problems = validate_timeline(_timeline(right=phases))
-    assert [p for p in problems if "millisecond grid" in p] == [
-        "right[0]: times 0.5, 1.0004 off the millisecond grid",
-        "right[1]: times 1.0004, 1.4 off the millisecond grid",
+    problems = validate_timeline(_timeline(right=phases, audio_ms=30000.0))
+    assert [p for p in problems if "integer milliseconds" in p] == [
+        "audio duration 30000.0 is not integer milliseconds",
+        "right[0]: times 500, 1000.4 are not integer milliseconds",
+        "right[1]: times 1000.4, 1400 are not integer milliseconds",
     ]
 
 
 def test_validate_flags_stroke_without_gesture():
-    phases = [GesturePhase("prep", 0.5, 1.0), GesturePhase("stroke", 1.0, 1.4)]
+    phases = [GesturePhase("prep", 500, 1000), GesturePhase("stroke", 1000, 1400)]
     timeline = _timeline(right=phases)
     problems = validate_timeline(timeline)
     assert any("without a gesture" in p for p in problems)
@@ -238,10 +242,10 @@ def test_validate_flags_stroke_without_gesture():
 
 def test_validate_flags_bad_transition():
     phases = [
-        GesturePhase("prep", 0.5, 1.0),
-        GesturePhase("stroke", 1.0, 1.4, gesture=_ann(), features=neutral_features()),
-        GesturePhase("hold", 1.4, 2.0),
-        GesturePhase("retract", 2.0, 2.5),
+        GesturePhase("prep", 500, 1000),
+        GesturePhase("stroke", 1000, 1400, gesture=_ann(), features=neutral_features()),
+        GesturePhase("hold", 1400, 2000),
+        GesturePhase("retract", 2000, 2500),
     ]
     timeline = _timeline(right=phases)
     assert any("hold may not be followed by retract" in p for p in problems_of(timeline))
@@ -264,7 +268,7 @@ def _ann():
     return GestureAnnotation(1.0, "Cup", "RH", 0.4, word_index=0, features=neutral_features())
 
 
-def _timeline(right=None, left=None):
+def _timeline(right=None, left=None, audio_ms=30000):
     from gesturec.scheduler import ArmTrack
 
     return Timeline(
@@ -273,7 +277,7 @@ def _timeline(right=None, left=None):
             "left": ArmTrack(arm="left", phases=list(left or [])),
             "right": ArmTrack(arm="right", phases=list(right or [])),
         },
-        audio_duration=30.0,
+        audio_ms=audio_ms,
         story_id="t",
         config_fingerprint="x",
     )
@@ -289,8 +293,9 @@ def test_hold_retract_dichotomy_generated():
             check_dichotomy(timeline.tracks[arm].phases)
 
 
-def check_dichotomy(phases, threshold=2.5):
-    """Brute-force gap oracle: recompute stroke gaps and assert the bridge."""
+def check_dichotomy(phases, threshold=_ms(SchedulerConfig().hold_threshold_s)):
+    """Brute-force gap oracle: recompute stroke gaps (integer ms) and assert
+    the bridge."""
     stroke_idx = [i for i, p in enumerate(phases) if p.kind == "stroke"]
     for a, b in zip(stroke_idx, stroke_idx[1:]):
         gap = phases[b].start - phases[a].end

@@ -35,7 +35,7 @@ def test_adaptation_batch_emits_sixteen_bundles(stories, catalog):
 def test_personality_pair_scripts_identical(stories, catalog):
     dialog, track = stories["garden"]
     profiles = {"A": profile_from_extraversion(7.0), "B": profile_from_extraversion(1.0)}
-    plan = StimulusPlan(story_id="garden", experiment="personality")
+    plan = StimulusPlan(story_id="garden")
     first, second = build_personality_pair(dialog, plan, profiles, catalog, track=track)
     assert first.scripts == second.scripts
     assert first.metadata["gender_assignment"] == "F-extravert"
@@ -46,7 +46,7 @@ def test_personality_pair_scripts_identical(stories, catalog):
 def test_gender_swap_is_an_involution(stories, catalog):
     dialog, track = stories["garden"]
     profiles = {"A": profile_from_extraversion(7.0), "B": profile_from_extraversion(1.0)}
-    plan = StimulusPlan(story_id="garden", experiment="personality")
+    plan = StimulusPlan(story_id="garden")
     first, second = build_personality_pair(dialog, plan, profiles, catalog, track=track)
     swap = {"F": "M", "M": "F"}
     swapped_back = {
@@ -60,7 +60,7 @@ def test_gender_swap_is_an_involution(stories, catalog):
 def test_identical_profiles_differ_only_in_metadata(stories, catalog):
     dialog, track = stories["storm"]
     profiles = {"A": profile_from_extraversion(7.0), "B": profile_from_extraversion(7.0)}
-    plan = StimulusPlan(story_id="storm", experiment="personality")
+    plan = StimulusPlan(story_id="storm")
     first, second = build_personality_pair(dialog, plan, profiles, catalog, track=track)
     assert first.scripts == second.scripts
     meta_a = {k: v for k, v in first.metadata.items() if k not in ("agents", "gender_assignment", "label")}
@@ -71,8 +71,7 @@ def test_identical_profiles_differ_only_in_metadata(stories, catalog):
 def test_adaptation_pair_context_bytes_identical(stories, catalog):
     for story_id, structure in ADAPTATION_TASKS:
         dialog, track = stories[story_id]
-        plan = StimulusPlan(story_id=story_id, experiment="adaptation",
-                            turn_structure=structure, responder=structure[-1])
+        plan = StimulusPlan(story_id=story_id, turn_structure=structure, responder=structure[-1])
         adapted, nonadapted = build_adaptation_pair(dialog, plan, catalog, track=track)
         response_first = min(
             a.stroke_begin for a in dialog.turns[len(structure) - 1].annotations
@@ -93,8 +92,7 @@ def test_adaptation_pair_context_bytes_identical(stories, catalog):
 
 def test_non_responder_script_fully_identical(stories, catalog):
     dialog, track = stories["protest"]
-    plan = StimulusPlan(story_id="protest", experiment="adaptation",
-                        turn_structure="ABAB", responder="B")
+    plan = StimulusPlan(story_id="protest", turn_structure="ABAB", responder="B")
     adapted, nonadapted = build_adaptation_pair(dialog, plan, catalog, track=track)
     assert adapted.scripts["A.script.json"] == nonadapted.scripts["A.script.json"]
     assert adapted.scripts["A.script.txt"] == nonadapted.scripts["A.script.txt"]
@@ -102,8 +100,7 @@ def test_non_responder_script_fully_identical(stories, catalog):
 
 def test_adaptation_pair_audio_reference_shared(stories, catalog):
     dialog, track = stories["pet"]
-    plan = StimulusPlan(story_id="pet", experiment="adaptation",
-                        turn_structure="ABABA", responder="A")
+    plan = StimulusPlan(story_id="pet", turn_structure="ABABA", responder="A")
     adapted, nonadapted = build_adaptation_pair(dialog, plan, catalog, track=track)
     assert adapted.metadata["audio"] == nonadapted.metadata["audio"]
     assert adapted.metadata["context_turns"] == 4
@@ -111,24 +108,21 @@ def test_adaptation_pair_audio_reference_shared(stories, catalog):
 
 def test_structure_must_match_dialog(stories, catalog):
     dialog, track = stories["garden"]
-    plan = StimulusPlan(story_id="garden", experiment="adaptation",
-                        turn_structure="ABABAB", responder="B")
+    plan = StimulusPlan(story_id="garden", turn_structure="ABABAB", responder="B")
     with pytest.raises(PlanError):
         build_adaptation_pair(dialog, plan, catalog, track=track)
 
 
 def test_responder_must_speak_final_turn(stories, catalog):
     dialog, track = stories["garden"]
-    plan = StimulusPlan(story_id="garden", experiment="adaptation",
-                        turn_structure="ABA", responder="B")
+    plan = StimulusPlan(story_id="garden", turn_structure="ABA", responder="B")
     with pytest.raises(PlanError):
         build_adaptation_pair(dialog, plan, catalog, track=track)
 
 
 def test_structure_pattern_mismatch(catalog):
     dialog = parse_dialog("story: odd\nB1: one.\nA1: two.\nB2: three.\n")
-    plan = StimulusPlan(story_id="odd", experiment="adaptation",
-                        turn_structure="ABA", responder="A")
+    plan = StimulusPlan(story_id="odd", turn_structure="ABA", responder="A")
     with pytest.raises(PlanError):
         build_adaptation_pair(dialog, plan, catalog)
 

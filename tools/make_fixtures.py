@@ -411,8 +411,7 @@ def verify(stories, catalog) -> None:
 
     for story_id, structure in ADAPTATION_TASKS:
         dialog, track = stories[story_id]
-        plan = StimulusPlan(story_id=story_id, experiment="adaptation",
-                            turn_structure=structure, responder=structure[-1])
+        plan = StimulusPlan(story_id=story_id, turn_structure=structure, responder=structure[-1])
         adapted, nonadapted = build_adaptation_pair(dialog, plan, catalog, track=track)
         # context events must be byte-identical up to the response turn
         response_first = min(
