@@ -2,7 +2,7 @@
 storytelling agents into deterministic, timed gesture-performance scripts,
 and reproduce the accompanying experiment statistics."""
 
-from .adaptation import AdaptationSpec, VariantPlan, check_copy_provenance, resolve_variant
+from .adaptation import AdaptationSpec, check_copy_provenance, resolve_variant
 from .align import WordTimingTrack, align_strokes, parse_word_timings
 from .catalog import GestureCatalog, GestureDef, load_catalog, lookup
 from .dsl import (
@@ -39,7 +39,6 @@ __all__ = [
     "ScriptDocument",
     "Timeline",
     "Turn",
-    "VariantPlan",
     "WordTimingTrack",
     "align_strokes",
     "apply_personality",

@@ -18,7 +18,8 @@ apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn
 from .errors import DomainError, PlanError
@@ -35,19 +36,15 @@ class AdaptationSpec:
     scale_factor: float = 1.5
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("expanse_delta", "height_delta", "outwardness_delta"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0 (convergence is toward more extraverted)")
         for name in ("speed_factor", "scale_factor"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1 (convergence is toward more extraverted)")
-
-
-@dataclass(frozen=True)
-class VariantPlan:
-    responder: str
-    response_turn: int  # must be the final turn index
-    adapted: bool
 
 
 @dataclass(frozen=True)
@@ -95,46 +92,26 @@ def _adapted(ann: GestureAnnotation, spec: AdaptationSpec) -> GestureAnnotation:
     return replace(ann, alternative=None, features=adapted_features, alt_features=None)
 
 
-def _resolve_turn(turn: Turn, adapted: bool, spec: AdaptationSpec) -> Turn:
-    if adapted:
-        annotations = [_adapted(a, spec) for a in turn.annotations]
-    else:
-        annotations = [r for a in turn.annotations if (r := _nonadapted(a)) is not None]
-    return replace(turn, annotations=annotations)
+def _nonadapted_turn(turn: Turn) -> Turn:
+    return replace(turn, annotations=[r for a in turn.annotations if (r := _nonadapted(a)) is not None])
 
 
-def resolve_variant(
-    dialog: AnnotatedDialog,
-    plan: VariantPlan,
-    spec: AdaptationSpec = AdaptationSpec(),
-) -> AnnotatedDialog:
-    """Resolve markers into one concrete performance.
-
-    Context turns (everything before the response turn) are rendered
-    without adaptation in both variants, so the two outputs differ only in
-    the response turn.
+def resolve_variant(dialog: AnnotatedDialog, spec: AdaptationSpec = AdaptationSpec()) -> AnnotatedDialog:
+    """The adapted performance: the final turn is the response turn and
+    adapts; every earlier turn renders as in :func:`strip_adaptation`, so
+    the two performances differ only in the response turn.
     """
     if not dialog.turns:
         raise PlanError("dialog has no turns")
-    if plan.response_turn != dialog.turns[-1].index:
-        raise PlanError(
-            f"response turn {plan.response_turn} is not the final turn {dialog.turns[-1].index}"
-        )
-    if dialog.turns[-1].speaker != plan.responder:
-        raise PlanError(
-            f"responder {plan.responder} does not speak turn {plan.response_turn} "
-            f"({dialog.turns[-1].speaker} does)"
-        )
-    turns = [
-        _resolve_turn(t, adapted=plan.adapted and t.index == plan.response_turn, spec=spec)
-        for t in dialog.turns
-    ]
+    *context, response = dialog.turns
+    turns = [_nonadapted_turn(t) for t in context]
+    turns.append(replace(response, annotations=[_adapted(a, spec) for a in response.annotations]))
     return AnnotatedDialog(story_id=dialog.story_id, turns=turns, audio_duration=dialog.audio_duration)
 
 
 def strip_adaptation(dialog: AnnotatedDialog) -> AnnotatedDialog:
-    """Non-adapted rendering of every turn (no response turn at all)."""
-    turns = [_resolve_turn(t, adapted=False, spec=AdaptationSpec()) for t in dialog.turns]
+    """The non-adapted performance: every turn without adaptation."""
+    turns = [_nonadapted_turn(t) for t in dialog.turns]
     return AnnotatedDialog(story_id=dialog.story_id, turns=turns, audio_duration=dialog.audio_duration)
 
 

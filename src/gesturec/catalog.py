@@ -1,8 +1,8 @@
-"""Gesture vocabulary: names, stroke durations, hand usage and base geometry.
+"""Gesture vocabulary: names and base geometry.
 
 Catalog documents are UTF-8 line-oriented text, one entry per line::
 
-    name, duration_s, hands, category, expanse_cm, height_cm, outwardness_cm
+    name, expanse_cm, height_cm, outwardness_cm
 
 ``#`` begins a comment, blank lines are ignored.  A ``# catalog-version: X``
 comment, when present, sets the catalog version.
@@ -13,23 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    BadCategoryError,
-    BadDurationError,
-    CatalogError,
-    DuplicateGestureError,
-    UnknownGestureError,
-)
-
-HANDS = ("LH", "RH", "2H", "any")
-CATEGORIES = ("metaphoric", "iconic", "deictic", "beat")
+from .errors import CatalogError, DuplicateGestureError, UnknownGestureError
 
 VERSION_PREFIX = "# catalog-version:"
 
 
 @dataclass(frozen=True)
 class GestureDef:
-    """One named gesture with its default stroke duration and base geometry.
+    """One named gesture with its base geometry.
 
     Geometry is measured in centimeters: ``base_expanse`` from body center,
     ``base_height`` above the waist reference, ``base_outwardness`` forward
@@ -37,22 +28,11 @@ class GestureDef:
     """
 
     name: str
-    default_stroke_duration: float
-    hands: str
-    category: str
     base_expanse: float
     base_height: float
     base_outwardness: float
 
     def __post_init__(self):
-        if self.default_stroke_duration <= 0:
-            raise BadDurationError(
-                f"{self.name}: stroke duration must be > 0, got {self.default_stroke_duration}"
-            )
-        if self.hands not in HANDS:
-            raise CatalogError(f"{self.name}: unknown hands value {self.hands!r}")
-        if self.category not in CATEGORIES:
-            raise BadCategoryError(f"{self.name}: unknown category {self.category!r}")
         for field in ("base_expanse", "base_height", "base_outwardness"):
             if not math.isfinite(getattr(self, field)):
                 raise CatalogError(f"{self.name}: {field} must be finite")
@@ -69,8 +49,8 @@ class GestureCatalog:
 def load_catalog(source: str) -> GestureCatalog:
     """Parse a catalog document, validating every entry.
 
-    Raises :class:`CatalogError` subclasses on duplicate names, non-positive
-    durations, unknown categories, malformed lines and empty documents.
+    Raises :class:`CatalogError` subclasses on duplicate names, malformed
+    lines, non-finite or negative-expanse geometry and empty documents.
     """
     entries: dict[str, GestureDef] = {}
     version = "1"
@@ -82,27 +62,18 @@ def load_catalog(source: str) -> GestureCatalog:
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 7:
-            raise CatalogError(f"line {lineno}: expected 7 comma-separated fields, got {len(parts)}")
+        if len(parts) != 4:
+            raise CatalogError(f"line {lineno}: expected 4 comma-separated fields, got {len(parts)}")
         name = parts[0]
         if not name:
             raise CatalogError(f"line {lineno}: empty gesture name")
         if name in entries:
             raise DuplicateGestureError(f"line {lineno}: duplicate gesture {name!r}")
         try:
-            duration = float(parts[1])
-            expanse, height, outwardness = (float(p) for p in parts[4:7])
+            expanse, height, outwardness = (float(p) for p in parts[1:])
         except ValueError as exc:
             raise CatalogError(f"line {lineno}: {exc}") from None
-        entries[name] = GestureDef(
-            name=name,
-            default_stroke_duration=duration,
-            hands=parts[2],
-            category=parts[3],
-            base_expanse=expanse,
-            base_height=height,
-            base_outwardness=outwardness,
-        )
+        entries[name] = GestureDef(name, expanse, height, outwardness)
     if not entries:
         raise CatalogError("empty catalog")
     return GestureCatalog(entries=entries, version=version)

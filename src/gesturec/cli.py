@@ -26,10 +26,9 @@ from .align import parse_word_timings
 from .catalog import load_catalog
 from .config import load_config
 from .dsl import parse_dialog
-from .emitter import emit_script
 from .errors import GesturecError
 from .pipeline import PipelineSettings, compile_dialog
-from .stimuli import run_adaptation_batch, run_personality_batch, write_bundles
+from .stimuli import run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles
 
 
 def _parse_extraversion(text: str) -> dict[str, float]:
@@ -77,14 +76,11 @@ def _cmd_compile(args) -> int:
         timings=timings,
         settings=settings,
         variant=args.variant,
-        responder=args.responder,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for speaker in ("A", "B"):
-        timeline = result.schedule.for_speaker(speaker)
-        for fmt, suffix in (("json", "json"), ("text", "txt")):
-            (out_dir / f"{speaker}.script.{suffix}").write_bytes(emit_script(timeline, fmt))
+    for filename, content in speaker_scripts(result.schedule).items():
+        (out_dir / filename).write_bytes(content)
     for note in result.schedule.diagnostics:
         print(f"note: {note}", file=sys.stderr)
     print(f"wrote scripts for A and B to {out_dir}")
@@ -184,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--extraversion", type=_parse_extraversion, default=None,
                            help="per-speaker scores, e.g. A=7,B=1")
     p_compile.add_argument("--variant", choices=("adapted", "nonadapted"), default=None)
-    p_compile.add_argument("--responder", choices=("A", "B"), default=None)
     p_compile.add_argument("--config", help="key = value overrides file")
     p_compile.add_argument("--lenient", dest="strict", action="store_false")
     p_compile.set_defaults(func=_cmd_compile)

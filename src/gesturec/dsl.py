@@ -34,7 +34,7 @@ HANDS = ("LH", "RH", "2H")
 
 _TURN_RE = re.compile(r"^([A-Za-z]+)(\d+):\s*(.*)$")
 _ANNOT_RE = re.compile(r"\[(\d+(?:\.\d+)?)s\](\*)?\(([^()]*)\)")
-_VARIANT_RE = re.compile(r"^(!)?([A-Za-z_][A-Za-z0-9_]*)\s*,\s*(LH|RH|2H)\s+(\d+(?:\.\d+)?)s$")
+_VARIANT_RE = re.compile(rf"^(!)?([A-Za-z_][A-Za-z0-9_]*)\s*,\s*({'|'.join(HANDS)})\s+(\d+(?:\.\d+)?)s$")
 
 # A token ends a sentence when it closes with terminal punctuation,
 # optionally followed by closing quotes.  Mid-token punctuation ("old...a")

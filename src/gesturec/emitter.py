@@ -26,11 +26,10 @@ import json
 import math
 from dataclasses import dataclass
 
+from .dsl import HANDS
 from .errors import EmitError, ScriptError
-from .scheduler import ARMS, STROKE, Timeline, format_seconds, validate_timeline
+from .scheduler import ARMS, KINDS, STROKE, Timeline, format_seconds, validate_timeline
 
-KINDS = ("prep", "stroke", "hold", "retract")
-HANDS = ("LH", "RH", "2H")
 FEATURES = ("expanse", "height", "outward", "speed", "scale")
 
 _TEXT_MAGIC = "# gesture-script v1"
@@ -163,7 +162,12 @@ def _require(condition: bool, message: str, path: str):
 
 
 def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _check_number(value, path: str) -> float:

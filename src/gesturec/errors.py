@@ -15,14 +15,6 @@ class DuplicateGestureError(CatalogError):
     pass
 
 
-class BadDurationError(CatalogError):
-    pass
-
-
-class BadCategoryError(CatalogError):
-    pass
-
-
 class UnknownGestureError(CatalogError):
     pass
 

@@ -12,6 +12,7 @@ published values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .catalog import GestureCatalog, lookup
@@ -34,6 +35,9 @@ class ParameterSet:
     scale_multiplier: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.max_rate >= 0:
             raise DomainError(f"max_rate must be >= 0, got {self.max_rate}")
         for name in ("speed_multiplier", "scale_multiplier"):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .adaptation import AdaptationSpec, VariantPlan, resolve_variant, strip_adaptation
+from .adaptation import AdaptationSpec, resolve_variant, strip_adaptation
 from .align import WordTimingTrack, align_strokes
 from .catalog import GestureCatalog
 from .dsl import AnnotatedDialog, parse_dialog
@@ -65,28 +65,19 @@ def compile_dialog(
     timings: WordTimingTrack | None = None,
     settings: PipelineSettings = PipelineSettings(),
     variant: str | None = None,
-    responder: str | None = None,
 ) -> CompileResult:
     """Full pipeline for one dialog document.
 
-    With ``variant`` unset the dialog renders without adaptation anywhere.
-    ``variant='adapted'`` or ``'nonadapted'`` resolves the final turn as a
-    response turn for ``responder`` (defaults to that turn's speaker).
+    ``variant='adapted'`` adapts the final turn, spoken by the responder.
+    Unset or ``'nonadapted'``, the dialog renders without adaptation
+    anywhere.
     """
     dialog = prepare_dialog(parse_dialog(source), catalog, timings, settings)
-    if variant is None:
+    if variant == "adapted":
+        resolved = resolve_variant(dialog, settings.adaptation)
+    elif variant in (None, "nonadapted"):
         resolved = strip_adaptation(dialog)
     else:
-        if variant not in ("adapted", "nonadapted"):
-            raise PlanError(f"unknown variant {variant!r}")
-        if not dialog.turns:
-            raise PlanError("dialog has no turns")
-        final = dialog.turns[-1]
-        plan = VariantPlan(
-            responder=responder or final.speaker,
-            response_turn=final.index,
-            adapted=(variant == "adapted"),
-        )
-        resolved = resolve_variant(dialog, plan, settings.adaptation)
+        raise PlanError(f"unknown variant {variant!r}")
     result = schedule(resolved, settings.scheduler, strict=settings.strict)
     return CompileResult(dialog=resolved, schedule=result)

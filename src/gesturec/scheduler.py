@@ -37,6 +37,7 @@ PREP = "prep"
 STROKE = "stroke"
 HOLD = "hold"
 RETRACT = "retract"
+KINDS = (PREP, STROKE, HOLD, RETRACT)
 
 ARMS = ("left", "right")
 
@@ -68,8 +69,8 @@ class SchedulerConfig:
             raise ScheduleError("prep and retract durations must be > 0")
         if self.hold_threshold_s < self.prep_duration_s + self.retract_duration_s:
             raise ScheduleError("hold threshold must cover prep + retract")
-        if self.stroke_lead_s < 0:
-            raise ScheduleError("stroke lead must be >= 0")
+        if not 0 <= self.stroke_lead_s < math.inf:
+            raise ScheduleError(f"stroke_lead_s must be finite and >= 0, got {self.stroke_lead_s!r}")
 
     def fingerprint(self) -> str:
         text = (

@@ -20,21 +20,22 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .adaptation import VariantPlan, resolve_variant, strip_adaptation
+from .adaptation import resolve_variant, strip_adaptation
 from .align import WordTimingTrack
 from .catalog import GestureCatalog
-from .dsl import AnnotatedDialog, truncate_dialog
+from .dsl import SPEAKERS, AnnotatedDialog, truncate_dialog
 from .emitter import emit_script
 from .errors import PlanError
-from .personality import ParameterSet, profile_from_extraversion
+from .personality import profile_from_extraversion
 from .pipeline import PipelineSettings, prepare_dialog
-from .scheduler import schedule
+from .scheduler import ScheduleResult, schedule
 
 GENDER_VOICE = {"F": "crystal", "M": "mike"}
 GENDER_MODEL = {"F": "f01", "M": "m01"}
 
 # Speaker role A is performed by the female agent, B by the male, in the
-# adaptation experiment; the personality experiment swaps genders per plan.
+# adaptation experiment; the personality experiment swaps the genders
+# between the two bundles of each story.
 ADAPTATION_GENDERS = {"A": "F", "B": "M"}
 
 PERSONALITY_ASSIGNMENTS = ("F-extravert", "M-extravert")
@@ -56,14 +57,6 @@ DEFAULT_EXTRAVERT_SCORE = 7.0
 DEFAULT_INTROVERT_SCORE = 1.0
 
 
-@dataclass(frozen=True)
-class StimulusPlan:
-    story_id: str
-    extraverted_role: str = "A"
-    turn_structure: str = ""
-    responder: str = ""
-
-
 @dataclass
 class StimulusBundle:
     name: str  # directory path relative to the batch output root
@@ -74,72 +67,69 @@ class StimulusBundle:
     scripts: dict[str, bytes]  # filename -> content
 
 
-def _agents_metadata(gender_of: dict[str, str]) -> dict:
-    return {
-        speaker: {
-            "gender": gender,
-            "voice": GENDER_VOICE[gender],
-            "model": GENDER_MODEL[gender],
-        }
-        for speaker, gender in sorted(gender_of.items())
-    }
-
-
-def _speaker_scripts(result) -> dict[str, bytes]:
+def speaker_scripts(result: ScheduleResult) -> dict[str, bytes]:
+    """The script files of one schedule by file name: a JSON and a text
+    script per speaker."""
     files = {}
-    for speaker in ("A", "B"):
+    for speaker in SPEAKERS:
         timeline = result.for_speaker(speaker)
         files[f"{speaker}.script.json"] = emit_script(timeline, "json")
         files[f"{speaker}.script.txt"] = emit_script(timeline, "text")
     return files
 
 
+def _bundle(
+    dialog: AnnotatedDialog, name: str, experiment: str, label: str, scripts: dict[str, bytes],
+    gender_of: dict[str, str], **metadata,
+) -> StimulusBundle:
+    metadata.update(
+        story=dialog.story_id,
+        experiment=experiment,
+        label=label,
+        agents={
+            speaker: {"gender": gender, "voice": GENDER_VOICE[gender], "model": GENDER_MODEL[gender]}
+            for speaker, gender in sorted(gender_of.items())
+        },
+        audio=f"{dialog.story_id}.wav",
+        scripts={speaker: f"{speaker}.script.json" for speaker in SPEAKERS},
+    )
+    return StimulusBundle(name, dialog.story_id, experiment, label, metadata, scripts)
+
+
 def build_personality_pair(
     dialog: AnnotatedDialog,
-    plan: StimulusPlan,
-    profiles: dict[str, ParameterSet],
     catalog: GestureCatalog,
     settings: PipelineSettings = PipelineSettings(),
     track: WordTimingTrack | None = None,
-    extraversion_scores: dict[str, float] | None = None,
+    extraverted_role: str = "A",
 ) -> tuple[StimulusBundle, StimulusBundle]:
     """Two stimulus bundles whose gesture scripts are identical per role;
-    only the gender metadata differs between them."""
-    prepared = prepare_dialog(dialog, catalog, track, settings, profiles=profiles)
-    resolved = strip_adaptation(prepared)
-    result = schedule(resolved, settings.scheduler, strict=settings.strict)
-    scripts = _speaker_scripts(result)
+    only the gender metadata differs between them.
 
-    extraversion = dict(extraversion_scores or {})
+    The speaker of ``extraverted_role`` performs at the extravert score,
+    the other at the introvert score, and the bundles state those scores.
+    """
+    other = "B" if extraverted_role == "A" else "A"
+    extraversion = {extraverted_role: DEFAULT_EXTRAVERT_SCORE, other: DEFAULT_INTROVERT_SCORE}
+    profiles = {
+        speaker: profile_from_extraversion(score, settings.introvert, settings.extravert)
+        for speaker, score in extraversion.items()
+    }
+    prepared = prepare_dialog(dialog, catalog, track, settings, profiles=profiles)
+    result = schedule(strip_adaptation(prepared), settings.scheduler, strict=settings.strict)
+    scripts = speaker_scripts(result)
+
     bundles = []
     for label, assignment in zip(("A", "B"), PERSONALITY_ASSIGNMENTS):
         extravert_gender = assignment[0]  # "F" or "M"
         other_gender = "M" if extravert_gender == "F" else "F"
-        gender_of = {
-            plan.extraverted_role: extravert_gender,
-            ("B" if plan.extraverted_role == "A" else "A"): other_gender,
-        }
-        metadata = {
-            "story": dialog.story_id,
-            "experiment": "personality",
-            "gender_assignment": assignment,
-            "label": label,
-            "extraverted_role": plan.extraverted_role,
-            "extraversion": extraversion,
-            "agents": _agents_metadata(gender_of),
-            "audio": f"{dialog.story_id}.wav",
-            "scripts": {"A": "A.script.json", "B": "B.script.json"},
-        }
-        bundles.append(
-            StimulusBundle(
-                name=f"{dialog.story_id}/{assignment}",
-                story_id=dialog.story_id,
-                experiment="personality",
-                label=label,
-                metadata=metadata,
-                scripts=dict(scripts),
-            )
-        )
+        bundles.append(_bundle(
+            dialog, f"{dialog.story_id}/{assignment}", "personality", label, dict(scripts),
+            {extraverted_role: extravert_gender, other: other_gender},
+            gender_assignment=assignment,
+            extraverted_role=extraverted_role,
+            extraversion=extraversion,
+        ))
     return bundles[0], bundles[1]
 
 
@@ -158,7 +148,7 @@ def _validate_structure(dialog: AnnotatedDialog, structure: str) -> None:
 
 def build_adaptation_pair(
     dialog: AnnotatedDialog,
-    plan: StimulusPlan,
+    turn_structure: str,
     catalog: GestureCatalog,
     settings: PipelineSettings = PipelineSettings(),
     track: WordTimingTrack | None = None,
@@ -167,50 +157,28 @@ def build_adaptation_pair(
 
     The dialog is truncated to the turn structure; both bundles share the
     context turns and the audio reference and differ only in the response
-    turn, resolved through the adaptation transforms.
+    turn, spoken by the responder: the speaker of the structure's final
+    letter.
     """
-    _validate_structure(dialog, plan.turn_structure)
-    responder = plan.responder or plan.turn_structure[-1]
-    if responder != plan.turn_structure[-1]:
-        raise PlanError(
-            f"responder {responder!r} does not speak the final turn of {plan.turn_structure!r}"
-        )
-    truncated = truncate_dialog(dialog, len(plan.turn_structure))
-    prepared = prepare_dialog(truncated, catalog, track, settings)
-    task = f"{dialog.story_id}_{plan.turn_structure}"
+    _validate_structure(dialog, turn_structure)
+    prepared = prepare_dialog(truncate_dialog(dialog, len(turn_structure)), catalog, track, settings)
+    task = f"{dialog.story_id}_{turn_structure}"
 
+    variants = (
+        ("A", "adapted", resolve_variant(prepared, settings.adaptation)),
+        ("B", "nonadapted", strip_adaptation(prepared)),
+    )
     bundles = []
-    for label, variant in zip(("A", "B"), ("adapted", "nonadapted")):
-        variant_plan = VariantPlan(
-            responder=responder,
-            response_turn=prepared.turns[-1].index,
-            adapted=(variant == "adapted"),
-        )
-        resolved = resolve_variant(prepared, variant_plan, settings.adaptation)
+    for label, variant, resolved in variants:
         result = schedule(resolved, settings.scheduler, strict=settings.strict)
-        metadata = {
-            "story": dialog.story_id,
-            "experiment": "adaptation",
-            "task": task,
-            "turn_structure": plan.turn_structure,
-            "responder": responder,
-            "context_turns": len(plan.turn_structure) - 1,
-            "variant": variant,
-            "label": label,
-            "agents": _agents_metadata(ADAPTATION_GENDERS),
-            "audio": f"{dialog.story_id}.wav",
-            "scripts": {"A": "A.script.json", "B": "B.script.json"},
-        }
-        bundles.append(
-            StimulusBundle(
-                name=f"{task}/{variant}",
-                story_id=dialog.story_id,
-                experiment="adaptation",
-                label=label,
-                metadata=metadata,
-                scripts=_speaker_scripts(result),
-            )
-        )
+        bundles.append(_bundle(
+            dialog, f"{task}/{variant}", "adaptation", label, speaker_scripts(result), ADAPTATION_GENDERS,
+            task=task,
+            turn_structure=turn_structure,
+            responder=turn_structure[-1],
+            context_turns=len(turn_structure) - 1,
+            variant=variant,
+        ))
     return bundles[0], bundles[1]
 
 
@@ -224,18 +192,7 @@ def run_personality_batch(
     bundles: list[StimulusBundle] = []
     for story_id in sorted(stories):
         dialog, track = stories[story_id]
-        other = "B" if extraverted_role == "A" else "A"
-        scores = {extraverted_role: DEFAULT_EXTRAVERT_SCORE, other: DEFAULT_INTROVERT_SCORE}
-        profiles = {
-            speaker: profile_from_extraversion(score, settings.introvert, settings.extravert)
-            for speaker, score in scores.items()
-        }
-        plan = StimulusPlan(story_id=story_id, extraverted_role=extraverted_role)
-        bundles.extend(
-            build_personality_pair(
-                dialog, plan, profiles, catalog, settings, track, extraversion_scores=scores
-            )
-        )
+        bundles.extend(build_personality_pair(dialog, catalog, settings, track, extraverted_role))
     return bundles
 
 
@@ -251,12 +208,7 @@ def run_adaptation_batch(
         if story_id not in stories:
             raise PlanError(f"no story {story_id!r} for task {story_id}_{structure}")
         dialog, track = stories[story_id]
-        plan = StimulusPlan(
-            story_id=story_id,
-            turn_structure=structure,
-            responder=structure[-1],
-        )
-        bundles.extend(build_adaptation_pair(dialog, plan, catalog, settings, track))
+        bundles.extend(build_adaptation_pair(dialog, structure, catalog, settings, track))
     return bundles
 
 

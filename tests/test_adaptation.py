@@ -7,13 +7,12 @@ import pytest
 from conftest import make_random_dialog
 from gesturec.adaptation import (
     AdaptationSpec,
-    VariantPlan,
     check_copy_provenance,
     resolve_variant,
     strip_adaptation,
 )
 from gesturec.align import align_strokes
-from gesturec.dsl import parse_dialog, truncate_dialog
+from gesturec.dsl import AnnotatedDialog, parse_dialog, truncate_dialog
 from gesturec.errors import DomainError, PlanError
 from gesturec.personality import EXTRAVERT_ANCHOR, apply_personality
 
@@ -28,20 +27,19 @@ def prepared_b2(protest_dialog, protest_track, catalog):
     return dialog
 
 
-def _plan(dialog, adapted):
-    final = dialog.turns[-1]
-    return VariantPlan(responder=final.speaker, response_turn=final.index, adapted=adapted)
-
-
 def test_spec_validation():
     with pytest.raises(DomainError):
         AdaptationSpec(expanse_delta=-1.0)
     with pytest.raises(DomainError):
         AdaptationSpec(speed_factor=0.9)
+    for name in ("expanse_delta", "height_delta", "outwardness_delta", "speed_factor", "scale_factor"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainError, match=name):
+                AdaptationSpec(**{name: bad})
 
 
 def test_adapted_response_turn_b2(prepared_b2):
-    out = resolve_variant(prepared_b2, _plan(prepared_b2, adapted=True))
+    out = resolve_variant(prepared_b2)
     response = out.turns[-1]
     names = [a.gesture_name for a in response.annotations]
     assert names == ["Cup_Up", "Regressive", "WeighOptions", "Cup"]
@@ -56,7 +54,7 @@ def test_adapted_response_turn_b2(prepared_b2):
 
 
 def test_nonadapted_response_turn_b2(prepared_b2):
-    out = resolve_variant(prepared_b2, _plan(prepared_b2, adapted=False))
+    out = strip_adaptation(prepared_b2)
     response = out.turns[-1]
     names = [a.gesture_name for a in response.annotations]
     # the rate-added gesture is gone; the slash alternative replaces the copy
@@ -68,8 +66,8 @@ def test_nonadapted_response_turn_b2(prepared_b2):
 
 
 def test_context_turns_identical_across_variants(prepared_b2):
-    adapted = resolve_variant(prepared_b2, _plan(prepared_b2, adapted=True))
-    nonadapted = resolve_variant(prepared_b2, _plan(prepared_b2, adapted=False))
+    adapted = resolve_variant(prepared_b2)
+    nonadapted = strip_adaptation(prepared_b2)
     assert adapted.turns[:-1] == nonadapted.turns[:-1]
     features_a = [a.features for t in adapted.turns[:-1] for a in t.annotations]
     features_n = [a.features for t in nonadapted.turns[:-1] for a in t.annotations]
@@ -77,15 +75,15 @@ def test_context_turns_identical_across_variants(prepared_b2):
 
 
 def test_adapted_count_at_least_nonadapted(prepared_b2):
-    adapted = resolve_variant(prepared_b2, _plan(prepared_b2, adapted=True))
-    nonadapted = resolve_variant(prepared_b2, _plan(prepared_b2, adapted=False))
+    adapted = resolve_variant(prepared_b2)
+    nonadapted = strip_adaptation(prepared_b2)
     assert len(adapted.turns[-1].annotations) >= len(nonadapted.turns[-1].annotations)
 
 
 def test_marker_free_dialog_keeps_gestures(catalog):
     dialog = parse_dialog("audio: 9.00s\nA1: [1.00s](Cup, RH 0.46s) word here.\n")
     dialog = apply_personality(dialog, "A", EXTRAVERT_ANCHOR, catalog)
-    out = resolve_variant(dialog, VariantPlan("A", 1, adapted=True))
+    out = resolve_variant(dialog)
     assert [a.gesture_name for a in out.turns[0].annotations] == ["Cup"]
     assert out.turns[0].annotations[0].features.expanse_cm == pytest.approx(43.0)
 
@@ -95,7 +93,7 @@ def test_deltas_stack_on_personality_offsets(catalog):
 
     dialog = parse_dialog("audio: 9.00s\nA1: [1.00s](Cup, RH 0.46s) word here.\n")
     dialog = apply_personality(dialog, "A", INTROVERT_ANCHOR, catalog)
-    out = resolve_variant(dialog, VariantPlan("A", 1, adapted=True))
+    out = resolve_variant(dialog)
     f = out.turns[0].annotations[0].features
     assert f.expanse_cm == pytest.approx(25.0 - 10.0 + 18.0)
     assert f.height_cm == pytest.approx(0.0 - 5.0 + 10.0)
@@ -105,22 +103,21 @@ def test_deltas_stack_on_personality_offsets(catalog):
 
 
 def test_nonadapted_resolution_idempotent(prepared_b2):
-    once = resolve_variant(prepared_b2, _plan(prepared_b2, adapted=False))
-    twice = resolve_variant(once, _plan(once, adapted=False))
+    once = strip_adaptation(prepared_b2)
+    twice = strip_adaptation(once)
     assert twice == once
 
 
-def test_plan_errors(prepared_b2):
-    with pytest.raises(PlanError):
-        resolve_variant(prepared_b2, VariantPlan(responder="B", response_turn=3, adapted=True))
-    with pytest.raises(PlanError):
-        resolve_variant(prepared_b2, VariantPlan(responder="A", response_turn=4, adapted=True))
+def test_plan_errors():
+    # a dialog without turns has no response turn to adapt
+    with pytest.raises(PlanError, match="no turns"):
+        resolve_variant(AnnotatedDialog(story_id="empty", turns=[], audio_duration=5.0))
 
 
 def test_adapted_requires_features(protest_dialog):
     dialog = truncate_dialog(protest_dialog, 4)
     with pytest.raises(ValueError):
-        resolve_variant(dialog, _plan(dialog, adapted=True))
+        resolve_variant(dialog)
 
 
 def test_strip_adaptation_removes_all_markers(protest_dialog):
@@ -137,15 +134,8 @@ def test_context_invariance_on_generated_dialogs(catalog, protest_dialog, protes
         dialog = make_random_dialog(rng, max_turns=4)
         if not dialog.turns or not any(t.annotations for t in dialog.turns):
             continue
-        plan = _plan(dialog, adapted=True)
-        adapted = resolve_variant(
-            _with_neutral_features(dialog), plan, AdaptationSpec()
-        )
-        nonadapted = resolve_variant(
-            _with_neutral_features(dialog),
-            VariantPlan(plan.responder, plan.response_turn, adapted=False),
-            AdaptationSpec(),
-        )
+        adapted = resolve_variant(_with_neutral_features(dialog), AdaptationSpec())
+        nonadapted = strip_adaptation(_with_neutral_features(dialog))
         assert adapted.turns[:-1] == nonadapted.turns[:-1]
         assert len(adapted.turns[-1].annotations) >= len(nonadapted.turns[-1].annotations)
 

@@ -3,16 +3,13 @@ from __future__ import annotations
 import pytest
 
 from conftest import DATA_DIR
-from gesturec.catalog import load_catalog, lookup
-from gesturec.errors import (
-    BadCategoryError,
-    BadDurationError,
-    CatalogError,
-    DuplicateGestureError,
-    UnknownGestureError,
-)
+from gesturec.catalog import GestureDef, load_catalog, lookup
+from gesturec.emitter import read_script
+from gesturec.errors import CatalogError, DuplicateGestureError, UnknownGestureError
+from gesturec.pipeline import PipelineSettings, compile_dialog
+from gesturec.stimuli import speaker_scripts
 
-# stroke durations the shipped catalog must carry
+# stroke durations the shipped stories carry for each catalog gesture
 FIXTURE_DURATIONS = {
     "Cup": 0.46,
     "PointingAbstract": 0.37,
@@ -33,17 +30,26 @@ FIXTURE_DURATIONS = {
 }
 
 
-def test_shipped_catalog_durations(catalog):
-    for name, duration in FIXTURE_DURATIONS.items():
-        assert lookup(catalog, name).default_stroke_duration == pytest.approx(duration)
+def test_shipped_catalog_durations(catalog, stories):
+    # a stroke's duration is annotated in the dialog; every shipped
+    # annotation uses its gesture's one duration, and the catalog holds
+    # exactly those gestures
+    assert list(catalog.entries) == list(FIXTURE_DURATIONS)
+    for dialog, _ in stories.values():
+        for turn in dialog.turns:
+            for ann in turn.annotations:
+                assert ann.stroke_duration == FIXTURE_DURATIONS[ann.gesture_name]
+                if ann.alternative is not None:
+                    alt = ann.alternative
+                    assert alt.stroke_duration == FIXTURE_DURATIONS[alt.gesture_name]
 
 
 def test_lookup_cup(catalog):
-    assert lookup(catalog, "Cup").default_stroke_duration == 0.46
+    assert lookup(catalog, "Cup") == GestureDef("Cup", 25.0, 0.0, 20.0)
 
 
 def test_lookup_weigh_options(catalog):
-    assert lookup(catalog, "WeighOptions").default_stroke_duration == 0.6
+    assert lookup(catalog, "WeighOptions") == GestureDef("WeighOptions", 25.0, 0.0, 20.0)
 
 
 def test_lookup_unknown_name(catalog):
@@ -52,9 +58,9 @@ def test_lookup_unknown_name(catalog):
 
 
 def test_load_single_entry():
-    c = load_catalog("Cup, 0.46, RH, metaphoric, 25, 0, 20\n")
-    assert lookup(c, "Cup").default_stroke_duration == 0.46
-    assert lookup(c, "Cup").hands == "RH"
+    c = load_catalog("Cup, 31, 7.5, -2\n")
+    cup = lookup(c, "Cup")
+    assert (cup.base_expanse, cup.base_height, cup.base_outwardness) == (31.0, 7.5, -2.0)
 
 
 def test_empty_document_rejected():
@@ -63,29 +69,27 @@ def test_empty_document_rejected():
 
 
 def test_duplicate_name_rejected():
-    doc = "Cup, 0.46, RH, metaphoric, 25, 0, 20\nCup, 0.5, LH, beat, 25, 0, 20\n"
+    doc = "Cup, 25, 0, 20\nCup, 30, 0, 20\n"
     with pytest.raises(DuplicateGestureError):
         load_catalog(doc)
 
 
-def test_nonpositive_duration_rejected():
-    with pytest.raises(BadDurationError):
-        load_catalog("Cup, 0, RH, metaphoric, 25, 0, 20\n")
-
-
-def test_unknown_category_rejected():
-    with pytest.raises(BadCategoryError):
-        load_catalog("Cup, 0.46, RH, emphatic, 25, 0, 20\n")
-
-
 def test_malformed_line_rejected():
     with pytest.raises(CatalogError):
-        load_catalog("Cup 0.46 RH\n")
+        load_catalog("Cup 25 0 20\n")
+    with pytest.raises(CatalogError, match="line 1: could not convert"):
+        load_catalog("Cup, wide, 0, 20\n")
+    # the former columns (duration, hands, category) are no longer accepted
+    with pytest.raises(CatalogError, match="expected 4 comma-separated fields, got 7"):
+        load_catalog("Cup, 0.46, RH, metaphoric, 25, 0, 20\n")
 
 
 def test_negative_expanse_rejected():
     with pytest.raises(CatalogError):
-        load_catalog("Cup, 0.46, RH, metaphoric, -1, 0, 20\n")
+        load_catalog("Cup, -1, 0, 20\n")
+    for bad in ("nan", "inf"):
+        with pytest.raises(CatalogError, match="must be finite"):
+            load_catalog(f"Cup, 25, {bad}, 20\n")
 
 
 def test_load_is_deterministic():
@@ -94,5 +98,35 @@ def test_load_is_deterministic():
 
 
 def test_comments_and_blank_lines_ignored():
-    doc = "# comment\n\nCup, 0.46, any, metaphoric, 25, 0, 20\n  \n# more\n"
+    doc = "# comment\n\nCup, 25, 0, 20\n  \n# more\n"
     assert list(load_catalog(doc).entries) == ["Cup"]
+
+
+def _strokes(catalog, text, track, settings):
+    scripts = speaker_scripts(compile_dialog(text, catalog, track, settings).schedule)
+    return [read_script(scripts[f"{speaker}.script.json"]).events for speaker in ("A", "B")]
+
+
+def test_per_gesture_geometry_reaches_the_script(catalog, protest_text, protest_track):
+    # the shipped entries all share (25, 0, 20); give Cup its own geometry
+    shipped = (DATA_DIR / "catalog.txt").read_text(encoding="utf-8")
+    assert "\nCup, 25, 0, 20\n" in shipped
+    own = load_catalog(shipped.replace("\nCup, 25, 0, 20\n", "\nCup, 31, 7.5, 12\n"))
+    settings = PipelineSettings(extraversion={"A": 7.0, "B": 1.0})
+    offsets = {"A": settings.profile("A"), "B": settings.profile("B")}
+    before = _strokes(catalog, protest_text, protest_track, settings)
+    after = _strokes(own, protest_text, protest_track, settings)
+    cups = {"A": 0, "B": 0}
+    for speaker, old_events, new_events in zip("AB", before, after):
+        assert len(old_events) == len(new_events)
+        for old, new in zip(old_events, new_events):
+            if new.gesture != "Cup":
+                assert new == old
+                continue
+            cups[speaker] += 1
+            params = offsets[speaker]
+            assert new.expanse == pytest.approx(31 + params.expanse_offset)
+            assert new.height == pytest.approx(7.5 + params.height_offset)
+            assert new.outward == pytest.approx(12 + params.outwardness_offset)
+            assert (new.start, new.end, new.speed, new.scale) == (old.start, old.end, old.speed, old.scale)
+    assert cups["A"] > 0 and cups["B"] > 0

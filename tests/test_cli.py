@@ -45,7 +45,6 @@ def test_compile_variant_and_extraversion(tmp_path, shipped):
         "--catalog", shipped["catalog"],
         "--extraversion", "A=7,B=7",
         "--variant", "adapted",
-        "--responder", "B",
         "--out", shipped["out"],
     ])
     assert code == 0
@@ -109,6 +108,28 @@ def test_misspelled_config_key_exits_1(tmp_path, shipped, capsys):
     ])
     assert code == 1
     assert "line 1: unknown key 'scheduler.hold_treshold_s'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting,flags", [
+    ("extravert.expanse_offset = nan", ()),
+    ("extravert.height_offset = inf", ()),
+    ("adaptation.speed_factor = nan", ("--variant", "adapted")),
+])
+def test_non_finite_setting_exits_1(tmp_path, shipped, capsys, setting, flags):
+    config = tmp_path / "run.cfg"
+    config.write_text(setting + "\n", encoding="utf-8")
+    code = main([
+        "compile",
+        "--dialog", str(DATA_DIR / "stories" / "garden.dialog"),
+        "--catalog", shipped["catalog"],
+        "--config", str(config),
+        "--out", shipped["out"],
+        *flags,
+    ])
+    assert code == 1
+    field = setting.split(".")[1].split()[0]
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _compile_case(tmp_path, shipped, case, *flags):

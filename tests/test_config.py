@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import pytest
 
 from gesturec.config import SECTIONS, ConfigError, load_config
-from gesturec.errors import ScheduleError
+from gesturec.errors import DomainError, ScheduleError
 from gesturec.pipeline import PipelineSettings
 
 DEFAULTS = PipelineSettings()
@@ -87,3 +87,10 @@ def test_bad_lines():
         load_config("scheduler.prep_duration_s = 0\n")
     with pytest.raises(ScheduleError, match="hold_threshold_s"):
         load_config("scheduler.hold_threshold_s = 2.0004\n")
+    for bad in ("nan", "inf"):
+        with pytest.raises(ScheduleError, match="stroke_lead_s must be finite"):
+            load_config(f"scheduler.stroke_lead_s = {bad}\n")
+    for key in ("extravert.expanse_offset", "introvert.height_offset", "adaptation.speed_factor"):
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(DomainError, match=f"{key.split('.')[1]} must be finite"):
+                load_config(f"{key} = {bad}\n")

@@ -67,6 +67,12 @@ def test_parse_non_increasing_times():
         parse_dialog(source)
 
 
+def test_parse_zero_stroke_duration_rejected():
+    for source in ("A1: [1.00s](Cup, RH 0s) word.\n", "A1: [1.00s](Cup, RH 0.46s / Away, 2H 0.00s) word.\n"):
+        with pytest.raises(DialogParseError, match="stroke duration must be > 0"):
+            parse_dialog(source)
+
+
 def test_copy_marker_on_alternative_rejected():
     with pytest.raises(DialogParseError):
         parse_dialog("A1: [1.00s](Cup, RH 0.46s / !Away, 2H 0.40s) word.\n")

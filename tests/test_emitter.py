@@ -164,7 +164,7 @@ def test_extra_precision_rejected():
 
 
 @pytest.mark.parametrize("field", ["audio", "start", "expanse"])
-@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), pytest.param(10**400, id="401-digit-int")])
 def test_non_finite_numbers_rejected(field, bad):
     header = {"story": "x", "speaker": "A", "audio": 5.0, "config": "c"}
     event = {"start": 1.0, "end": 2.0, "kind": "stroke", "arm": "right", "gesture": "Cup", "hand": "RH",

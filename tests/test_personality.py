@@ -61,6 +61,11 @@ def test_parameter_set_validation():
     with pytest.raises(DomainError):
         ParameterSet(max_rate=2.0, expanse_offset=0, height_offset=0,
                      outwardness_offset=0, speed_multiplier=5.0, scale_multiplier=1.0)
+    for name in _NUMERIC_FIELDS:
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            values = {f: getattr(EXTRAVERT_ANCHOR, f) for f in _NUMERIC_FIELDS}
+            with pytest.raises(DomainError, match=f"{name} must be finite"):
+                ParameterSet(**{**values, name: bad})
 
 
 @given(

@@ -4,17 +4,17 @@ import json
 
 import pytest
 
-from gesturec.dsl import parse_dialog
+from gesturec.dsl import format_dialog, parse_dialog
 from gesturec.errors import PlanError
-from gesturec.personality import profile_from_extraversion
-from gesturec.pipeline import PipelineSettings
+from gesturec.personality import EXTRAVERT_ANCHOR
+from gesturec.pipeline import PipelineSettings, compile_dialog
 from gesturec.stimuli import (
     ADAPTATION_TASKS,
-    StimulusPlan,
     build_adaptation_pair,
     build_personality_pair,
     run_adaptation_batch,
     run_personality_batch,
+    speaker_scripts,
     write_bundles,
 )
 
@@ -34,9 +34,7 @@ def test_adaptation_batch_emits_sixteen_bundles(stories, catalog):
 
 def test_personality_pair_scripts_identical(stories, catalog):
     dialog, track = stories["garden"]
-    profiles = {"A": profile_from_extraversion(7.0), "B": profile_from_extraversion(1.0)}
-    plan = StimulusPlan(story_id="garden")
-    first, second = build_personality_pair(dialog, plan, profiles, catalog, track=track)
+    first, second = build_personality_pair(dialog, catalog, track=track)
     assert first.scripts == second.scripts
     assert first.metadata["gender_assignment"] == "F-extravert"
     assert second.metadata["gender_assignment"] == "M-extravert"
@@ -45,9 +43,7 @@ def test_personality_pair_scripts_identical(stories, catalog):
 
 def test_gender_swap_is_an_involution(stories, catalog):
     dialog, track = stories["garden"]
-    profiles = {"A": profile_from_extraversion(7.0), "B": profile_from_extraversion(1.0)}
-    plan = StimulusPlan(story_id="garden")
-    first, second = build_personality_pair(dialog, plan, profiles, catalog, track=track)
+    first, second = build_personality_pair(dialog, catalog, track=track)
     swap = {"F": "M", "M": "F"}
     swapped_back = {
         speaker: swap[agent["gender"]] for speaker, agent in second.metadata["agents"].items()
@@ -59,20 +55,30 @@ def test_gender_swap_is_an_involution(stories, catalog):
 
 def test_identical_profiles_differ_only_in_metadata(stories, catalog):
     dialog, track = stories["storm"]
-    profiles = {"A": profile_from_extraversion(7.0), "B": profile_from_extraversion(7.0)}
-    plan = StimulusPlan(story_id="storm")
-    first, second = build_personality_pair(dialog, plan, profiles, catalog, track=track)
+    # with equal anchors both scores give the same profile
+    settings = PipelineSettings(introvert=EXTRAVERT_ANCHOR)
+    first, second = build_personality_pair(dialog, catalog, settings, track)
     assert first.scripts == second.scripts
     meta_a = {k: v for k, v in first.metadata.items() if k not in ("agents", "gender_assignment", "label")}
     meta_b = {k: v for k, v in second.metadata.items() if k not in ("agents", "gender_assignment", "label")}
     assert meta_a == meta_b
 
 
+@pytest.mark.parametrize("role", ["A", "B"])
+def test_personality_metadata_states_the_scripts_extraversion(stories, catalog, role):
+    dialog, track = stories["protest"]
+    first, _ = build_personality_pair(dialog, catalog, track=track, extraverted_role=role)
+    extraversion = first.metadata["extraversion"]
+    assert extraversion == {role: 7.0, "B" if role == "A" else "A": 1.0}
+    settings = PipelineSettings(extraversion=extraversion)
+    result = compile_dialog(format_dialog(dialog), catalog, track, settings)
+    assert first.scripts == speaker_scripts(result.schedule)
+
+
 def test_adaptation_pair_context_bytes_identical(stories, catalog):
     for story_id, structure in ADAPTATION_TASKS:
         dialog, track = stories[story_id]
-        plan = StimulusPlan(story_id=story_id, turn_structure=structure, responder=structure[-1])
-        adapted, nonadapted = build_adaptation_pair(dialog, plan, catalog, track=track)
+        adapted, nonadapted = build_adaptation_pair(dialog, structure, catalog, track=track)
         response_first = min(
             a.stroke_begin for a in dialog.turns[len(structure) - 1].annotations
         )
@@ -92,39 +98,29 @@ def test_adaptation_pair_context_bytes_identical(stories, catalog):
 
 def test_non_responder_script_fully_identical(stories, catalog):
     dialog, track = stories["protest"]
-    plan = StimulusPlan(story_id="protest", turn_structure="ABAB", responder="B")
-    adapted, nonadapted = build_adaptation_pair(dialog, plan, catalog, track=track)
+    adapted, nonadapted = build_adaptation_pair(dialog, "ABAB", catalog, track=track)
+    assert adapted.metadata["responder"] == "B"
     assert adapted.scripts["A.script.json"] == nonadapted.scripts["A.script.json"]
     assert adapted.scripts["A.script.txt"] == nonadapted.scripts["A.script.txt"]
 
 
 def test_adaptation_pair_audio_reference_shared(stories, catalog):
     dialog, track = stories["pet"]
-    plan = StimulusPlan(story_id="pet", turn_structure="ABABA", responder="A")
-    adapted, nonadapted = build_adaptation_pair(dialog, plan, catalog, track=track)
+    adapted, nonadapted = build_adaptation_pair(dialog, "ABABA", catalog, track=track)
     assert adapted.metadata["audio"] == nonadapted.metadata["audio"]
     assert adapted.metadata["context_turns"] == 4
 
 
 def test_structure_must_match_dialog(stories, catalog):
     dialog, track = stories["garden"]
-    plan = StimulusPlan(story_id="garden", turn_structure="ABABAB", responder="B")
     with pytest.raises(PlanError):
-        build_adaptation_pair(dialog, plan, catalog, track=track)
-
-
-def test_responder_must_speak_final_turn(stories, catalog):
-    dialog, track = stories["garden"]
-    plan = StimulusPlan(story_id="garden", turn_structure="ABA", responder="B")
-    with pytest.raises(PlanError):
-        build_adaptation_pair(dialog, plan, catalog, track=track)
+        build_adaptation_pair(dialog, "ABABAB", catalog, track=track)
 
 
 def test_structure_pattern_mismatch(catalog):
     dialog = parse_dialog("story: odd\nB1: one.\nA1: two.\nB2: three.\n")
-    plan = StimulusPlan(story_id="odd", turn_structure="ABA", responder="A")
     with pytest.raises(PlanError):
-        build_adaptation_pair(dialog, plan, catalog)
+        build_adaptation_pair(dialog, "ABA", catalog)
 
 
 def test_write_bundles_and_manifest(tmp_path, stories, catalog):

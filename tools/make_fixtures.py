@@ -33,12 +33,7 @@ from gesturec.dsl import (
 )
 from gesturec.pipeline import PipelineSettings, prepare_dialog
 from gesturec.scheduler import schedule, validate_timeline
-from gesturec.stimuli import (
-    ADAPTATION_TASKS,
-    StimulusPlan,
-    build_adaptation_pair,
-    run_personality_batch,
-)
+from gesturec.stimuli import ADAPTATION_TASKS, build_adaptation_pair, run_personality_batch
 
 LEAD = 0.2
 BASE_CADENCE = 0.33
@@ -48,26 +43,26 @@ ANCHORED_MIN_GAP = 0.3
 FIRST_TURN_START = 1.0
 AUDIO_TAIL = 2.0
 
-CATALOG_ROWS = [
-    # name, stroke duration s, hands, category
-    ("Cup", 0.46, "any", "metaphoric"),
-    ("PointingAbstract", 0.37, "RH", "deictic"),
-    ("Cup_Horizontal", 0.57, "2H", "metaphoric"),
-    ("SweepSide1", 0.35, "RH", "iconic"),
-    ("Cup_Down_alt", 0.21, "2H", "metaphoric"),
-    ("CupBeats_Small", 0.37, "2H", "beat"),
-    ("Cup_Vert", 0.54, "any", "metaphoric"),
-    ("Regressive", 1.14, "any", "metaphoric"),
-    ("Cup_Up", 0.34, "2H", "metaphoric"),
-    ("Eruptive", 0.76, "LH", "iconic"),
-    ("WeighOptions", 0.6, "2H", "metaphoric"),
-    ("ShortProgressive", 0.38, "RH", "iconic"),
-    ("Dismiss", 0.47, "2H", "metaphoric"),
-    ("Away", 0.4, "2H", "metaphoric"),
-    ("Reject", 0.44, "RH", "metaphoric"),
-    ("SideArc", 0.57, "2H", "iconic"),
-]
-DUR = {name: dur for name, dur, _, _ in CATALOG_ROWS}
+# Stroke duration (s) of each gesture, in catalog order.  Every annotation
+# is authored with its gesture's duration from this table.
+DUR = {
+    "Cup": 0.46,
+    "PointingAbstract": 0.37,
+    "Cup_Horizontal": 0.57,
+    "SweepSide1": 0.35,
+    "Cup_Down_alt": 0.21,
+    "CupBeats_Small": 0.37,
+    "Cup_Vert": 0.54,
+    "Regressive": 1.14,
+    "Cup_Up": 0.34,
+    "Eruptive": 0.76,
+    "WeighOptions": 0.6,
+    "ShortProgressive": 0.38,
+    "Dismiss": 0.47,
+    "Away": 0.4,
+    "Reject": 0.44,
+    "SideArc": 0.57,
+}
 
 # Default base geometry (cm): the catalog format requires explicit values.
 BASE_GEOMETRY = (25, 0, 20)
@@ -342,11 +337,11 @@ def build_story(story_id: str, spec: list) -> tuple[AnnotatedDialog, str]:
 def catalog_text() -> str:
     lines = [
         "# catalog-version: 1",
-        "# name, duration_s, hands, category, expanse_cm, height_cm, outwardness_cm",
+        "# name, expanse_cm, height_cm, outwardness_cm",
     ]
     e, h, o = BASE_GEOMETRY
-    for name, dur, hands, category in CATALOG_ROWS:
-        lines.append(f"{name}, {dur}, {hands}, {category}, {e}, {h}, {o}")
+    for name in DUR:
+        lines.append(f"{name}, {e}, {h}, {o}")
     return "\n".join(lines) + "\n"
 
 
@@ -411,8 +406,7 @@ def verify(stories, catalog) -> None:
 
     for story_id, structure in ADAPTATION_TASKS:
         dialog, track = stories[story_id]
-        plan = StimulusPlan(story_id=story_id, turn_structure=structure, responder=structure[-1])
-        adapted, nonadapted = build_adaptation_pair(dialog, plan, catalog, track=track)
+        adapted, nonadapted = build_adaptation_pair(dialog, structure, catalog, track=track)
         # context events must be byte-identical up to the response turn
         response_first = min(
             a.stroke_begin for a in dialog.turns[len(structure) - 1].annotations
