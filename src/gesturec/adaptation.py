@@ -77,7 +77,7 @@ def _nonadapted(ann: GestureAnnotation) -> GestureAnnotation | None:
 
 def _adapted(ann: GestureAnnotation, spec: AdaptationSpec) -> GestureAnnotation:
     if ann.features is None:
-        raise ValueError(
+        raise PlanError(
             f"annotation at {ann.stroke_begin:.2f}s has no effective features; "
             "apply personality before resolving the adapted variant"
         )

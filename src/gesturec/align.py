@@ -4,16 +4,19 @@ A timing track is TSV text, one word per line::
 
     turn_index<TAB>word<TAB>onset_seconds
 
-Onsets are non-decreasing across the track and strictly increasing within
-a turn.  Alignment rewrites every stroke begin to sit a fixed lead (0.2s
-by default) before its following word, the first word of the same turn
-whose onset is strictly greater than the annotated time.  Times are kept
-on the millisecond grid so the lead is exact, not float-approximate.
+Onsets are finite, at least 0, non-decreasing across the track and
+strictly increasing within a turn.  Alignment rewrites every stroke begin
+to sit a fixed lead (0.2s by default) before its following word, the first
+word of the same turn whose onset is strictly greater than the annotated
+time.  Times are kept on the millisecond grid so the lead is exact, not
+float-approximate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
 
 from .dsl import AnnotatedDialog, Turn
 from .errors import (
@@ -36,16 +39,22 @@ class TimedWord:
 
 @dataclass(frozen=True)
 class WordTimingTrack:
-    entries: tuple[TimedWord, ...]
+    """A parsed timing track.  Equality is by ``entries``; the per-turn
+    onset index is derived from them by :func:`parse_word_timings`."""
 
-    def turn_onsets(self, turn_index: int) -> list[float]:
-        return [e.onset for e in self.entries if e.turn_index == turn_index]
+    entries: tuple[TimedWord, ...]
+    onset_index: dict[int, tuple[float, ...]] = field(compare=False, repr=False)
+
+    def turn_onsets(self, turn_index: int) -> tuple[float, ...]:
+        """The turn's onsets in increasing order; empty for a turn the
+        track does not time."""
+        return self.onset_index.get(turn_index, ())
 
 
 def parse_word_timings(source: str) -> WordTimingTrack:
     entries: list[TimedWord] = []
-    last_overall = float("-inf")
-    last_in_turn: dict[int, float] = {}
+    last_overall = 0.0
+    by_turn: dict[int, list[float]] = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -61,16 +70,22 @@ def parse_word_timings(source: str) -> WordTimingTrack:
         word = parts[1]
         if turn_index < 1 or not word:
             raise TimingFormatError(f"line {lineno}: bad turn index or empty word")
+        if not 0 <= onset < math.inf:
+            raise TimingFormatError(f"line {lineno}: onset {parts[2]!r} is not a finite number >= 0")
         if onset < last_overall:
             raise TimingOrderError(f"line {lineno}: onset {onset} decreases across the track")
-        if turn_index in last_in_turn and onset <= last_in_turn[turn_index]:
+        onsets = by_turn.setdefault(turn_index, [])
+        if onsets and onset <= onsets[-1]:
             raise TimingOrderError(f"line {lineno}: onset {onset} not increasing within turn {turn_index}")
         last_overall = onset
-        last_in_turn[turn_index] = onset
+        onsets.append(onset)
         entries.append(TimedWord(turn_index=turn_index, word=word, onset=onset))
     if not entries:
         raise TimingError("timing track has no entries")
-    return WordTimingTrack(entries=tuple(entries))
+    return WordTimingTrack(
+        entries=tuple(entries),
+        onset_index={turn: tuple(onsets) for turn, onsets in by_turn.items()},
+    )
 
 
 def _ms(seconds: float) -> int:
@@ -99,12 +114,12 @@ def align_strokes(
         new_annotations = []
         last_ms = None
         for ann in turn.annotations:
-            following = next((o for o in onsets if o > ann.stroke_begin), None)
-            if following is None:
+            i = bisect_right(onsets, ann.stroke_begin)
+            if i == len(onsets):
                 raise NoFollowingWordError(
                     f"turn {turn.index}: annotation at {ann.stroke_begin:.2f}s has no following word"
                 )
-            begin_ms = max(0, _ms(following) - lead_ms)
+            begin_ms = max(0, _ms(onsets[i]) - lead_ms)
             if last_ms is not None and begin_ms <= last_ms:
                 raise StrokeCollisionError(
                     f"turn {turn.index}: aligned strokes collide at {begin_ms / 1000:.3f}s"

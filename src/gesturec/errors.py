@@ -76,6 +76,10 @@ class StrokeOverrunError(ScheduleError):
     pass
 
 
+class EmptyStrokeError(ScheduleError):
+    """A stroke whose duration at its speed rounds to 0 ms."""
+
+
 class EmitError(GesturecError):
     """Timeline rejected at serialization time."""
 

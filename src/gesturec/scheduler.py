@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dsl import AnnotatedDialog, Features, GestureAnnotation
-from .errors import ScheduleError, StrokeOverlapError, StrokeOverrunError
+from .errors import EmptyStrokeError, ScheduleError, StrokeOverlapError, StrokeOverrunError
 
 PREP = "prep"
 STROKE = "stroke"
@@ -142,7 +142,7 @@ def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) ->
             continue
         for ann in turn.annotations:
             if ann.features is None:
-                raise ValueError(
+                raise ScheduleError(
                     f"annotation at {ann.stroke_begin:.2f}s has no effective features; "
                     "apply personality before scheduling"
                 )
@@ -160,6 +160,12 @@ def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) ->
     return strokes
 
 
+def _reject(error: type[ScheduleError], message: str, strict: bool, diagnostics: list[str]) -> None:
+    if strict:
+        raise error(message)
+    diagnostics.append(f"dropped: {message}")
+
+
 def _admit_strokes(
     strokes: list[_Stroke],
     audio: int,
@@ -169,33 +175,37 @@ def _admit_strokes(
 ) -> dict[str, list[_Stroke]]:
     """Assign strokes to arms, rejecting conflicts.
 
-    A stroke must start strictly after the previous stroke ends on every
-    arm it uses, and must end within the audio.  A rejected 2H stroke is
-    dropped from both arms.
+    A stroke must last at least 1 ms, start strictly after the previous
+    stroke ends on every arm it uses, and end within the audio.  A rejected
+    2H stroke is dropped from both arms.
     """
     per_arm: dict[str, list[_Stroke]] = {arm: [] for arm in ARMS}
     last_end = {arm: -1 for arm in ARMS}
     for stroke in strokes:
-        arms = _arms_of(stroke.annotation.hand)
+        ann = stroke.annotation
+        arms = _arms_of(ann.hand)
+        if stroke.end <= stroke.start:
+            message = (
+                f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(stroke.start)}s lasts 0 ms "
+                f"({ann.stroke_duration}s at speed {ann.features.speed:g})"
+            )
+            _reject(EmptyStrokeError, message, strict, diagnostics)
+            continue
         if stroke.end > audio:
             message = (
-                f"{speaker}: stroke {stroke.annotation.gesture_name!r} at {format_seconds(stroke.start)}s "
+                f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(stroke.start)}s "
                 f"runs past the audio end ({format_seconds(stroke.end)}s > {format_seconds(audio)}s)"
             )
-            if strict:
-                raise StrokeOverrunError(message)
-            diagnostics.append(f"dropped: {message}")
+            _reject(StrokeOverrunError, message, strict, diagnostics)
             continue
         blocked = next((arm for arm in arms if stroke.start <= last_end[arm]), None)
         if blocked is not None:
             message = (
-                f"{speaker}/{blocked}: stroke {stroke.annotation.gesture_name!r} at "
+                f"{speaker}/{blocked}: stroke {ann.gesture_name!r} at "
                 f"{format_seconds(stroke.start)}s overlaps the previous stroke ending at "
                 f"{format_seconds(last_end[blocked])}s"
             )
-            if strict:
-                raise StrokeOverlapError(message)
-            diagnostics.append(f"dropped: {message}")
+            _reject(StrokeOverlapError, message, strict, diagnostics)
             continue
         for arm in arms:
             per_arm[arm].append(stroke)

@@ -116,7 +116,7 @@ def test_plan_errors():
 
 def test_adapted_requires_features(protest_dialog):
     dialog = truncate_dialog(protest_dialog, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(PlanError, match="no effective features"):
         resolve_variant(dialog)
 
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
+from dataclasses import replace
 
 import pytest
 
 from conftest import make_aligned_pair
 from gesturec.align import align_strokes, parse_word_timings
-from gesturec.dsl import parse_dialog
+from gesturec.dsl import AnnotatedDialog, GestureAnnotation, Turn, parse_dialog
 from gesturec.errors import (
     NoFollowingWordError,
     StrokeCollisionError,
@@ -40,6 +42,12 @@ def test_parse_decreasing_across_turns():
 def test_parse_non_increasing_within_turn():
     with pytest.raises(TimingOrderError):
         parse_word_timings("1\tone\t2.00\n1\ttwo\t2.00\n")
+
+
+@pytest.mark.parametrize("onset", ["nan", "inf", "-inf", "-3.0"])
+def test_parse_rejects_non_finite_and_negative_onsets(onset):
+    with pytest.raises(TimingFormatError, match=f"line 2: onset '{onset}' is not a finite number >= 0"):
+        parse_word_timings(f"1\tone\t1.00\n1\ttwo\t{onset}\n1\tthree\t2.00\n")
 
 
 def test_cup_aligns_to_hey():
@@ -109,3 +117,133 @@ def test_generated_pairs_exact_lead_and_idempotent():
         # word gaps exceed the lead, so realignment targets the same words
         again = align_strokes(aligned, track)
         assert again == aligned
+
+
+def _reference_align(dialog, track):
+    """The alignment rule as a linear scan of ``track.entries``: new stroke
+    begins per turn, or the error :func:`align_strokes` must raise."""
+    begins = []
+    for turn in dialog.turns:
+        onsets = [e.onset for e in track.entries if e.turn_index == turn.index]
+        if not onsets:
+            return NoFollowingWordError
+        turn_begins = []
+        for ann in turn.annotations:
+            following = next((o for o in onsets if o > ann.stroke_begin), None)
+            if following is None:
+                return NoFollowingWordError
+            begin_ms = max(0, round(following * 1000) - 200)
+            if turn_begins and begin_ms <= turn_begins[-1]:
+                return StrokeCollisionError
+            turn_begins.append(begin_ms)
+        begins.append([ms / 1000 for ms in turn_begins])
+    return begins
+
+
+def _align_outcome(dialog, track):
+    try:
+        aligned = align_strokes(dialog, track)
+    except (NoFollowingWordError, StrokeCollisionError) as exc:
+        return type(exc)
+    return [[a.stroke_begin for a in t.annotations] for t in aligned.turns]
+
+
+def _moved(rng, dialog, track):
+    """``dialog`` with its strokes moved to times drawn near and on the
+    track's onsets, before the first word and past the last."""
+    turns = []
+    for turn in dialog.turns:
+        onsets = [e.onset for e in track.entries if e.turn_index == turn.index]
+        times = set()
+        for _ in turn.annotations:
+            pick = rng.random()
+            if pick < 0.3:
+                times.add(rng.choice(onsets))
+            elif pick < 0.9:
+                times.add(round(rng.choice(onsets) + rng.uniform(-0.4, 0.4), 2))
+            elif pick < 0.95:
+                times.add(round(onsets[0] - 0.05, 2))
+            else:
+                times.add(round(onsets[-1] + 0.05, 2))
+        times = sorted(t for t in times if t >= 0)
+        annotations = [replace(a, stroke_begin=t) for a, t in zip(turn.annotations, times)]
+        turns.append(replace(turn, annotations=annotations))
+    return replace(dialog, turns=turns)
+
+
+def test_alignment_matches_reference_scan_on_generated_pairs():
+    outcomes = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        dialog, track = make_aligned_pair(rng)
+        for case in (dialog, _moved(rng, dialog, track)):
+            expected = _reference_align(case, track)
+            assert _align_outcome(case, track) == expected, seed
+            outcomes.add(expected if isinstance(expected, type) else list)
+    # the moved strokes reach both errors as well as success
+    assert outcomes == {list, NoFollowingWordError, StrokeCollisionError}
+
+
+@pytest.mark.parametrize("dialog_source,track_source,expected", [
+    # exactly on an onset: the following word is the next one
+    ("A1: [1.00s](Cup, RH 0.46s) one two.\n", "1\tone\t1.00\n1\ttwo.\t1.50\n", [[1.3]]),
+    # before the first word
+    ("A1: [0.10s](Cup, RH 0.46s) one two.\n", "1\tone\t1.00\n1\ttwo.\t1.50\n", [[0.8]]),
+    # after the last word
+    ("A1: one two. [2.00s](Cup, RH 0.46s)\n", "1\tone\t1.00\n1\ttwo.\t1.50\n", NoFollowingWordError),
+    # a turn missing from the track
+    (
+        "A1: [0.50s](Cup, RH 0.46s) one.\nB1: [2.00s](Cup, RH 0.46s) two.\n",
+        "1\tone\t1.00\n",
+        NoFollowingWordError,
+    ),
+    # turn indices interleave along the track
+    (
+        "A1: [0.50s](Cup, RH 0.46s) one [1.60s](Reject, RH 0.44s) three.\n"
+        "B1: [1.20s](Cup, RH 0.46s) two [2.00s](Reject, RH 0.44s) four.\n",
+        "1\tone\t1.00\n2\ttwo\t1.50\n1\tthree.\t2.00\n2\tfour.\t2.50\n",
+        [[0.8, 1.8], [1.3, 2.3]],
+    ),
+])
+def test_alignment_matches_reference_scan_on_edge_cases(dialog_source, track_source, expected):
+    dialog = parse_dialog(dialog_source)
+    track = parse_word_timings(track_source)
+    assert _reference_align(dialog, track) == expected
+    assert _align_outcome(dialog, track) == expected
+
+
+def _long_pair(turns, words_per_turn=20):
+    """A dialog of ``turns`` turns with two strokes each, and its track."""
+    dialog_turns, tsv = [], []
+    onset = 1.0
+    for index in range(1, turns + 1):
+        onsets = []
+        for w in range(words_per_turn):
+            onsets.append(onset)
+            tsv.append(f"{index}\tw{w}\t{onset:.2f}")
+            onset = round(onset + 0.3, 2)
+        annotations = [
+            GestureAnnotation(round(onsets[wi] - 0.1, 2), "Cup", "RH", 0.46, word_index=wi)
+            for wi in (3, 12)
+        ]
+        dialog_turns.append(Turn("AB"[(index - 1) % 2], index, "text", annotations))
+        onset = round(onset + 1.0, 2)
+    dialog = AnnotatedDialog(story_id="long", turns=dialog_turns, audio_duration=onset + 3.0)
+    return dialog, parse_word_timings("\n".join(tsv) + "\n")
+
+
+def _best_align_seconds(dialog, track, repeats=7):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        align_strokes(dialog, track)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_alignment_time_grows_linearly():
+    # 16x the turns costs about 16x the time when alignment is linear in
+    # words plus annotations, and about 256x when it is quadratic
+    small = _best_align_seconds(*_long_pair(32))
+    large = _best_align_seconds(*_long_pair(32 * 16))
+    assert large / small < 64

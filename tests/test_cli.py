@@ -132,6 +132,35 @@ def test_non_finite_setting_exits_1(tmp_path, shipped, capsys, setting, flags):
     assert not (tmp_path / "out").exists()
 
 
+def _compile_garden_at_speed_1000(tmp_path, shipped, *flags):
+    config = tmp_path / "run.cfg"
+    config.write_text("adaptation.speed_factor = 1000\n", encoding="utf-8")
+    return main([
+        "compile",
+        "--dialog", str(DATA_DIR / "stories" / "garden.dialog"),
+        "--catalog", shipped["catalog"],
+        "--config", str(config),
+        "--variant", "adapted",
+        "--out", shipped["out"],
+        *flags,
+    ])
+
+
+def test_zero_length_stroke_exits_1(tmp_path, shipped, capsys):
+    # at 1000x speed the response turn's 0.46s Cup lasts 0.4 ms, 0 when rounded
+    assert _compile_garden_at_speed_1000(tmp_path, shipped) == 1
+    assert "error: B: stroke 'Cup' at 21.230s lasts 0 ms" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_length_stroke_dropped_in_lenient_mode(tmp_path, shipped, capsys):
+    assert _compile_garden_at_speed_1000(tmp_path, shipped, "--lenient") == 0
+    notes = [line for line in capsys.readouterr().err.splitlines() if "lasts 0 ms" in line]
+    assert notes and all(line.startswith("note: dropped: B: stroke ") for line in notes)
+    for name in SCRIPTS:
+        read_script((tmp_path / "out" / name).read_bytes())
+
+
 def _compile_case(tmp_path, shipped, case, *flags):
     source, score = case
     dialog = tmp_path / "case.dialog"

@@ -109,6 +109,12 @@ def test_overlap_lenient_drops_later(catalog):
     assert validate_timeline(result.a) == []
 
 
+def test_schedule_requires_features():
+    dialog = parse_dialog("audio: 8.00s\nA1: [1.00s](Cup, RH 0.46s) one.\n")
+    with pytest.raises(ScheduleError, match="no effective features"):
+        schedule(dialog)
+
+
 def test_one_hand_conflicting_with_two_hand(catalog):
     source = "audio: 8.00s\nA1: [1.00s](Cup_Up, 2H 0.34s) one [1.20s](Cup, RH 0.46s) two.\n"
     with pytest.raises(StrokeOverlapError):
