@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -175,79 +174,79 @@ def one_sample_ttest(values: Sequence[float], mu: float) -> StatResult:
     return StatResult(name="one-sample t", value=t, df=(n - 1,), p_value=student_t_two_tailed(t, n - 1))
 
 
-def _dummy_columns(levels: Sequence[str], value: str) -> list[float]:
-    # treatment coding, first level as reference
-    return [1.0 if value == level else 0.0 for level in levels[1:]]
-
-
-def _term_columns(term: tuple[str, ...], levels: Mapping[str, list[str]], obs: Mapping[str, str]) -> list[float]:
-    cols = [1.0]
-    for factor in term:
-        base = _dummy_columns(levels[factor], obs[factor])
-        cols = [c * b for c in cols for b in base]
-    return cols
-
-
 def anova(
     observations: Sequence[tuple[Mapping[str, str], float]],
     factors: Sequence[str],
     interactions: Sequence[tuple[str, ...]] = (),
 ) -> list[StatResult]:
-    """Between-subjects factorial ANOVA via sequential (Type I) sums of
-    squares, computed as residual-sum reductions of nested least-squares
-    fits.  On balanced data the decomposition is order-independent; for
-    unbalanced data the terms are attributed in the listed order.
-    """
+    """Between-subjects factorial ANOVA with sequential (Type I) sums of
+    squares.  A term's sum of squares is ``|U'y|^2`` and its df the rank of
+    ``U``, an orthonormal basis of its treatment-coded columns with the
+    intercept and all earlier terms projected out, so on unbalanced data the
+    listed order matters.  Levels are compared by their ``str()``."""
     if not observations:
         raise StatError("no observations")
+    if not factors:
+        raise StatError("no factors")
     terms: list[tuple[str, ...]] = [(f,) for f in factors] + [tuple(i) for i in interactions]
-    levels: dict[str, list[str]] = {}
-    for factor in factors:
-        values = sorted({str(obs[factor]) for obs, _ in observations})
-        if len(values) < 2:
-            raise StatError(f"factor {factor!r} needs at least 2 levels")
-        levels[factor] = values
-    seen_cells = {tuple(str(obs[f]) for f in factors) for obs, _ in observations}
-    for cell in itertools.product(*(levels[f] for f in factors)):
-        if cell not in seen_cells:
-            raise EmptyCellError(f"empty cell {dict(zip(factors, cell))}")
-
-    y = np.array([response for _, response in observations], dtype=float)
+    for term, factor in ((t, f) for t in terms for f in t if f not in factors):
+        raise StatError(f"term {term} names {factor!r}, which is not a factor")
+    try:
+        y = np.array([response for _, response in observations])
+    except ValueError:  # sequences of unequal length among the responses
+        y = np.array(None)
+    if y.ndim != 1 or y.dtype.kind not in "biuf" or not np.isfinite(y).all():
+        for index, (_, r) in enumerate(observations):
+            if np.asarray(r, dtype=object).ndim or np.asarray(r).dtype.kind not in "biuf" or not np.isfinite(r):
+                raise StatError(f"observation {index}: response {r!r} is not a finite real number")
     n = len(y)
-    blocks = [np.ones((n, 1))]
+    coded: dict[str, tuple[list[str], np.ndarray]] = {}  # factor -> (levels, level index per observation)
+    for factor in factors:
+        if factor in coded:
+            raise StatError(f"factor {factor!r} is listed twice")
+        try:
+            labels = [str(obs[factor]) for obs, _ in observations]
+        except KeyError:
+            index = next(k for k, (obs, _) in enumerate(observations) if factor not in obs)
+            raise StatError(f"observation {index} has no factor {factor!r}") from None
+        names, code = np.unique(labels, return_inverse=True)
+        if len(names) < 2:
+            raise StatError(f"factor {factor!r} needs at least 2 levels")
+        coded[factor] = (names.tolist(), code)
+    shape = tuple(len(names) for names, _ in coded.values())
+    cells = np.ravel_multi_index([code for _, code in coded.values()], shape)
+    counts = np.bincount(cells, minlength=math.prod(shape))
+    if counts.min() == 0:
+        cell = np.unravel_index(int(np.argmin(counts)), shape)
+        raise EmptyCellError(f"empty cell { {f: coded[f][0][c] for f, c in zip(factors, cell)} }")
+
+    resid = y.astype(float) - y.mean()
+    tiny = 1e-12 * max(float(resid @ resid), 1.0)
+    basis = np.full((n, 1), 1.0 / math.sqrt(n))
+    rank_tol = np.finfo(float).eps * n * math.sqrt(n)  # design columns have norm <= sqrt(n)
+    fits: list[tuple[float, int]] = []
     for term in terms:
-        blocks.append(
-            np.array([_term_columns(term, levels, obs) for obs, _ in observations], dtype=float)
-        )
-
-    rss: list[float] = []
-    ranks: list[int] = []
-    for k in range(1, len(blocks) + 1):
-        design = np.hstack(blocks[:k])
-        _, residual, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        if residual.size:
-            rss_k = float(residual[0])
-        else:
-            fitted = design @ np.linalg.lstsq(design, y, rcond=None)[0]
-            rss_k = float(np.sum((y - fitted) ** 2))
-        rss.append(rss_k)
-        ranks.append(int(rank))
-
-    ss_total = float(np.sum((y - y.mean()) ** 2))
-    rss_full = rss[-1]
-    df_resid = n - ranks[-1]
+        block = np.ones((n, 1))
+        for factor in term:
+            names, code = coded[factor]
+            dummy = code[:, None] == np.arange(1, len(names))  # treatment coding, first level as reference
+            block = (block[:, :, None] * dummy[:, None, :]).reshape(n, -1)
+        for _ in range(2):  # the second pass removes what rounding left of earlier terms
+            block = block - basis @ (basis.T @ block)
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        u = u[:, s > rank_tol]
+        coef = u.T @ resid
+        resid = resid - u @ coef
+        fits.append((float(coef @ coef), u.shape[1]))
+        basis = np.hstack([basis, u])
+    df_resid = n - basis.shape[1]
     if df_resid <= 0:
         raise StatError("no residual degrees of freedom (need replication within cells)")
-    ms_resid = rss_full / df_resid
-
-    tiny = 1e-12 * max(ss_total, 1.0)
+    ms_resid = float(resid @ resid) / df_resid
     results = []
-    for i, term in enumerate(terms):
-        ss_term = max(rss[i] - rss[i + 1], 0.0)
-        df_term = ranks[i + 1] - ranks[i]
-        if df_term <= 0:
+    for term, (ss_term, df_term) in zip(terms, fits):
+        if df_term == 0:
             raise StatError(f"term {term} adds no estimable contrasts")
-        name = ":".join(term)
         if ss_term <= tiny:
             f_value, p = 0.0, 1.0
         elif ms_resid <= tiny:
@@ -255,7 +254,7 @@ def anova(
         else:
             f_value = (ss_term / df_term) / ms_resid
             p = f_sf(f_value, df_term, df_resid)
-        results.append(StatResult(name=name, value=f_value, df=(df_term, df_resid), p_value=p))
+        results.append(StatResult(name=":".join(term), value=f_value, df=(df_term, df_resid), p_value=p))
     return results
 
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from conftest import DATA_DIR
@@ -17,6 +19,7 @@ from gesturec.analysis import (
     why_category_table,
 )
 from gesturec.errors import DomainError, EmptyCellError, StatError
+from gesturec.special import f_sf
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +324,137 @@ def test_anova_p_values_in_range():
     observations, factors, _ = _balanced_dataset(rng)
     for result in anova(observations, factors, FULL_MODEL):
         assert 0.0 <= result.p_value <= 1.0
+
+
+def nested_lstsq_anova(observations, factors, interactions=()):
+    """Reference Type I ANOVA: the residual-sum reductions of nested
+    least-squares fits, with the design built one observation at a time.
+    Returns ``{name: (F, p, df)}``."""
+    terms = [(f,) for f in factors] + [tuple(i) for i in interactions]
+    levels = {f: sorted({str(obs[f]) for obs, _ in observations}) for f in factors}
+
+    def columns(term, obs):
+        cols = [1.0]
+        for factor in term:
+            dummies = [1.0 if str(obs[factor]) == level else 0.0 for level in levels[factor][1:]]
+            cols = [c * d for c in cols for d in dummies]
+        return cols
+
+    y = np.array([response for _, response in observations], dtype=float)
+    blocks = [np.ones((len(y), 1))] + [
+        np.array([columns(term, obs) for obs, _ in observations]) for term in terms
+    ]
+    rss, ranks = [], []
+    for k in range(1, len(blocks) + 1):
+        design = np.hstack(blocks[:k])
+        coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        rss.append(float(np.sum((y - design @ coef) ** 2)))
+        ranks.append(int(rank))
+    df_resid = len(y) - ranks[-1]
+    ms_resid = rss[-1] / df_resid
+    out = {}
+    for i, term in enumerate(terms):
+        df_term = ranks[i + 1] - ranks[i]
+        f_value = ((rss[i] - rss[i + 1]) / df_term) / ms_resid
+        out[":".join(term)] = (f_value, f_sf(f_value, df_term, df_resid), (df_term, df_resid))
+    return out
+
+
+def _unbalanced_dataset(rng):
+    observations = []
+    for p, g, s in itertools.product(("p0", "p1"), ("g0", "g1"), ("s0", "s1", "s2")):
+        for _ in range(rng.randint(2, 6)):
+            shift = (0.8 if p == "p1" else 0.0) + (0.5 if g == "g1" else 0.0) + int(s[1]) * 0.3
+            observations.append(({"personality": p, "gender": g, "story": s}, shift + rng.gauss(0.0, 1.0)))
+    return observations
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_anova_matches_nested_lstsq_reference_on_unbalanced_data(seed):
+    observations = _unbalanced_dataset(random.Random(seed))
+    by_order = {}
+    for order in (("personality", "gender", "story"), ("story", "gender", "personality")):
+        interactions = tuple(itertools.combinations(order, 2)) + (order,)
+        expected = nested_lstsq_anova(observations, order, interactions)
+        results = anova(observations, order, interactions)
+        assert [r.name for r in results] == list(expected)
+        for r in results:
+            f_value, p, df = expected[r.name]
+            assert r.df == df, r.name
+            assert r.value == pytest.approx(f_value, rel=1e-9, abs=1e-9), r.name
+            assert r.p_value == pytest.approx(p, rel=1e-9, abs=1e-9), r.name
+        by_order[order] = {r.name: r.value for r in results}
+    first, second = by_order.values()
+    # unbalanced: a main effect's sum of squares depends on what precedes it
+    assert first["personality"] != pytest.approx(second["personality"], rel=1e-6)
+    assert first["story"] != pytest.approx(second["story"], rel=1e-6)
+
+
+def test_anova_compares_levels_by_their_string():
+    rng = random.Random(12)
+    observations, factors, _ = _balanced_dataset(rng, shape=(2, 2, 3), per_cell=3)
+    as_strings = [({f: level[1:] for f, level in obs.items()}, y) for obs, y in observations]
+    as_ints = [({f: int(level) for f, level in obs.items()}, y) for obs, y in as_strings]
+    mixed = [pair[i % 2] for i, pair in enumerate(zip(as_ints, as_strings))]
+    expected = [(r.name, r.value, r.df) for r in anova(as_strings, factors, FULL_MODEL)]
+    for data in (as_ints, mixed):
+        got = [(r.name, r.value, r.df) for r in anova(data, factors, FULL_MODEL)]
+        assert [g[0] for g in got] == [e[0] for e in expected]
+        for (_, value, df), (_, want, want_df) in zip(got, expected):
+            assert df == want_df
+            assert value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "interactions, offender",
+    [
+        ((("gender", "gender"),), "('gender', 'gender')"),
+        ((("personality", "gender"), ("personality", "gender")), "('personality', 'gender')"),
+        ((("personality", "gender"), ("gender", "personality")), "('gender', 'personality')"),
+        (((),), "()"),
+    ],
+)
+def test_anova_term_without_new_contrasts(interactions, offender):
+    rng = random.Random(13)
+    observations, factors, _ = _balanced_dataset(rng, shape=(2, 2, 2), per_cell=3)
+    with pytest.raises(StatError, match=re.escape(f"term {offender} adds no estimable contrasts")):
+        anova(observations, factors, interactions)
+
+
+def test_anova_names_bad_factors():
+    rng = random.Random(14)
+    observations, factors, _ = _balanced_dataset(rng, shape=(2, 2, 2), per_cell=3)
+    with pytest.raises(StatError, match="names 'age', which is not a factor"):
+        anova(observations, factors, (("personality", "age"),))
+    with pytest.raises(StatError, match="factor 'personality' is listed twice"):
+        anova(observations, ("personality", "personality", "gender"))
+    missing = list(observations)
+    missing[4] = ({"personality": "p0", "gender": "g0"}, 1.0)
+    with pytest.raises(StatError, match="observation 4 has no factor 'story'"):
+        anova(missing, factors)
+    with pytest.raises(StatError, match="no factors"):
+        anova(observations, ())
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, "3", None, [1.0], [[1.0], [1.0, 2.0]], 10**400],
+    ids=["nan", "inf", "-inf", "str", "None", "list", "ragged", "huge-int"],
+)
+def test_anova_rejects_responses_that_are_not_finite_numbers(bad):
+    rng = random.Random(15)
+    observations, factors, _ = _balanced_dataset(rng, shape=(2, 2, 2), per_cell=3)
+    observations[5] = (observations[5][0], bad)
+    with pytest.raises(StatError, match="observation 5: response .* is not a finite real number"):
+        anova(observations, factors)
+
+
+def test_anova_accepts_integer_and_numpy_responses():
+    rng = random.Random(16)
+    observations, factors, _ = _balanced_dataset(rng, shape=(2, 2, 2), per_cell=3)
+    rounded = [(obs, round(y * 10)) for obs, y in observations]
+    expected = [r.value for r in anova([(obs, float(y)) for obs, y in rounded], factors)]
+    for data in (rounded, [(obs, np.int64(y)) for obs, y in rounded], [(obs, np.float32(y)) for obs, y in rounded]):
+        assert [r.value for r in anova(data, factors)] == pytest.approx(expected, rel=1e-12)
 
 
 # --- why categories --------------------------------------------------------
