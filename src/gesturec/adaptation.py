@@ -19,9 +19,9 @@ apply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
-from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn
+from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, copy_with
 from .errors import DomainError, PlanError
 
 
@@ -60,7 +60,7 @@ def _nonadapted(ann: GestureAnnotation) -> GestureAnnotation | None:
         return None
     if ann.alternative is not None:
         alt = ann.alternative
-        return replace(
+        return copy_with(
             ann,
             gesture_name=alt.gesture_name,
             hand=alt.hand,
@@ -71,7 +71,7 @@ def _nonadapted(ann: GestureAnnotation) -> GestureAnnotation | None:
             alt_features=None,
         )
     if ann.form_copied:
-        return replace(ann, form_copied=False)
+        return copy_with(ann, form_copied=False)
     return ann
 
 
@@ -89,11 +89,11 @@ def _adapted(ann: GestureAnnotation, spec: AdaptationSpec) -> GestureAnnotation:
         speed=f.speed * spec.speed_factor,
         scale=f.scale * spec.scale_factor,
     )
-    return replace(ann, alternative=None, features=adapted_features, alt_features=None)
+    return copy_with(ann, alternative=None, features=adapted_features, alt_features=None)
 
 
 def _nonadapted_turn(turn: Turn) -> Turn:
-    return replace(turn, annotations=[r for a in turn.annotations if (r := _nonadapted(a)) is not None])
+    return copy_with(turn, annotations=[r for a in turn.annotations if (r := _nonadapted(a)) is not None])
 
 
 def resolve_variant(dialog: AnnotatedDialog, spec: AdaptationSpec = AdaptationSpec()) -> AnnotatedDialog:
@@ -105,7 +105,7 @@ def resolve_variant(dialog: AnnotatedDialog, spec: AdaptationSpec = AdaptationSp
         raise PlanError("dialog has no turns")
     *context, response = dialog.turns
     turns = [_nonadapted_turn(t) for t in context]
-    turns.append(replace(response, annotations=[_adapted(a, spec) for a in response.annotations]))
+    turns.append(copy_with(response, annotations=[_adapted(a, spec) for a in response.annotations]))
     return AnnotatedDialog(story_id=dialog.story_id, turns=turns, audio_duration=dialog.audio_duration)
 
 

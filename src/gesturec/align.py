@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .dsl import AnnotatedDialog, Turn
+from .dsl import AnnotatedDialog, Turn, copy_with
 from .errors import (
     NoFollowingWordError,
     StrokeCollisionError,
@@ -30,8 +31,7 @@ from .errors import (
 DEFAULT_LEAD_S = 0.2
 
 
-@dataclass(frozen=True)
-class TimedWord:
+class TimedWord(NamedTuple):
     turn_index: int
     word: str
     onset: float
@@ -55,9 +55,9 @@ def parse_word_timings(source: str) -> WordTimingTrack:
     entries: list[TimedWord] = []
     last_overall = 0.0
     by_turn: dict[int, list[float]] = {}
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        stripped = line.lstrip()
+        if not stripped or stripped[0] == "#":
             continue
         parts = line.split("\t")
         if len(parts) != 3:
@@ -79,7 +79,7 @@ def parse_word_timings(source: str) -> WordTimingTrack:
             raise TimingOrderError(f"line {lineno}: onset {onset} not increasing within turn {turn_index}")
         last_overall = onset
         onsets.append(onset)
-        entries.append(TimedWord(turn_index=turn_index, word=word, onset=onset))
+        entries.append(TimedWord(turn_index, word, onset))
     if not entries:
         raise TimingError("timing track has no entries")
     return WordTimingTrack(
@@ -125,8 +125,8 @@ def align_strokes(
                     f"turn {turn.index}: aligned strokes collide at {begin_ms / 1000:.3f}s"
                 )
             last_ms = begin_ms
-            new_annotations.append(replace(ann, stroke_begin=begin_ms / 1000))
-        new_turns.append(replace(turn, annotations=new_annotations))
+            new_annotations.append(copy_with(ann, stroke_begin=begin_ms / 1000))
+        new_turns.append(copy_with(turn, annotations=new_annotations))
     return AnnotatedDialog(
         story_id=dialog.story_id, turns=new_turns, audio_duration=dialog.audio_duration
     )

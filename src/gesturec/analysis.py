@@ -165,6 +165,11 @@ def one_sample_ttest(values: Sequence[float], mu: float) -> StatResult:
     n = len(values)
     if n < 2:
         raise StatError(f"need at least 2 values, got {n}")
+    for index, value in enumerate(values):
+        if not math.isfinite(value):
+            raise StatError(f"value {index} is {value!r}, not a finite number")
+    if not math.isfinite(mu):
+        raise StatError(f"mu is {mu!r}, not a finite number")
     mean = sum(values) / n
     ss = sum((v - mean) ** 2 for v in values)
     if ss == 0.0:

@@ -25,16 +25,19 @@ annotations and may not appear in turn text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import AnnotationOrderError, DialogParseError
 
 SPEAKERS = ("A", "B")
 HANDS = ("LH", "RH", "2H")
+# A gesture name, in dialogs and in scripts (see docs/script.schema.json).
+GESTURE_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 
 _TURN_RE = re.compile(r"^([A-Za-z]+)(\d+):\s*(.*)$")
 _ANNOT_RE = re.compile(r"\[(\d+(?:\.\d+)?)s\](\*)?\(([^()]*)\)")
-_VARIANT_RE = re.compile(rf"^(!)?([A-Za-z_][A-Za-z0-9_]*)\s*,\s*({'|'.join(HANDS)})\s+(\d+(?:\.\d+)?)s$")
+_VARIANT_RE = re.compile(rf"^(!)?({GESTURE_NAME})\s*,\s*({'|'.join(HANDS)})\s+(\d+(?:\.\d+)?)s$")
 
 # A token ends a sentence when it closes with terminal punctuation,
 # optionally followed by closing quotes.  Mid-token punctuation ("old...a")
@@ -92,6 +95,33 @@ class Turn:
     index: int  # global 1-based position in the dialog
     text: str
     annotations: list[GestureAnnotation]
+
+
+# Per record class: a getter of all its fields in declaration order, and
+# each field's position in that order.
+_RECORD_FIELDS = {
+    cls: (attrgetter(*cls.__dataclass_fields__), {name: i for i, name in enumerate(cls.__dataclass_fields__)})
+    for cls in (GestureAnnotation, Turn)
+}
+
+
+def copy_with(record, **changes):
+    """A shallow copy of a dialog record (a :class:`GestureAnnotation` or a
+    :class:`Turn`) with ``changes`` applied, as :func:`dataclasses.replace`
+    makes it.  A name that is not a field of the record raises ``TypeError``.
+
+    The fields go to ``__init__`` by position, so each must be an init field
+    that is not keyword-only.  They are read with ``getattr``: reading
+    ``__dict__`` instead makes every later attribute read of both records
+    several times slower on CPython 3.11."""
+    cls = type(record)
+    getter, position = _RECORD_FIELDS[cls]
+    values = list(getter(record))
+    for name, value in changes.items():
+        if name not in position:
+            raise TypeError(f"{cls.__name__} has no field {name!r}")
+        values[position[name]] = value
+    return cls(*values)
 
 
 @dataclass
@@ -295,5 +325,5 @@ def segment_sentences(turn: Turn) -> list[tuple[str, list[GestureAnnotation]]]:
 
 def truncate_dialog(dialog: AnnotatedDialog, n_turns: int) -> AnnotatedDialog:
     """First ``n_turns`` turns with the original audio reference."""
-    turns = [replace(t, annotations=list(t.annotations)) for t in dialog.turns[:n_turns]]
+    turns = [copy_with(t, annotations=list(t.annotations)) for t in dialog.turns[:n_turns]]
     return AnnotatedDialog(story_id=dialog.story_id, turns=turns, audio_duration=dialog.audio_duration)

@@ -24,19 +24,22 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
-from .dsl import HANDS
+from .dsl import GESTURE_NAME, HANDS, SPEAKERS
 from .errors import EmitError, ScriptError
 from .scheduler import ARMS, KINDS, STROKE, Timeline, format_seconds, validate_timeline
 
 FEATURES = ("expanse", "height", "outward", "speed", "scale")
 
 _TEXT_MAGIC = "# gesture-script v1"
+_GESTURE_RE = re.compile(GESTURE_NAME)
 
 
-@dataclass(frozen=True)
-class ScriptEvent:
+class ScriptEvent(NamedTuple):
     start: int  # ms
     end: int  # ms
     kind: str
@@ -64,6 +67,9 @@ class ScriptDocument:
     events: tuple[ScriptEvent, ...]
 
 
+_EVENT_ORDER = itemgetter(0, 3, 2)  # (start, arm, kind)
+
+
 def document_from_timeline(timeline: Timeline) -> ScriptDocument:
     """Flatten a timeline into canonical event records; features are
     rounded to 3 decimals here."""
@@ -71,27 +77,15 @@ def document_from_timeline(timeline: Timeline) -> ScriptDocument:
     for arm in ARMS:
         for phase in timeline.tracks[arm].phases:
             if phase.kind == STROKE:
-                f = phase.features
-                events.append(
-                    ScriptEvent(
-                        start=phase.start,
-                        end=phase.end,
-                        kind=phase.kind,
-                        arm=arm,
-                        gesture=phase.gesture.gesture_name,
-                        hand=phase.gesture.hand,
-                        expanse=round(f.expanse_cm, 3),
-                        height=round(f.height_cm, 3),
-                        outward=round(f.outwardness_cm, 3),
-                        speed=round(f.speed, 3),
-                        scale=round(f.scale, 3),
-                    )
-                )
+                g, f = phase.gesture, phase.features
+                events.append(ScriptEvent(
+                    phase.start, phase.end, STROKE, arm, g.gesture_name, g.hand,
+                    round(f.expanse_cm, 3), round(f.height_cm, 3), round(f.outwardness_cm, 3),
+                    round(f.speed, 3), round(f.scale, 3),
+                ))
             else:
-                events.append(
-                    ScriptEvent(start=phase.start, end=phase.end, kind=phase.kind, arm=arm)
-                )
-    events.sort(key=lambda e: (e.start, e.arm, e.kind))
+                events.append(ScriptEvent(phase.start, phase.end, phase.kind, arm))
+    events.sort(key=_EVENT_ORDER)
     header = ScriptHeader(
         story_id=timeline.story_id,
         speaker=timeline.speaker,
@@ -101,17 +95,12 @@ def document_from_timeline(timeline: Timeline) -> ScriptDocument:
     return ScriptDocument(header=header, events=tuple(events))
 
 
-def _json_event(e: ScriptEvent) -> str:
-    parts = [
-        f'"start": {format_seconds(e.start)}',
-        f'"end": {format_seconds(e.end)}',
-        f'"kind": {json.dumps(e.kind)}',
-        f'"arm": {json.dumps(e.arm)}',
-    ]
-    if e.kind == STROKE:
-        parts += [f'"gesture": {json.dumps(e.gesture)}', f'"hand": {json.dumps(e.hand)}']
-        parts += [f'"{name}": {getattr(e, name):.3f}' for name in FEATURES]
-    return "    {" + ", ".join(parts) + "}"
+# Vocabulary words need no JSON escaping; any other string goes through json.dumps.
+_JSON_WORDS = {word: f'"{word}"' for word in KINDS + ARMS + HANDS}
+
+
+def _json_string(value) -> str:
+    return _JSON_WORDS.get(value) or json.dumps(value)
 
 
 def emit_document(document: ScriptDocument, format: str = "json") -> bytes:
@@ -127,7 +116,22 @@ def emit_document(document: ScriptDocument, format: str = "json") -> bytes:
             "},",
             '  "events": [',
         ]
-        lines.append(",\n".join(_json_event(e) for e in document.events))
+        events = []
+        for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in document.events:
+            if kind == STROKE:
+                events.append(
+                    f'    {{"start": {format_seconds(start)}, "end": {format_seconds(end)}, '
+                    f'"kind": "stroke", "arm": {_json_string(arm)}, '
+                    f'"gesture": {json.dumps(gesture)}, "hand": {_json_string(hand)}, '
+                    f'"expanse": {expanse:.3f}, "height": {height:.3f}, "outward": {outward:.3f}, '
+                    f'"speed": {speed:.3f}, "scale": {scale:.3f}}}'
+                )
+            else:
+                events.append(
+                    f'    {{"start": {format_seconds(start)}, "end": {format_seconds(end)}, '
+                    f'"kind": {_json_string(kind)}, "arm": {_json_string(arm)}}}'
+                )
+        lines.append(",\n".join(events))
         lines += ["  ]", "}", ""]
         return "\n".join(lines).encode("utf-8")
     if format == "text":
@@ -138,12 +142,14 @@ def emit_document(document: ScriptDocument, format: str = "json") -> bytes:
             f"# audio: {format_seconds(h.audio_ms)}",
             f"# config: {h.config_fingerprint}",
         ]
-        for e in document.events:
-            if e.kind == STROKE:
-                tail = " ".join([f"{e.gesture}:{e.hand}"] + [f"{getattr(e, name):.3f}" for name in FEATURES])
+        for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in document.events:
+            if kind == STROKE:
+                lines.append(
+                    f"{format_seconds(start)} {format_seconds(end)} {kind} {arm} {gesture}:{hand} "
+                    f"{expanse:.3f} {height:.3f} {outward:.3f} {speed:.3f} {scale:.3f}"
+                )
             else:
-                tail = "- - - - - -"
-            lines.append(f"{format_seconds(e.start)} {format_seconds(e.end)} {e.kind} {e.arm} {tail}")
+                lines.append(f"{format_seconds(start)} {format_seconds(end)} {kind} {arm} - - - - - -")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise EmitError(f"unknown script format {format!r}")
 
@@ -203,6 +209,10 @@ def _event(path: str, start, end, kind: str, arm: str, gesture=None, hand=None, 
     _require(e.start >= 0, "start must be >= 0", f"{path}.start")
     if e.kind == STROKE:
         _require(bool(e.gesture), "stroke events need a gesture", f"{path}.gesture")
+        _require(
+            isinstance(e.gesture, str) and _GESTURE_RE.fullmatch(e.gesture) is not None,
+            f"gesture {e.gesture!r} is not a gesture name", f"{path}.gesture",
+        )
         _require(e.hand in HANDS, f"unknown hand {e.hand!r}", f"{path}.hand")
         for name in FEATURES:
             _require(getattr(e, name) is not None, f"stroke events need {name}", f"{path}.{name}")
@@ -220,8 +230,21 @@ def _float(text: str, message: str, path: str) -> float:
         raise ScriptError(message, path=path) from None
 
 
+def _header_line(value, key: str) -> str:
+    """A header string that the text form writes on one line and reads back as is."""
+    _require(
+        isinstance(value, str) and value == value.strip() and len(value.splitlines()) <= 1,
+        "expected a string with no line break and no leading or trailing whitespace",
+        f"header.{key}",
+    )
+    return value
+
+
 def _header(story, speaker, audio, config) -> ScriptHeader:
-    return ScriptHeader(str(story), str(speaker), _check_ms(audio, "header.audio"), str(config))
+    _require(speaker in SPEAKERS, f"unknown speaker {speaker!r}", "header.speaker")
+    return ScriptHeader(
+        _header_line(story, "story"), speaker, _check_ms(audio, "header.audio"), _header_line(config, "config")
+    )
 
 
 def _read_json(data: bytes) -> ScriptDocument:

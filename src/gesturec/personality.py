@@ -13,10 +13,10 @@ published values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .catalog import GestureCatalog, lookup
-from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, segment_sentences
+from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, copy_with, segment_sentences
 from .errors import DomainError
 
 EXTRAVERSION_MIN = 1.0
@@ -129,7 +129,7 @@ def apply_personality(
     new_turns: list[Turn] = []
     for turn in dialog.turns:
         if turn.speaker != speaker:
-            new_turns.append(turn)
+            new_turns.append(copy_with(turn, annotations=list(turn.annotations)))
             continue
         to_drop: set[int] = set()
         for _, bucket in segment_sentences(turn):
@@ -144,8 +144,8 @@ def apply_personality(
                 if ann.alternative is not None
                 else None
             )
-            kept.append(replace(ann, features=features, alt_features=alt_features))
-        new_turns.append(replace(turn, annotations=kept))
+            kept.append(copy_with(ann, features=features, alt_features=alt_features))
+        new_turns.append(copy_with(turn, annotations=kept))
     return AnnotatedDialog(
         story_id=dialog.story_id, turns=new_turns, audio_duration=dialog.audio_duration
     )

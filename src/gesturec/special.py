@@ -57,9 +57,9 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 def betainc(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
-    if a <= 0 or b <= 0:
-        raise DomainError(f"betainc requires a, b > 0, got a={a}, b={b}")
-    if x < 0 or x > 1:
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise DomainError(f"betainc requires finite a, b > 0, got a={a}, b={b}")
+    if not 0 <= x <= 1:
         raise DomainError(f"betainc requires 0 <= x <= 1, got x={x}")
     if x == 0.0:
         return 0.0
@@ -78,8 +78,10 @@ def betainc(a: float, b: float, x: float) -> float:
 
 def student_t_two_tailed(t: float, df: float) -> float:
     """P(|T| >= |t|) for T ~ Student t with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise DomainError(f"degrees of freedom must be > 0, got {df}")
+    if not 0 < df < math.inf:
+        raise DomainError(f"degrees of freedom must be finite and > 0, got {df}")
+    if math.isnan(t):
+        raise DomainError(f"t must not be NaN, got {t}")
     if t == 0.0:
         return 1.0
     x = df / (df + t * t)
@@ -88,8 +90,10 @@ def student_t_two_tailed(t: float, df: float) -> float:
 
 def f_sf(f: float, df1: float, df2: float) -> float:
     """Upper tail P(F > f) for F ~ F(df1, df2)."""
-    if df1 <= 0 or df2 <= 0:
-        raise DomainError(f"degrees of freedom must be > 0, got ({df1}, {df2})")
+    if not (0 < df1 < math.inf and 0 < df2 < math.inf):
+        raise DomainError(f"degrees of freedom must be finite and > 0, got ({df1}, {df2})")
+    if math.isnan(f):
+        raise DomainError(f"F must not be NaN, got {f}")
     if f <= 0:
         return 1.0
     if math.isinf(f):

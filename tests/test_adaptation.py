@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -25,6 +27,25 @@ def prepared_b2(protest_dialog, protest_track, catalog):
     for speaker in ("A", "B"):
         dialog = apply_personality(dialog, speaker, EXTRAVERT_ANCHOR, catalog)
     return dialog
+
+
+@pytest.mark.parametrize("stage", ["align", "personality-A", "personality-B", "resolve", "strip"])
+def test_stages_leave_their_input_unchanged_and_unshared(stage, protest_dialog, protest_track, catalog):
+    prepared = align_strokes(protest_dialog, protest_track)
+    for speaker in ("A", "B"):
+        prepared = apply_personality(prepared, speaker, EXTRAVERT_ANCHOR, catalog)
+    run, dialog = {
+        "align": (lambda d: align_strokes(d, protest_track), protest_dialog),
+        "personality-A": (lambda d: apply_personality(d, "A", EXTRAVERT_ANCHOR, catalog), protest_dialog),
+        "personality-B": (lambda d: apply_personality(d, "B", EXTRAVERT_ANCHOR, catalog), prepared),
+        "resolve": (resolve_variant, prepared),
+        "strip": (strip_adaptation, prepared),
+    }[stage]
+    before = copy.deepcopy(dialog)
+    result = run(dialog)
+    assert asdict(dialog) == asdict(before)  # features included, though they take no part in ==
+    inputs = {id(turn.annotations) for turn in dialog.turns}
+    assert not any(id(turn.annotations) in inputs for turn in result.turns)
 
 
 def test_spec_validation():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import make_aligned_pair
-from gesturec.align import align_strokes, parse_word_timings
+from gesturec.align import TimedWord, align_strokes, parse_word_timings
 from gesturec.dsl import AnnotatedDialog, GestureAnnotation, Turn, parse_dialog
 from gesturec.errors import (
     NoFollowingWordError,
@@ -22,6 +22,16 @@ def test_parse_single_line():
     track = parse_word_timings("1\tHey\t2.10\n")
     entry = track.entries[0]
     assert (entry.turn_index, entry.word, entry.onset) == (1, "Hey", 2.10)
+
+
+def test_timed_word_is_value_object():
+    word = parse_word_timings("1\tHey\t2.10\n").entries[0]
+    assert word == TimedWord(turn_index=1, word="Hey", onset=2.10)
+    assert word != TimedWord(1, "Hey", 2.11)
+    assert hash(word) == hash(TimedWord(1, "Hey", 2.10))
+    assert len({word, TimedWord(1, "Hey", 2.10)}) == 1
+    with pytest.raises(AttributeError):
+        word.onset = 0.0
 
 
 def test_parse_empty_file():

@@ -138,6 +138,23 @@ def test_ttest_needs_two_values():
         one_sample_ttest([50.0], 50.0)
 
 
+@pytest.mark.parametrize(
+    "values, mu, named",
+    [
+        ([math.nan, 1.0, 2.0], 50.0, "value 0 is nan"),
+        ([1.0, 2.0, math.inf], 50.0, "value 2 is inf"),
+        ([1.0, -math.inf, 2.0], 50.0, "value 1 is -inf"),
+        ([1.0, 2.0, 3.0], math.nan, "mu is nan"),
+        ([1.0, 2.0, 3.0], math.inf, "mu is inf"),
+    ],
+    ids=["nan", "inf", "-inf", "mu-nan", "mu-inf"],
+)
+def test_ttest_rejects_non_finite_input(values, mu, named):
+    with pytest.raises(StatError) as err:
+        one_sample_ttest(values, mu)
+    assert named in str(err.value)
+
+
 def test_ttest_symmetric_sample():
     result = one_sample_ttest([49.0, 51.0], 50.0)
     assert result.value == 0.0

@@ -12,6 +12,7 @@ from gesturec.dsl import (
     AnnotatedDialog,
     GestureAnnotation,
     Turn,
+    copy_with,
     format_dialog,
     parse_dialog,
     segment_sentences,
@@ -179,3 +180,19 @@ def test_trailing_annotation_lands_in_last_sentence():
     buckets = segment_sentences(dialog.turns[0])
     assert [len(anns) for _, anns in buckets] == [0, 1]
     assert parse_dialog(format_dialog(dialog)).turns[0].annotations[0].word_index == 4
+
+
+def test_copy_with_copies_every_field_and_rejects_unknown_names():
+    ann = GestureAnnotation(1.0, "Cup", "RH", 0.46, alternative=Alternative("Reject", "LH", 0.4), word_index=2)
+    ann.features = object()
+    moved = copy_with(ann, stroke_begin=1.5)
+    assert moved is not ann and type(moved) is GestureAnnotation
+    assert vars(moved) == {**vars(ann), "stroke_begin": 1.5}
+    assert ann.stroke_begin == 1.0 and moved.stroke_end == 1.96
+    turn = Turn("A", 1, "one", [ann])
+    copied = copy_with(turn, annotations=[moved])
+    assert (copied.speaker, copied.index, copied.text, copied.annotations) == ("A", 1, "one", [moved])
+    assert turn.annotations == [ann]
+    for record, name in ((ann, "begin"), (turn, "turns"), (ann, "stroke_end")):
+        with pytest.raises(TypeError, match=repr(name)):
+            copy_with(record, **{name: 1})

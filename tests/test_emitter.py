@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import DATA_DIR, make_stroke_dialog
 from gesturec.align import align_strokes, parse_word_timings
 from gesturec.emitter import (
+    FEATURES,
     ScriptEvent,
     document_from_timeline,
     emit_document,
@@ -19,7 +20,7 @@ from gesturec.emitter import (
 from gesturec.errors import EmitError, ScriptError
 from gesturec.personality import EXTRAVERT_ANCHOR, apply_personality
 from gesturec.pipeline import PipelineSettings, compile_dialog
-from gesturec.scheduler import ArmTrack, GesturePhase, Timeline, schedule
+from gesturec.scheduler import STROKE, ArmTrack, GesturePhase, Timeline, format_seconds, schedule
 
 SHIPPED = {
     path.stem: (
@@ -28,6 +29,53 @@ SHIPPED = {
     )
     for path in sorted((DATA_DIR / "stories").glob("*.dialog"))
 }
+
+
+def _reference_json_event(e: ScriptEvent) -> str:
+    parts = [
+        f'"start": {format_seconds(e.start)}',
+        f'"end": {format_seconds(e.end)}',
+        f'"kind": {json.dumps(e.kind)}',
+        f'"arm": {json.dumps(e.arm)}',
+    ]
+    if e.kind == STROKE:
+        parts += [f'"gesture": {json.dumps(e.gesture)}', f'"hand": {json.dumps(e.hand)}']
+        parts += [f'"{name}": {getattr(e, name):.3f}' for name in FEATURES]
+    return "    {" + ", ".join(parts) + "}"
+
+
+def reference_render(document, format: str) -> bytes:
+    """The renderer field by field (``getattr``, ``json.dumps`` and
+    ``format_seconds`` per field): the oracle for ``emit_document``."""
+    h = document.header
+    if format == "json":
+        lines = [
+            "{",
+            '  "header": {'
+            f'"story": {json.dumps(h.story_id)}, '
+            f'"speaker": {json.dumps(h.speaker)}, '
+            f'"audio": {format_seconds(h.audio_ms)}, '
+            f'"config": {json.dumps(h.config_fingerprint)}'
+            "},",
+            '  "events": [',
+        ]
+        lines.append(",\n".join(_reference_json_event(e) for e in document.events))
+        lines += ["  ]", "}", ""]
+        return "\n".join(lines).encode("utf-8")
+    lines = [
+        "# gesture-script v1",
+        f"# story: {h.story_id}",
+        f"# speaker: {h.speaker}",
+        f"# audio: {format_seconds(h.audio_ms)}",
+        f"# config: {h.config_fingerprint}",
+    ]
+    for e in document.events:
+        if e.kind == STROKE:
+            tail = " ".join([f"{e.gesture}:{e.hand}"] + [f"{getattr(e, name):.3f}" for name in FEATURES])
+        else:
+            tail = "- - - - - -"
+        lines.append(f"{format_seconds(e.start)} {format_seconds(e.end)} {e.kind} {e.arm} {tail}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 @pytest.fixture()
@@ -114,6 +162,38 @@ def test_shipped_stories_round_trip_at_any_extraversion(catalog, a, b, story, va
             assert emit_document(read_script(blob), fmt) == blob
 
 
+@pytest.mark.parametrize("variant", [None, "adapted", "nonadapted"])
+@pytest.mark.parametrize("story", sorted(SHIPPED))
+@given(a=st.floats(min_value=1.0, max_value=7.0), b=st.floats(min_value=1.0, max_value=7.0))
+@settings(max_examples=10, deadline=None)
+def test_render_matches_reference_renderer(catalog, story, variant, a, b):
+    source, track = SHIPPED[story]
+    lenient = PipelineSettings(extraversion={"A": a, "B": b}, strict=False)
+    result = compile_dialog(source, catalog, timings=track, settings=lenient, variant=variant)
+    for speaker in ("A", "B"):
+        document = document_from_timeline(result.schedule.for_speaker(speaker))
+        for fmt in ("json", "text"):
+            assert emit_document(document, fmt) == reference_render(document, fmt)
+
+
+def test_render_matches_reference_renderer_on_escaped_strings():
+    header = {"story": 'say "hi" \\ café ✓', "speaker": "B", "audio": 5.0, "config": "cfg\t\u00e9\"x"}
+    events = [
+        {"start": 0.7, "end": 1.0, "kind": "prep", "arm": "left"},
+        {"start": 1.0, "end": 1.46, "kind": "stroke", "arm": "left", "gesture": "Cup_2", "hand": "2H",
+         "expanse": 25.0, "height": -0.5, "outward": 20.125, "speed": 1.25, "scale": 0.8},
+        {"start": 1.0, "end": 1.46, "kind": "stroke", "arm": "right", "gesture": "Cup_2", "hand": "2H",
+         "expanse": 25.0, "height": -0.5, "outward": 20.125, "speed": 1.25, "scale": 0.8},
+        {"start": 1.46, "end": 1.96, "kind": "retract", "arm": "left"},
+    ]
+    document = read_script(json.dumps({"header": header, "events": events}).encode())
+    assert document.header.story_id == header["story"]
+    for fmt in ("json", "text"):
+        blob = emit_document(document, fmt)
+        assert blob == reference_render(document, fmt)
+        assert read_script(blob) == document
+
+
 def test_invalid_timeline_rejected():
     timeline = Timeline(
         speaker="A",
@@ -175,6 +255,49 @@ def test_non_finite_numbers_rejected(field, bad):
     assert "finite" in str(err.value)
 
 
+def _stroke_document(**changes) -> bytes:
+    header = {"story": "x", "speaker": "A", "audio": 5.0, "config": "c"}
+    event = {"start": 1.0, "end": 2.0, "kind": "stroke", "arm": "right", "gesture": "Cup", "hand": "RH",
+             "expanse": 25.0, "height": 0.0, "outward": 20.0, "speed": 1.0, "scale": 1.0}
+    for key, value in changes.items():
+        (header if key in header else event)[key] = value
+    return json.dumps({"header": header, "events": [event]}).encode()
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("story", None), ("story", 7), ("story", "a\nb"), ("story", "a\u2028b"), ("story", " a"), ("story", "a\t"),
+        ("config", 7), ("config", None), ("config", "c\r"), ("config", ["c"]),
+        ("speaker", "C"), ("speaker", 1), ("speaker", None), ("speaker", "a"),
+        ("gesture", 5), ("gesture", "Cup Big"), ("gesture", "Cup:RH"), ("gesture", "9Cup"), ("gesture", "Cup\n"),
+    ],
+)
+def test_reader_rejects_bad_header_strings_and_gesture_names(field, bad):
+    with pytest.raises(ScriptError) as err:
+        read_script(_stroke_document(**{field: bad}))
+    assert field in err.value.path
+
+
+@pytest.mark.parametrize(
+    "line, replacement",
+    [("# speaker: A", "# speaker: C"), ("Cup:RH", "5:RH"), ("Cup:RH", "Cup-Big:RH")],
+)
+def test_text_reader_rejects_unknown_speaker_and_bad_gesture_names(line, replacement):
+    text = emit_document(read_script(_stroke_document()), "text")
+    assert line.encode() in text
+    with pytest.raises(ScriptError):
+        read_script(text.replace(line.encode(), replacement.encode()))
+
+
+def test_reader_accepts_every_header_string_the_text_form_keeps():
+    blob = _stroke_document(story="my story: ünïcode \"q\"", config="a\tb")
+    document = read_script(blob)
+    text = emit_document(document, "text")
+    assert read_script(text) == document
+    assert emit_document(read_script(text), "json") == emit_document(document, "json")
+
+
 def test_stroke_event_requires_features():
     event = {"start": 1.0, "end": 2.0, "kind": "stroke", "arm": "right", "gesture": "Cup", "hand": "RH"}
     blob = json.dumps(
@@ -195,6 +318,15 @@ def test_emitted_json_matches_shipped_schema(fixture_timelines):
         jsonschema.validate(json.loads(emit_script(timeline).decode()), schema)
 
 
+def test_schema_gesture_pattern_is_the_dialog_gesture_name():
+    from pathlib import Path
+
+    from gesturec.dsl import GESTURE_NAME
+
+    schema = json.loads((Path(__file__).resolve().parent.parent / "docs" / "script.schema.json").read_text())
+    assert schema["properties"]["events"]["items"]["properties"]["gesture"]["pattern"] == f"^{GESTURE_NAME}$"
+
+
 def test_events_sorted_by_start_arm_kind(fixture_timelines):
     _, timeline_b = fixture_timelines
     doc = document_from_timeline(timeline_b)
@@ -212,3 +344,8 @@ def test_text_and_json_carry_same_events(fixture_timelines):
 def test_script_event_is_value_object():
     event = ScriptEvent(start=1000, end=2000, kind="prep", arm="left")
     assert event == ScriptEvent(start=1000, end=2000, kind="prep", arm="left")
+    assert event != ScriptEvent(start=1000, end=2001, kind="prep", arm="left")
+    assert hash(event) == hash(ScriptEvent(1000, 2000, "prep", "left"))
+    assert len({event, ScriptEvent(1000, 2000, "prep", "left")}) == 1
+    with pytest.raises(AttributeError):
+        event.start = 0

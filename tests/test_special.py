@@ -94,6 +94,32 @@ def test_f_sf_edges():
         f_sf(1.0, 0, 10)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "tail, args, named",
+    [
+        (f_sf, (NAN, 1, 10), "F"),
+        (f_sf, (2, NAN, 10), "nan"),
+        (f_sf, (2, 1, NAN), "nan"),
+        (f_sf, (2, INF, 10), "inf"),
+        (f_sf, (2, 1, INF), "inf"),
+        (student_t_two_tailed, (NAN, 5), "t"),
+        (student_t_two_tailed, (1.0, NAN), "nan"),
+        (student_t_two_tailed, (1.0, INF), "inf"),
+        (betainc, (2, 3, NAN), "x=nan"),
+        (betainc, (NAN, 3, 0.5), "a=nan"),
+        (betainc, (2, INF, 0.5), "b=inf"),
+    ],
+    ids=["f-nan", "df1-nan", "df2-nan", "df1-inf", "df2-inf", "t-nan", "df-nan", "df-inf", "x-nan", "a-nan", "b-inf"],
+)
+def test_tails_reject_non_finite_arguments(tail, args, named):
+    with pytest.raises(DomainError) as err:
+        tail(*args)
+    assert named in str(err.value)
+
+
 def test_negative_t_tail_complements():
     # P(T > -1.3) is the complement of half the two-tailed probability
     upper = 1.0 - student_t_two_tailed(-1.3, 7) / 2
