@@ -106,13 +106,13 @@ def resolve_variant(dialog: AnnotatedDialog, spec: AdaptationSpec = AdaptationSp
     *context, response = dialog.turns
     turns = [_nonadapted_turn(t) for t in context]
     turns.append(copy_with(response, annotations=[_adapted(a, spec) for a in response.annotations]))
-    return AnnotatedDialog(story_id=dialog.story_id, turns=turns, audio_duration=dialog.audio_duration)
+    return copy_with(dialog, turns=turns)
 
 
 def strip_adaptation(dialog: AnnotatedDialog) -> AnnotatedDialog:
     """The non-adapted performance: every turn without adaptation."""
     turns = [_nonadapted_turn(t) for t in dialog.turns]
-    return AnnotatedDialog(story_id=dialog.story_id, turns=turns, audio_duration=dialog.audio_duration)
+    return copy_with(dialog, turns=turns)
 
 
 def check_copy_provenance(dialog: AnnotatedDialog) -> list[CopyProvenance]:

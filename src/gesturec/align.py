@@ -9,7 +9,7 @@ strictly increasing within a turn.  Alignment rewrites every stroke begin
 to sit a fixed lead (0.2s by default) before its following word, the first
 word of the same turn whose onset is strictly greater than the annotated
 time.  Times are kept on the millisecond grid so the lead is exact, not
-float-approximate.
+float-approximate; seconds become milliseconds by the scheduler's rule.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     TimingFormatError,
     TimingOrderError,
 )
+from .scheduler import _ms
 
 DEFAULT_LEAD_S = 0.2
 
@@ -88,10 +89,6 @@ def parse_word_timings(source: str) -> WordTimingTrack:
     )
 
 
-def _ms(seconds: float) -> int:
-    return round(seconds * 1000)
-
-
 def align_strokes(
     dialog: AnnotatedDialog,
     track: WordTimingTrack,
@@ -127,6 +124,4 @@ def align_strokes(
             last_ms = begin_ms
             new_annotations.append(copy_with(ann, stroke_begin=begin_ms / 1000))
         new_turns.append(copy_with(turn, annotations=new_annotations))
-    return AnnotatedDialog(
-        story_id=dialog.story_id, turns=new_turns, audio_duration=dialog.audio_duration
-    )
+    return copy_with(dialog, turns=new_turns)

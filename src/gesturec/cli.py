@@ -32,7 +32,7 @@ from .stimuli import run_adaptation_batch, run_personality_batch, speaker_script
 
 
 def _parse_extraversion(text: str) -> dict[str, float]:
-    scores = {"A": 7.0, "B": 7.0}
+    scores = PipelineSettings().extraversion
     for piece in text.split(","):
         speaker, sep, value = piece.partition("=")
         speaker = speaker.strip().upper()
@@ -43,7 +43,7 @@ def _parse_extraversion(text: str) -> dict[str, float]:
 
 
 def _settings_from_args(args) -> PipelineSettings:
-    extraversion = getattr(args, "extraversion", None) or {"A": 7.0, "B": 7.0}
+    extraversion = getattr(args, "extraversion", None) or PipelineSettings().extraversion
     settings = PipelineSettings(extraversion=extraversion, strict=args.strict)
     return load_config(Path(args.config).read_text(encoding="utf-8") if args.config else "", settings)
 

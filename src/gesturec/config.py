@@ -17,12 +17,12 @@ value it replaces (boolean or number), and an unknown key is an error.
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 from .errors import GesturecError
 from .pipeline import PipelineSettings
 
-SECTIONS = ("introvert", "extravert", "adaptation", "scheduler")
+SECTIONS = tuple(f.name for f in fields(PipelineSettings) if is_dataclass(f.default))
 
 
 class ConfigError(GesturecError):

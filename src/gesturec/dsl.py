@@ -25,6 +25,7 @@ annotations and may not appear in turn text.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -37,6 +38,7 @@ GESTURE_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 
 _TURN_RE = re.compile(r"^([A-Za-z]+)(\d+):\s*(.*)$")
 _ANNOT_RE = re.compile(r"\[(\d+(?:\.\d+)?)s\](\*)?\(([^()]*)\)")
+_BRACKET_RE = re.compile(r"[][]")
 _VARIANT_RE = re.compile(rf"^(!)?({GESTURE_NAME})\s*,\s*({'|'.join(HANDS)})\s+(\d+(?:\.\d+)?)s$")
 
 # A token ends a sentence when it closes with terminal punctuation,
@@ -97,18 +99,26 @@ class Turn:
     annotations: list[GestureAnnotation]
 
 
+@dataclass
+class AnnotatedDialog:
+    story_id: str
+    turns: list[Turn]
+    audio_duration: float
+
+
 # Per record class: a getter of all its fields in declaration order, and
 # each field's position in that order.
 _RECORD_FIELDS = {
     cls: (attrgetter(*cls.__dataclass_fields__), {name: i for i, name in enumerate(cls.__dataclass_fields__)})
-    for cls in (GestureAnnotation, Turn)
+    for cls in (GestureAnnotation, Turn, AnnotatedDialog)
 }
 
 
 def copy_with(record, **changes):
-    """A shallow copy of a dialog record (a :class:`GestureAnnotation` or a
-    :class:`Turn`) with ``changes`` applied, as :func:`dataclasses.replace`
-    makes it.  A name that is not a field of the record raises ``TypeError``.
+    """A shallow copy of a dialog record (a :class:`GestureAnnotation`, a
+    :class:`Turn` or an :class:`AnnotatedDialog`) with ``changes`` applied,
+    as :func:`dataclasses.replace` makes it.  A name that is not a field of
+    the record raises ``TypeError``.
 
     The fields go to ``__init__`` by position, so each must be an init field
     that is not keyword-only.  They are read with ``getattr``: reading
@@ -124,13 +134,6 @@ def copy_with(record, **changes):
     return cls(*values)
 
 
-@dataclass
-class AnnotatedDialog:
-    story_id: str
-    turns: list[Turn]
-    audio_duration: float
-
-
 def _parse_variant(text: str, lineno: int, col: int, allow_copy: bool) -> tuple[bool, str, str, float]:
     m = _VARIANT_RE.match(text.strip())
     if not m:
@@ -143,8 +146,7 @@ def _parse_variant(text: str, lineno: int, col: int, allow_copy: bool) -> tuple[
     return copied, name, hand, dur
 
 
-def _parse_annotation(m: re.Match, lineno: int, word_index: int) -> GestureAnnotation:
-    col = m.start() + 1
+def _parse_annotation(m: re.Match, lineno: int, col: int, word_index: int) -> GestureAnnotation:
     begin = float(m.group(1))
     inner = m.group(3)
     pieces = inner.split("/")
@@ -167,38 +169,58 @@ def _parse_annotation(m: re.Match, lineno: int, word_index: int) -> GestureAnnot
     )
 
 
-def _parse_turn_body(body: str, lineno: int) -> tuple[str, list[GestureAnnotation]]:
+def _check_brackets(body: str, end: int, stop: int, lineno: int, offset: int) -> None:
+    """Raise for a bracket in ``body[end:stop]``, the text after the
+    annotation that ends at ``end``, or for the annotation at ``stop`` when
+    it is glued to the end of a word.  A ``[`` that starts a token (at
+    ``end`` or after whitespace) is a malformed annotation; any other
+    bracket is reserved."""
+    bracket = _BRACKET_RE.search(body, end, stop + 1)
+    if bracket is None:
+        return
+    pos = bracket.start()
+    starts_token = pos == end or body[pos - 1].isspace()
+    if pos == stop and starts_token:
+        return
+    if body[pos] == "[" and starts_token:
+        raise DialogParseError("malformed annotation", lineno, offset + pos + 1)
+    raise DialogParseError("square brackets are reserved for annotations", lineno, offset + pos + 1)
+
+
+def _parse_turn_body(body: str, lineno: int, offset: int) -> tuple[str, list[GestureAnnotation]]:
+    """The text and the annotations of a turn body that starts ``offset``
+    characters into its line.  Only words may stand between annotations."""
     words: list[str] = []
     annotations: list[GestureAnnotation] = []
-    pos = 0
-    while pos < len(body):
-        if body[pos].isspace():
-            pos += 1
-            continue
-        if body[pos] == "[":
-            m = _ANNOT_RE.match(body, pos)
-            if not m:
-                raise DialogParseError("malformed annotation", lineno, pos + 1)
-            annotations.append(_parse_annotation(m, lineno, len(words)))
-            pos = m.end()
-            continue
-        end = pos
-        while end < len(body) and not body[end].isspace():
-            if body[end] in "[]":
-                raise DialogParseError("square brackets are reserved for annotations", lineno, end + 1)
-            end += 1
-        words.append(body[pos:end])
-        pos = end
+    disorder = None  # raised after the scan, so a later syntax error comes first
+    end = 0
+    for m in _ANNOT_RE.finditer(body):
+        start = m.start()
+        _check_brackets(body, end, start, lineno, offset)
+        words += body[end:start].split()
+        ann = _parse_annotation(m, lineno, offset + start + 1, len(words))
+        if disorder is None and annotations and ann.stroke_begin <= annotations[-1].stroke_begin:
+            disorder = AnnotationOrderError(
+                f"stroke times must strictly increase within a turn "
+                f"({ann.stroke_begin:.2f}s after {annotations[-1].stroke_begin:.2f}s)",
+                lineno, offset + start + 1,
+            )
+        annotations.append(ann)
+        end = m.end()
+    _check_brackets(body, end, len(body), lineno, offset)
+    words += body[end:].split()
+    if disorder is not None:
+        raise disorder
     return " ".join(words), annotations
 
 
 def parse_dialog(source: str, story_id: str = "") -> AnnotatedDialog:
     """Parse a dialog document, validating all structural invariants.
 
-    Raises :class:`DialogParseError` (with line and column) on malformed
-    annotations, unknown speaker labels, label numbering gaps, and
-    :class:`AnnotationOrderError` when stroke times fail to strictly
-    increase within a turn.
+    Raises :class:`DialogParseError` (with line and 1-based column in the
+    source line) on malformed annotations, unknown speaker labels, label
+    numbering gaps, and :class:`AnnotationOrderError` when stroke times
+    fail to strictly increase within a turn.
     """
     turns: list[Turn] = []
     audio_duration: float | None = None
@@ -207,42 +229,34 @@ def parse_dialog(source: str, story_id: str = "") -> AnnotatedDialog:
         line = raw.strip()
         if not line:
             continue
+        indent = len(raw) - len(raw.lstrip())
         if line.startswith("story:"):
             story_id = line[len("story:"):].strip()
             continue
         if line.startswith("audio:"):
             spec = line[len("audio:"):].strip()
             if not spec.endswith("s"):
-                raise DialogParseError("audio duration must end with 's'", lineno, 1)
+                raise DialogParseError("audio duration must end with 's'", lineno, indent + 1)
             try:
                 audio_duration = float(spec[:-1])
             except ValueError:
-                raise DialogParseError(f"bad audio duration {spec!r}", lineno, 1) from None
+                raise DialogParseError(f"bad audio duration {spec!r}", lineno, indent + 1) from None
             continue
         m = _TURN_RE.match(line)
         if not m:
-            raise DialogParseError("expected a turn line like 'A1: ...'", lineno, 1)
+            raise DialogParseError("expected a turn line like 'A1: ...'", lineno, indent + 1)
         speaker, suffix = m.group(1), int(m.group(2))
         if speaker not in SPEAKERS:
-            raise DialogParseError(f"unknown speaker label {speaker!r}", lineno, 1)
+            raise DialogParseError(f"unknown speaker label {speaker!r}", lineno, indent + 1)
         if turns and turns[-1].speaker == speaker:
-            raise DialogParseError(f"speakers must alternate, got {speaker} twice", lineno, 1)
+            raise DialogParseError(f"speakers must alternate, got {speaker} twice", lineno, indent + 1)
         speaker_counts[speaker] += 1
         if suffix != speaker_counts[speaker]:
             raise DialogParseError(
                 f"expected turn label {speaker}{speaker_counts[speaker]}, got {speaker}{suffix}",
-                lineno, 1,
+                lineno, indent + 1,
             )
-        text, annotations = _parse_turn_body(m.group(3), lineno)
-        last = -1.0
-        for ann in annotations:
-            if ann.stroke_begin <= last:
-                raise AnnotationOrderError(
-                    f"stroke times must strictly increase within a turn "
-                    f"({ann.stroke_begin:.2f}s after {last:.2f}s)",
-                    lineno, 1,
-                )
-            last = ann.stroke_begin
+        text, annotations = _parse_turn_body(m.group(3), lineno, indent + m.start(3))
         turns.append(Turn(speaker=speaker, index=len(turns) + 1, text=text, annotations=annotations))
 
     ends = [a.stroke_end for t in turns for a in t.annotations]
@@ -269,7 +283,10 @@ def _format_annotation(ann: GestureAnnotation) -> str:
 
 
 def format_dialog(dialog: AnnotatedDialog) -> str:
-    """Canonical serialization; parse_dialog(format_dialog(d)) == d."""
+    """Canonical serialization; parse_dialog(format_dialog(d)) == d.
+
+    Each annotation goes before its following word, and one past the last
+    word goes after the text."""
     lines: list[str] = []
     if dialog.story_id:
         lines.append(f"story: {dialog.story_id}")
@@ -280,50 +297,37 @@ def format_dialog(dialog: AnnotatedDialog) -> str:
         speaker_counts[turn.speaker] += 1
         words = turn.text.split()
         pieces: list[str] = []
-        for i, word in enumerate(words):
-            pieces.extend(_format_annotation(a) for a in turn.annotations if a.word_index == i)
-            pieces.append(word)
-        pieces.extend(_format_annotation(a) for a in turn.annotations if a.word_index >= len(words))
+        done = 0
+        for ann in sorted(turn.annotations, key=lambda a: min(a.word_index, len(words))):
+            if ann.word_index > done:
+                pieces += words[done:ann.word_index]
+                done = ann.word_index
+            pieces.append(_format_annotation(ann))
+        pieces += words[done:]
         lines.append(f"{turn.speaker}{speaker_counts[turn.speaker]}: " + " ".join(pieces))
     return "\n".join(lines) + "\n"
-
-
-def sentence_spans(text: str) -> list[tuple[int, int]]:
-    """Word-index ranges [start, end) of the sentences in ``text``."""
-    words = text.split()
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for i, word in enumerate(words):
-        if _SENTENCE_END_RE.search(word):
-            spans.append((start, i + 1))
-            start = i + 1
-    if start < len(words):
-        spans.append((start, len(words)))
-    return spans
 
 
 def segment_sentences(turn: Turn) -> list[tuple[str, list[GestureAnnotation]]]:
     """Split a turn into sentences and assign each annotation to one.
 
-    An annotation belongs to the sentence containing its following word,
-    found by the annotation's position in the source text.  Trailing
-    annotations fall into the last sentence.
+    A sentence ends at a word that closes with terminal punctuation or at
+    the end of the turn.  An annotation belongs to the sentence containing
+    its following word; trailing annotations fall into the last sentence.
     """
     words = turn.text.split()
-    spans = sentence_spans(turn.text)
-    if not spans:
+    if not words:
         return []
-    buckets: list[list[GestureAnnotation]] = [[] for _ in spans]
+    ends = [i for i, word in enumerate(words, start=1) if _SENTENCE_END_RE.search(word)]
+    if not ends or ends[-1] < len(words):
+        ends.append(len(words))
+    buckets: list[list[GestureAnnotation]] = [[] for _ in ends]
     for ann in turn.annotations:
-        pos = min(ann.word_index, len(words) - 1)
-        for k, (start, end) in enumerate(spans):
-            if start <= pos < end:
-                buckets[k].append(ann)
-                break
-    return [(" ".join(words[s:e]), bucket) for (s, e), bucket in zip(spans, buckets)]
+        buckets[bisect_right(ends, min(ann.word_index, len(words) - 1))].append(ann)
+    starts = [0, *ends[:-1]]
+    return [(" ".join(words[s:e]), bucket) for s, e, bucket in zip(starts, ends, buckets)]
 
 
 def truncate_dialog(dialog: AnnotatedDialog, n_turns: int) -> AnnotatedDialog:
     """First ``n_turns`` turns with the original audio reference."""
-    turns = [copy_with(t, annotations=list(t.annotations)) for t in dialog.turns[:n_turns]]
-    return AnnotatedDialog(story_id=dialog.story_id, turns=turns, audio_duration=dialog.audio_duration)
+    return copy_with(dialog, turns=[copy_with(t, annotations=list(t.annotations)) for t in dialog.turns[:n_turns]])

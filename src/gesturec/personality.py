@@ -105,9 +105,7 @@ def _cap_sentence(anns: list[GestureAnnotation], cap: int) -> set[int]:
     """
     if len(anns) <= cap:
         return set()
-    plain = [a for a in anns if not a.form_copied]
-    copied = [a for a in anns if a.form_copied]
-    drop_order = sorted(plain, key=lambda a: -a.stroke_begin) + sorted(copied, key=lambda a: -a.stroke_begin)
+    drop_order = sorted(anns, key=lambda a: (a.form_copied, -a.stroke_begin))
     return {id(a) for a in drop_order[: len(anns) - cap]}
 
 
@@ -146,6 +144,4 @@ def apply_personality(
             )
             kept.append(copy_with(ann, features=features, alt_features=alt_features))
         new_turns.append(copy_with(turn, annotations=kept))
-    return AnnotatedDialog(
-        story_id=dialog.story_id, turns=new_turns, audio_duration=dialog.audio_duration
-    )
+    return copy_with(dialog, turns=new_turns)

@@ -30,7 +30,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .dsl import AnnotatedDialog, Features, GestureAnnotation
+from .dsl import HANDS, AnnotatedDialog, Features, GestureAnnotation
 from .errors import EmptyStrokeError, ScheduleError, StrokeOverlapError, StrokeOverrunError
 
 PREP = "prep"
@@ -317,6 +317,8 @@ def validate_timeline(timeline: Timeline) -> list[str]:
             if p.kind == STROKE:
                 if p.gesture is None:
                     problems.append(f"{where}: stroke without a gesture reference")
+                elif p.gesture.hand not in HANDS:
+                    problems.append(f"{where}: unknown hand {p.gesture.hand!r}")
                 if p.features is None:
                     problems.append(f"{where}: stroke without effective features")
             elif p.gesture is not None:

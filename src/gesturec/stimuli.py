@@ -26,7 +26,7 @@ from .catalog import GestureCatalog
 from .dsl import SPEAKERS, AnnotatedDialog, truncate_dialog
 from .emitter import emit_script
 from .errors import PlanError
-from .personality import profile_from_extraversion
+from .personality import EXTRAVERSION_MAX, EXTRAVERSION_MIN, profile_from_extraversion
 from .pipeline import PipelineSettings, prepare_dialog
 from .scheduler import ScheduleResult, schedule
 
@@ -52,9 +52,6 @@ ADAPTATION_TASKS: tuple[tuple[str, str], ...] = (
     ("storm", "ABABA"),
     ("storm", "ABABAB"),
 )
-
-DEFAULT_EXTRAVERT_SCORE = 7.0
-DEFAULT_INTROVERT_SCORE = 1.0
 
 
 @dataclass
@@ -110,7 +107,7 @@ def build_personality_pair(
     the other at the introvert score, and the bundles state those scores.
     """
     other = "B" if extraverted_role == "A" else "A"
-    extraversion = {extraverted_role: DEFAULT_EXTRAVERT_SCORE, other: DEFAULT_INTROVERT_SCORE}
+    extraversion = {extraverted_role: EXTRAVERSION_MAX, other: EXTRAVERSION_MIN}
     profiles = {
         speaker: profile_from_extraversion(score, settings.introvert, settings.extravert)
         for speaker, score in extraversion.items()

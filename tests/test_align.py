@@ -16,6 +16,7 @@ from gesturec.errors import (
     TimingFormatError,
     TimingOrderError,
 )
+from gesturec.scheduler import _ms
 
 
 def test_parse_single_line():
@@ -108,6 +109,15 @@ def test_custom_lead():
     track = parse_word_timings("1\tword.\t2.00\n")
     aligned = align_strokes(dialog, track, lead=0.5)
     assert aligned.turns[0].annotations[0].stroke_begin == 1.5
+
+
+def test_onset_becomes_milliseconds_by_the_scheduler_rule():
+    # 1.0635 * 1000 is 1063.5 in floating point, which round() takes up to
+    # 1064; round(1.0635, 3) is 1.063, the scheduler's 1063 ms.
+    dialog = parse_dialog("A1: [0.50s](Cup, RH 0.46s) one\n")
+    aligned = align_strokes(dialog, parse_word_timings("1\tone\t1.0635\n"))
+    assert aligned.turns[0].annotations[0].stroke_begin == 0.863
+    assert _ms(1.0635) == 1063
 
 
 def test_generated_pairs_exact_lead_and_idempotent():

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_dialog
+from gesturec import dsl
 from gesturec.dsl import (
     Alternative,
     AnnotatedDialog,
@@ -16,7 +18,6 @@ from gesturec.dsl import (
     format_dialog,
     parse_dialog,
     segment_sentences,
-    sentence_spans,
 )
 from gesturec.errors import AnnotationOrderError, DialogParseError
 
@@ -90,6 +91,32 @@ def test_reserved_brackets_in_text():
         parse_dialog("A1: odd]token here.\n")
 
 
+@pytest.mark.parametrize(
+    "source,error,message,column",
+    [
+        ("A1: odd]token here.\n", DialogParseError, "square brackets are reserved", 8),
+        ("A1: [5.00s](Cup RH) word.\n", DialogParseError, "malformed gesture variant", 5),
+        ("\t  A1:   [5.00s](Cup RH) word.\n", DialogParseError, "malformed gesture variant", 10),
+        ("A1: one [2.00s(Cup, RH 0.46s) two.\n", DialogParseError, "malformed annotation", 9),
+        ("A1: one[2.00s](Cup, RH 0.46s) two.\n", DialogParseError, "square brackets are reserved", 8),
+        (
+            "A1: [2.00s](Cup, RH 0.46s) one [1.50s](Cup, RH 0.46s) two.\n",
+            AnnotationOrderError,
+            "stroke times must strictly increase within a turn (1.50s after 2.00s)",
+            32,
+        ),
+        ("  C1: hello.\n", DialogParseError, "unknown speaker label 'C'", 3),
+    ],
+    ids=["stray-bracket", "variant", "indented-variant", "annotation", "glued", "order", "indented-label"],
+)
+def test_error_columns_point_into_the_source_line(source, error, message, column):
+    with pytest.raises(error, match=re.escape(message)) as err:
+        parse_dialog(source)
+    assert type(err.value) is error
+    assert (err.value.line, err.value.column) == (1, column)
+    assert str(err.value).startswith(f"line 1, col {column}: ")
+
+
 def test_fixture_turn_a1_has_four_annotations(protest_dialog):
     a1 = protest_dialog.turns[0]
     assert a1.speaker == "A"
@@ -137,11 +164,14 @@ def test_parse_format_identity_on_generated_dialogs(seed):
     assert parse_dialog(format_dialog(dialog)) == dialog
 
 
-def test_sentence_spans_quotes_and_ellipses():
-    assert sentence_spans('He said "go." Then left.') == [(0, 3), (3, 5)]
-    assert sentence_spans("It ended....") == [(0, 2)]
-    assert sentence_spans("four to six months old...a bit bigger.") == [(0, 7)]
-    assert sentence_spans("no terminator here") == [(0, 3)]
+def test_sentence_ends_quotes_and_ellipses():
+    def sentences(text):
+        return [sentence for sentence, _ in segment_sentences(Turn("A", 1, text, []))]
+
+    assert sentences('He said "go." Then left.') == ['He said "go."', "Then left."]
+    assert sentences("It ended....") == ["It ended...."]
+    assert sentences("four to six months old...a bit bigger.") == ["four to six months old...a bit bigger."]
+    assert sentences("no terminator here") == ["no terminator here"]
 
 
 def test_segment_fixture_a1_two_by_two(protest_dialog):
@@ -196,3 +226,84 @@ def test_copy_with_copies_every_field_and_rejects_unknown_names():
     for record, name in ((ann, "begin"), (turn, "turns"), (ann, "stroke_end")):
         with pytest.raises(TypeError, match=repr(name)):
             copy_with(record, **{name: 1})
+
+
+def reference_parse_turn_body(body: str) -> tuple[str, list[GestureAnnotation]]:
+    """The character-at-a-time turn scanner the parser replaced, followed by
+    the order check ``parse_dialog`` ran after it; columns count from the
+    start of the body, and an order error names column 1.  The oracle for
+    ``dsl._parse_turn_body``."""
+    words: list[str] = []
+    annotations: list[GestureAnnotation] = []
+    pos = 0
+    while pos < len(body):
+        if body[pos].isspace():
+            pos += 1
+            continue
+        if body[pos] == "[":
+            m = dsl._ANNOT_RE.match(body, pos)
+            if not m:
+                raise DialogParseError("malformed annotation", 1, pos + 1)
+            annotations.append(dsl._parse_annotation(m, 1, m.start() + 1, len(words)))
+            pos = m.end()
+            continue
+        end = pos
+        while end < len(body) and not body[end].isspace():
+            if body[end] in "[]":
+                raise DialogParseError("square brackets are reserved for annotations", 1, end + 1)
+            end += 1
+        words.append(body[pos:end])
+        pos = end
+    last = -1.0
+    for ann in annotations:
+        if ann.stroke_begin <= last:
+            raise AnnotationOrderError(
+                f"stroke times must strictly increase within a turn "
+                f"({ann.stroke_begin:.2f}s after {last:.2f}s)",
+                1, 1,
+            )
+        last = ann.stroke_begin
+    return " ".join(words), annotations
+
+
+BODY_WORDS = st.sampled_from(["word", "Hey,", "so...", "end.", '"go."', "s)", "()"])
+BODY_ANNOTATIONS = st.builds(
+    "[{}s]{}({})".format,
+    st.sampled_from(["0.5", "1.00", "1.5", "2.5", "2.50", "3", "10.25"]),
+    st.sampled_from(["", "*"]),
+    st.sampled_from(["Cup, RH 0.46s", "!Cup, 2H 0.60s / Away, LH 0.40s", " Cup ,LH 1s "]),
+)
+BODY_FAULTS = st.sampled_from([
+    "a]b", "x[y", "]", "[", "[]",
+    "[1.00s](Cup RH)", "[1.00s](Cup, RH 0s)", "[1.00s](Cup, RH 0.46s / !Away, LH 0.4s)",
+    "[1.00s](a / b / c)", "[1.00s]([Cup, RH 0.46s)", "[1.00s] (Cup, RH 0.46s)",
+    "[x s](Cup, RH 0.46s)", "[1.00s(Cup, RH 0.46s)", "[1.00s]*Cup", "[2.00s](Cup, RH 0.46s",
+])
+# Words and annotations three times as often as a fault.
+BODY_PIECES = st.one_of(*[BODY_WORDS, BODY_ANNOTATIONS] * 3, BODY_FAULTS)
+SEPARATORS = st.sampled_from(["", " ", "  ", "\t", "\xa0", " \u2003"])
+
+
+@given(st.lists(st.tuples(BODY_PIECES, SEPARATORS), max_size=8), SEPARATORS)
+@settings(max_examples=1000, deadline=None)
+def test_parser_matches_reference_scanner(pieces, lead):
+    body = lead + "".join(piece + sep for piece, sep in pieces)
+    try:
+        expected = reference_parse_turn_body(body)
+    except DialogParseError as exc:
+        expected = exc
+    try:
+        got = dsl._parse_turn_body(body, 1, 0)
+    except DialogParseError as exc:
+        got = exc
+    if not isinstance(expected, Exception):
+        assert got == expected
+        return
+    assert type(got) is type(expected)
+    if type(got) is AnnotationOrderError:
+        assert str(got).partition(": ")[2] == str(expected).partition(": ")[2]
+        # the column names the offending annotation, whose time the message gives first
+        m = dsl._ANNOT_RE.match(body, got.column - 1)
+        assert m and f"({float(m.group(1)):.2f}s after" in str(got)
+    else:
+        assert (str(got), got.column) == (str(expected), expected.column)

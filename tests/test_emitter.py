@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, make_stroke_dialog
 from gesturec.align import align_strokes, parse_word_timings
+from gesturec.dsl import parse_dialog
 from gesturec.emitter import (
     FEATURES,
     ScriptEvent,
@@ -20,7 +21,15 @@ from gesturec.emitter import (
 from gesturec.errors import EmitError, ScriptError
 from gesturec.personality import EXTRAVERT_ANCHOR, apply_personality
 from gesturec.pipeline import PipelineSettings, compile_dialog
-from gesturec.scheduler import STROKE, ArmTrack, GesturePhase, Timeline, format_seconds, schedule
+from gesturec.scheduler import (
+    STROKE,
+    ArmTrack,
+    GesturePhase,
+    Timeline,
+    format_seconds,
+    schedule,
+    validate_timeline,
+)
 
 SHIPPED = {
     path.stem: (
@@ -204,6 +213,17 @@ def test_invalid_timeline_rejected():
         audio_ms=10000,
     )
     with pytest.raises(EmitError):
+        emit_script(timeline)
+
+
+def test_unknown_hand_rejected_before_writing(catalog):
+    # Only code that builds annotations itself can set a hand the parser
+    # does not admit; the scheduler treats it as two-handed.
+    dialog = parse_dialog("A1: [1.00s](Cup, RH 0.46s) one two\n")
+    dialog.turns[0].annotations[0].hand = "XH"
+    timeline = schedule(apply_personality(dialog, "A", EXTRAVERT_ANCHOR, catalog)).for_speaker("A")
+    assert "right[1]: unknown hand 'XH'" in validate_timeline(timeline)
+    with pytest.raises(EmitError, match="unknown hand 'XH'"):
         emit_script(timeline)
 
 

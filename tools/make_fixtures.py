@@ -451,24 +451,25 @@ def verify(stories, catalog) -> None:
         assert got == expected, f"{row.version}: {got} != {expected}"
 
 
-def main() -> int:
+def build_fixtures() -> dict[str, str]:
+    """The text of every fixture by its path under ``DATA``.  Raises unless
+    the rebuilt fixtures pass :func:`verify`."""
     catalog = load_catalog(catalog_text())
+    files = {"catalog.txt": catalog_text(), "adaptation_judgments.csv": judgments_csv()}
     stories = {}
-    tracks = {}
     for story_id, spec in STORIES.items():
         dialog, tsv = build_story(story_id, spec)
         stories[story_id] = (dialog, parse_word_timings(tsv))
-        tracks[story_id] = tsv
-
+        files[f"stories/{story_id}.dialog"] = format_dialog(dialog)
+        files[f"timings/{story_id}.tsv"] = tsv
     verify(stories, catalog)
+    return files
 
-    (DATA / "stories").mkdir(parents=True, exist_ok=True)
-    (DATA / "timings").mkdir(parents=True, exist_ok=True)
-    (DATA / "catalog.txt").write_text(catalog_text(), encoding="utf-8")
-    for story_id, (dialog, _) in stories.items():
-        (DATA / "stories" / f"{story_id}.dialog").write_text(format_dialog(dialog), encoding="utf-8")
-        (DATA / "timings" / f"{story_id}.tsv").write_text(tracks[story_id], encoding="utf-8")
-    (DATA / "adaptation_judgments.csv").write_text(judgments_csv(), encoding="utf-8")
+
+def main() -> int:
+    for name, text in build_fixtures().items():
+        (DATA / name).parent.mkdir(parents=True, exist_ok=True)
+        (DATA / name).write_text(text, encoding="utf-8")
     print(f"fixtures written to {DATA}")
     return 0
 
