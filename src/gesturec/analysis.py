@@ -7,9 +7,14 @@ factorial ANOVA, and the why-category percentages.
 Judgment CSV format: ``subject_id,stimulus_id,kind,payload`` where payload
 depends on ``kind``:
 
-* ``tipi``: ten pipe-separated item scores, integers 1-7;
+* ``tipi``: ten pipe-separated item scores, each ASCII digits with a value
+  from 1 to 7;
 * ``preference``: ``A`` (adapted) or ``NA`` (non-adapted);
-* ``why``: pipe-separated category labels, possibly empty.
+* ``why``: pipe-separated labels from ``WHY_CATEGORIES``, possibly empty.
+
+The first row may be a header, blank rows and rows whose first column
+starts with ``#`` are skipped, and each column is stripped of surrounding
+whitespace.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,15 +32,6 @@ from .errors import DomainError, EmptyCellError, StatError
 from .special import f_sf, student_t_two_tailed
 
 TIPI_TRAITS = ("extraversion", "agreeableness", "conscientiousness", "emotional_stability", "openness")
-
-# (direct item, reverse-scored item), 1-based positions in the instrument
-_TIPI_KEY = {
-    "extraversion": (1, 6),
-    "agreeableness": (7, 2),
-    "conscientiousness": (3, 8),
-    "emotional_stability": (9, 4),
-    "openness": (5, 10),
-}
 
 WHY_CATEGORIES = (
     "adapted_good_gestures",
@@ -44,11 +41,15 @@ WHY_CATEGORIES = (
     "other",
 )
 
+_WHY_LABELS = frozenset(WHY_CATEGORIES)
+
 PREFERENCE_CHOICES = ("A", "NA")
 
+# ten items of ASCII digits, each 1-7 (leading zeros allowed)
+_TIPI_PAYLOAD_RE = re.compile(r"0*[1-7](?:\|0*[1-7]){9}")
 
-@dataclass(frozen=True)
-class JudgmentRecord:
+
+class JudgmentRecord(NamedTuple):
     subject_id: str
     stimulus_id: str
     kind: str
@@ -71,6 +72,7 @@ class StatResult:
 
 def read_judgments(source: str) -> list[JudgmentRecord]:
     records: list[JudgmentRecord] = []
+    append = records.append
     reader = csv.reader(io.StringIO(source))
     for row_number, row in enumerate(reader, start=1):
         if not row or row[0].startswith("#"):
@@ -79,23 +81,24 @@ def read_judgments(source: str) -> list[JudgmentRecord]:
             continue
         if len(row) != 4:
             raise DomainError(f"row {row_number}: expected 4 columns, got {len(row)}")
-        subject_id, stimulus_id, kind, payload = (c.strip() for c in row)
+        subject_id, stimulus_id, kind, payload = row
+        subject_id = subject_id.strip()
+        stimulus_id = stimulus_id.strip()
+        kind = kind.strip()
+        payload = payload.strip()
         if kind == "tipi":
-            try:
-                items = tuple(int(p) for p in payload.split("|"))
-            except ValueError:
-                raise DomainError(f"row {row_number}: bad tipi payload {payload!r}") from None
-            records.append(JudgmentRecord(subject_id, stimulus_id, kind, tipi_items=items))
+            if _TIPI_PAYLOAD_RE.fullmatch(payload) is None:
+                raise DomainError(f"row {row_number}: bad tipi payload {payload!r}")
+            append(JudgmentRecord(subject_id, stimulus_id, kind, tuple(map(int, payload.split("|")))))
         elif kind == "preference":
             if payload not in PREFERENCE_CHOICES:
                 raise DomainError(f"row {row_number}: preference must be A or NA, got {payload!r}")
-            records.append(JudgmentRecord(subject_id, stimulus_id, kind, choice=payload))
+            append(JudgmentRecord(subject_id, stimulus_id, kind, None, payload))
         elif kind == "why":
-            labels = frozenset(p for p in payload.split("|") if p)
-            unknown = labels - set(WHY_CATEGORIES)
-            if unknown:
-                raise DomainError(f"row {row_number}: unknown why categories {sorted(unknown)}")
-            records.append(JudgmentRecord(subject_id, stimulus_id, kind, why=labels))
+            labels = frozenset(filter(None, payload.split("|")))
+            if not labels <= _WHY_LABELS:
+                raise DomainError(f"row {row_number}: unknown why categories {sorted(labels - _WHY_LABELS)}")
+            append(JudgmentRecord(subject_id, stimulus_id, kind, None, None, labels))
         else:
             raise DomainError(f"row {row_number}: unknown record kind {kind!r}")
     return records
@@ -105,16 +108,21 @@ def tipi_score(items: Sequence[int]) -> dict[str, float]:
     """Five trait scores from the ten 7-point items.
 
     Each trait is the mean of its direct item and its reverse-scored
-    partner (reverse: 8 - score).
+    partner (reverse: 8 - score); ``iN`` is item N of the instrument.
     """
     if len(items) != 10:
         raise DomainError(f"expected 10 items, got {len(items)}")
-    for item in items:
-        if not 1 <= item <= 7:
-            raise DomainError(f"item scores must be in [1, 7], got {item}")
+    i1, i2, i3, i4, i5, i6, i7, i8, i9, i10 = items
+    if not (1 <= i1 <= 7 and 1 <= i2 <= 7 and 1 <= i3 <= 7 and 1 <= i4 <= 7 and 1 <= i5 <= 7
+            and 1 <= i6 <= 7 and 1 <= i7 <= 7 and 1 <= i8 <= 7 and 1 <= i9 <= 7 and 1 <= i10 <= 7):
+        item = next(item for item in items if not 1 <= item <= 7)
+        raise DomainError(f"item scores must be in [1, 7], got {item}")
     return {
-        trait: (items[direct - 1] + (8 - items[reverse - 1])) / 2.0
-        for trait, (direct, reverse) in _TIPI_KEY.items()
+        "extraversion": (i1 + (8 - i6)) / 2.0,
+        "agreeableness": (i7 + (8 - i2)) / 2.0,
+        "conscientiousness": (i3 + (8 - i8)) / 2.0,
+        "emotional_stability": (i9 + (8 - i4)) / 2.0,
+        "openness": (i5 + (8 - i10)) / 2.0,
     }
 
 
@@ -171,11 +179,20 @@ def one_sample_ttest(values: Sequence[float], mu: float) -> StatResult:
     if not math.isfinite(mu):
         raise StatError(f"mu is {mu!r}, not a finite number")
     mean = sum(values) / n
-    ss = sum((v - mean) ** 2 for v in values)
-    if ss == 0.0:
+    if not math.isfinite(mean):
+        raise StatError(f"the mean is {mean!r}: the values overflow a float")
+    try:
+        ss = sum((v - mean) ** 2 for v in values)
+    except OverflowError:  # one squared deviation is beyond the float range
+        ss = math.inf
+    if not math.isfinite(ss):
+        raise StatError("the sum of squared deviations overflows a float")
+    variance = ss / (n - 1)
+    if variance == 0.0:
         raise StatError("zero sample variance")
-    sd = math.sqrt(ss / (n - 1))
-    t = (mean - mu) / (sd / math.sqrt(n))
+    t = (mean - mu) / (math.sqrt(variance) / math.sqrt(n))
+    if not math.isfinite(t):
+        raise StatError(f"t is {t!r}: the mean is too far from mu for the spread")
     return StatResult(name="one-sample t", value=t, df=(n - 1,), p_value=student_t_two_tailed(t, n - 1))
 
 
@@ -285,10 +302,10 @@ def why_category_table(records: Iterable[JudgmentRecord]) -> WhyTable:
     for record in records:
         if record.kind != "why":
             raise DomainError(f"expected why records, got {record.kind!r}")
-        unknown = (record.why or frozenset()) - set(WHY_CATEGORIES)
-        if unknown:
-            raise DomainError(f"unknown why categories {sorted(unknown)}")
-        by_version.setdefault(record.stimulus_id, []).append(record.why or frozenset())
+        labels = record.why or frozenset()
+        if not labels <= _WHY_LABELS:
+            raise DomainError(f"unknown why categories {sorted(labels - _WHY_LABELS)}")
+        by_version.setdefault(record.stimulus_id, []).append(labels)
     if not by_version:
         return WhyTable(rows=(), totals=None)
 

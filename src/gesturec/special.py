@@ -65,10 +65,11 @@ def betainc(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    log_bt = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
+    try:
+        log_beta = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    except OverflowError:
+        raise DomainError(f"betainc shape parameters too large for lgamma: a={a}, b={b}") from None
+    log_bt = log_beta + a * math.log(x) + b * math.log1p(-x)
     bt = math.exp(log_bt)
     # Use the expansion that converges fast; mirror for the other half.
     if x < (a + 1.0) / (a + b + 2.0):

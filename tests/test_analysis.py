@@ -1,15 +1,23 @@
 from __future__ import annotations
 
+import ast
+import csv
+import io
 import itertools
 import math
 import random
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR
 from gesturec.analysis import (
+    PREFERENCE_CHOICES,
+    WHY_CATEGORIES,
     JudgmentRecord,
     anova,
     one_sample_ttest,
@@ -18,7 +26,7 @@ from gesturec.analysis import (
     tipi_score,
     why_category_table,
 )
-from gesturec.errors import DomainError, EmptyCellError, StatError
+from gesturec.errors import DomainError, EmptyCellError, GesturecError, StatError
 from gesturec.special import f_sf
 
 
@@ -76,6 +84,13 @@ def test_tipi_rejects_out_of_range():
         tipi_score([0] + [4] * 9)
     with pytest.raises(DomainError):
         tipi_score([4] * 9)
+
+
+def test_tipi_names_the_first_item_out_of_range():
+    with pytest.raises(DomainError, match=r"got 9$"):
+        tipi_score([4, 4, 9, 4, 4, 4, 4, 0, 4, 4])
+    with pytest.raises(DomainError, match=r"got nan$"):
+        tipi_score([4] * 9 + [math.nan])
 
 
 # --- preference table ----------------------------------------------------
@@ -150,6 +165,21 @@ def test_ttest_needs_two_values():
     ids=["nan", "inf", "-inf", "mu-nan", "mu-inf"],
 )
 def test_ttest_rejects_non_finite_input(values, mu, named):
+    with pytest.raises(StatError) as err:
+        one_sample_ttest(values, mu)
+    assert named in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "values, mu, named",
+    [
+        ([1e200, -1e200, 3.0], 0.0, "sum of squared deviations overflows"),
+        ([1e308, 1e308, 1.0], 0.0, "the mean is inf"),
+        ([1.0, 2.0, 3.0], -1.7e308, "t is inf"),
+    ],
+    ids=["squares", "mean", "t"],
+)
+def test_ttest_rejects_finite_input_that_overflows(values, mu, named):
     with pytest.raises(StatError) as err:
         one_sample_ttest(values, mu)
     assert named in str(err.value)
@@ -517,3 +547,154 @@ def test_read_judgments_rejects_bad_rows():
         read_judgments("s1,v,why,odd_label\n")
     with pytest.raises(DomainError):
         read_judgments("s1,v,tipi,1|2\n" .replace("1|2", "1|x"))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ["1|2", "4|4|4|4|4|4|4|4|4|9", "2_0|1|1|1|1|1|1|1|1|1", "\u0663|1|1|1|1|1|1|1|1|1",
+     "0|1|1|1|1|1|1|1|1|1", "1|1|1|1|1|1|1|1|1|+1", "1|1|1|1| 1|1|1|1|1|1", "1|2|3|4|5|6|7|1|2|3|4", ""],
+)
+def test_read_judgments_checks_tipi_payloads(payload):
+    source = f"subject_id,stimulus_id,kind,payload\ns1,v,tipi,1|1|1|1|1|1|1|1|1|1\ns2,v,tipi,{payload}\n"
+    with pytest.raises(DomainError) as err:
+        read_judgments(source)
+    assert str(err.value) == f"row 3: bad tipi payload {payload!r}"
+
+
+def test_read_judgments_tipi_items():
+    records = read_judgments("s1, v ,tipi, 7|1|2|3|4|5|6|07|1|2 \n")
+    assert records == [JudgmentRecord("s1", "v", "tipi", (7, 1, 2, 3, 4, 5, 6, 7, 1, 2))]
+    assert records[0].choice is None and records[0].why is None
+
+
+# --- reference equivalence of the reader ----------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceRecord:
+    subject_id: str
+    stimulus_id: str
+    kind: str
+    tipi_items: tuple[int, ...] | None = None
+    choice: str | None = None
+    why: frozenset[str] | None = None
+
+
+def reference_read_judgments(source: str) -> list[ReferenceRecord]:
+    """The reader as it was before TIPI payloads were checked at read time."""
+    records: list[ReferenceRecord] = []
+    reader = csv.reader(io.StringIO(source))
+    for row_number, row in enumerate(reader, start=1):
+        if not row or row[0].startswith("#"):
+            continue
+        if row_number == 1 and [c.strip() for c in row[:3]] == ["subject_id", "stimulus_id", "kind"]:
+            continue
+        if len(row) != 4:
+            raise DomainError(f"row {row_number}: expected 4 columns, got {len(row)}")
+        subject_id, stimulus_id, kind, payload = (c.strip() for c in row)
+        if kind == "tipi":
+            try:
+                items = tuple(int(p) for p in payload.split("|"))
+            except ValueError:
+                raise DomainError(f"row {row_number}: bad tipi payload {payload!r}") from None
+            records.append(ReferenceRecord(subject_id, stimulus_id, kind, tipi_items=items))
+        elif kind == "preference":
+            if payload not in PREFERENCE_CHOICES:
+                raise DomainError(f"row {row_number}: preference must be A or NA, got {payload!r}")
+            records.append(ReferenceRecord(subject_id, stimulus_id, kind, choice=payload))
+        elif kind == "why":
+            labels = frozenset(p for p in payload.split("|") if p)
+            unknown = labels - set(WHY_CATEGORIES)
+            if unknown:
+                raise DomainError(f"row {row_number}: unknown why categories {sorted(unknown)}")
+            records.append(ReferenceRecord(subject_id, stimulus_id, kind, why=labels))
+        else:
+            raise DomainError(f"row {row_number}: unknown record kind {kind!r}")
+    return records
+
+
+def tipi_payload_is_valid(payload: str) -> bool:
+    items = payload.split("|")
+    return len(items) == 10 and all(i.isascii() and i.isdigit() and 1 <= int(i) <= 7 for i in items)
+
+
+def reader_outcome(read, source: str):
+    try:
+        return [(r.subject_id, r.stimulus_id, r.kind, r.tipi_items, r.choice, r.why) for r in read(source)]
+    except GesturecError as exc:
+        return type(exc), str(exc)
+
+
+PAD = st.sampled_from(["", "", " ", "  ", "\t"])
+IDS = st.sampled_from(["s1", "s02", "", "a,b", 'say "hi"', "#x", "garden_ABAB", "storm/F-extravert/A"])
+TIPI_PAYLOADS = st.lists(st.integers(1, 7), min_size=10, max_size=10).flatmap(
+    lambda xs: st.sampled_from(["|".join(map(str, xs)), "|".join(f"0{x}" for x in xs)])
+)
+BAD_TIPI_PAYLOADS = st.lists(
+    st.sampled_from(["0", "8", "9", "10", "-1", "+3", "2_0", " 3", "\u0663", "x", ""] + list("1234567")),
+    min_size=1, max_size=11,
+).map("|".join)
+WHY_PAYLOADS = st.lists(st.sampled_from(list(WHY_CATEGORIES) + [""]), max_size=4).map("|".join)
+BAD_WHY_PAYLOADS = st.lists(st.sampled_from(list(WHY_CATEGORIES) + ["weird", " other"]), min_size=1, max_size=3).map(
+    "|".join
+)
+# Valid rows of each kind three times as often as a malformed one.
+KINDED = st.one_of(
+    *[
+        st.tuples(st.just("tipi"), TIPI_PAYLOADS),
+        st.tuples(st.just("preference"), st.sampled_from(PREFERENCE_CHOICES)),
+        st.tuples(st.just("why"), WHY_PAYLOADS),
+    ] * 3,
+    st.tuples(st.just("tipi"), BAD_TIPI_PAYLOADS),
+    st.tuples(st.just("preference"), st.sampled_from(["a", "MAYBE", "", "A|NA"])),
+    st.tuples(st.just("why"), BAD_WHY_PAYLOADS),
+    st.tuples(st.sampled_from(["Tipi", "other", "", "kind"]), st.one_of(TIPI_PAYLOADS, WHY_PAYLOADS)),
+)
+
+
+@st.composite
+def judgment_rows(draw):
+    kind, payload = draw(KINDED)
+    row = [draw(IDS), draw(IDS), kind, payload]
+    row = [draw(PAD) + cell + draw(PAD) for cell in row]
+    shape = draw(st.sampled_from(["four"] * 18 + ["three", "five"]))
+    return row[:3] if shape == "three" else row + ["extra"] if shape == "five" else row
+
+
+LINES = st.one_of(
+    *[judgment_rows()] * 6,
+    st.sampled_from(["", "# a comment, with a comma", '#"quoted" note', "   "]),
+)
+HEADERS = st.sampled_from([
+    None,
+    ["subject_id", "stimulus_id", "kind", "payload"],
+    [" subject_id ", "stimulus_id\t", "kind"],
+    ["subject_id", "stimulus_id", "kind", "payload", "notes"],
+    ["Subject_id", "stimulus_id", "kind", "payload"],
+])
+
+
+@given(HEADERS, st.lists(LINES, max_size=8), st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+       st.sampled_from(["\n", "\r\n"]))
+@settings(max_examples=600, deadline=None)
+def test_reader_matches_reference_reader(header, lines, quoting, newline):
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=quoting, lineterminator=newline)
+    for line in ([header] if header else []) + lines:
+        if isinstance(line, str):
+            out.write(line + newline)
+        else:
+            writer.writerow(line)
+    source = out.getvalue()
+    got = reader_outcome(read_judgments, source)
+    expected = reader_outcome(reference_read_judgments, source)
+    if got == expected:
+        return
+    # The one allowed difference: a TIPI payload the reference let through
+    # (to fail later in tipi_score) is rejected at its row.
+    assert got[0] is DomainError, (got, expected)
+    m = re.fullmatch(r"row (\d+): bad tipi payload (.*)", got[1])
+    assert m, (got, expected)
+    assert not tipi_payload_is_valid(ast.literal_eval(m.group(2)))
+    if isinstance(expected, tuple):  # the reference failed, but at a later row
+        assert int(re.match(r"row (\d+):", expected[1]).group(1)) > int(m.group(1))

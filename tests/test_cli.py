@@ -218,6 +218,40 @@ def test_analyze_report(tmp_path, capsys):
     assert data["why"]["garden_ABAB"]["adapted_animated"] == pytest.approx(59.1)
 
 
+TIPI_CSV = (
+    "subject_id,stimulus_id,kind,payload\n"
+    "s1,storm/F-extravert/A,tipi,7|2|5|3|6|1|4|4|5|2\n"
+    "s2,storm/F-extravert/A,tipi,6|3|4|3|5|2|5|3|4|3\n"
+    "s1,storm/F-extravert/B,tipi,2|4|4|5|3|6|4|4|3|5\n"
+)
+
+
+def test_analyze_reports_tipi_means(tmp_path, capsys):
+    infile, report = tmp_path / "tipi.csv", tmp_path / "report.json"
+    infile.write_text(TIPI_CSV, encoding="utf-8")
+    assert main(["analyze", "--in", str(infile), "--report", str(report)]) == 0
+    # trait = (direct item + 8 - reverse item) / 2, averaged over the stimulus's raters
+    assert json.loads(report.read_text())["tipi_means"] == {
+        "storm/F-extravert/A": {
+            "extraversion": 6.5, "agreeableness": 5.0, "conscientiousness": 4.5,
+            "emotional_stability": 4.75, "openness": 5.5,
+        },
+        "storm/F-extravert/B": {
+            "extraversion": 2.0, "agreeableness": 4.0, "conscientiousness": 4.0,
+            "emotional_stability": 3.0, "openness": 3.0,
+        },
+    }
+    assert "storm/F-extravert/A: extraversion=6.5" in capsys.readouterr().out
+
+
+def test_analyze_bad_tipi_row_exits_1(tmp_path, capsys):
+    infile = tmp_path / "tipi.csv"
+    infile.write_text(TIPI_CSV + "s2,storm/F-extravert/B,tipi,1|2\n", encoding="utf-8")
+    assert main(["analyze", "--in", str(infile), "--report", str(tmp_path / "report.json")]) == 1
+    assert "row 5: bad tipi payload '1|2'" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_missing_file_is_clean_error(tmp_path, capsys):
     code = main([
         "compile",

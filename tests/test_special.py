@@ -120,6 +120,13 @@ def test_tails_reject_non_finite_arguments(tail, args, named):
     assert named in str(err.value)
 
 
+def test_betainc_names_shape_parameters_lgamma_cannot_take():
+    with pytest.raises(DomainError, match=r"a=1e\+308, b=1e\+308"):
+        betainc(1e308, 1e308, 0.5)
+    with pytest.raises(DomainError, match="too large"):
+        f_sf(1.0, 1e308, 10)
+
+
 def test_negative_t_tail_complements():
     # P(T > -1.3) is the complement of half the two-tailed probability
     upper = 1.0 - student_t_two_tailed(-1.3, 7) / 2
