@@ -27,9 +27,7 @@ from .errors import (
     TimingFormatError,
     TimingOrderError,
 )
-from .scheduler import _ms
-
-DEFAULT_LEAD_S = 0.2
+from .scheduler import SchedulerConfig, _ms
 
 
 class TimedWord(NamedTuple):
@@ -92,7 +90,7 @@ def parse_word_timings(source: str) -> WordTimingTrack:
 def align_strokes(
     dialog: AnnotatedDialog,
     track: WordTimingTrack,
-    lead: float = DEFAULT_LEAD_S,
+    lead: float = SchedulerConfig.stroke_lead_s,
 ) -> AnnotatedDialog:
     """Rewrite stroke begins to (following-word onset - lead), clamped at 0.
 

@@ -157,6 +157,11 @@ def preference_table(records: Iterable[JudgmentRecord]) -> PreferenceTable:
     for record in records:
         if record.kind != "preference":
             raise DomainError(f"expected preference records, got {record.kind!r}")
+        if record.choice not in PREFERENCE_CHOICES:
+            raise DomainError(
+                f"subject {record.subject_id!r}, stimulus {record.stimulus_id!r}: "
+                f"preference must be A or NA, got {record.choice!r}"
+            )
         row = counts.setdefault(record.stimulus_id, [0, 0])
         row[0 if record.choice == "A" else 1] += 1
     if not counts:
@@ -302,7 +307,11 @@ def why_category_table(records: Iterable[JudgmentRecord]) -> WhyTable:
     for record in records:
         if record.kind != "why":
             raise DomainError(f"expected why records, got {record.kind!r}")
-        labels = record.why or frozenset()
+        labels = record.why
+        if labels is None:
+            raise DomainError(
+                f"subject {record.subject_id!r}, stimulus {record.stimulus_id!r}: why record without labels"
+            )
         if not labels <= _WHY_LABELS:
             raise DomainError(f"unknown why categories {sorted(labels - _WHY_LABELS)}")
         by_version.setdefault(record.stimulus_id, []).append(labels)

@@ -6,10 +6,10 @@ fingerprint) and phase events sorted by (start, arm, kind).  Times are
 ``int`` milliseconds, as in the timeline.  The writers print them as
 seconds through ``format_seconds``, and the readers turn them back into
 milliseconds through one checked function, ``_check_ms``, which rejects a
-time that is not a whole number of milliseconds.  Features are rounded to
-3 decimals when a timeline is flattened.  Every number is printed with
-exactly three decimal places, which makes emission a canonical form:
-emit(read(emit(t))) == emit(t) byte for byte.
+time that is not a whole number of milliseconds.  The scheduler rounds
+features to 3 decimals when it builds a stroke event.  Every number is
+printed with exactly three decimal places, which makes emission a canonical
+form: emit(read(emit(t))) == emit(t) byte for byte.
 
 Two formats are supported.  JSON (see ``docs/script.schema.json``) and a
 line-oriented text form, one event per line::
@@ -27,30 +27,14 @@ import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
 
 from .dsl import GESTURE_NAME, HANDS, SPEAKERS
 from .errors import EmitError, ScriptError
-from .scheduler import ARMS, KINDS, STROKE, Timeline, format_seconds, validate_timeline
-
-FEATURES = ("expanse", "height", "outward", "speed", "scale")
+from .scheduler import ARMS, FEATURES, KINDS, STROKE, ScriptEvent, Timeline, format_seconds, validate_timeline
 
 _TEXT_MAGIC = "# gesture-script v1"
+_NO_FEATURES = ["-"] * len(FEATURES)
 _GESTURE_RE = re.compile(GESTURE_NAME)
-
-
-class ScriptEvent(NamedTuple):
-    start: int  # ms
-    end: int  # ms
-    kind: str
-    arm: str
-    gesture: str | None = None
-    hand: str | None = None
-    expanse: float | None = None
-    height: float | None = None
-    outward: float | None = None
-    speed: float | None = None
-    scale: float | None = None
 
 
 @dataclass(frozen=True)
@@ -71,20 +55,8 @@ _EVENT_ORDER = itemgetter(0, 3, 2)  # (start, arm, kind)
 
 
 def document_from_timeline(timeline: Timeline) -> ScriptDocument:
-    """Flatten a timeline into canonical event records; features are
-    rounded to 3 decimals here."""
-    events = []
-    for arm in ARMS:
-        for phase in timeline.tracks[arm].phases:
-            if phase.kind == STROKE:
-                g, f = phase.gesture, phase.features
-                events.append(ScriptEvent(
-                    phase.start, phase.end, STROKE, arm, g.gesture_name, g.hand,
-                    round(f.expanse_cm, 3), round(f.height_cm, 3), round(f.outwardness_cm, 3),
-                    round(f.speed, 3), round(f.scale, 3),
-                ))
-            else:
-                events.append(ScriptEvent(phase.start, phase.end, phase.kind, arm))
+    """The events of both arms in canonical order under the timeline's header."""
+    events = [*timeline.tracks["left"], *timeline.tracks["right"]]
     events.sort(key=_EVENT_ORDER)
     header = ScriptHeader(
         story_id=timeline.story_id,
@@ -191,8 +163,14 @@ def _check_ms(value, path: str) -> int:
 
 
 def _event(path: str, start, end, kind: str, arm: str, gesture=None, hand=None, features=()) -> ScriptEvent:
-    """One checked event; times in seconds, ``features`` as in ``FEATURES``."""
-    e = ScriptEvent(
+    """One event checked against the format rules; times in seconds,
+    ``features`` as in ``FEATURES``.  The phase rules are ``validate_timeline``'s."""
+    _require(arm in ARMS, f"unknown arm {arm!r}", f"{path}.arm")
+    _require(
+        gesture is None or (isinstance(gesture, str) and _GESTURE_RE.fullmatch(gesture) is not None),
+        f"gesture {gesture!r} is not a gesture name", f"{path}.gesture",
+    )
+    return ScriptEvent(
         _check_ms(start, f"{path}.start"),
         _check_ms(end, f"{path}.end"),
         kind,
@@ -201,26 +179,6 @@ def _event(path: str, start, end, kind: str, arm: str, gesture=None, hand=None, 
         hand,
         *(None if v is None else _check_number(v, f"{path}.{name}") for name, v in zip(FEATURES, features)),
     )
-    _require(e.kind in KINDS, f"unknown kind {e.kind!r}", f"{path}.kind")
-    _require(e.arm in ARMS, f"unknown arm {e.arm!r}", f"{path}.arm")
-    _require(
-        e.end > e.start, f"end {format_seconds(e.end)} not after start {format_seconds(e.start)}", f"{path}.end"
-    )
-    _require(e.start >= 0, "start must be >= 0", f"{path}.start")
-    if e.kind == STROKE:
-        _require(bool(e.gesture), "stroke events need a gesture", f"{path}.gesture")
-        _require(
-            isinstance(e.gesture, str) and _GESTURE_RE.fullmatch(e.gesture) is not None,
-            f"gesture {e.gesture!r} is not a gesture name", f"{path}.gesture",
-        )
-        _require(e.hand in HANDS, f"unknown hand {e.hand!r}", f"{path}.hand")
-        for name in FEATURES:
-            _require(getattr(e, name) is not None, f"stroke events need {name}", f"{path}.{name}")
-        _require(e.speed > 0 and e.scale > 0, "speed and scale must be > 0", f"{path}.speed")
-    else:
-        for name in ("gesture", "hand") + FEATURES:
-            _require(getattr(e, name) is None, f"{e.kind} events carry no {name}", f"{path}.{name}")
-    return e
 
 
 def _float(text: str, message: str, path: str) -> float:
@@ -284,7 +242,9 @@ def _read_text(text: str) -> ScriptDocument:
             continue
         if line.startswith("#"):
             key, _, value = line[1:].partition(":")
-            meta[key.strip()] = value.strip()
+            key = key.strip()
+            _require(key not in meta, f"line {lineno}: repeated header line {key!r}", f"header.{key}")
+            meta[key] = value.strip()
             continue
         path = f"events[{len(events)}]"
         cols = line.split()
@@ -295,6 +255,8 @@ def _read_text(text: str) -> ScriptDocument:
         if cols[4] != "-":
             gesture, _, hand = cols[4].partition(":")
             features = [_float(c, f"line {lineno}: bad feature columns", path) for c in cols[5:]]
+        else:
+            _require(cols[5:] == _NO_FEATURES, f"line {lineno}: features without a gesture", path)
         events.append(_event(path, start, end, cols[2], cols[3], gesture, hand or None, features))
     for key in ("story", "speaker", "audio", "config"):
         _require(key in meta, f"missing header line {key!r}", f"header.{key}")
@@ -304,10 +266,11 @@ def _read_text(text: str) -> ScriptDocument:
 
 
 def read_script(data: bytes) -> ScriptDocument:
-    """Parse and validate a script document (either format).
+    """Parse a script document (either format) and check its events with
+    ``validate_timeline``, the rules ``emit_script`` writes by.
 
-    Raises :class:`ScriptError` naming the offending field on any schema
-    violation.
+    Raises :class:`ScriptError` naming the offending field on a format
+    violation, or at path ``events`` naming ``arm[i]`` on a phase rule.
     """
     if not data:
         raise ScriptError("empty document")
@@ -319,6 +282,12 @@ def read_script(data: bytes) -> ScriptDocument:
             doc = _read_text(data.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise ScriptError(f"not UTF-8: {exc}") from None
-    order = [(e.start, e.arm, e.kind) for e in doc.events]
+    order = list(map(_EVENT_ORDER, doc.events))
     _require(order == sorted(order), "events must be sorted by (start, arm, kind)", "events")
+    tracks = {arm: [] for arm in ARMS}
+    for e in doc.events:
+        tracks[e.arm].append(e)
+    h = doc.header
+    problems = validate_timeline(Timeline(h.speaker, tracks, h.audio_ms, h.story_id, h.config_fingerprint))
+    _require(not problems, "; ".join(problems), "events")
     return doc

@@ -16,6 +16,10 @@ last one (compressed or omitted when the audio ends first).  Stroke start
 times are never moved; in strict mode conflicting or overrunning strokes
 raise, in lenient mode they are dropped with a diagnostic.
 
+Each arm's track is a list of ``ScriptEvent`` records, the same records a
+script document holds, and ``validate_timeline`` is the one set of rules
+they obey, run by both the script writer and the script reader.
+
 Every time in a timeline is an ``int`` of milliseconds, and the scheduler
 compares and subtracts only those.  Seconds become milliseconds in one
 helper, ``_ms``: once per stroke (start, end and the end of its retract,
@@ -28,9 +32,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
-from .dsl import HANDS, AnnotatedDialog, Features, GestureAnnotation
+from .dsl import HANDS, AnnotatedDialog, GestureAnnotation
 from .errors import EmptyStrokeError, ScheduleError, StrokeOverlapError, StrokeOverrunError
 
 PREP = "prep"
@@ -81,28 +87,31 @@ class SchedulerConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-@dataclass
-class GesturePhase:
-    kind: str
+FEATURES = ("expanse", "height", "outward", "speed", "scale")
+
+
+class ScriptEvent(NamedTuple):
+    """One phase of one arm: the record from the scheduler to the script
+    reader.  A stroke carries its gesture name, hand and features rounded to
+    3 decimals; the other phases carry times only."""
+
     start: int  # ms
     end: int  # ms
-    gesture: GestureAnnotation | None = None
-    features: Features | None = None
-
-
-@dataclass
-class ArmTrack:
+    kind: str
     arm: str
-    phases: list[GesturePhase] = field(default_factory=list)
-
-    def strokes(self) -> list[GesturePhase]:
-        return [p for p in self.phases if p.kind == STROKE]
+    gesture: str | None = None
+    hand: str | None = None
+    expanse: float | None = None
+    height: float | None = None
+    outward: float | None = None
+    speed: float | None = None
+    scale: float | None = None
 
 
 @dataclass
 class Timeline:
     speaker: str
-    tracks: dict[str, ArmTrack]
+    tracks: dict[str, list[ScriptEvent]]  # per arm, in time order
     audio_ms: int
     story_id: str = ""
     config_fingerprint: str = ""
@@ -118,21 +127,16 @@ class ScheduleResult:
         return self.a if speaker == "A" else self.b
 
 
-@dataclass(frozen=True)
-class _Stroke:
+class _Stroke(NamedTuple):
     start: int
     end: int
     retract_end: int
     turn_index: int
     annotation: GestureAnnotation
+    fields: tuple  # gesture, hand and rounded features of each of its stroke events
 
 
-def _arms_of(hand: str) -> tuple[str, ...]:
-    if hand == "LH":
-        return ("left",)
-    if hand == "RH":
-        return ("right",)
-    return ARMS
+_ARMS_OF = {"LH": ("left",), "RH": ("right",)}  # any other hand uses both arms
 
 
 def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) -> list[_Stroke]:
@@ -146,15 +150,14 @@ def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) ->
                     f"annotation at {ann.stroke_begin:.2f}s has no effective features; "
                     "apply personality before scheduling"
                 )
-            end = ann.stroke_begin + ann.stroke_duration / ann.features.speed
+            f = ann.features
+            end = ann.stroke_begin + ann.stroke_duration / f.speed
+            fields = (
+                ann.gesture_name, ann.hand, round(f.expanse_cm, 3), round(f.height_cm, 3),
+                round(f.outwardness_cm, 3), round(f.speed, 3), round(f.scale, 3),
+            )
             strokes.append(
-                _Stroke(
-                    start=_ms(ann.stroke_begin),
-                    end=_ms(end),
-                    retract_end=_ms(end + retract_s),
-                    turn_index=turn.index,
-                    annotation=ann,
-                )
+                _Stroke(_ms(ann.stroke_begin), _ms(end), _ms(end + retract_s), turn.index, ann, fields)
             )
     strokes.sort(key=lambda s: (s.start, s.annotation.hand))
     return strokes
@@ -183,7 +186,7 @@ def _admit_strokes(
     last_end = {arm: -1 for arm in ARMS}
     for stroke in strokes:
         ann = stroke.annotation
-        arms = _arms_of(ann.hand)
+        arms = _ARMS_OF.get(ann.hand, ARMS)
         if stroke.end <= stroke.start:
             message = (
                 f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(stroke.start)}s lasts 0 ms "
@@ -213,43 +216,33 @@ def _admit_strokes(
     return per_arm
 
 
-def _connect(track: ArmTrack, cur: _Stroke, nxt: _Stroke, prep: int, hold: int, turn_end: bool) -> None:
-    prep_start = nxt.start - prep
-    retract = nxt.start - cur.end >= hold or (turn_end and nxt.turn_index != cur.turn_index)
-    # a retract needs room for itself and the next prep
-    if retract and cur.retract_end <= prep_start:
-        track.phases.append(GesturePhase(RETRACT, cur.end, cur.retract_end))
-        track.phases.append(GesturePhase(PREP, prep_start, nxt.start))
-    elif prep_start > cur.end:
-        track.phases.append(GesturePhase(HOLD, cur.end, prep_start))
-        track.phases.append(GesturePhase(PREP, prep_start, nxt.start))
-    else:
-        track.phases.append(GesturePhase(PREP, cur.end, nxt.start))
-
-
-def _build_track(arm: str, strokes: list[_Stroke], audio: int, prep: int, hold: int, turn_end: bool) -> ArmTrack:
-    track = ArmTrack(arm=arm)
+def _build_track(
+    arm: str, strokes: list[_Stroke], audio: int, prep: int, hold: int, turn_end: bool
+) -> list[ScriptEvent]:
+    track: list[ScriptEvent] = []
     if not strokes:
         return track
     first = strokes[0]
     if first.start > 0:
-        track.phases.append(GesturePhase(PREP, max(0, first.start - prep), first.start))
-    for i, stroke in enumerate(strokes):
-        track.phases.append(
-            GesturePhase(
-                STROKE,
-                stroke.start,
-                stroke.end,
-                gesture=stroke.annotation,
-                features=stroke.annotation.features,
-            )
-        )
-        if i + 1 < len(strokes):
-            _connect(track, stroke, strokes[i + 1], prep, hold, turn_end)
-    last = strokes[-1]
-    retract_end = min(last.retract_end, audio)
-    if retract_end > last.end:
-        track.phases.append(GesturePhase(RETRACT, last.end, retract_end))
+        track.append(ScriptEvent(max(0, first.start - prep), first.start, PREP, arm))
+    for i, cur in enumerate(strokes):
+        track.append(ScriptEvent._make((cur.start, cur.end, STROKE, arm) + cur.fields))
+        if i + 1 == len(strokes):
+            break
+        nxt = strokes[i + 1]
+        prep_start = nxt.start - prep
+        retract = nxt.start - cur.end >= hold or (turn_end and nxt.turn_index != cur.turn_index)
+        # a retract needs room for itself and the next prep
+        if retract and cur.retract_end <= prep_start:
+            track.append(ScriptEvent(cur.end, cur.retract_end, RETRACT, arm))
+        elif prep_start > cur.end:
+            track.append(ScriptEvent(cur.end, prep_start, HOLD, arm))
+        else:  # the prep compresses to the gap
+            prep_start = cur.end
+        track.append(ScriptEvent(prep_start, nxt.start, PREP, arm))
+    retract_end = min(cur.retract_end, audio)
+    if retract_end > cur.end:
+        track.append(ScriptEvent(cur.end, retract_end, RETRACT, arm))
     return track
 
 
@@ -286,76 +279,77 @@ _AFTER = {
     HOLD: (PREP,),
     RETRACT: (PREP,),
 }
+_TIMES_ONLY = (None,) * 7  # gesture, hand and features of a prep, hold or retract
+_WRONG_HAND = {"left": "RH", "right": "LH"}
 
 
 def validate_timeline(timeline: Timeline) -> list[str]:
-    """Structural diagnostics; empty means the timeline is well formed.
+    """Every phase rule of a script; empty means the timeline is well formed.
 
-    Every time must be an ``int`` of milliseconds; messages give times in ms.
+    ``emit_script`` runs it before writing and ``read_script`` after
+    reading, so the reader accepts exactly what the writer would write.
+    Every time must be an ``int`` of milliseconds; messages give times in ms
+    and name an event ``arm[i]``, its index on its arm's track.
     """
     problems: list[str] = []
+    report = problems.append
     audio = timeline.audio_ms
     if type(audio) is not int:
-        problems.append(f"audio duration {audio!r} is not integer milliseconds")
+        report(f"audio duration {audio!r} is not integer milliseconds")
+    twins = {}  # two-hand strokes per arm, without the arm
     for arm in ARMS:
-        track = timeline.tracks.get(arm)
-        if track is None:
-            problems.append(f"{arm}: track missing")
+        events = timeline.tracks.get(arm)
+        twins[arm] = two_hand = set()
+        if events is None:
+            report(f"{arm}: track missing")
             continue
-        phases = track.phases
-        for i, p in enumerate(phases):
-            where = f"{arm}[{i}]"
-            if p.kind not in _AFTER:
-                problems.append(f"{where}: unknown phase kind {p.kind!r}")
-                continue
-            if type(p.start) is not int or type(p.end) is not int:
-                problems.append(f"{where}: times {p.start!r}, {p.end!r} are not integer milliseconds")
-            if not p.start < p.end:
-                problems.append(f"{where}: start {p.start} not before end {p.end}")
-            if p.start < 0 or p.end > audio:
-                problems.append(f"{where}: outside [0, {audio}]")
-            if p.kind == STROKE:
-                if p.gesture is None:
-                    problems.append(f"{where}: stroke without a gesture reference")
-                elif p.gesture.hand not in HANDS:
-                    problems.append(f"{where}: unknown hand {p.gesture.hand!r}")
-                if p.features is None:
-                    problems.append(f"{where}: stroke without effective features")
-            elif p.gesture is not None:
-                problems.append(f"{where}: {p.kind} must not carry a gesture reference")
-        for i in range(len(phases) - 1):
-            p, q = phases[i], phases[i + 1]
-            where = f"{arm}[{i}->{i + 1}]"
-            if q.start < p.end:
-                problems.append(f"{where}: phases overlap ({p.kind} ends {p.end}, {q.kind} starts {q.start})")
-            if q.kind not in _AFTER.get(p.kind, ()):
-                problems.append(f"{where}: {p.kind} may not be followed by {q.kind}")
-            # only retract->prep may leave a rest gap
-            if p.kind != RETRACT and q.start > p.end:
-                problems.append(f"{where}: gap between {p.kind} and {q.kind}")
-        if phases:
-            head, tail = phases[0], phases[-1]
+        wrong_hand = _WRONG_HAND[arm]
+        prev_kind = prev_end = None
+        for i, e in enumerate(events):
+            start, end, kind, on_arm, gesture, hand, expanse, height, outward, speed, scale = e
+            if on_arm != arm:
+                report(f"{arm}[{i}]: {on_arm} event on the {arm} track")
+            if kind == STROKE:
+                if not gesture:
+                    report(f"{arm}[{i}]: stroke without a gesture reference")
+                if hand not in HANDS:
+                    report(f"{arm}[{i}]: unknown hand {hand!r}")
+                elif hand == wrong_hand:
+                    report(f"{arm}[{i}]: {hand} stroke on the {arm} arm")
+                elif hand == "2H":
+                    two_hand.add((start, end, gesture, expanse, height, outward, speed, scale))
+                if None in (expanse, height, outward, speed, scale):
+                    report(f"{arm}[{i}]: stroke without effective features")
+                elif not (speed > 0 and scale > 0):
+                    report(f"{arm}[{i}]: speed and scale must be > 0")
+            elif kind not in _AFTER:
+                report(f"{arm}[{i}]: unknown phase kind {kind!r}")
+            elif e[4:] != _TIMES_ONLY:
+                report(f"{arm}[{i}]: {kind} must not carry a gesture reference, hand or features")
+            if type(start) is not int or type(end) is not int:
+                report(f"{arm}[{i}]: times {start!r}, {end!r} are not integer milliseconds")
+            if not start < end:
+                report(f"{arm}[{i}]: start {start} not before end {end}")
+            if start < 0 or end > audio:
+                report(f"{arm}[{i}]: outside [0, {audio}]")
+            if i:
+                if start < prev_end:
+                    report(
+                        f"{arm}[{i - 1}->{i}]: phases overlap ({prev_kind} ends {prev_end}, {kind} starts {start})"
+                    )
+                if kind not in _AFTER.get(prev_kind, ()):
+                    report(f"{arm}[{i - 1}->{i}]: {prev_kind} may not be followed by {kind}")
+                # only retract->prep may leave a rest gap
+                if prev_kind != RETRACT and start > prev_end:
+                    report(f"{arm}[{i - 1}->{i}]: gap between {prev_kind} and {kind}")
+            prev_kind, prev_end = kind, end
+        if events:
+            head, tail = events[0], events[-1]
             if head.kind != PREP and not (head.kind == STROKE and head.start == 0):
-                problems.append(f"{arm}[0]: track must begin with a prep")
+                report(f"{arm}[0]: track must begin with a prep")
             if tail.kind != RETRACT and tail.end != audio:
-                problems.append(f"{arm}[{len(phases) - 1}]: track must end with a retract")
-    problems.extend(_check_two_hand_sync(timeline))
-    return problems
-
-
-def _check_two_hand_sync(timeline: Timeline) -> list[str]:
-    problems = []
-    sides = {}
-    for arm in ARMS:
-        track = timeline.tracks.get(arm)
-        sides[arm] = {
-            (p.start, p.end, p.gesture.gesture_name)
-            for p in (track.phases if track else [])
-            if p.kind == STROKE and p.gesture is not None and p.gesture.hand == "2H"
-        }
+                report(f"{arm}[{len(events) - 1}]: track must end with a retract")
     for arm, other in (("left", "right"), ("right", "left")):
-        for key in sides[arm] - sides[other]:
-            problems.append(
-                f"{arm}: two-hand stroke at {key[0]} ms has no synchronized twin on the {other} arm"
-            )
+        for key in sorted(twins[arm] - twins[other], key=itemgetter(0)):
+            report(f"{arm}: two-hand stroke at {key[0]} ms has no synchronized twin on the {other} arm")
     return problems

@@ -115,7 +115,7 @@ def test_criterion_3_hold_retract_dichotomy():
         dialog = make_stroke_dialog(random.Random(seed))
         timeline = schedule(dialog).a
         for arm in ("left", "right"):
-            phases = timeline.tracks[arm].phases
+            phases = timeline.tracks[arm]
             stroke_idx = [i for i, p in enumerate(phases) if p.kind == "stroke"]
             for a, b in zip(stroke_idx, stroke_idx[1:]):
                 gap = phases[b].start - phases[a].end

@@ -16,7 +16,7 @@ from gesturec.errors import (
     TimingFormatError,
     TimingOrderError,
 )
-from gesturec.scheduler import _ms
+from gesturec.scheduler import SchedulerConfig, _ms
 
 
 def test_parse_single_line():
@@ -109,6 +109,13 @@ def test_custom_lead():
     track = parse_word_timings("1\tword.\t2.00\n")
     aligned = align_strokes(dialog, track, lead=0.5)
     assert aligned.turns[0].annotations[0].stroke_begin == 1.5
+
+
+def test_default_lead_is_the_scheduler_setting():
+    dialog = parse_dialog("A1: [1.00s](Cup, RH 0.46s) word.\n")
+    track = parse_word_timings("1\tword.\t2.00\n")
+    aligned = align_strokes(dialog, track)
+    assert aligned.turns[0].annotations[0].stroke_begin == 2.0 - SchedulerConfig().stroke_lead_s
 
 
 def test_onset_becomes_milliseconds_by_the_scheduler_rule():

@@ -122,6 +122,14 @@ def test_preference_rejects_other_kinds():
         preference_table([JudgmentRecord("s1", "x", "why", why=frozenset())])
 
 
+@pytest.mark.parametrize("choice", ["maybe", None, "a"])
+def test_preference_rejects_a_choice_other_than_a_or_na(choice):
+    records = [JudgmentRecord("s1", "v", "preference", choice="A"),
+               JudgmentRecord("s2", "v", "preference", choice=choice)]
+    with pytest.raises(DomainError, match="subject 's2', stimulus 'v': preference must be A or NA"):
+        preference_table(records)
+
+
 # --- one-sample t test ----------------------------------------------------
 
 
@@ -538,6 +546,12 @@ def test_why_multi_category_counts_once_each():
 def test_why_unknown_label():
     with pytest.raises(DomainError):
         why_category_table([JudgmentRecord("s1", "v", "why", why=frozenset({"weird"}))])
+
+
+def test_why_record_without_labels_is_rejected():
+    records = [JudgmentRecord("s1", "v", "why", why=frozenset()), JudgmentRecord("s2", "w", "why")]
+    with pytest.raises(DomainError, match="subject 's2', stimulus 'w': why record without labels"):
+        why_category_table(records)
 
 
 def test_read_judgments_rejects_bad_rows():

@@ -23,8 +23,6 @@ from gesturec.personality import EXTRAVERT_ANCHOR, apply_personality
 from gesturec.pipeline import PipelineSettings, compile_dialog
 from gesturec.scheduler import (
     STROKE,
-    ArmTrack,
-    GesturePhase,
     Timeline,
     format_seconds,
     schedule,
@@ -123,7 +121,7 @@ def test_three_decimal_formatting(fixture_timelines):
 def test_empty_timeline_round_trips():
     timeline = Timeline(
         speaker="A",
-        tracks={"left": ArmTrack("left"), "right": ArmTrack("right")},
+        tracks={"left": [], "right": []},
         audio_ms=10000,
         story_id="empty",
         config_fingerprint="cfg",
@@ -189,11 +187,13 @@ def test_render_matches_reference_renderer_on_escaped_strings():
     header = {"story": 'say "hi" \\ café ✓', "speaker": "B", "audio": 5.0, "config": "cfg\t\u00e9\"x"}
     events = [
         {"start": 0.7, "end": 1.0, "kind": "prep", "arm": "left"},
+        {"start": 0.7, "end": 1.0, "kind": "prep", "arm": "right"},
         {"start": 1.0, "end": 1.46, "kind": "stroke", "arm": "left", "gesture": "Cup_2", "hand": "2H",
          "expanse": 25.0, "height": -0.5, "outward": 20.125, "speed": 1.25, "scale": 0.8},
         {"start": 1.0, "end": 1.46, "kind": "stroke", "arm": "right", "gesture": "Cup_2", "hand": "2H",
          "expanse": 25.0, "height": -0.5, "outward": 20.125, "speed": 1.25, "scale": 0.8},
         {"start": 1.46, "end": 1.96, "kind": "retract", "arm": "left"},
+        {"start": 1.46, "end": 1.96, "kind": "retract", "arm": "right"},
     ]
     document = read_script(json.dumps({"header": header, "events": events}).encode())
     assert document.header.story_id == header["story"]
@@ -206,10 +206,7 @@ def test_render_matches_reference_renderer_on_escaped_strings():
 def test_invalid_timeline_rejected():
     timeline = Timeline(
         speaker="A",
-        tracks={
-            "left": ArmTrack("left"),
-            "right": ArmTrack("right", phases=[GesturePhase("stroke", 1000, 1500)]),
-        },
+        tracks={"left": [], "right": [ScriptEvent(1000, 1500, "stroke", "right")]},
         audio_ms=10000,
     )
     with pytest.raises(EmitError):
@@ -241,7 +238,8 @@ def test_end_before_start_names_the_record(fixture_timelines):
     blob = json.dumps(raw).encode()
     with pytest.raises(ScriptError) as err:
         read_script(blob)
-    assert "events[3]" in str(err.value)
+    assert err.value.path == "events"
+    assert "right[3]: start" in str(err.value)
 
 
 def test_unsorted_events_rejected(fixture_timelines):
@@ -276,12 +274,18 @@ def test_non_finite_numbers_rejected(field, bad):
 
 
 def _stroke_document(**changes) -> bytes:
+    """One prep, stroke, retract script; ``changes`` apply to the header or the stroke."""
     header = {"story": "x", "speaker": "A", "audio": 5.0, "config": "c"}
     event = {"start": 1.0, "end": 2.0, "kind": "stroke", "arm": "right", "gesture": "Cup", "hand": "RH",
              "expanse": 25.0, "height": 0.0, "outward": 20.0, "speed": 1.0, "scale": 1.0}
     for key, value in changes.items():
         (header if key in header else event)[key] = value
-    return json.dumps({"header": header, "events": [event]}).encode()
+    events = [
+        {"start": 0.7, "end": 1.0, "kind": "prep", "arm": "right"},
+        event,
+        {"start": 2.0, "end": 2.5, "kind": "retract", "arm": "right"},
+    ]
+    return json.dumps({"header": header, "events": events}).encode()
 
 
 @pytest.mark.parametrize(
@@ -319,12 +323,11 @@ def test_reader_accepts_every_header_string_the_text_form_keeps():
 
 
 def test_stroke_event_requires_features():
-    event = {"start": 1.0, "end": 2.0, "kind": "stroke", "arm": "right", "gesture": "Cup", "hand": "RH"}
-    blob = json.dumps(
-        {"header": {"story": "x", "speaker": "A", "audio": 5.0, "config": "c"}, "events": [event]}
-    ).encode()
-    with pytest.raises(ScriptError):
-        read_script(blob)
+    raw = json.loads(_stroke_document())
+    for name in FEATURES:
+        del raw["events"][1][name]
+    with pytest.raises(ScriptError, match=r"right\[1\]: stroke without effective features"):
+        read_script(json.dumps(raw).encode())
 
 
 def test_emitted_json_matches_shipped_schema(fixture_timelines):

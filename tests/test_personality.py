@@ -158,7 +158,7 @@ def test_speed_multiplier_divides_stroke_duration(catalog):
     out = apply_personality(dialog, "A", INTROVERT_ANCHOR, catalog)
     out = apply_personality(out, "B", EXTRAVERT_ANCHOR, catalog)
     timeline = schedule(out).a
-    stroke = timeline.tracks["right"].strokes()[0]
+    stroke = next(p for p in timeline.tracks["right"] if p.kind == "stroke")
     assert stroke.start == 1000
     assert stroke.end - stroke.start == round(0.46 / 0.8 * 1000)
 

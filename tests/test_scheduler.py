@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from conftest import EMPTY_HOLD, TOUCHING_STROKES, make_stroke_dialog, neutral_features
+from conftest import EMPTY_HOLD, TOUCHING_STROKES, make_stroke_dialog
 from gesturec.align import align_strokes
-from gesturec.dsl import GestureAnnotation, parse_dialog
+from gesturec.dsl import parse_dialog
 from gesturec.emitter import emit_script, read_script
 from gesturec.errors import ScheduleError, StrokeOverlapError, StrokeOverrunError
 from gesturec.personality import EXTRAVERT_ANCHOR, apply_personality
 from gesturec.pipeline import PipelineSettings, compile_dialog
 from gesturec.scheduler import (
-    GesturePhase,
     SchedulerConfig,
+    ScriptEvent,
     Timeline,
     _ms,
     schedule,
@@ -29,7 +29,11 @@ def _single(catalog, source):
 
 
 def _kinds(timeline, arm):
-    return [p.kind for p in timeline.tracks[arm].phases]
+    return [p.kind for p in timeline.tracks[arm]]
+
+
+def _strokes(track):
+    return [p for p in track if p.kind == "stroke"]
 
 
 def test_fixture_hold_between_close_strokes(protest_dialog, protest_track, catalog):
@@ -37,9 +41,9 @@ def test_fixture_hold_between_close_strokes(protest_dialog, protest_track, catal
     for speaker in ("A", "B"):
         dialog = apply_personality(dialog, speaker, EXTRAVERT_ANCHOR, catalog)
     timeline = schedule(dialog).a
-    phases = timeline.tracks["right"].phases
+    phases = timeline.tracks["right"]
     # Cup stroke [1.90, 2.36], PointingAbstract stroke at 3.17: gap 0.81 < 2.5
-    assert phases[1].kind == "stroke" and phases[1].gesture.gesture_name == "Cup"
+    assert phases[1].kind == "stroke" and phases[1].gesture == "Cup"
     hold, prep = phases[2], phases[3]
     assert (hold.kind, hold.start, hold.end) == ("hold", 2360, 2870)
     assert (prep.kind, prep.start, prep.end) == ("prep", 2870, 3170)
@@ -49,9 +53,9 @@ def test_far_strokes_get_retract_then_prep(catalog):
     source = "audio: 12.00s\nA1: [1.00s](Cup, RH 0.46s) one two three four [6.00s](Reject, RH 0.44s) five.\n"
     timeline = schedule(_single(catalog, source)).a
     assert _kinds(timeline, "right") == ["prep", "stroke", "retract", "prep", "stroke", "retract"]
-    retract = timeline.tracks["right"].phases[2]
+    retract = timeline.tracks["right"][2]
     assert (retract.start, retract.end) == (1460, 1960)
-    prep = timeline.tracks["right"].phases[3]
+    prep = timeline.tracks["right"][3]
     assert (prep.start, prep.end) == (5700, 6000)
 
 
@@ -66,7 +70,7 @@ def test_gap_shorter_than_prep_compresses(catalog):
     timeline = schedule(_single(catalog, source)).a
     kinds = _kinds(timeline, "right")
     assert kinds == ["prep", "stroke", "prep", "stroke", "retract"]
-    bridge = timeline.tracks["right"].phases[2]
+    bridge = timeline.tracks["right"][2]
     assert (bridge.start, bridge.end) == (1460, 1660)
     assert validate_timeline(timeline) == []
 
@@ -87,8 +91,8 @@ def test_threshold_boundary_uses_retract(catalog):
 def test_two_hand_gesture_locks_both_arms(catalog):
     source = "audio: 8.00s\nA1: [1.00s](Cup_Up, 2H 0.34s) one word.\n"
     timeline = schedule(_single(catalog, source)).a
-    left = timeline.tracks["left"].strokes()[0]
-    right = timeline.tracks["right"].strokes()[0]
+    left = _strokes(timeline.tracks["left"])[0]
+    right = _strokes(timeline.tracks["right"])[0]
     assert (left.start, left.end) == (right.start, right.end)
     assert validate_timeline(timeline) == []
 
@@ -102,7 +106,7 @@ def test_overlap_strict_raises(catalog):
 def test_overlap_lenient_drops_later(catalog):
     source = "audio: 8.00s\nA1: [1.00s](Regressive, RH 1.14s) one [1.50s](Cup, RH 0.46s) two.\n"
     result = schedule(_single(catalog, source), strict=False)
-    names = [p.gesture.gesture_name for p in result.a.tracks["right"].strokes()]
+    names = [p.gesture for p in _strokes(result.a.tracks["right"])]
     assert names == ["Regressive"]
     assert len(result.diagnostics) == 1
     assert "overlaps" in result.diagnostics[0]
@@ -130,7 +134,7 @@ def test_overrun_strict_and_lenient(catalog):
     with pytest.raises(StrokeOverrunError):
         schedule(dialog, strict=True)
     result = schedule(dialog, strict=False)
-    assert result.a.tracks["right"].phases == []
+    assert result.a.tracks["right"] == []
     assert len(result.diagnostics) == 1
 
 
@@ -141,7 +145,7 @@ def test_stroke_times_never_move(catalog):
         expected = [round(a.stroke_begin * 1000) for t in dialog.turns for a in t.annotations]
         timeline = schedule(dialog).a
         starts = sorted(
-            {p.start for arm in ("left", "right") for p in timeline.tracks[arm].strokes()}
+            {p.start for arm in ("left", "right") for p in _strokes(timeline.tracks[arm])}
         )
         assert starts == sorted(set(expected))
 
@@ -191,7 +195,7 @@ def test_stroke_rounded_onto_next_start_overlaps(catalog):
     with pytest.raises(StrokeOverlapError):
         _compile(catalog, TOUCHING_STROKES, strict=True)
     result = _compile(catalog, TOUCHING_STROKES, strict=False)
-    assert [p.gesture.gesture_name for p in result.a.tracks["right"].strokes()] == ["Cup"]
+    assert [p.gesture for p in _strokes(result.a.tracks["right"])] == ["Cup"]
     assert "overlaps the previous stroke ending at 1.470s" in result.diagnostics[0]
     _assert_readable(result)
 
@@ -199,7 +203,7 @@ def test_stroke_rounded_onto_next_start_overlaps(catalog):
 @pytest.mark.parametrize("strict", [True, False])
 def test_hold_rounded_to_nothing_is_left_out(catalog, strict):
     result = _compile(catalog, EMPTY_HOLD, strict)
-    phases = result.a.tracks["right"].phases
+    phases = result.a.tracks["right"]
     assert [p.kind for p in phases] == ["prep", "stroke", "prep", "stroke", "retract"]
     assert (phases[1].end, phases[2].start, phases[2].end) == (1480, 1480, 1780)
     _assert_readable(result)
@@ -216,21 +220,14 @@ def test_config_validation():
 
 
 def test_validate_flags_overlapping_phases():
-    phases = [
-        GesturePhase("prep", 500, 1000),
-        GesturePhase("stroke", 900, 1400, gesture=_ann(), features=neutral_features()),
-    ]
+    phases = [_phase("prep", 500, 1000), _stroke(900, 1400)]
     timeline = _timeline(right=phases)
     problems = validate_timeline(timeline)
     assert any("overlap" in p for p in problems)
 
 
 def test_validate_flags_off_grid_times():
-    phases = [
-        GesturePhase("prep", 500, 1000.4),
-        GesturePhase("stroke", 1000.4, 1400, gesture=_ann(), features=neutral_features()),
-        GesturePhase("retract", 1400, 1900),
-    ]
+    phases = [_phase("prep", 500, 1000.4), _stroke(1000.4, 1400), _phase("retract", 1400, 1900)]
     problems = validate_timeline(_timeline(right=phases, audio_ms=30000.0))
     assert [p for p in problems if "integer milliseconds" in p] == [
         "audio duration 30000.0 is not integer milliseconds",
@@ -240,7 +237,7 @@ def test_validate_flags_off_grid_times():
 
 
 def test_validate_flags_stroke_without_gesture():
-    phases = [GesturePhase("prep", 500, 1000), GesturePhase("stroke", 1000, 1400)]
+    phases = [_phase("prep", 500, 1000), _phase("stroke", 1000, 1400)]
     timeline = _timeline(right=phases)
     problems = validate_timeline(timeline)
     assert any("without a gesture" in p for p in problems)
@@ -248,10 +245,10 @@ def test_validate_flags_stroke_without_gesture():
 
 def test_validate_flags_bad_transition():
     phases = [
-        GesturePhase("prep", 500, 1000),
-        GesturePhase("stroke", 1000, 1400, gesture=_ann(), features=neutral_features()),
-        GesturePhase("hold", 1400, 2000),
-        GesturePhase("retract", 2000, 2500),
+        _phase("prep", 500, 1000),
+        _stroke(1000, 1400),
+        _phase("hold", 1400, 2000),
+        _phase("retract", 2000, 2500),
     ]
     timeline = _timeline(right=phases)
     assert any("hold may not be followed by retract" in p for p in problems_of(timeline))
@@ -270,23 +267,44 @@ def problems_of(timeline):
     return validate_timeline(timeline)
 
 
-def _ann():
-    return GestureAnnotation(1.0, "Cup", "RH", 0.4, word_index=0, features=neutral_features())
+def _phase(kind, start, end, arm="right"):
+    return ScriptEvent(start, end, kind, arm)
+
+
+def _stroke(start, end, arm="right", hand="RH"):
+    return ScriptEvent(start, end, "stroke", arm, "Cup", hand, 25.0, 0.0, 20.0, 1.0, 1.0)
 
 
 def _timeline(right=None, left=None, audio_ms=30000):
-    from gesturec.scheduler import ArmTrack
-
     return Timeline(
         speaker="A",
-        tracks={
-            "left": ArmTrack(arm="left", phases=list(left or [])),
-            "right": ArmTrack(arm="right", phases=list(right or [])),
-        },
+        tracks={"left": list(left or []), "right": list(right or [])},
         audio_ms=audio_ms,
         story_id="t",
         config_fingerprint="x",
     )
+
+
+def _prep_stroke_retract(**stroke_changes):
+    return [_phase("prep", 500, 1000), _stroke(1000, 1400)._replace(**stroke_changes), _phase("retract", 1400, 1900)]
+
+
+@pytest.mark.parametrize(
+    "right, problem",
+    [
+        (_prep_stroke_retract(arm="left"), "right[1]: left event on the right track"),
+        (_prep_stroke_retract(hand="LH"), "right[1]: LH stroke on the right arm"),
+        (_prep_stroke_retract(speed=0.0), "right[1]: speed and scale must be > 0"),
+        (_prep_stroke_retract(scale=-1.0), "right[1]: speed and scale must be > 0"),
+        (_prep_stroke_retract(height=None), "right[1]: stroke without effective features"),
+        (
+            [_phase("prep", 500, 1000)._replace(expanse=25.0), _stroke(1000, 1400), _phase("retract", 1400, 1900)],
+            "right[0]: prep must not carry a gesture reference, hand or features",
+        ),
+    ],
+)
+def test_validate_flags_each_event_rule(right, problem):
+    assert validate_timeline(_timeline(right=right)) == [problem]
 
 
 def test_hold_retract_dichotomy_generated():
@@ -296,7 +314,7 @@ def test_hold_retract_dichotomy_generated():
         timeline = schedule(dialog).a
         assert validate_timeline(timeline) == []
         for arm in ("left", "right"):
-            check_dichotomy(timeline.tracks[arm].phases)
+            check_dichotomy(timeline.tracks[arm])
 
 
 def check_dichotomy(phases, threshold=_ms(SchedulerConfig().hold_threshold_s)):

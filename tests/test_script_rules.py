@@ -1,0 +1,172 @@
+"""The script reader accepts exactly what the writer would write: both run
+``validate_timeline``, so a script breaking a phase rule is refused on
+reading as it is on writing."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import DATA_DIR
+from gesturec.align import parse_word_timings
+from gesturec.catalog import load_catalog
+from gesturec.dsl import HANDS
+from gesturec.emitter import (
+    ScriptDocument,
+    ScriptEvent,
+    ScriptHeader,
+    document_from_timeline,
+    emit_document,
+    read_script,
+)
+from gesturec.errors import ScriptError
+from gesturec.pipeline import PipelineSettings, compile_dialog
+from gesturec.scheduler import ARMS, KINDS, STROKE, Timeline, validate_timeline
+
+FORMATS = ("json", "text")
+
+
+def _prep(start, end, arm="right"):
+    return ScriptEvent(start, end, "prep", arm)
+
+
+def _retract(start, end, arm="right"):
+    return ScriptEvent(start, end, "retract", arm)
+
+
+def _stroke(start, end, arm="right", hand="RH"):
+    return ScriptEvent(start, end, STROKE, arm, "Cup", hand, 25.0, 0.0, 20.0, 1.0, 1.0)
+
+
+def _document(events, audio_ms=5000):
+    header = ScriptHeader("x", "A", audio_ms, "c")
+    return ScriptDocument(header, tuple(sorted(events, key=lambda e: (e.start, e.arm, e.kind))))
+
+
+def test_a_prep_stroke_retract_script_reads_back():
+    document = _document([_prep(700, 1000), _stroke(1000, 2000), _retract(2000, 2500)])
+    for fmt in FORMATS:
+        assert read_script(emit_document(document, fmt)) == document
+
+
+@pytest.mark.parametrize(
+    "events, audio_ms, problem",
+    [
+        pytest.param(
+            [ScriptEvent(400, 700, "hold", "right"), _prep(700, 1000), _stroke(1000, 2000), _retract(2000, 2500)],
+            5000, "right[0]: track must begin with a prep", id="hold-first",
+        ),
+        pytest.param(
+            [_prep(700, 1000), _stroke(1000, 2000), _retract(2000, 9000)],
+            3000, "right[2]: outside [0, 3000]", id="retract-past-audio",
+        ),
+        pytest.param(
+            [_prep(700, 1000, "left"), _stroke(1000, 2000, "left", "RH"), _retract(2000, 2500, "left")],
+            5000, "left[1]: RH stroke on the left arm", id="right-hand-on-left-arm",
+        ),
+        pytest.param(
+            [_prep(700, 1000, "left"), _stroke(1000, 2000, "left", "2H"), _retract(2000, 2500, "left")],
+            5000, "left: two-hand stroke at 1000 ms has no synchronized twin on the right arm", id="2H-without-twin",
+        ),
+        pytest.param(
+            [_prep(700, 1000), _stroke(1000, 2000), _stroke(1500, 2500), _retract(2500, 3000)],
+            5000, "right[1->2]: phases overlap (stroke ends 2000, stroke starts 1500)", id="overlapping-strokes",
+        ),
+    ],
+)
+def test_reader_refuses_what_the_writer_would_not_write(events, audio_ms, problem):
+    document = _document(events, audio_ms)
+    for fmt in FORMATS:
+        with pytest.raises(ScriptError) as err:
+            read_script(emit_document(document, fmt))
+        assert err.value.path == "events"
+        assert problem in str(err.value)
+
+
+def _text_script() -> bytes:
+    return emit_document(_document([_prep(700, 1000), _stroke(1000, 2000), _retract(2000, 2500)]), "text")
+
+
+def test_text_reader_refuses_features_on_an_event_without_a_gesture():
+    text = _text_script()
+    line = b"0.700 1.000 prep right - - - - - -"
+    assert text.splitlines()[5] == line
+    with pytest.raises(ScriptError, match="line 6: features without a gesture"):
+        read_script(text.replace(line, b"0.700 1.000 prep right - 1.0 2.0 junk 4.0 5.0"))
+
+
+def test_text_reader_refuses_a_repeated_header_line():
+    text = _text_script()
+    line = b"# config: c\n"
+    assert text.splitlines()[4] + b"\n" == line
+    with pytest.raises(ScriptError, match="line 6: repeated header line 'config'") as err:
+        read_script(text.replace(line, line + b"# config: d\n"))
+    assert err.value.path == "header.config"
+
+
+def _compiled_documents():
+    catalog = load_catalog((DATA_DIR / "catalog.txt").read_text(encoding="utf-8"))
+    settings = PipelineSettings(extraversion={"A": 7.0, "B": 1.0})
+    documents = []
+    for path in sorted((DATA_DIR / "stories").glob("*.dialog")):
+        track = parse_word_timings((DATA_DIR / "timings" / f"{path.stem}.tsv").read_text(encoding="utf-8"))
+        result = compile_dialog(path.read_text(encoding="utf-8"), catalog, timings=track, settings=settings)
+        for speaker in ("A", "B"):
+            documents.append(document_from_timeline(result.schedule.for_speaker(speaker)))
+    return documents
+
+
+COMPILED = _compiled_documents()
+
+
+@st.composite
+def _mutated(draw):
+    """A compiled script with one event shifted, re-kinded, moved to the
+    other arm, given another hand, dropped or duplicated."""
+    document = draw(st.sampled_from(COMPILED))
+    events = list(document.events)
+    mutation = draw(st.sampled_from(["shift", "kind", "arm", "hand", "drop", "duplicate"]))
+    if mutation == "hand":
+        i = draw(st.sampled_from([i for i, e in enumerate(events) if e.kind == STROKE]))
+    else:
+        i = draw(st.integers(0, len(events) - 1))
+    e = events[i]
+    if mutation == "shift":
+        field = draw(st.sampled_from(["start", "end"]))
+        delta = draw(st.integers(-700, 700).filter(bool))
+        events[i] = e._replace(**{field: getattr(e, field) + delta})
+    elif mutation == "kind":
+        kind = draw(st.sampled_from([k for k in KINDS if k != e.kind]))
+        if kind == STROKE:
+            hand = draw(st.sampled_from(HANDS))
+            events[i] = ScriptEvent(e.start, e.end, STROKE, e.arm, "Cup", hand, 25.0, 0.0, 20.0, 1.0, 1.0)
+        else:
+            events[i] = ScriptEvent(e.start, e.end, kind, e.arm)
+    elif mutation == "arm":
+        events[i] = e._replace(arm=next(arm for arm in ARMS if arm != e.arm))
+    elif mutation == "hand":
+        events[i] = e._replace(hand=draw(st.sampled_from([h for h in HANDS if h != e.hand])))
+    elif mutation == "drop":
+        del events[i]
+    else:
+        events.insert(i, e)
+    events.sort(key=lambda e: (e.start, e.arm, e.kind))
+    return ScriptDocument(document.header, tuple(events))
+
+
+@given(document=_mutated())
+@settings(max_examples=200, deadline=None)
+def test_reader_refuses_a_mutated_script_exactly_when_the_validator_does(document):
+    h = document.header
+    tracks = {arm: [e for e in document.events if e.arm == arm] for arm in ARMS}
+    problems = validate_timeline(Timeline(h.speaker, tracks, h.audio_ms, h.story_id, h.config_fingerprint))
+    for fmt in FORMATS:
+        blob = emit_document(document, fmt)
+        if problems:
+            with pytest.raises(ScriptError) as err:
+                read_script(blob)
+            assert err.value.path == "events"
+            assert str(err.value) == "events: " + "; ".join(problems)
+        else:
+            assert emit_document(read_script(blob), fmt) == blob
