@@ -14,7 +14,7 @@ from .dsl import (
     parse_dialog,
     segment_sentences,
 )
-from .emitter import ScriptDocument, emit_script, read_script
+from .emitter import emit_script, read_script
 from .personality import (
     ParameterSet,
     apply_personality,
@@ -36,7 +36,6 @@ __all__ = [
     "ParameterSet",
     "PipelineSettings",
     "SchedulerConfig",
-    "ScriptDocument",
     "Timeline",
     "Turn",
     "WordTimingTrack",

@@ -50,15 +50,20 @@ def _settings_from_args(args) -> PipelineSettings:
 
 def _load_stories(stories_dir: Path, timings_dir: Path | None):
     stories = {}
+    sources = {}  # story id -> the file that names it
     for path in sorted(Path(stories_dir).glob("*.dialog")):
         dialog = parse_dialog(path.read_text(encoding="utf-8"), story_id=path.stem)
+        story_id = dialog.story_id or path.stem
+        if story_id in sources:
+            raise GesturecError(f"story {story_id!r} is named by both {sources[story_id]} and {path}")
+        sources[story_id] = path
         track = None
         if timings_dir is not None:
             timing_path = Path(timings_dir) / f"{path.stem}.tsv"
             if not timing_path.exists():
                 raise GesturecError(f"no timing track for story {path.stem!r} at {timing_path}")
             track = parse_word_timings(timing_path.read_text(encoding="utf-8"))
-        stories[dialog.story_id or path.stem] = (dialog, track)
+        stories[story_id] = (dialog, track)
     if not stories:
         raise GesturecError(f"no .dialog files in {stories_dir}")
     return stories

@@ -225,16 +225,21 @@ def parse_dialog(source: str, story_id: str = "") -> AnnotatedDialog:
     turns: list[Turn] = []
     audio_duration: float | None = None
     speaker_counts = {"A": 0, "B": 0}
+    headers = set()
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         indent = len(raw) - len(raw.lstrip())
-        if line.startswith("story:"):
-            story_id = line[len("story:"):].strip()
-            continue
-        if line.startswith("audio:"):
-            spec = line[len("audio:"):].strip()
+        key, _, value = line.partition(":")
+        if key in ("story", "audio"):
+            if key in headers:
+                raise DialogParseError(f"repeated header line '{key}:'", lineno, indent + 1)
+            headers.add(key)
+            if key == "story":
+                story_id = value.strip()
+                continue
+            spec = value.strip()
             if not spec.endswith("s"):
                 raise DialogParseError("audio duration must end with 's'", lineno, indent + 1)
             try:

@@ -1,15 +1,18 @@
 """Deterministic gesture-script serialization.
 
-A script document is the flat, renderer-facing form of one speaker's
-timeline: a header (story, speaker, audio duration, scheduler-config
-fingerprint) and phase events sorted by (start, arm, kind).  Times are
-``int`` milliseconds, as in the timeline.  The writers print them as
-seconds through ``format_seconds``, and the readers turn them back into
-milliseconds through one checked function, ``_check_ms``, which rejects a
-time that is not a whole number of milliseconds.  The scheduler rounds
-features to 3 decimals when it builds a stroke event.  Every number is
-printed with exactly three decimal places, which makes emission a canonical
-form: emit(read(emit(t))) == emit(t) byte for byte.
+A script document is one speaker's ``Timeline``: a header (story, speaker,
+audio duration, scheduler-config fingerprint) and per-arm phase events,
+written flat and sorted by (start, arm, kind).  ``read_script`` returns the
+``Timeline`` that ``emit_script`` wrote, and both refuse a timeline for the
+same reason, ``_refusal``: a header rule, or a phase or gesture-name rule of
+``validate_timeline``.  Times are ``int`` milliseconds, as in the timeline.
+The writers print them as seconds through ``format_seconds``, and the
+readers turn them back into milliseconds through one checked function,
+``_check_ms``, which rejects a time that is not a whole number of
+milliseconds.  The scheduler rounds features to 3 decimals when it builds a
+stroke event.  Every number is printed with exactly three decimal places,
+which makes emission a canonical form: read(emit(t)) == t and
+emit(read(emit(t))) == emit(t) byte for byte.
 
 Two formats are supported.  JSON (see ``docs/script.schema.json``) and a
 line-oriented text form, one event per line::
@@ -24,47 +27,40 @@ from __future__ import annotations
 
 import json
 import math
-import re
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .dsl import GESTURE_NAME, HANDS, SPEAKERS
+from .dsl import HANDS, SPEAKERS
 from .errors import EmitError, ScriptError
 from .scheduler import ARMS, FEATURES, KINDS, STROKE, ScriptEvent, Timeline, format_seconds, validate_timeline
 
 _TEXT_MAGIC = "# gesture-script v1"
 _NO_FEATURES = ["-"] * len(FEATURES)
-_GESTURE_RE = re.compile(GESTURE_NAME)
-
-
-@dataclass(frozen=True)
-class ScriptHeader:
-    story_id: str
-    speaker: str
-    audio_ms: int
-    config_fingerprint: str
-
-
-@dataclass(frozen=True)
-class ScriptDocument:
-    header: ScriptHeader
-    events: tuple[ScriptEvent, ...]
-
-
 _EVENT_ORDER = itemgetter(0, 3, 2)  # (start, arm, kind)
 
 
-def document_from_timeline(timeline: Timeline) -> ScriptDocument:
-    """The events of both arms in canonical order under the timeline's header."""
+def document_from_timeline(timeline: Timeline) -> list[ScriptEvent]:
+    """The events of both arms in canonical (start, arm, kind) order."""
     events = [*timeline.tracks["left"], *timeline.tracks["right"]]
     events.sort(key=_EVENT_ORDER)
-    header = ScriptHeader(
-        story_id=timeline.story_id,
-        speaker=timeline.speaker,
-        audio_ms=timeline.audio_ms,
-        config_fingerprint=timeline.config_fingerprint,
-    )
-    return ScriptDocument(header=header, events=tuple(events))
+    return events
+
+
+def _refusal(timeline: Timeline) -> ScriptError | None:
+    """Why the reader would refuse the timeline, as the error it raises, or
+    None: a header rule, then the phase and gesture-name rules of
+    ``validate_timeline``.  ``emit_script`` raises it as an ``EmitError``.
+
+    The text form writes ``story`` and ``config`` on one header line each
+    and strips them on reading, so neither may hold a line break or leading
+    or trailing whitespace."""
+    if timeline.speaker not in SPEAKERS:
+        return ScriptError(f"unknown speaker {timeline.speaker!r}", path="header.speaker")
+    for field, value in (("story", timeline.story_id), ("config", timeline.config_fingerprint)):
+        if not (isinstance(value, str) and value == value.strip() and len(value.splitlines()) <= 1):
+            message = "expected a string with no line break and no leading or trailing whitespace"
+            return ScriptError(message, path=f"header.{field}")
+    problems = validate_timeline(timeline)
+    return ScriptError("; ".join(problems), path="events") if problems else None
 
 
 # Vocabulary words need no JSON escaping; any other string goes through json.dumps.
@@ -75,23 +71,24 @@ def _json_string(value) -> str:
     return _JSON_WORDS.get(value) or json.dumps(value)
 
 
-def emit_document(document: ScriptDocument, format: str = "json") -> bytes:
-    h = document.header
+def emit_document(timeline: Timeline, format: str = "json") -> bytes:
+    """Render a timeline without checking it; ``emit_script`` checks first."""
+    events = document_from_timeline(timeline)
     if format == "json":
         lines = [
             "{",
             '  "header": {'
-            f'"story": {json.dumps(h.story_id)}, '
-            f'"speaker": {json.dumps(h.speaker)}, '
-            f'"audio": {format_seconds(h.audio_ms)}, '
-            f'"config": {json.dumps(h.config_fingerprint)}'
+            f'"story": {json.dumps(timeline.story_id)}, '
+            f'"speaker": {json.dumps(timeline.speaker)}, '
+            f'"audio": {format_seconds(timeline.audio_ms)}, '
+            f'"config": {json.dumps(timeline.config_fingerprint)}'
             "},",
             '  "events": [',
         ]
-        events = []
-        for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in document.events:
+        rendered = []
+        for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in events:
             if kind == STROKE:
-                events.append(
+                rendered.append(
                     f'    {{"start": {format_seconds(start)}, "end": {format_seconds(end)}, '
                     f'"kind": "stroke", "arm": {_json_string(arm)}, '
                     f'"gesture": {json.dumps(gesture)}, "hand": {_json_string(hand)}, '
@@ -99,22 +96,22 @@ def emit_document(document: ScriptDocument, format: str = "json") -> bytes:
                     f'"speed": {speed:.3f}, "scale": {scale:.3f}}}'
                 )
             else:
-                events.append(
+                rendered.append(
                     f'    {{"start": {format_seconds(start)}, "end": {format_seconds(end)}, '
                     f'"kind": {_json_string(kind)}, "arm": {_json_string(arm)}}}'
                 )
-        lines.append(",\n".join(events))
+        lines.append(",\n".join(rendered))
         lines += ["  ]", "}", ""]
         return "\n".join(lines).encode("utf-8")
     if format == "text":
         lines = [
             _TEXT_MAGIC,
-            f"# story: {h.story_id}",
-            f"# speaker: {h.speaker}",
-            f"# audio: {format_seconds(h.audio_ms)}",
-            f"# config: {h.config_fingerprint}",
+            f"# story: {timeline.story_id}",
+            f"# speaker: {timeline.speaker}",
+            f"# audio: {format_seconds(timeline.audio_ms)}",
+            f"# config: {timeline.config_fingerprint}",
         ]
-        for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in document.events:
+        for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in events:
             if kind == STROKE:
                 lines.append(
                     f"{format_seconds(start)} {format_seconds(end)} {kind} {arm} {gesture}:{hand} "
@@ -127,11 +124,11 @@ def emit_document(document: ScriptDocument, format: str = "json") -> bytes:
 
 
 def emit_script(timeline: Timeline, format: str = "json") -> bytes:
-    """Serialize a timeline; invalid timelines are rejected."""
-    problems = validate_timeline(timeline)
-    if problems:
-        raise EmitError("invalid timeline: " + "; ".join(problems))
-    return emit_document(document_from_timeline(timeline), format=format)
+    """Serialize a timeline; a timeline the reader would refuse is rejected."""
+    error = _refusal(timeline)
+    if error:
+        raise EmitError(str(error))
+    return emit_document(timeline, format=format)
 
 
 def _require(condition: bool, message: str, path: str):
@@ -166,10 +163,6 @@ def _event(path: str, start, end, kind: str, arm: str, gesture=None, hand=None, 
     """One event checked against the format rules; times in seconds,
     ``features`` as in ``FEATURES``.  The phase rules are ``validate_timeline``'s."""
     _require(arm in ARMS, f"unknown arm {arm!r}", f"{path}.arm")
-    _require(
-        gesture is None or (isinstance(gesture, str) and _GESTURE_RE.fullmatch(gesture) is not None),
-        f"gesture {gesture!r} is not a gesture name", f"{path}.gesture",
-    )
     return ScriptEvent(
         _check_ms(start, f"{path}.start"),
         _check_ms(end, f"{path}.end"),
@@ -188,24 +181,24 @@ def _float(text: str, message: str, path: str) -> float:
         raise ScriptError(message, path=path) from None
 
 
-def _header_line(value, key: str) -> str:
-    """A header string that the text form writes on one line and reads back as is."""
-    _require(
-        isinstance(value, str) and value == value.strip() and len(value.splitlines()) <= 1,
-        "expected a string with no line break and no leading or trailing whitespace",
-        f"header.{key}",
-    )
-    return value
+def _timeline(header: dict, events: list[ScriptEvent]) -> Timeline:
+    """The timeline of a read script, held to the rules ``emit_script``
+    writes by: the event order and ``_refusal``."""
+    for key in ("story", "speaker", "audio", "config"):
+        _require(key in header, f"missing header field {key!r}", f"header.{key}")
+    audio = _check_ms(header["audio"], "header.audio")
+    order = list(map(_EVENT_ORDER, events))
+    _require(order == sorted(order), "events must be sorted by (start, arm, kind)", "events")
+    timeline = Timeline(header["speaker"], {arm: [] for arm in ARMS}, audio, header["story"], header["config"])
+    for e in events:
+        timeline.tracks[e.arm].append(e)
+    error = _refusal(timeline)
+    if error:
+        raise error
+    return timeline
 
 
-def _header(story, speaker, audio, config) -> ScriptHeader:
-    _require(speaker in SPEAKERS, f"unknown speaker {speaker!r}", "header.speaker")
-    return ScriptHeader(
-        _header_line(story, "story"), speaker, _check_ms(audio, "header.audio"), _header_line(config, "config")
-    )
-
-
-def _read_json(data: bytes) -> ScriptDocument:
+def _read_json(data: bytes) -> Timeline:
     try:
         raw = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -213,10 +206,6 @@ def _read_json(data: bytes) -> ScriptDocument:
     _require(isinstance(raw, dict), "document must be an object", "$")
     _require(isinstance(raw.get("header"), dict), "missing header object", "header")
     _require(isinstance(raw.get("events"), list), "missing events array", "events")
-    h = raw["header"]
-    for key in ("story", "speaker", "audio", "config"):
-        _require(key in h, f"missing header field {key!r}", f"header.{key}")
-    header = _header(h["story"], h["speaker"], h["audio"], h["config"])
     events = []
     for i, item in enumerate(raw["events"]):
         path = f"events[{i}]"
@@ -228,10 +217,10 @@ def _read_json(data: bytes) -> ScriptDocument:
             path, item["start"], item["end"], str(item["kind"]), str(item["arm"]),
             item.get("gesture"), item.get("hand"), features,
         ))
-    return ScriptDocument(header=header, events=tuple(events))
+    return _timeline(raw["header"], events)
 
 
-def _read_text(text: str) -> ScriptDocument:
+def _read_text(text: str) -> Timeline:
     meta = {}
     events = []
     lines = text.splitlines()
@@ -244,7 +233,8 @@ def _read_text(text: str) -> ScriptDocument:
             key, _, value = line[1:].partition(":")
             key = key.strip()
             _require(key not in meta, f"line {lineno}: repeated header line {key!r}", f"header.{key}")
-            meta[key] = value.strip()
+            value = value.strip()
+            meta[key] = _float(value, "bad audio duration", "header.audio") if key == "audio" else value
             continue
         path = f"events[{len(events)}]"
         cols = line.split()
@@ -258,36 +248,23 @@ def _read_text(text: str) -> ScriptDocument:
         else:
             _require(cols[5:] == _NO_FEATURES, f"line {lineno}: features without a gesture", path)
         events.append(_event(path, start, end, cols[2], cols[3], gesture, hand or None, features))
-    for key in ("story", "speaker", "audio", "config"):
-        _require(key in meta, f"missing header line {key!r}", f"header.{key}")
-    audio = _float(meta["audio"], "bad audio duration", "header.audio")
-    header = _header(meta["story"], meta["speaker"], audio, meta["config"])
-    return ScriptDocument(header=header, events=tuple(events))
+    return _timeline(meta, events)
 
 
-def read_script(data: bytes) -> ScriptDocument:
-    """Parse a script document (either format) and check its events with
-    ``validate_timeline``, the rules ``emit_script`` writes by.
+def read_script(data: bytes) -> Timeline:
+    """Parse a script document (either format) into the ``Timeline`` it
+    was written from, checked by the rules ``emit_script`` writes by.
 
-    Raises :class:`ScriptError` naming the offending field on a format
-    violation, or at path ``events`` naming ``arm[i]`` on a phase rule.
+    Raises :class:`ScriptError` naming the offending field on a format or
+    header rule, or at path ``events`` naming ``arm[i]`` on a phase or
+    gesture-name rule.
     """
     if not data:
         raise ScriptError("empty document")
-    stripped = data.lstrip()
-    if stripped.startswith(b"{"):
-        doc = _read_json(data)
-    else:
-        try:
-            doc = _read_text(data.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ScriptError(f"not UTF-8: {exc}") from None
-    order = list(map(_EVENT_ORDER, doc.events))
-    _require(order == sorted(order), "events must be sorted by (start, arm, kind)", "events")
-    tracks = {arm: [] for arm in ARMS}
-    for e in doc.events:
-        tracks[e.arm].append(e)
-    h = doc.header
-    problems = validate_timeline(Timeline(h.speaker, tracks, h.audio_ms, h.story_id, h.config_fingerprint))
-    _require(not problems, "; ".join(problems), "events")
-    return doc
+    if data.lstrip().startswith(b"{"):
+        return _read_json(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScriptError(f"not UTF-8: {exc}") from None
+    return _read_text(text)

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .dsl import HANDS, AnnotatedDialog, GestureAnnotation
+from .dsl import GESTURE_NAME, HANDS, AnnotatedDialog, GestureAnnotation
 from .errors import EmptyStrokeError, ScheduleError, StrokeOverlapError, StrokeOverrunError
 
 PREP = "prep"
@@ -281,10 +282,12 @@ _AFTER = {
 }
 _TIMES_ONLY = (None,) * 7  # gesture, hand and features of a prep, hold or retract
 _WRONG_HAND = {"left": "RH", "right": "LH"}
+_GESTURE_RE = re.compile(GESTURE_NAME)
 
 
 def validate_timeline(timeline: Timeline) -> list[str]:
-    """Every phase rule of a script; empty means the timeline is well formed.
+    """Every phase rule of a script and the gesture-name rule
+    (``dsl.GESTURE_NAME``); empty means the timeline is well formed.
 
     ``emit_script`` runs it before writing and ``read_script`` after
     reading, so the reader accepts exactly what the writer would write.
@@ -297,6 +300,7 @@ def validate_timeline(timeline: Timeline) -> list[str]:
     if type(audio) is not int:
         report(f"audio duration {audio!r} is not integer milliseconds")
     twins = {}  # two-hand strokes per arm, without the arm
+    names = set()  # gesture names already matched, so each is matched once
     for arm in ARMS:
         events = timeline.tracks.get(arm)
         twins[arm] = two_hand = set()
@@ -310,8 +314,11 @@ def validate_timeline(timeline: Timeline) -> list[str]:
             if on_arm != arm:
                 report(f"{arm}[{i}]: {on_arm} event on the {arm} track")
             if kind == STROKE:
-                if not gesture:
-                    report(f"{arm}[{i}]: stroke without a gesture reference")
+                if isinstance(gesture, str) and (gesture in names or _GESTURE_RE.fullmatch(gesture)):
+                    names.add(gesture)
+                else:
+                    report(f"{arm}[{i}]: gesture {gesture!r} is not a gesture name")
+                    gesture = None  # keeps the two-hand key hashable
                 if hand not in HANDS:
                     report(f"{arm}[{i}]: unknown hand {hand!r}")
                 elif hand == wrong_hand:

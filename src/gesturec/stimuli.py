@@ -57,10 +57,7 @@ ADAPTATION_TASKS: tuple[tuple[str, str], ...] = (
 @dataclass
 class StimulusBundle:
     name: str  # directory path relative to the batch output root
-    story_id: str
-    experiment: str
-    label: str
-    metadata: dict
+    metadata: dict  # bundle.json: story, experiment, label, agents, ...
     scripts: dict[str, bytes]  # filename -> content
 
 
@@ -90,7 +87,7 @@ def _bundle(
         audio=f"{dialog.story_id}.wav",
         scripts={speaker: f"{speaker}.script.json" for speaker in SPEAKERS},
     )
-    return StimulusBundle(name, dialog.story_id, experiment, label, metadata, scripts)
+    return StimulusBundle(name, metadata, scripts)
 
 
 def build_personality_pair(
@@ -223,12 +220,7 @@ def write_bundles(bundles: list[StimulusBundle], out_dir: Path, experiment: str)
             json.dumps(bundle.metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         manifest_entries.append(
-            {
-                "story": bundle.story_id,
-                "experiment": bundle.experiment,
-                "label": bundle.label,
-                "path": bundle.name,
-            }
+            {"path": bundle.name, **{key: bundle.metadata[key] for key in ("story", "experiment", "label")}}
         )
     manifest = {
         "experiment": experiment,

@@ -64,8 +64,7 @@ def test_criterion_1_fixture_compile(catalog, protest_text, protest_track):
         diagnostics += validate_timeline(result.schedule.for_speaker(speaker))
     elapsed = time.perf_counter() - started
 
-    doc = document_from_timeline(result.schedule.a)
-    first = next(e for e in doc.events if e.kind == "stroke")
+    first = next(e for e in document_from_timeline(result.schedule.a) if e.kind == "stroke")
     ok = (
         not diagnostics
         and (first.start, first.gesture, first.hand, first.end - first.start)
@@ -138,7 +137,7 @@ def test_criterion_4_adaptation_deltas(stories, adaptation_bundles):
     for bundle in adaptation_bundles:
         if bundle.metadata["variant"] != "adapted":
             continue
-        story_id = bundle.story_id
+        story_id = bundle.metadata["story"]
         structure = bundle.metadata["turn_structure"]
         responder = bundle.metadata["responder"]
         dialog, _ = stories[story_id]
@@ -176,7 +175,7 @@ def test_criterion_5_context_invariance(stories, adaptation_bundles):
     broken = []
     for task, pair in sorted(tasks.items()):
         adapted, nonadapted = pair["adapted"], pair["nonadapted"]
-        story_id = adapted.story_id
+        story_id = adapted.metadata["story"]
         structure = adapted.metadata["turn_structure"]
         dialog, _ = stories[story_id]
         response_turn = dialog.turns[len(structure) - 1]
@@ -336,7 +335,7 @@ def test_criterion_10_round_trips():
         blob = emit_script(timeline, fmt)
         doc = read_script(blob)
         cases += 1
-        if doc != document_from_timeline(timeline) or emit_document(doc, fmt) != blob:
+        if doc != timeline or emit_document(doc, fmt) != blob:
             failures += 1
     _report(10, cases == 10_000 and failures == 0, (
         f"{cases} round-trip cases (dialog parse/format and script read/emit), "

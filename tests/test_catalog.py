@@ -4,7 +4,7 @@ import pytest
 
 from conftest import DATA_DIR
 from gesturec.catalog import GestureDef, load_catalog, lookup
-from gesturec.emitter import read_script
+from gesturec.emitter import document_from_timeline, read_script
 from gesturec.errors import CatalogError, DuplicateGestureError, UnknownGestureError
 from gesturec.pipeline import PipelineSettings, compile_dialog
 from gesturec.stimuli import speaker_scripts
@@ -104,7 +104,7 @@ def test_comments_and_blank_lines_ignored():
 
 def _strokes(catalog, text, track, settings):
     scripts = speaker_scripts(compile_dialog(text, catalog, track, settings).schedule)
-    return [read_script(scripts[f"{speaker}.script.json"]).events for speaker in ("A", "B")]
+    return [document_from_timeline(read_script(scripts[f"{speaker}.script.json"])) for speaker in ("A", "B")]
 
 
 def test_per_gesture_geometry_reaches_the_script(catalog, protest_text, protest_track):

@@ -79,6 +79,27 @@ def test_build_adaptation(tmp_path, shipped):
     assert manifest["bundle_count"] == 16
 
 
+def test_build_refuses_two_files_naming_one_story(tmp_path, shipped, capsys):
+    stories, timings = tmp_path / "stories", tmp_path / "timings"
+    stories.mkdir()
+    timings.mkdir()
+    for name in ("a", "b"):
+        (stories / f"{name}.dialog").write_bytes((DATA_DIR / "stories" / "garden.dialog").read_bytes())
+        (timings / f"{name}.tsv").write_bytes((DATA_DIR / "timings" / "garden.tsv").read_bytes())
+    code = main([
+        "build", "--experiment", "personality",
+        "--stories", str(stories),
+        "--timings", str(timings),
+        "--catalog", shipped["catalog"],
+        "--out", shipped["out"],
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "story 'garden' is named by both" in err
+    assert str(stories / "a.dialog") in err and str(stories / "b.dialog") in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_with_config_override(tmp_path, shipped):
     config = tmp_path / "run.cfg"
     config.write_text("adaptation.expanse_delta = 5\n", encoding="utf-8")

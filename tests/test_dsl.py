@@ -63,6 +63,19 @@ def test_parse_non_alternating_speakers():
         parse_dialog("A1: hello.\nA2: again.\n")
 
 
+@pytest.mark.parametrize(
+    "source, line, column, key",
+    [
+        ("story: a\nstory: b\naudio: 5.00s\naudio: 9.00s\nA1: hello [1.00s](Cup, RH 0.40s) there\nstory: c\n", 2, 1, "story"),
+        ("story: a\naudio: 5.00s\nA1: hello [1.00s](Cup, RH 0.40s) there\n  audio: 9.00s\n", 4, 3, "audio"),
+    ],
+)
+def test_parse_repeated_header_is_error(source, line, column, key):
+    with pytest.raises(DialogParseError, match=f"repeated header line '{key}:'") as err:
+        parse_dialog(source)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_parse_non_increasing_times():
     source = "A1: [2.00s](Cup, RH 0.46s) one [1.50s](Cup, RH 0.46s) two.\n"
     with pytest.raises(AnnotationOrderError):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -51,32 +53,32 @@ def _reference_json_event(e: ScriptEvent) -> str:
     return "    {" + ", ".join(parts) + "}"
 
 
-def reference_render(document, format: str) -> bytes:
+def reference_render(timeline: Timeline, format: str) -> bytes:
     """The renderer field by field (``getattr``, ``json.dumps`` and
     ``format_seconds`` per field): the oracle for ``emit_document``."""
-    h = document.header
+    events = document_from_timeline(timeline)
     if format == "json":
         lines = [
             "{",
             '  "header": {'
-            f'"story": {json.dumps(h.story_id)}, '
-            f'"speaker": {json.dumps(h.speaker)}, '
-            f'"audio": {format_seconds(h.audio_ms)}, '
-            f'"config": {json.dumps(h.config_fingerprint)}'
+            f'"story": {json.dumps(timeline.story_id)}, '
+            f'"speaker": {json.dumps(timeline.speaker)}, '
+            f'"audio": {format_seconds(timeline.audio_ms)}, '
+            f'"config": {json.dumps(timeline.config_fingerprint)}'
             "},",
             '  "events": [',
         ]
-        lines.append(",\n".join(_reference_json_event(e) for e in document.events))
+        lines.append(",\n".join(_reference_json_event(e) for e in events))
         lines += ["  ]", "}", ""]
         return "\n".join(lines).encode("utf-8")
     lines = [
         "# gesture-script v1",
-        f"# story: {h.story_id}",
-        f"# speaker: {h.speaker}",
-        f"# audio: {format_seconds(h.audio_ms)}",
-        f"# config: {h.config_fingerprint}",
+        f"# story: {timeline.story_id}",
+        f"# speaker: {timeline.speaker}",
+        f"# audio: {format_seconds(timeline.audio_ms)}",
+        f"# config: {timeline.config_fingerprint}",
     ]
-    for e in document.events:
+    for e in events:
         if e.kind == STROKE:
             tail = " ".join([f"{e.gesture}:{e.hand}"] + [f"{getattr(e, name):.3f}" for name in FEATURES])
         else:
@@ -96,8 +98,8 @@ def fixture_timelines(protest_dialog, protest_track, catalog):
 
 def test_first_stroke_record_speaker_a(fixture_timelines):
     timeline_a, _ = fixture_timelines
-    doc = document_from_timeline(timeline_a)
-    stroke = next(e for e in doc.events if e.kind == "stroke")
+    events = document_from_timeline(timeline_a)
+    stroke = next(e for e in events if e.kind == "stroke")
     assert (stroke.start, stroke.end) == (1900, 2360)
     assert stroke.gesture == "Cup"
     assert stroke.hand == "RH"
@@ -128,8 +130,9 @@ def test_empty_timeline_round_trips():
     )
     for fmt in ("json", "text"):
         doc = read_script(emit_script(timeline, fmt))
-        assert doc.events == ()
-        assert doc.header.story_id == "empty"
+        assert document_from_timeline(doc) == []
+        assert doc.story_id == "empty"
+        assert doc == timeline
 
 
 def test_read_emit_round_trip(fixture_timelines):
@@ -137,7 +140,7 @@ def test_read_emit_round_trip(fixture_timelines):
         for fmt in ("json", "text"):
             blob = emit_script(timeline, fmt)
             doc = read_script(blob)
-            assert doc == document_from_timeline(timeline)
+            assert doc == timeline
             assert emit_document(doc, fmt) == blob  # canonical fixed point
 
 
@@ -148,7 +151,7 @@ def test_round_trip_on_generated_timelines():
         for fmt in ("json", "text"):
             blob = emit_script(timeline, fmt)
             doc = read_script(blob)
-            assert doc == document_from_timeline(timeline)
+            assert doc == timeline
             assert emit_document(doc, fmt) == blob
 
 
@@ -178,9 +181,9 @@ def test_render_matches_reference_renderer(catalog, story, variant, a, b):
     lenient = PipelineSettings(extraversion={"A": a, "B": b}, strict=False)
     result = compile_dialog(source, catalog, timings=track, settings=lenient, variant=variant)
     for speaker in ("A", "B"):
-        document = document_from_timeline(result.schedule.for_speaker(speaker))
+        timeline = result.schedule.for_speaker(speaker)
         for fmt in ("json", "text"):
-            assert emit_document(document, fmt) == reference_render(document, fmt)
+            assert emit_document(timeline, fmt) == reference_render(timeline, fmt)
 
 
 def test_render_matches_reference_renderer_on_escaped_strings():
@@ -196,7 +199,7 @@ def test_render_matches_reference_renderer_on_escaped_strings():
         {"start": 1.46, "end": 1.96, "kind": "retract", "arm": "right"},
     ]
     document = read_script(json.dumps({"header": header, "events": events}).encode())
-    assert document.header.story_id == header["story"]
+    assert document.story_id == header["story"]
     for fmt in ("json", "text"):
         blob = emit_document(document, fmt)
         assert blob == reference_render(document, fmt)
@@ -295,12 +298,41 @@ def _stroke_document(**changes) -> bytes:
         ("config", 7), ("config", None), ("config", "c\r"), ("config", ["c"]),
         ("speaker", "C"), ("speaker", 1), ("speaker", None), ("speaker", "a"),
         ("gesture", 5), ("gesture", "Cup Big"), ("gesture", "Cup:RH"), ("gesture", "9Cup"), ("gesture", "Cup\n"),
+        ("gesture", ["Cup"]),
     ],
 )
 def test_reader_rejects_bad_header_strings_and_gesture_names(field, bad):
     with pytest.raises(ScriptError) as err:
         read_script(_stroke_document(**{field: bad}))
-    assert field in err.value.path
+    if field == "gesture":  # a validate_timeline rule, named by arm[i]
+        assert err.value.path == "events"
+        assert f"right[1]: gesture {bad!r} is not a gesture name" in str(err.value)
+    else:
+        assert err.value.path == f"header.{field}"
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"story_id": "a\nb"}, "header.story"),
+        ({"story_id": " padded"}, "header.story"),
+        ({"speaker": "C"}, "header.speaker"),
+        ({"config_fingerprint": "x\ny"}, "header.config"),
+        ({"gesture": "Cup Big"}, "right[1]: gesture 'Cup Big'"),
+    ],
+)
+def test_writer_refuses_what_the_reader_refuses(fixture_timelines, change, field):
+    timeline, _ = fixture_timelines
+    if "gesture" in change:
+        right = list(timeline.tracks["right"])
+        assert right[1].kind == STROKE and right[1].hand == "RH"
+        right[1] = right[1]._replace(**change)
+        timeline = replace(timeline, tracks={**timeline.tracks, "right": right})
+    else:
+        timeline = replace(timeline, **change)
+    for fmt in ("json", "text"):
+        with pytest.raises(EmitError, match=re.escape(field)):
+            emit_script(timeline, fmt)
 
 
 @pytest.mark.parametrize(
@@ -352,8 +384,7 @@ def test_schema_gesture_pattern_is_the_dialog_gesture_name():
 
 def test_events_sorted_by_start_arm_kind(fixture_timelines):
     _, timeline_b = fixture_timelines
-    doc = document_from_timeline(timeline_b)
-    keys = [(e.start, e.arm, e.kind) for e in doc.events]
+    keys = [(e.start, e.arm, e.kind) for e in document_from_timeline(timeline_b)]
     assert keys == sorted(keys)
 
 

@@ -240,7 +240,7 @@ def test_validate_flags_stroke_without_gesture():
     phases = [_phase("prep", 500, 1000), _phase("stroke", 1000, 1400)]
     timeline = _timeline(right=phases)
     problems = validate_timeline(timeline)
-    assert any("without a gesture" in p for p in problems)
+    assert "right[1]: gesture None is not a gesture name" in problems
 
 
 def test_validate_flags_bad_transition():

@@ -1,8 +1,10 @@
 """The script reader accepts exactly what the writer would write: both run
-``validate_timeline``, so a script breaking a phase rule is refused on
-reading as it is on writing."""
+``validate_timeline`` and the header rules, so a script breaking a phase,
+gesture-name or header rule is refused on reading as it is on writing."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +15,13 @@ from gesturec.align import parse_word_timings
 from gesturec.catalog import load_catalog
 from gesturec.dsl import HANDS
 from gesturec.emitter import (
-    ScriptDocument,
     ScriptEvent,
-    ScriptHeader,
     document_from_timeline,
     emit_document,
+    emit_script,
     read_script,
 )
-from gesturec.errors import ScriptError
+from gesturec.errors import EmitError, ScriptError
 from gesturec.pipeline import PipelineSettings, compile_dialog
 from gesturec.scheduler import ARMS, KINDS, STROKE, Timeline, validate_timeline
 
@@ -39,9 +40,10 @@ def _stroke(start, end, arm="right", hand="RH"):
     return ScriptEvent(start, end, STROKE, arm, "Cup", hand, 25.0, 0.0, 20.0, 1.0, 1.0)
 
 
-def _document(events, audio_ms=5000):
-    header = ScriptHeader("x", "A", audio_ms, "c")
-    return ScriptDocument(header, tuple(sorted(events, key=lambda e: (e.start, e.arm, e.kind))))
+def _document(events, audio_ms=5000, speaker="A", story_id="x", config_fingerprint="c"):
+    """The timeline of ``events``, each on its own arm's track in time order."""
+    tracks = {arm: sorted((e for e in events if e.arm == arm), key=lambda e: (e.start, e.kind)) for arm in ARMS}
+    return Timeline(speaker, tracks, audio_ms, story_id, config_fingerprint)
 
 
 def test_a_prep_stroke_retract_script_reads_back():
@@ -105,27 +107,27 @@ def test_text_reader_refuses_a_repeated_header_line():
     assert err.value.path == "header.config"
 
 
-def _compiled_documents():
+def _compiled_timelines():
     catalog = load_catalog((DATA_DIR / "catalog.txt").read_text(encoding="utf-8"))
     settings = PipelineSettings(extraversion={"A": 7.0, "B": 1.0})
-    documents = []
+    timelines = []
     for path in sorted((DATA_DIR / "stories").glob("*.dialog")):
         track = parse_word_timings((DATA_DIR / "timings" / f"{path.stem}.tsv").read_text(encoding="utf-8"))
         result = compile_dialog(path.read_text(encoding="utf-8"), catalog, timings=track, settings=settings)
         for speaker in ("A", "B"):
-            documents.append(document_from_timeline(result.schedule.for_speaker(speaker)))
-    return documents
+            timelines.append(result.schedule.for_speaker(speaker))
+    return timelines
 
 
-COMPILED = _compiled_documents()
+COMPILED = _compiled_timelines()
 
 
 @st.composite
 def _mutated(draw):
     """A compiled script with one event shifted, re-kinded, moved to the
     other arm, given another hand, dropped or duplicated."""
-    document = draw(st.sampled_from(COMPILED))
-    events = list(document.events)
+    timeline = draw(st.sampled_from(COMPILED))
+    events = document_from_timeline(timeline)
     mutation = draw(st.sampled_from(["shift", "kind", "arm", "hand", "drop", "duplicate"]))
     if mutation == "hand":
         i = draw(st.sampled_from([i for i, e in enumerate(events) if e.kind == STROKE]))
@@ -151,16 +153,13 @@ def _mutated(draw):
         del events[i]
     else:
         events.insert(i, e)
-    events.sort(key=lambda e: (e.start, e.arm, e.kind))
-    return ScriptDocument(document.header, tuple(events))
+    return _document(events, timeline.audio_ms, timeline.speaker, timeline.story_id, timeline.config_fingerprint)
 
 
 @given(document=_mutated())
 @settings(max_examples=200, deadline=None)
 def test_reader_refuses_a_mutated_script_exactly_when_the_validator_does(document):
-    h = document.header
-    tracks = {arm: [e for e in document.events if e.arm == arm] for arm in ARMS}
-    problems = validate_timeline(Timeline(h.speaker, tracks, h.audio_ms, h.story_id, h.config_fingerprint))
+    problems = validate_timeline(document)
     for fmt in FORMATS:
         blob = emit_document(document, fmt)
         if problems:
@@ -170,3 +169,39 @@ def test_reader_refuses_a_mutated_script_exactly_when_the_validator_does(documen
             assert str(err.value) == "events: " + "; ".join(problems)
         else:
             assert emit_document(read_script(blob), fmt) == blob
+
+
+@st.composite
+def _relabelled(draw):
+    """A compiled timeline with one of its speaker, story and config drawn
+    from any text, or one stroke's gesture from any text or a non-string."""
+    timeline = draw(st.sampled_from([t for t in COMPILED if document_from_timeline(t)]))
+    field = draw(st.sampled_from(["speaker", "story_id", "config_fingerprint", "gesture"]))
+    if field != "gesture":
+        return replace(timeline, **{field: draw(st.text())})
+    tracks = {arm: list(events) for arm, events in timeline.tracks.items()}
+    arm, i = draw(st.sampled_from(
+        [(arm, i) for arm in ARMS for i, e in enumerate(tracks[arm]) if e.kind == STROKE]
+    ))
+    gesture = draw(st.text() | st.none() | st.booleans() | st.integers() | st.lists(st.text(), max_size=2))
+    tracks[arm][i] = tracks[arm][i]._replace(gesture=gesture)
+    return replace(timeline, tracks=tracks)
+
+
+@given(timeline=_relabelled())
+@settings(max_examples=200, deadline=None)
+def test_the_writer_refuses_what_the_reader_refuses_or_reads_back_changed(timeline):
+    for fmt in FORMATS:
+        rendered = emit_document(timeline, fmt)  # what an unchecked writer would write
+        try:
+            back = read_script(rendered)
+        except ScriptError:
+            back = None
+        try:
+            blob = emit_script(timeline, fmt)
+        except EmitError:
+            assert back != timeline
+            continue
+        assert blob == rendered
+        assert back == timeline
+        assert emit_document(back, fmt) == blob

@@ -140,5 +140,5 @@ def test_bundle_labels_are_letter_marks(stories, catalog):
     bundles = run_adaptation_batch(stories, catalog)
     by_task = {}
     for bundle in bundles:
-        by_task.setdefault(bundle.metadata["task"], []).append(bundle.label)
+        by_task.setdefault(bundle.metadata["task"], []).append(bundle.metadata["label"])
     assert all(sorted(labels) == ["A", "B"] for labels in by_task.values())
