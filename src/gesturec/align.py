@@ -5,27 +5,31 @@ A timing track is TSV text, one word per line::
     turn_index<TAB>word<TAB>onset_seconds
 
 Onsets are finite, at least 0, non-decreasing across the track and
-strictly increasing within a turn.  Alignment rewrites every stroke begin
-to sit a fixed lead (0.2s by default) before its following word, the first
-word of the same turn whose onset is strictly greater than the annotated
-time.  Times are kept on the millisecond grid so the lead is exact, not
-float-approximate; seconds become milliseconds by the scheduler's rule.
+strictly increasing within a turn.  A stroke's word, its lexical
+affiliate, is the word the dialog writes it before: word ``word_index`` of
+its turn.  Alignment rewrites the stroke begin to sit a fixed lead (0.2s by
+default) before that word's onset, clamped at 0.  The written time is only
+checked: it must fall in that word's window, at or after the previous
+word's onset and before the word's own.  Each dialog turn's track words must
+equal its text; the track may time turns past the dialog's last.  Times are
+kept on the millisecond grid so the lead is exact, not float-approximate;
+seconds become milliseconds by the scheduler's rule.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .dsl import AnnotatedDialog, Turn, copy_with
+from .dsl import AnnotatedDialog, GestureAnnotation, Turn, copy_with
 from .errors import (
     NoFollowingWordError,
     StrokeCollisionError,
     TimingError,
     TimingFormatError,
     TimingOrderError,
+    WordMismatchError,
 )
 from .scheduler import SchedulerConfig, _ms
 
@@ -39,10 +43,12 @@ class TimedWord(NamedTuple):
 @dataclass(frozen=True)
 class WordTimingTrack:
     """A parsed timing track.  Equality is by ``entries``; the per-turn
-    onset index is derived from them by :func:`parse_word_timings`."""
+    onsets and texts (the words joined by single spaces, as ``Turn.text``
+    holds them) are derived from them by :func:`parse_word_timings`."""
 
     entries: tuple[TimedWord, ...]
     onset_index: dict[int, tuple[float, ...]] = field(compare=False, repr=False)
+    text_index: dict[int, str] = field(compare=False, repr=False)
 
     def turn_onsets(self, turn_index: int) -> tuple[float, ...]:
         """The turn's onsets in increasing order; empty for a turn the
@@ -53,7 +59,7 @@ class WordTimingTrack:
 def parse_word_timings(source: str) -> WordTimingTrack:
     entries: list[TimedWord] = []
     last_overall = 0.0
-    by_turn: dict[int, list[float]] = {}
+    by_turn: dict[int, tuple[list[float], list[str]]] = {}  # onsets and words
     for lineno, line in enumerate(source.splitlines(), start=1):
         stripped = line.lstrip()
         if not stripped or stripped[0] == "#":
@@ -73,17 +79,47 @@ def parse_word_timings(source: str) -> WordTimingTrack:
             raise TimingFormatError(f"line {lineno}: onset {parts[2]!r} is not a finite number >= 0")
         if onset < last_overall:
             raise TimingOrderError(f"line {lineno}: onset {onset} decreases across the track")
-        onsets = by_turn.setdefault(turn_index, [])
+        turn = by_turn.get(turn_index)
+        if turn is None:
+            turn = by_turn[turn_index] = ([], [])
+        onsets, words = turn
         if onsets and onset <= onsets[-1]:
             raise TimingOrderError(f"line {lineno}: onset {onset} not increasing within turn {turn_index}")
         last_overall = onset
         onsets.append(onset)
+        words.append(word)
         entries.append(TimedWord(turn_index, word, onset))
     if not entries:
         raise TimingError("timing track has no entries")
     return WordTimingTrack(
         entries=tuple(entries),
-        onset_index={turn: tuple(onsets) for turn, onsets in by_turn.items()},
+        onset_index={turn: tuple(onsets) for turn, (onsets, _) in by_turn.items()},
+        text_index={turn: " ".join(words) for turn, (_, words) in by_turn.items()},
+    )
+
+
+def _word_mismatch(turn: Turn, track: WordTimingTrack) -> WordMismatchError:
+    """The first word at which the turn's text and its track words differ."""
+    ours = turn.text.split()
+    theirs = [e.word for e in track.entries if e.turn_index == turn.index]
+    k = 0
+    while k < len(ours) and k < len(theirs) and ours[k] == theirs[k]:
+        k += 1
+    ours_k, theirs_k = (repr(words[k]) if k < len(words) else "missing" for words in (ours, theirs))
+    return WordMismatchError(
+        f"turn {turn.index}: word {k} is {ours_k} in the dialog but {theirs_k} in the timing track"
+    )
+
+
+def _time_mismatch(turn: Turn, ann: GestureAnnotation, onsets: tuple[float, ...]) -> WordMismatchError:
+    """A written time outside the window of the word it is written before."""
+    i, words = ann.word_index, turn.text.split()
+    window = f"before {words[i]!r} at {onsets[i]}s"
+    if i:
+        window = f"at or after {words[i - 1]!r} at {onsets[i - 1]}s and " + window
+    return WordMismatchError(
+        f"turn {turn.index}: the stroke at {ann.stroke_begin:.2f}s is written before word {i} "
+        f"{words[i]!r}, so it must fall {window}"
     )
 
 
@@ -92,13 +128,16 @@ def align_strokes(
     track: WordTimingTrack,
     lead: float = SchedulerConfig.stroke_lead_s,
 ) -> AnnotatedDialog:
-    """Rewrite stroke begins to (following-word onset - lead), clamped at 0.
+    """Rewrite each stroke begin to (onset of its word - lead), clamped at 0,
+    where a stroke's word is word ``word_index`` of its turn.
 
     Raises :class:`NoFollowingWordError` when a turn has no timing entries
-    or an annotation sits after its turn's last word, and
+    or an annotation sits after its turn's last word,
+    :class:`WordMismatchError` when a turn's track words differ from its
+    text or a written time falls outside its word's window, and
     :class:`StrokeCollisionError` when realignment breaks the
-    strictly-increasing stroke order (two annotations sharing a following
-    word collide).
+    strictly-increasing stroke order (two annotations before one word
+    collide).
     """
     lead_ms = _ms(lead)
     new_turns: list[Turn] = []
@@ -106,14 +145,20 @@ def align_strokes(
         onsets = track.turn_onsets(turn.index)
         if not onsets:
             raise NoFollowingWordError(f"turn {turn.index}: no timing entries")
+        text = track.text_index[turn.index]
+        # equal texts with as many spaces as gaps between onsets: equal words
+        if text != turn.text or text.count(" ") != len(onsets) - 1:
+            raise _word_mismatch(turn, track)
         new_annotations = []
         last_ms = None
         for ann in turn.annotations:
-            i = bisect_right(onsets, ann.stroke_begin)
-            if i == len(onsets):
+            i = ann.word_index
+            if not 0 <= i < len(onsets):
                 raise NoFollowingWordError(
                     f"turn {turn.index}: annotation at {ann.stroke_begin:.2f}s has no following word"
                 )
+            if not (ann.stroke_begin < onsets[i] and (i == 0 or onsets[i - 1] <= ann.stroke_begin)):
+                raise _time_mismatch(turn, ann, onsets)
             begin_ms = max(0, _ms(onsets[i]) - lead_ms)
             if last_ms is not None and begin_ms <= last_ms:
                 raise StrokeCollisionError(

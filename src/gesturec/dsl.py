@@ -80,7 +80,9 @@ class GestureAnnotation:
     form_copied: bool = False
     alternative: Alternative | None = None
     # Position of the following word within the turn text (count of words
-    # before the annotation).  Anchors serialization and sentence assignment.
+    # before the annotation): the stroke's word.  Anchors serialization,
+    # sentence assignment and alignment, which times the stroke to this
+    # word's onset and requires ``stroke_begin`` to fall in its window.
     word_index: int = 0
     # Derived state, not part of the annotation's identity.
     features: Features | None = field(default=None, compare=False)

@@ -26,12 +26,13 @@ as are the feature columns.
 from __future__ import annotations
 
 import json
-import math
 from operator import itemgetter
 
 from .dsl import HANDS, SPEAKERS
 from .errors import EmitError, ScriptError
-from .scheduler import ARMS, FEATURES, KINDS, STROKE, ScriptEvent, Timeline, format_seconds, validate_timeline
+from .scheduler import (
+    ARMS, FEATURES, KINDS, STROKE, ScriptEvent, Timeline, finite_number, format_seconds, validate_timeline,
+)
 
 _TEXT_MAGIC = "# gesture-script v1"
 _NO_FEATURES = ["-"] * len(FEATURES)
@@ -52,13 +53,18 @@ def _refusal(timeline: Timeline) -> ScriptError | None:
 
     The text form writes ``story`` and ``config`` on one header line each
     and strips them on reading, so neither may hold a line break or leading
-    or trailing whitespace."""
+    or trailing whitespace.  Both forms are UTF-8, so neither may hold a lone
+    surrogate either."""
     if timeline.speaker not in SPEAKERS:
         return ScriptError(f"unknown speaker {timeline.speaker!r}", path="header.speaker")
     for field, value in (("story", timeline.story_id), ("config", timeline.config_fingerprint)):
         if not (isinstance(value, str) and value == value.strip() and len(value.splitlines()) <= 1):
             message = "expected a string with no line break and no leading or trailing whitespace"
             return ScriptError(message, path=f"header.{field}")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            return ScriptError(f"not UTF-8: {exc.reason} at {exc.start}", path=f"header.{field}")
     problems = validate_timeline(timeline)
     return ScriptError("; ".join(problems), path="events") if problems else None
 
@@ -136,24 +142,15 @@ def _require(condition: bool, message: str, path: str):
         raise ScriptError(message, path=path)
 
 
-def _finite(value) -> bool:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _check_number(value, path: str) -> float:
-    _require(_finite(value), "expected a finite number", path)
+    _require(finite_number(value), "expected a finite number", path)
     _require(round(value, 3) == value, "numbers carry exactly 3 decimals", path)
     return float(value)
 
 
 def _check_ms(value, path: str) -> int:
     """A time in seconds as ``int`` milliseconds; any other time is rejected."""
-    _require(_finite(value) and _finite(value * 1000), "expected a finite number", path)
+    _require(finite_number(value) and finite_number(value * 1000), "expected a finite number", path)
     ms = round(value * 1000)
     _require(ms / 1000 == value, "times carry at most 3 decimals", path)
     return ms
@@ -251,13 +248,25 @@ def _read_text(text: str) -> Timeline:
     return _timeline(meta, events)
 
 
+def _not_as_written(data: bytes, written: bytes) -> ScriptError:
+    """The first line of a text script that differs from the writer's."""
+    ours, theirs = written.splitlines(keepends=True), data.splitlines(keepends=True)
+    n = 0
+    while n < len(ours) and n < len(theirs) and ours[n] == theirs[n]:
+        n += 1
+    expected = repr(ours[n].decode("utf-8")) if n < len(ours) else "no line"
+    return ScriptError(f"line {n + 1}: the writer writes {expected} here")
+
+
 def read_script(data: bytes) -> Timeline:
     """Parse a script document (either format) into the ``Timeline`` it
     was written from, checked by the rules ``emit_script`` writes by.
 
     Raises :class:`ScriptError` naming the offending field on a format or
     header rule, or at path ``events`` naming ``arm[i]`` on a phase or
-    gesture-name rule.
+    gesture-name rule.  A text script must be byte for byte what the writer
+    writes for the timeline it holds; otherwise the error names the first
+    line that differs.
     """
     if not data:
         raise ScriptError("empty document")
@@ -267,4 +276,8 @@ def read_script(data: bytes) -> Timeline:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ScriptError(f"not UTF-8: {exc}") from None
-    return _read_text(text)
+    timeline = _read_text(text)
+    written = emit_document(timeline, "text")
+    if written != data:
+        raise _not_as_written(data, written)
+    return timeline

@@ -56,6 +56,11 @@ class StrokeCollisionError(AlignError):
     pass
 
 
+class WordMismatchError(AlignError):
+    """A timing track's words differ from the dialog's, or a stroke's
+    written time falls outside the window of the word it is written before."""
+
+
 class DomainError(GesturecError, ValueError):
     """Input value outside its documented domain."""
 

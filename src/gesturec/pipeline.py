@@ -35,7 +35,6 @@ class PipelineSettings:
 
 @dataclass
 class CompileResult:
-    dialog: AnnotatedDialog  # aligned, personality-stamped, variant-resolved
     schedule: ScheduleResult
 
 
@@ -80,4 +79,4 @@ def compile_dialog(
     else:
         raise PlanError(f"unknown variant {variant!r}")
     result = schedule(resolved, settings.scheduler, strict=settings.strict)
-    return CompileResult(dialog=resolved, schedule=result)
+    return CompileResult(schedule=result)

@@ -91,6 +91,16 @@ class SchedulerConfig:
 FEATURES = ("expanse", "height", "outward", "speed", "scale")
 
 
+def finite_number(value) -> bool:
+    """Whether ``value`` is a finite ``int`` or ``float``; a bool is not."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 class ScriptEvent(NamedTuple):
     """One phase of one arm: the record from the scheduler to the script
     reader.  A stroke carries its gesture name, hand and features rounded to
@@ -283,6 +293,21 @@ _AFTER = {
 _TIMES_ONLY = (None,) * 7  # gesture, hand and features of a prep, hold or retract
 _WRONG_HAND = {"left": "RH", "right": "LH"}
 _GESTURE_RE = re.compile(GESTURE_NAME)
+_INF = math.inf
+_NAN = math.nan
+
+
+def _feature_problem(features: tuple) -> str | None:
+    """What breaks the feature rules of a stroke, or None: every feature is
+    a finite number (``finite_number``), and speed and scale are above 0."""
+    if None in features:
+        return "stroke without effective features"
+    for name, value in zip(FEATURES, features):
+        if not finite_number(value):
+            return f"{name} {value!r} is not a finite number"
+    if not (features[3] > 0 and features[4] > 0):
+        return "speed and scale must be > 0"
+    return None
 
 
 def validate_timeline(timeline: Timeline) -> list[str]:
@@ -291,14 +316,17 @@ def validate_timeline(timeline: Timeline) -> list[str]:
 
     ``emit_script`` runs it before writing and ``read_script`` after
     reading, so the reader accepts exactly what the writer would write.
-    Every time must be an ``int`` of milliseconds; messages give times in ms
-    and name an event ``arm[i]``, its index on its arm's track.
+    Every time must be an ``int`` of milliseconds and every feature a finite
+    number; messages give times in ms and name an event ``arm[i]``, its index
+    on its arm's track.  A value of the wrong type is reported, never raised
+    on, and the order checks pass over an event whose times are not ints.
     """
     problems: list[str] = []
     report = problems.append
-    audio = timeline.audio_ms
+    audio = last = timeline.audio_ms  # ``last``: the latest time an event may end
     if type(audio) is not int:
         report(f"audio duration {audio!r} is not integer milliseconds")
+        last = _INF
     twins = {}  # two-hand strokes per arm, without the arm
     names = set()  # gesture names already matched, so each is matched once
     for arm in ARMS:
@@ -311,6 +339,7 @@ def validate_timeline(timeline: Timeline) -> list[str]:
         prev_kind = prev_end = None
         for i, e in enumerate(events):
             start, end, kind, on_arm, gesture, hand, expanse, height, outward, speed, scale = e
+            timed = type(start) is int and type(end) is int
             if on_arm != arm:
                 report(f"{arm}[{i}]: {on_arm} event on the {arm} track")
             if kind == STROKE:
@@ -323,22 +352,29 @@ def validate_timeline(timeline: Timeline) -> list[str]:
                     report(f"{arm}[{i}]: unknown hand {hand!r}")
                 elif hand == wrong_hand:
                     report(f"{arm}[{i}]: {hand} stroke on the {arm} arm")
-                elif hand == "2H":
+                # exact types on the common path (a finite sum has finite
+                # terms); the slow path finds and names the problem, if any
+                if not (
+                    type(expanse) is type(height) is type(outward) is type(speed) is type(scale) is float
+                    and -_INF < expanse + height + outward < _INF and 0 < speed < _INF and 0 < scale < _INF
+                ) and (problem := _feature_problem(e[6:])):
+                    report(f"{arm}[{i}]: {problem}")
+                    expanse = height = outward = speed = scale = None  # keeps the two-hand key hashable
+                if hand == "2H" and timed:
                     two_hand.add((start, end, gesture, expanse, height, outward, speed, scale))
-                if None in (expanse, height, outward, speed, scale):
-                    report(f"{arm}[{i}]: stroke without effective features")
-                elif not (speed > 0 and scale > 0):
-                    report(f"{arm}[{i}]: speed and scale must be > 0")
-            elif kind not in _AFTER:
+            elif kind not in KINDS:
                 report(f"{arm}[{i}]: unknown phase kind {kind!r}")
+                kind = str(kind)  # the same in messages, and usable as a key by the next event's check
             elif e[4:] != _TIMES_ONLY:
                 report(f"{arm}[{i}]: {kind} must not carry a gesture reference, hand or features")
-            if type(start) is not int or type(end) is not int:
+            if not timed:
                 report(f"{arm}[{i}]: times {start!r}, {end!r} are not integer milliseconds")
-            if not start < end:
-                report(f"{arm}[{i}]: start {start} not before end {end}")
-            if start < 0 or end > audio:
-                report(f"{arm}[{i}]: outside [0, {audio}]")
+                start = end = _NAN  # fails every comparison below and in the next event's checks
+            else:
+                if not start < end:
+                    report(f"{arm}[{i}]: start {start} not before end {end}")
+                if start < 0 or end > last:
+                    report(f"{arm}[{i}]: outside [0, {audio}]")
             if i:
                 if start < prev_end:
                     report(

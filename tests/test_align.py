@@ -15,6 +15,7 @@ from gesturec.errors import (
     TimingError,
     TimingFormatError,
     TimingOrderError,
+    WordMismatchError,
 )
 from gesturec.scheduler import SchedulerConfig, _ms
 
@@ -97,6 +98,17 @@ def test_annotation_after_last_word():
         align_strokes(dialog, track)
 
 
+def test_annotation_before_no_word_of_its_turn():
+    # the time lies in the window of the turn's last word, which a negative
+    # index would pick by Python's indexing
+    dialog = parse_dialog("A1: one [1.20s](Cup, RH 0.46s) two.\n")
+    turn = dialog.turns[0]
+    moved = replace(turn, annotations=[replace(turn.annotations[0], word_index=-1)])
+    track = parse_word_timings("1\tone\t1.00\n1\ttwo.\t1.50\n")
+    with pytest.raises(NoFollowingWordError):
+        align_strokes(replace(dialog, turns=[moved]), track)
+
+
 def test_turn_without_timing_entries():
     dialog = parse_dialog("A1: one.\nB1: two.\n")
     track = parse_word_timings("1\tone.\t1.00\n")
@@ -148,18 +160,24 @@ def test_generated_pairs_exact_lead_and_idempotent():
 
 def _reference_align(dialog, track):
     """The alignment rule as a linear scan of ``track.entries``: new stroke
-    begins per turn, or the error :func:`align_strokes` must raise."""
+    begins per turn, or the error :func:`align_strokes` must raise.  The
+    track's words must be the turn's, and the first word timed after a
+    stroke's written time must be the word it is written before."""
     begins = []
     for turn in dialog.turns:
-        onsets = [e.onset for e in track.entries if e.turn_index == turn.index]
-        if not onsets:
+        timed = [e for e in track.entries if e.turn_index == turn.index]
+        if not timed:
             return NoFollowingWordError
+        if [e.word for e in timed] != turn.text.split():
+            return WordMismatchError
         turn_begins = []
         for ann in turn.annotations:
-            following = next((o for o in onsets if o > ann.stroke_begin), None)
-            if following is None:
+            if not 0 <= ann.word_index < len(timed):
                 return NoFollowingWordError
-            begin_ms = max(0, round(following * 1000) - 200)
+            following = next((k for k, e in enumerate(timed) if e.onset > ann.stroke_begin), None)
+            if following != ann.word_index:
+                return WordMismatchError
+            begin_ms = max(0, round(timed[following].onset * 1000) - 200)
             if turn_begins and begin_ms <= turn_begins[-1]:
                 return StrokeCollisionError
             turn_begins.append(begin_ms)
@@ -170,14 +188,15 @@ def _reference_align(dialog, track):
 def _align_outcome(dialog, track):
     try:
         aligned = align_strokes(dialog, track)
-    except (NoFollowingWordError, StrokeCollisionError) as exc:
+    except (NoFollowingWordError, StrokeCollisionError, WordMismatchError) as exc:
         return type(exc)
     return [[a.stroke_begin for a in t.annotations] for t in aligned.turns]
 
 
 def _moved(rng, dialog, track):
     """``dialog`` with its strokes moved to times drawn near and on the
-    track's onsets, before the first word and past the last."""
+    track's onsets, before the first word and past the last, and some of
+    them written before another word, a word already taken or no word."""
     turns = []
     for turn in dialog.turns:
         onsets = [e.onset for e in track.entries if e.turn_index == turn.index]
@@ -193,7 +212,13 @@ def _moved(rng, dialog, track):
             else:
                 times.add(round(onsets[-1] + 0.05, 2))
         times = sorted(t for t in times if t >= 0)
-        annotations = [replace(a, stroke_begin=t) for a, t in zip(turn.annotations, times)]
+        word_indices = sorted(
+            rng.randint(0, len(onsets)) if rng.random() < 0.3 else a.word_index for a in turn.annotations
+        )
+        annotations = [
+            replace(a, stroke_begin=t, word_index=wi)
+            for a, t, wi in zip(turn.annotations, times, word_indices)
+        ]
         turns.append(replace(turn, annotations=annotations))
     return replace(dialog, turns=turns)
 
@@ -207,13 +232,15 @@ def test_alignment_matches_reference_scan_on_generated_pairs():
             expected = _reference_align(case, track)
             assert _align_outcome(case, track) == expected, seed
             outcomes.add(expected if isinstance(expected, type) else list)
-    # the moved strokes reach both errors as well as success
-    assert outcomes == {list, NoFollowingWordError, StrokeCollisionError}
+    # the moved strokes reach every error as well as success
+    assert outcomes == {list, NoFollowingWordError, StrokeCollisionError, WordMismatchError}
 
 
 @pytest.mark.parametrize("dialog_source,track_source,expected", [
     # exactly on an onset: the following word is the next one
-    ("A1: [1.00s](Cup, RH 0.46s) one two.\n", "1\tone\t1.00\n1\ttwo.\t1.50\n", [[1.3]]),
+    ("A1: one [1.00s](Cup, RH 0.46s) two.\n", "1\tone\t1.00\n1\ttwo.\t1.50\n", [[1.3]]),
+    # exactly on the onset of the word it is written before
+    ("A1: [1.00s](Cup, RH 0.46s) one two.\n", "1\tone\t1.00\n1\ttwo.\t1.50\n", WordMismatchError),
     # before the first word
     ("A1: [0.10s](Cup, RH 0.46s) one two.\n", "1\tone\t1.00\n1\ttwo.\t1.50\n", [[0.8]]),
     # after the last word
@@ -221,9 +248,14 @@ def test_alignment_matches_reference_scan_on_generated_pairs():
     # a turn missing from the track
     (
         "A1: [0.50s](Cup, RH 0.46s) one.\nB1: [2.00s](Cup, RH 0.46s) two.\n",
-        "1\tone\t1.00\n",
+        "1\tone.\t1.00\n",
         NoFollowingWordError,
     ),
+    # the track's words differ from the turn's
+    ("A1: [0.50s](Cup, RH 0.46s) one two.\n", "1\tone\t1.00\n1\ttwo\t1.50\n", WordMismatchError),
+    ("A1: [0.50s](Cup, RH 0.46s) one two.\n", "1\tone two.\t1.00\n", WordMismatchError),
+    # the track times a turn past the dialog's last
+    ("A1: [0.50s](Cup, RH 0.46s) one.\n", "1\tone.\t1.00\n2\ttwo.\t2.00\n", [[0.8]]),
     # turn indices interleave along the track
     (
         "A1: [0.50s](Cup, RH 0.46s) one [1.60s](Reject, RH 0.44s) three.\n"
@@ -253,7 +285,8 @@ def _long_pair(turns, words_per_turn=20):
             GestureAnnotation(round(onsets[wi] - 0.1, 2), "Cup", "RH", 0.46, word_index=wi)
             for wi in (3, 12)
         ]
-        dialog_turns.append(Turn("AB"[(index - 1) % 2], index, "text", annotations))
+        text = " ".join(f"w{w}" for w in range(words_per_turn))
+        dialog_turns.append(Turn("AB"[(index - 1) % 2], index, text, annotations))
         onset = round(onset + 1.0, 2)
     dialog = AnnotatedDialog(story_id="long", turns=dialog_turns, audio_duration=onset + 3.0)
     return dialog, parse_word_timings("\n".join(tsv) + "\n")

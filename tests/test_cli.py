@@ -5,8 +5,12 @@ import json
 import pytest
 
 from conftest import DATA_DIR, EMPTY_HOLD, TOUCHING_STROKES
+from gesturec.align import parse_word_timings
+from gesturec.catalog import load_catalog
 from gesturec.cli import main
 from gesturec.emitter import read_script
+from gesturec.errors import WordMismatchError
+from gesturec.pipeline import PipelineSettings, compile_dialog
 
 SCRIPTS = ("A.script.json", "A.script.txt", "B.script.json", "B.script.txt")
 
@@ -51,6 +55,53 @@ def test_compile_variant_and_extraversion(tmp_path, shipped):
     data = json.loads((tmp_path / "out" / "B.script.json").read_text())
     speeds = {e["speed"] for e in data["events"] if e["kind"] == "stroke"}
     assert 1.25 in speeds  # the response turn runs at the adapted speed
+
+
+def _garden_disagreeing(case):
+    """garden's dialog and track, with the track's words or the first
+    stroke's written time no longer agreeing with the dialog."""
+    dialog = (DATA_DIR / "stories" / "garden.dialog").read_text(encoding="utf-8")
+    lines = (DATA_DIR / "timings" / "garden.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    if case == "every track word x":
+        lines = ["\t".join((turn, "x", onset)) for turn, _, onset in (line.split("\t") for line in lines)]
+    elif case == "turn 1's second word missing":
+        assert lines[1] == "1\tthe\t1.33\n"
+        del lines[1]
+    else:
+        assert dialog.count("[1.46s](Cup, RH 0.46s) tomatoes") == 1
+        dialog = dialog.replace("[1.46s]", "[2.46s]")
+    return dialog, "".join(lines)
+
+
+@pytest.mark.parametrize("flags", [(), ("--lenient",)])
+@pytest.mark.parametrize("case, message", [
+    ("every track word x", "turn 1: word 0 is 'So' in the dialog but 'x' in the timing track"),
+    ("turn 1's second word missing", "turn 1: word 1 is 'the' in the dialog but 'tomatoes' in the timing track"),
+    (
+        "first stroke timed 1 s later",
+        "turn 1: the stroke at 2.46s is written before word 2 'tomatoes', "
+        "so it must fall at or after 'the' at 1.33s and before 'tomatoes' at 1.66s",
+    ),
+])
+def test_compile_refuses_a_track_that_disagrees_with_the_dialog(tmp_path, shipped, capsys, case, message, flags):
+    dialog, track = _garden_disagreeing(case)
+    (tmp_path / "garden.dialog").write_text(dialog, encoding="utf-8")
+    (tmp_path / "garden.tsv").write_text(track, encoding="utf-8")
+    code = main([
+        "compile",
+        "--dialog", str(tmp_path / "garden.dialog"),
+        "--timings", str(tmp_path / "garden.tsv"),
+        "--catalog", shipped["catalog"],
+        "--out", shipped["out"],
+        *flags,
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    catalog = load_catalog((DATA_DIR / "catalog.txt").read_text(encoding="utf-8"))
+    settings = PipelineSettings(strict=not flags)
+    with pytest.raises(WordMismatchError):
+        compile_dialog(dialog, catalog, timings=parse_word_timings(track), settings=settings)
 
 
 def test_build_personality(tmp_path, shipped):

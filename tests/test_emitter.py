@@ -319,6 +319,8 @@ def test_reader_rejects_bad_header_strings_and_gesture_names(field, bad):
         ({"speaker": "C"}, "header.speaker"),
         ({"config_fingerprint": "x\ny"}, "header.config"),
         ({"gesture": "Cup Big"}, "right[1]: gesture 'Cup Big'"),
+        ({"story_id": "\ud800x"}, "header.story"),
+        ({"config_fingerprint": "\ud800x"}, "header.config"),
     ],
 )
 def test_writer_refuses_what_the_reader_refuses(fixture_timelines, change, field):
@@ -344,6 +346,46 @@ def test_text_reader_rejects_unknown_speaker_and_bad_gesture_names(line, replace
     assert line.encode() in text
     with pytest.raises(ScriptError):
         read_script(text.replace(line.encode(), replacement.encode()))
+
+
+@pytest.mark.parametrize("change", [{"story_id": "\ud800x"}, {"config_fingerprint": "\ud800x"}])
+def test_json_reader_refuses_a_lone_surrogate_as_the_writer_does(fixture_timelines, change):
+    timeline = replace(fixture_timelines[0], **change)
+    with pytest.raises(EmitError) as written:
+        emit_script(timeline, "text")
+    with pytest.raises(ScriptError) as read:
+        read_script(emit_document(timeline, "json"))  # JSON escapes the surrogate
+    assert str(read.value) == str(written.value)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        pytest.param(
+            b"0.700 1.000 prep", b"0.700  1.000 prep",
+            "line 6: the writer writes '0.700 1.000 prep right - - - - - -\\n' here",
+            id="doubled-spaces-between-columns",
+        ),
+        pytest.param(
+            b"# story: x\n", b"# story:    x\n", "line 2: the writer writes '# story: x\\n' here",
+            id="padded-header-value",
+        ),
+        pytest.param(
+            b"# config: c\n", b"# config: c\n\n",
+            "line 6: the writer writes '0.700 1.000 prep right - - - - - -\\n' here",
+            id="blank-line",
+        ),
+        pytest.param(
+            b"\n", b"\r\n", "line 1: the writer writes '# gesture-script v1\\n' here", id="crlf-line-ends"
+        ),
+    ],
+)
+def test_text_reader_refuses_what_the_writer_never_writes(old, new, message):
+    text = emit_document(read_script(_stroke_document()), "text")
+    assert old in text
+    with pytest.raises(ScriptError) as err:
+        read_script(text.replace(old, new))
+    assert str(err.value) == message
 
 
 def test_reader_accepts_every_header_string_the_text_form_keeps():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+import re
 
 import pytest
 
@@ -8,7 +10,7 @@ from conftest import EMPTY_HOLD, TOUCHING_STROKES, make_stroke_dialog
 from gesturec.align import align_strokes
 from gesturec.dsl import parse_dialog
 from gesturec.emitter import emit_script, read_script
-from gesturec.errors import ScheduleError, StrokeOverlapError, StrokeOverrunError
+from gesturec.errors import EmitError, ScheduleError, StrokeOverlapError, StrokeOverrunError
 from gesturec.personality import EXTRAVERT_ANCHOR, apply_personality
 from gesturec.pipeline import PipelineSettings, compile_dialog
 from gesturec.scheduler import (
@@ -305,6 +307,37 @@ def _prep_stroke_retract(**stroke_changes):
 )
 def test_validate_flags_each_event_rule(right, problem):
     assert validate_timeline(_timeline(right=right)) == [problem]
+
+
+@pytest.mark.parametrize(
+    "right, problem",
+    [
+        (
+            [_phase(["prep"], 500, 1000), _stroke(1000, 1400), _phase("retract", 1400, 1900)],
+            "right[0]: unknown phase kind ['prep']",
+        ),
+        (_prep_stroke_retract(speed="1"), "right[1]: speed '1' is not a finite number"),
+        (_prep_stroke_retract(expanse="x"), "right[1]: expanse 'x' is not a finite number"),
+        (_prep_stroke_retract(height=True), "right[1]: height True is not a finite number"),
+        (_prep_stroke_retract(outward=math.nan), "right[1]: outward nan is not a finite number"),
+        (_prep_stroke_retract(scale=math.inf), "right[1]: scale inf is not a finite number"),
+        (
+            [_phase("prep", "0.3", 1000), _stroke(1000, 1400), _phase("retract", 1400, 1900)],
+            "right[0]: times '0.3', 1000 are not integer milliseconds",
+        ),
+        (
+            [_phase("prep", 500, 1000), _stroke([1000], 1400), _phase("retract", 1400, 1900)],
+            "right[1]: times [1000], 1400 are not integer milliseconds",
+        ),
+    ],
+)
+def test_validate_reports_values_of_the_wrong_type(right, problem):
+    timeline = _timeline(right=right)
+    problems = validate_timeline(timeline)
+    assert problems[0] == problem
+    for fmt in ("json", "text"):
+        with pytest.raises(EmitError, match=re.escape(problem)):
+            emit_script(timeline, fmt)
 
 
 def test_hold_retract_dichotomy_generated():

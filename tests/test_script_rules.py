@@ -171,6 +171,10 @@ def test_reader_refuses_a_mutated_script_exactly_when_the_validator_does(documen
             assert emit_document(read_script(blob), fmt) == blob
 
 
+# st.text() never draws a lone surrogate, which no UTF-8 script can hold
+_TEXT = st.text() | st.text(st.characters(categories=["Cs", "L", "N", "Zs"]))
+
+
 @st.composite
 def _relabelled(draw):
     """A compiled timeline with one of its speaker, story and config drawn
@@ -178,12 +182,12 @@ def _relabelled(draw):
     timeline = draw(st.sampled_from([t for t in COMPILED if document_from_timeline(t)]))
     field = draw(st.sampled_from(["speaker", "story_id", "config_fingerprint", "gesture"]))
     if field != "gesture":
-        return replace(timeline, **{field: draw(st.text())})
+        return replace(timeline, **{field: draw(_TEXT)})
     tracks = {arm: list(events) for arm, events in timeline.tracks.items()}
     arm, i = draw(st.sampled_from(
         [(arm, i) for arm in ARMS for i, e in enumerate(tracks[arm]) if e.kind == STROKE]
     ))
-    gesture = draw(st.text() | st.none() | st.booleans() | st.integers() | st.lists(st.text(), max_size=2))
+    gesture = draw(_TEXT | st.none() | st.booleans() | st.integers() | st.lists(st.text(), max_size=2))
     tracks[arm][i] = tracks[arm][i]._replace(gesture=gesture)
     return replace(timeline, tracks=tracks)
 
@@ -192,9 +196,11 @@ def _relabelled(draw):
 @settings(max_examples=200, deadline=None)
 def test_the_writer_refuses_what_the_reader_refuses_or_reads_back_changed(timeline):
     for fmt in FORMATS:
-        rendered = emit_document(timeline, fmt)  # what an unchecked writer would write
         try:
+            rendered = emit_document(timeline, fmt)  # what an unchecked writer would write
             back = read_script(rendered)
+        except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+            rendered = back = None
         except ScriptError:
             back = None
         try:
