@@ -17,13 +17,14 @@ count.  An annotation sits immediately before its following word::
 ``*`` after the time bracket marks a rate-added gesture (present only when
 the performance is adapted), ``!`` before the name marks a copied gesture
 form, and the variant after ``/`` is the non-adapted alternative.  Seconds
-are printed with exactly two decimals in canonical form, so all dialog
-times live on the centisecond grid.  Square brackets are reserved for
-annotations and may not appear in turn text.
+are printed with exactly two decimals in canonical form, and the parser
+refuses a time off that centisecond grid.  Square brackets are reserved
+for annotations and may not appear in turn text.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ _TURN_RE = re.compile(r"^([A-Za-z]+)(\d+):\s*(.*)$")
 _ANNOT_RE = re.compile(r"\[(\d+(?:\.\d+)?)s\](\*)?\(([^()]*)\)")
 _BRACKET_RE = re.compile(r"[][]")
 _VARIANT_RE = re.compile(rf"^(!)?({GESTURE_NAME})\s*,\s*({'|'.join(HANDS)})\s+(\d+(?:\.\d+)?)s$")
+_CENTISECONDS_RE = re.compile(r"\d+(?:\.\d\d?0*)?")  # at most two decimals, trailing zeros aside
 
 # A token ends a sentence when it closes with terminal punctuation,
 # optionally followed by closing quotes.  Mid-token punctuation ("old...a")
@@ -136,11 +138,20 @@ def copy_with(record, **changes):
     return cls(*values)
 
 
+def _seconds(text: str, what: str, lineno: int, col: int) -> float:
+    """A dialog time, which must lie on the centisecond grid ``format_dialog`` writes."""
+    value = _CENTISECONDS_RE.fullmatch(text) and float(text)
+    if value is None or value == math.inf:  # 309 digits or more overflow to inf
+        raise DialogParseError(f"{what} {text}s is not on the centisecond grid", lineno, col)
+    return value
+
+
 def _parse_variant(text: str, lineno: int, col: int, allow_copy: bool) -> tuple[bool, str, str, float]:
     m = _VARIANT_RE.match(text.strip())
     if not m:
         raise DialogParseError(f"malformed gesture variant {text.strip()!r}", lineno, col)
-    copied, name, hand, dur = bool(m.group(1)), m.group(2), m.group(3), float(m.group(4))
+    copied, name, hand = bool(m.group(1)), m.group(2), m.group(3)
+    dur = _seconds(m.group(4), "stroke duration", lineno, col)
     if copied and not allow_copy:
         raise DialogParseError("copy marker not allowed on the alternative variant", lineno, col)
     if dur <= 0:
@@ -149,7 +160,7 @@ def _parse_variant(text: str, lineno: int, col: int, allow_copy: bool) -> tuple[
 
 
 def _parse_annotation(m: re.Match, lineno: int, col: int, word_index: int) -> GestureAnnotation:
-    begin = float(m.group(1))
+    begin = _seconds(m.group(1), "stroke begin", lineno, col)
     inner = m.group(3)
     pieces = inner.split("/")
     if len(pieces) > 2:
@@ -244,10 +255,7 @@ def parse_dialog(source: str, story_id: str = "") -> AnnotatedDialog:
             spec = value.strip()
             if not spec.endswith("s"):
                 raise DialogParseError("audio duration must end with 's'", lineno, indent + 1)
-            try:
-                audio_duration = float(spec[:-1])
-            except ValueError:
-                raise DialogParseError(f"bad audio duration {spec!r}", lineno, indent + 1) from None
+            audio_duration = _seconds(spec[:-1], "audio duration", lineno, indent + 1)
             continue
         m = _TURN_RE.match(line)
         if not m:
@@ -315,12 +323,12 @@ def format_dialog(dialog: AnnotatedDialog) -> str:
     return "\n".join(lines) + "\n"
 
 
-def segment_sentences(turn: Turn) -> list[tuple[str, list[GestureAnnotation]]]:
-    """Split a turn into sentences and assign each annotation to one.
-
-    A sentence ends at a word that closes with terminal punctuation or at
-    the end of the turn.  An annotation belongs to the sentence containing
-    its following word; trailing annotations fall into the last sentence.
+def segment_sentences(turn: Turn) -> list[tuple[int, list[GestureAnnotation]]]:
+    """Split a turn into sentences, each as its end (one past its last word
+    in ``turn.text.split()``) with its annotations.  A sentence ends at a
+    word that closes with terminal punctuation or at the end of the turn.
+    An annotation belongs to the sentence containing its following word;
+    trailing annotations fall into the last sentence.
     """
     words = turn.text.split()
     if not words:
@@ -331,8 +339,7 @@ def segment_sentences(turn: Turn) -> list[tuple[str, list[GestureAnnotation]]]:
     buckets: list[list[GestureAnnotation]] = [[] for _ in ends]
     for ann in turn.annotations:
         buckets[bisect_right(ends, min(ann.word_index, len(words) - 1))].append(ann)
-    starts = [0, *ends[:-1]]
-    return [(" ".join(words[s:e]), bucket) for s, e, bucket in zip(starts, ends, buckets)]
+    return list(zip(ends, buckets))
 
 
 def truncate_dialog(dialog: AnnotatedDialog, n_turns: int) -> AnnotatedDialog:

@@ -2,17 +2,15 @@
 
 A script document is one speaker's ``Timeline``: a header (story, speaker,
 audio duration, scheduler-config fingerprint) and per-arm phase events,
-written flat and sorted by (start, arm, kind).  ``read_script`` returns the
-``Timeline`` that ``emit_script`` wrote, and both refuse a timeline for the
-same reason, ``_refusal``: a header rule, or a phase or gesture-name rule of
-``validate_timeline``.  Times are ``int`` milliseconds, as in the timeline.
-The writers print them as seconds through ``format_seconds``, and the
-readers turn them back into milliseconds through one checked function,
-``_check_ms``, which rejects a time that is not a whole number of
-milliseconds.  The scheduler rounds features to 3 decimals when it builds a
-stroke event.  Every number is printed with exactly three decimal places,
-which makes emission a canonical form: read(emit(t)) == t and
-emit(read(emit(t))) == emit(t) byte for byte.
+written flat and sorted by (start, arm, kind).  Times are ``int``
+milliseconds, printed as seconds through ``format_seconds``; the scheduler
+rounds features to 3 decimals, and every number is printed with exactly
+three, so emission is a canonical form.  ``emit_script`` refuses a timeline
+for a header rule or a phase or gesture-name rule of ``validate_timeline``
+(``_refusal``).  ``read_script`` has one format rule: a document is what
+``emit_document`` writes for the timeline it holds, byte for byte in text
+and as a JSON value in JSON.  So read(emit(t)) == t, and every document
+the reader accepts re-emits to itself.
 
 Two formats are supported.  JSON (see ``docs/script.schema.json``) and a
 line-oriented text form, one event per line::
@@ -26,6 +24,8 @@ as are the feature columns.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import zip_longest
 from operator import itemgetter
 
 from .dsl import HANDS, SPEAKERS
@@ -34,8 +34,6 @@ from .scheduler import (
     ARMS, FEATURES, KINDS, STROKE, ScriptEvent, Timeline, finite_number, format_seconds, validate_timeline,
 )
 
-_TEXT_MAGIC = "# gesture-script v1"
-_NO_FEATURES = ["-"] * len(FEATURES)
 _EVENT_ORDER = itemgetter(0, 3, 2)  # (start, arm, kind)
 
 
@@ -111,7 +109,7 @@ def emit_document(timeline: Timeline, format: str = "json") -> bytes:
         return "\n".join(lines).encode("utf-8")
     if format == "text":
         lines = [
-            _TEXT_MAGIC,
+            "# gesture-script v1",
             f"# story: {timeline.story_id}",
             f"# speaker: {timeline.speaker}",
             f"# audio: {format_seconds(timeline.audio_ms)}",
@@ -142,65 +140,65 @@ def _require(condition: bool, message: str, path: str):
         raise ScriptError(message, path=path)
 
 
-def _check_number(value, path: str) -> float:
-    _require(finite_number(value), "expected a finite number", path)
-    _require(round(value, 3) == value, "numbers carry exactly 3 decimals", path)
-    return float(value)
-
-
-def _check_ms(value, path: str) -> int:
-    """A time in seconds as ``int`` milliseconds; any other time is rejected."""
+def _ms(value, path: str) -> int:
+    """A time in seconds as ``int`` milliseconds, once it is a finite number."""
     _require(finite_number(value) and finite_number(value * 1000), "expected a finite number", path)
-    ms = round(value * 1000)
-    _require(ms / 1000 == value, "times carry at most 3 decimals", path)
-    return ms
-
-
-def _event(path: str, start, end, kind: str, arm: str, gesture=None, hand=None, features=()) -> ScriptEvent:
-    """One event checked against the format rules; times in seconds,
-    ``features`` as in ``FEATURES``.  The phase rules are ``validate_timeline``'s."""
-    _require(arm in ARMS, f"unknown arm {arm!r}", f"{path}.arm")
-    return ScriptEvent(
-        _check_ms(start, f"{path}.start"),
-        _check_ms(end, f"{path}.end"),
-        kind,
-        arm,
-        gesture,
-        hand,
-        *(None if v is None else _check_number(v, f"{path}.{name}") for name, v in zip(FEATURES, features)),
-    )
-
-
-def _float(text: str, message: str, path: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ScriptError(message, path=path) from None
+    return round(value * 1000)
 
 
 def _timeline(header: dict, events: list[ScriptEvent]) -> Timeline:
-    """The timeline of a read script, held to the rules ``emit_script``
-    writes by: the event order and ``_refusal``."""
+    """The timeline a read script holds, refused as ``emit_script`` refuses it.
+    An event on neither arm is left out, so the phase rules or the comparison refuse it."""
     for key in ("story", "speaker", "audio", "config"):
         _require(key in header, f"missing header field {key!r}", f"header.{key}")
-    audio = _check_ms(header["audio"], "header.audio")
-    order = list(map(_EVENT_ORDER, events))
-    _require(order == sorted(order), "events must be sorted by (start, arm, kind)", "events")
-    timeline = Timeline(header["speaker"], {arm: [] for arm in ARMS}, audio, header["story"], header["config"])
-    for e in events:
-        timeline.tracks[e.arm].append(e)
+    audio = _ms(header["audio"], "header.audio")
+    tracks = {arm: [e for e in events if e.arm == arm] for arm in ARMS}
+    timeline = Timeline(header["speaker"], tracks, audio, header["story"], header["config"])
     error = _refusal(timeline)
     if error:
         raise error
     return timeline
 
 
-def _read_json(data: bytes) -> Timeline:
+class _Object(dict):
+    """A read JSON object; ``repeated`` is a key it holds more than once, or None."""
+
+    __slots__ = ("repeated",)
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        counts = Counter(key for key, _ in pairs) if len(self) < len(pairs) else {}
+        self.repeated = next((key for key, n in counts.items() if n > 1), None)
+
+
+_ABSENT = object()
+
+
+def _json_difference(value, written, path: str) -> ScriptError | None:
+    """Where a read JSON value first differs from the writer's, as the error
+    the reader raises, or None.  Object keys may come in any order, each
+    once; numbers are equal when their values are."""
+    if isinstance(value, dict) and isinstance(written, dict):
+        if value.repeated is not None:
+            return ScriptError(f"key {value.repeated!r} appears more than once", path=path or "$")
+        keys = [*written, *(key for key in value if key not in written)]
+        children = ((f"{path}.{k}" if path else k, value.get(k, _ABSENT), written.get(k, _ABSENT)) for k in keys)
+    elif isinstance(value, list) and isinstance(written, list):
+        children = ((f"{path}[{i}]", v, w) for i, (v, w) in enumerate(zip_longest(value, written, fillvalue=_ABSENT)))
+    elif value == written:
+        return None
+    else:
+        expected = "nothing" if written is _ABSENT else json.dumps(written)
+        return ScriptError(f"the writer writes {expected} here", path=path or "$")
+    return next(filter(None, (_json_difference(v, w, child) for child, v, w in children)), None)
+
+
+def _read_json(text: str) -> Timeline:
+    """The timeline a JSON script holds."""
     try:
-        raw = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raw = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScriptError(f"not valid JSON: {exc}") from None
-    _require(isinstance(raw, dict), "document must be an object", "$")
     _require(isinstance(raw.get("header"), dict), "missing header object", "header")
     _require(isinstance(raw.get("events"), list), "missing events array", "events")
     events = []
@@ -209,43 +207,33 @@ def _read_json(data: bytes) -> Timeline:
         _require(isinstance(item, dict), "event must be an object", path)
         for key in ("start", "end", "kind", "arm"):
             _require(key in item, f"missing field {key!r}", f"{path}.{key}")
-        features = [item.get(name) for name in FEATURES]
-        events.append(_event(
-            path, item["start"], item["end"], str(item["kind"]), str(item["arm"]),
-            item.get("gesture"), item.get("hand"), features,
+        events.append(ScriptEvent(
+            _ms(item["start"], f"{path}.start"), _ms(item["end"], f"{path}.end"), item["kind"], item["arm"],
+            item.get("gesture"), item.get("hand"), *(item.get(name) for name in FEATURES),
         ))
     return _timeline(raw["header"], events)
 
 
 def _read_text(text: str) -> Timeline:
-    meta = {}
-    events = []
-    lines = text.splitlines()
-    _require(bool(lines) and lines[0].strip() == _TEXT_MAGIC, "missing script magic line", "$")
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            key = key.strip()
-            _require(key not in meta, f"line {lineno}: repeated header line {key!r}", f"header.{key}")
-            value = value.strip()
-            meta[key] = _float(value, "bad audio duration", "header.audio") if key == "audio" else value
-            continue
-        path = f"events[{len(events)}]"
-        cols = line.split()
-        _require(len(cols) == 10, f"line {lineno}: expected 10 columns, got {len(cols)}", path)
-        start, end = (_float(c, f"line {lineno}: bad times", path) for c in cols[:2])
-        gesture = hand = None
-        features = ()
-        if cols[4] != "-":
-            gesture, _, hand = cols[4].partition(":")
-            features = [_float(c, f"line {lineno}: bad feature columns", path) for c in cols[5:]]
-        else:
-            _require(cols[5:] == _NO_FEATURES, f"line {lineno}: features without a gesture", path)
-        events.append(_event(path, start, end, cols[2], cols[3], gesture, hand or None, features))
-    return _timeline(meta, events)
+    """The timeline a text script holds.  Padding, blank lines, a repeated header
+    line and features on a line with no gesture are left for the byte check to name."""
+    header, events = {}, []
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        path = f"line {lineno}"
+        try:
+            if line.startswith("#"):  # the magic line too, as a key with no value
+                key, _, value = (part.strip() for part in line[1:].partition(":"))
+                header.setdefault(key, float(value) if key == "audio" else value)
+            elif line:
+                cols = line.split()
+                _require(len(cols) == 10, f"expected 10 columns, got {len(cols)}", path)
+                stroke = cols[4] != "-"
+                start, end, *features = map(float, cols[:2] + (cols[5:] if stroke else []))
+                gesture, _, hand = cols[4].partition(":") if stroke else (None, None, None)
+                events.append(ScriptEvent(_ms(start, path), _ms(end, path), *cols[2:4], gesture, hand, *features))
+        except ValueError as exc:  # only float() raises it
+            raise ScriptError(str(exc), path=path) from None
+    return _timeline(header, events)
 
 
 def _not_as_written(data: bytes, written: bytes) -> ScriptError:
@@ -260,24 +248,24 @@ def _not_as_written(data: bytes, written: bytes) -> ScriptError:
 
 def read_script(data: bytes) -> Timeline:
     """Parse a script document (either format) into the ``Timeline`` it
-    was written from, checked by the rules ``emit_script`` writes by.
+    holds, if the document is what ``emit_document`` writes for it.
 
-    Raises :class:`ScriptError` naming the offending field on a format or
-    header rule, or at path ``events`` naming ``arm[i]`` on a phase or
-    gesture-name rule.  A text script must be byte for byte what the writer
-    writes for the timeline it holds; otherwise the error names the first
-    line that differs.
+    A timeline that ``emit_script`` refuses raises its :class:`ScriptError`
+    (naming a header field, or ``arm[i]`` at path ``events``).  Otherwise a
+    text script must be the writer's bytes, or the error names the first
+    line that differs; a JSON script must be the writer's JSON value, or the
+    error names the first path that differs.
     """
-    if not data:
-        raise ScriptError("empty document")
-    if data.lstrip().startswith(b"{"):
-        return _read_json(data)
+    fmt = "json" if data.lstrip().startswith(b"{") else "text"
     try:
-        text = data.decode("utf-8")
+        timeline = (_read_json if fmt == "json" else _read_text)(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ScriptError(f"not UTF-8: {exc}") from None
-    timeline = _read_text(text)
-    written = emit_document(timeline, "text")
-    if written != data:
+    written = emit_document(timeline, fmt)
+    if written != data and fmt == "text":
         raise _not_as_written(data, written)
+    if written != data:  # another JSON layout may hold the same value; only it pays for a second parse
+        error = _json_difference(json.loads(data.decode("utf-8"), object_pairs_hook=_Object), json.loads(written), "")
+        if error:
+            raise error
     return timeline

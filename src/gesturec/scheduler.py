@@ -68,7 +68,9 @@ class SchedulerConfig:
     retract_on_turn_end: bool = False
 
     def __post_init__(self):
-        for name in ("hold_threshold_s", "prep_duration_s", "retract_duration_s"):
+        if not 0 <= self.stroke_lead_s < math.inf:  # before the grid loop, which also refuses nan and inf
+            raise ScheduleError(f"stroke_lead_s must be finite and >= 0, got {self.stroke_lead_s!r}")
+        for name in ("hold_threshold_s", "prep_duration_s", "retract_duration_s", "stroke_lead_s"):
             value = getattr(self, name)
             if not math.isfinite(value) or _ms(value) / 1000 != value:
                 raise ScheduleError(f"{name} = {value!r} is not a whole number of milliseconds")
@@ -76,8 +78,6 @@ class SchedulerConfig:
             raise ScheduleError("prep and retract durations must be > 0")
         if self.hold_threshold_s < self.prep_duration_s + self.retract_duration_s:
             raise ScheduleError("hold threshold must cover prep + retract")
-        if not 0 <= self.stroke_lead_s < math.inf:
-            raise ScheduleError(f"stroke_lead_s must be finite and >= 0, got {self.stroke_lead_s!r}")
 
     def fingerprint(self) -> str:
         text = (

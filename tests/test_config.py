@@ -90,6 +90,8 @@ def test_bad_lines():
     for bad in ("nan", "inf"):
         with pytest.raises(ScheduleError, match="stroke_lead_s must be finite"):
             load_config(f"scheduler.stroke_lead_s = {bad}\n")
+    with pytest.raises(ScheduleError, match="stroke_lead_s = 0.2005 is not a whole number of milliseconds"):
+        load_config("scheduler.stroke_lead_s = 0.2005\n")
     for key in ("extravert.expanse_offset", "introvert.height_offset", "adaptation.speed_factor"):
         for bad in ("nan", "inf", "-inf"):
             with pytest.raises(DomainError, match=f"{key.split('.')[1]} must be finite"):

@@ -76,6 +76,24 @@ def test_parse_repeated_header_is_error(source, line, column, key):
     assert (err.value.line, err.value.column) == (line, column)
 
 
+@pytest.mark.parametrize(
+    "source, line, column, message",
+    [
+        ("A1: [1.234s](Cup, RH 0.46s) word.\n", 1, 5, "stroke begin 1.234s"),
+        ("A1: word [1.23s](Cup, RH 0.456s) word.\n", 1, 10, "stroke duration 0.456s"),
+        ("A1: [1.23s](Cup, RH 0.46s / Away, 2H 0.401s) word.\n", 1, 5, "stroke duration 0.401s"),
+        ("story: s\n  audio: 9.005s\n", 2, 3, "audio duration 9.005s"),
+        ("audio: nans\n", 1, 1, "audio duration nans"),
+        ("audio: 1e3s\n", 1, 1, "audio duration 1e3s"),
+        ("A1: [" + "9" * 400 + "s](Cup, RH 0.46s) word.\n", 1, 5, "stroke begin " + "9" * 400 + "s"),
+    ],
+)
+def test_parse_refuses_times_off_the_centisecond_grid(source, line, column, message):
+    with pytest.raises(DialogParseError) as err:
+        parse_dialog(source)
+    assert str(err.value) == f"line {line}, col {column}: {message} is not on the centisecond grid"
+
+
 def test_parse_non_increasing_times():
     source = "A1: [2.00s](Cup, RH 0.46s) one [1.50s](Cup, RH 0.46s) two.\n"
     with pytest.raises(AnnotationOrderError):
@@ -179,7 +197,9 @@ def test_parse_format_identity_on_generated_dialogs(seed):
 
 def test_sentence_ends_quotes_and_ellipses():
     def sentences(text):
-        return [sentence for sentence, _ in segment_sentences(Turn("A", 1, text, []))]
+        words = text.split()
+        ends = [end for end, _ in segment_sentences(Turn("A", 1, text, []))]
+        return [" ".join(words[start:end]) for start, end in zip([0, *ends], ends)]
 
     assert sentences('He said "go." Then left.') == ['He said "go."', "Then left."]
     assert sentences("It ended....") == ["It ended...."]
@@ -196,13 +216,13 @@ def test_segment_fixture_a1_two_by_two(protest_dialog):
 
 def test_segment_single_sentence_no_gestures():
     turn = Turn(speaker="A", index=1, text="Just one sentence.", annotations=[])
-    assert segment_sentences(turn) == [("Just one sentence.", [])]
+    assert segment_sentences(turn) == [(3, [])]
 
 
 def test_segment_single_bucket():
     ann = GestureAnnotation(1.0, "Cup", "RH", 0.46, word_index=0)
     turn = Turn(speaker="A", index=1, text="Yeah, exactly.", annotations=[ann])
-    assert segment_sentences(turn) == [("Yeah, exactly.", [ann])]
+    assert segment_sentences(turn) == [(2, [ann])]
 
 
 def test_segment_empty_text_returns_nothing():

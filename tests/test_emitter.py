@@ -234,6 +234,11 @@ def test_truncated_document():
         read_script(b"")
 
 
+def test_deeply_nested_json_is_a_script_error():
+    with pytest.raises(ScriptError, match="not valid JSON"):
+        read_script(b'{"header": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
+
+
 def test_end_before_start_names_the_record(fixture_timelines):
     timeline_a, _ = fixture_timelines
     raw = json.loads(emit_script(timeline_a).decode())
@@ -251,17 +256,15 @@ def test_unsorted_events_rejected(fixture_timelines):
     raw["events"].reverse()
     with pytest.raises(ScriptError) as err:
         read_script(json.dumps(raw).encode())
-    assert "sorted" in str(err.value)
+    assert err.value.path == "events"
+    assert "right[0]: track must begin with a prep" in str(err.value)
 
 
 def test_extra_precision_rejected():
-    event = {"start": 1.0001, "end": 2.0, "kind": "prep", "arm": "right"}
-    blob = json.dumps(
-        {"header": {"story": "x", "speaker": "A", "audio": 5.0, "config": "c"}, "events": [event]}
-    ).encode()
-    with pytest.raises(ScriptError) as err:
-        read_script(blob)
-    assert "decimals" in str(err.value)
+    for field in ("start", "speed"):  # a time and a feature, both 1.0 to 3 decimals
+        with pytest.raises(ScriptError) as err:
+            read_script(_stroke_document(**{field: 1.0001}))
+        assert str(err.value) == f"events[1].{field}: the writer writes 1.0 here"
 
 
 @pytest.mark.parametrize("field", ["audio", "start", "expanse"])
@@ -289,6 +292,34 @@ def _stroke_document(**changes) -> bytes:
         {"start": 2.0, "end": 2.5, "kind": "retract", "arm": "right"},
     ]
     return json.dumps({"header": header, "events": events}).encode()
+
+
+@pytest.mark.parametrize(
+    "where, key, path",
+    [("document", "extra", "extra"), ("header", "extra", "header.extra"), ("stroke", "bogus", "events[1].bogus")],
+)
+def test_json_reader_refuses_a_field_the_writer_never_writes(where, key, path):
+    raw = json.loads(_stroke_document())
+    {"document": raw, "header": raw["header"], "stroke": raw["events"][1]}[where][key] = 3
+    with pytest.raises(ScriptError) as err:
+        read_script(json.dumps(raw).encode())
+    assert str(err.value) == f"{path}: the writer writes nothing here"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('"story": "x"', '"story": "x", "story": "y"', "header: key 'story' appears more than once"),
+        ('"speed": 1.0', '"speed": 2.0, "speed": 1.0', "events[1]: key 'speed' appears more than once"),
+        ('{"header"', '{"events": [], "header"', "$: key 'events' appears more than once"),
+    ],
+)
+def test_json_reader_refuses_a_repeated_key(old, new, message):
+    blob = _stroke_document()
+    assert old.encode() in blob
+    with pytest.raises(ScriptError) as err:
+        read_script(blob.replace(old.encode(), new.encode(), 1))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ gesture-name or header rule is refused on reading as it is on writing."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -94,17 +95,18 @@ def test_text_reader_refuses_features_on_an_event_without_a_gesture():
     text = _text_script()
     line = b"0.700 1.000 prep right - - - - - -"
     assert text.splitlines()[5] == line
-    with pytest.raises(ScriptError, match="line 6: features without a gesture"):
+    with pytest.raises(ScriptError) as err:
         read_script(text.replace(line, b"0.700 1.000 prep right - 1.0 2.0 junk 4.0 5.0"))
+    assert str(err.value) == "line 6: the writer writes '0.700 1.000 prep right - - - - - -\\n' here"
 
 
 def test_text_reader_refuses_a_repeated_header_line():
     text = _text_script()
     line = b"# config: c\n"
     assert text.splitlines()[4] + b"\n" == line
-    with pytest.raises(ScriptError, match="line 6: repeated header line 'config'") as err:
+    with pytest.raises(ScriptError) as err:
         read_script(text.replace(line, line + b"# config: d\n"))
-    assert err.value.path == "header.config"
+    assert str(err.value) == "line 6: the writer writes '0.700 1.000 prep right - - - - - -\\n' here"
 
 
 def _compiled_timelines():
@@ -211,3 +213,104 @@ def test_the_writer_refuses_what_the_reader_refuses_or_reads_back_changed(timeli
         assert blob == rendered
         assert back == timeline
         assert emit_document(back, fmt) == blob
+
+
+def _json_value(data: bytes):
+    """A JSON document as what it means: key order is free and 1 equals
+    1.0, but a bool is no number and a repeated key is an error."""
+
+    def members(pairs):
+        assert len(dict(pairs)) == len(pairs), f"repeated key in {pairs}"
+        return {key: (value, type(value) is bool) for key, value in pairs}
+
+    return json.loads(data, object_pairs_hook=members)
+
+
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+_JSON_LEAF = st.none() | st.booleans() | st.integers(-3, 3) | _NUMBER | st.text(max_size=3)
+
+
+def _respelled(draw, number: float):
+    """``number`` spelled otherwise: the same value or a close one."""
+    return draw(st.sampled_from([int(number), number + 0.0001, number - 0.001, round(number, 2), True, str(number)]))
+
+
+@st.composite
+def _mutated_json(draw, raw):
+    """A JSON script with a field inserted, deleted or respelled, its keys
+    or events reordered, or only its layout changed."""
+    raw = json.loads(json.dumps(raw))
+    objects = [raw, raw["header"], *raw["events"]]
+    target = draw(st.sampled_from(objects))
+    mutation = draw(st.sampled_from(["insert", "delete", "respell", "reorder keys", "reorder events", "layout"]))
+    if mutation == "insert":
+        key = draw(st.sampled_from(["bogus", "gesture", "hand", "speed", "events", "story"]) | st.text(max_size=3))
+        target[key] = draw(_JSON_LEAF)
+    elif mutation == "delete":
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif mutation == "respell":
+        target = raw["header"] if target is raw else target
+        key = draw(st.sampled_from(sorted(k for k, v in target.items() if isinstance(v, float))))
+        target[key] = _respelled(draw, target[key])
+    elif mutation == "reorder keys":
+        items = draw(st.permutations(list(target.items())))
+        target.clear()
+        target.update(items)
+    elif mutation == "reorder events" and len(raw["events"]) > 1:
+        i, j = draw(st.lists(st.integers(0, len(raw["events"]) - 1), min_size=2, max_size=2, unique=True))
+        raw["events"][i], raw["events"][j] = raw["events"][j], raw["events"][i]
+    indent = draw(st.sampled_from([None, 0, 2, 4]))
+    return json.dumps(raw, indent=indent, ensure_ascii=draw(st.booleans())).encode()
+
+
+@st.composite
+def _mutated_text(draw, text: bytes):
+    """A text script with a line padded, duplicated, moved or given a
+    respelled number, or a header line inserted."""
+    lines = text.decode().splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(["pad", "duplicate", "move", "respell", "insert header"]))
+    if mutation == "pad":
+        line = lines[i]
+        at = draw(st.integers(0, len(line)))
+        lines[i] = line[:at] + draw(st.sampled_from([" ", "  ", "\t"])) + line[at:]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    elif mutation == "move":
+        lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+    elif mutation == "respell":
+        cols = lines[i].split(" ")
+        numeric = [k for k, col in enumerate(cols) if col.replace(".", "", 1).isdigit()]
+        if numeric:
+            k = draw(st.sampled_from(numeric))
+            number = float(cols[k])
+            spellings = [f"{number:.1f}", f"{number:g}", f"{number:.4f}", f"{number + 0.001:.3f}"]
+            cols[k] = draw(st.sampled_from(spellings))
+        lines[i] = " ".join(cols)
+    else:
+        lines.insert(i, draw(st.sampled_from(["# extra: 1", "# story: other", "#", "# audio: 1.000"])))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
+def _mutated_document(draw):
+    timeline = draw(st.sampled_from(COMPILED))
+    fmt = draw(st.sampled_from(FORMATS))
+    written = emit_document(timeline, fmt)
+    if fmt == "json":
+        return fmt, draw(_mutated_json(json.loads(written)))
+    return fmt, draw(_mutated_text(written))
+
+
+@given(case=_mutated_document())
+@settings(max_examples=300, deadline=None)
+def test_the_reader_accepts_a_mutated_script_only_as_the_writer_writes_it(case):
+    fmt, data = case
+    try:
+        timeline = read_script(data)
+    except ScriptError:
+        return
+    if fmt == "json":
+        assert _json_value(emit_document(timeline, fmt)) == _json_value(data)
+    else:
+        assert emit_document(timeline, fmt) == data
