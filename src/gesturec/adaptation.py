@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
-from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, copy_with
+from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn
 from .errors import DomainError, PlanError
 
 
@@ -47,8 +48,7 @@ class AdaptationSpec:
                 raise DomainError(f"{name} must be >= 1 (convergence is toward more extraverted)")
 
 
-@dataclass(frozen=True)
-class CopyProvenance:
+class CopyProvenance(NamedTuple):
     copy_turn: int
     copy: GestureAnnotation
     source_turn: int | None
@@ -60,8 +60,7 @@ def _nonadapted(ann: GestureAnnotation) -> GestureAnnotation | None:
         return None
     if ann.alternative is not None:
         alt = ann.alternative
-        return copy_with(
-            ann,
+        return ann._replace(
             gesture_name=alt.gesture_name,
             hand=alt.hand,
             stroke_duration=alt.stroke_duration,
@@ -71,7 +70,7 @@ def _nonadapted(ann: GestureAnnotation) -> GestureAnnotation | None:
             alt_features=None,
         )
     if ann.form_copied:
-        return copy_with(ann, form_copied=False)
+        return ann._replace(form_copied=False)
     return ann
 
 
@@ -89,11 +88,12 @@ def _adapted(ann: GestureAnnotation, spec: AdaptationSpec) -> GestureAnnotation:
         speed=f.speed * spec.speed_factor,
         scale=f.scale * spec.scale_factor,
     )
-    return copy_with(ann, alternative=None, features=adapted_features, alt_features=None)
+    return ann._replace(alternative=None, features=adapted_features, alt_features=None)
 
 
 def _nonadapted_turn(turn: Turn) -> Turn:
-    return copy_with(turn, annotations=[r for a in turn.annotations if (r := _nonadapted(a)) is not None])
+    annotations = tuple(r for a in turn.annotations if (r := _nonadapted(a)) is not None)
+    return turn if annotations == turn.annotations else turn._replace(annotations=annotations)
 
 
 def resolve_variant(dialog: AnnotatedDialog, spec: AdaptationSpec = AdaptationSpec()) -> AnnotatedDialog:
@@ -104,15 +104,13 @@ def resolve_variant(dialog: AnnotatedDialog, spec: AdaptationSpec = AdaptationSp
     if not dialog.turns:
         raise PlanError("dialog has no turns")
     *context, response = dialog.turns
-    turns = [_nonadapted_turn(t) for t in context]
-    turns.append(copy_with(response, annotations=[_adapted(a, spec) for a in response.annotations]))
-    return copy_with(dialog, turns=turns)
+    adapted = response._replace(annotations=tuple(_adapted(a, spec) for a in response.annotations))
+    return dialog._replace(turns=(*map(_nonadapted_turn, context), adapted))
 
 
 def strip_adaptation(dialog: AnnotatedDialog) -> AnnotatedDialog:
     """The non-adapted performance: every turn without adaptation."""
-    turns = [_nonadapted_turn(t) for t in dialog.turns]
-    return copy_with(dialog, turns=turns)
+    return dialog._replace(turns=tuple(map(_nonadapted_turn, dialog.turns)))
 
 
 def check_copy_provenance(dialog: AnnotatedDialog) -> list[CopyProvenance]:

@@ -4,8 +4,10 @@ A timing track is TSV text, one word per line::
 
     turn_index<TAB>word<TAB>onset_seconds
 
-Onsets are finite, at least 0, non-decreasing across the track and
-strictly increasing within a turn.  A stroke's word, its lexical
+Turn indices (at least 1) and onsets are written in plain decimal
+digits, an onset with at most one decimal point.  Onsets are finite, at
+least 0, non-decreasing across the track and strictly increasing within
+a turn.  A stroke's word, its lexical
 affiliate, is the word the dialog writes it before: word ``word_index`` of
 its turn.  Alignment rewrites the stroke begin to sit a fixed lead (0.2s by
 default) before that word's onset, clamped at 0.  The written time is only
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .dsl import AnnotatedDialog, GestureAnnotation, Turn, copy_with
+from .dsl import AnnotatedDialog, GestureAnnotation, Turn
 from .errors import (
     NoFollowingWordError,
     StrokeCollisionError,
@@ -67,16 +69,18 @@ def parse_word_timings(source: str) -> WordTimingTrack:
         parts = line.split("\t")
         if len(parts) != 3:
             raise TimingFormatError(f"line {lineno}: expected 3 tab-separated fields")
-        try:
-            turn_index = int(parts[0])
-            onset = float(parts[2])
-        except ValueError as exc:
-            raise TimingFormatError(f"line {lineno}: {exc}") from None
+        turn_index = int(parts[0]) if parts[0].isascii() and parts[0].isdigit() else 0
+        if turn_index < 1:
+            raise TimingFormatError(f"line {lineno}: turn index {parts[0]!r} is not a decimal whole number >= 1")
         word = parts[1]
-        if turn_index < 1 or not word:
-            raise TimingFormatError(f"line {lineno}: bad turn index or empty word")
-        if not 0 <= onset < math.inf:
-            raise TimingFormatError(f"line {lineno}: onset {parts[2]!r} is not a finite number >= 0")
+        if not word:
+            raise TimingFormatError(f"line {lineno}: empty word")
+        # digits with at most one decimal point; 309 digits or more overflow to inf
+        onset = float(parts[2]) if parts[2].isascii() and parts[2].replace(".", "", 1).isdigit() else math.inf
+        if onset == math.inf:
+            raise TimingFormatError(
+                f"line {lineno}: onset {parts[2]!r} is not a finite number >= 0 in decimal digits"
+            )
         if onset < last_overall:
             raise TimingOrderError(f"line {lineno}: onset {onset} decreases across the track")
         turn = by_turn.get(turn_index)
@@ -165,6 +169,6 @@ def align_strokes(
                     f"turn {turn.index}: aligned strokes collide at {begin_ms / 1000:.3f}s"
                 )
             last_ms = begin_ms
-            new_annotations.append(copy_with(ann, stroke_begin=begin_ms / 1000))
-        new_turns.append(copy_with(turn, annotations=new_annotations))
-    return copy_with(dialog, turns=new_turns)
+            new_annotations.append(ann._replace(stroke_begin=begin_ms / 1000))
+        new_turns.append(turn._replace(annotations=tuple(new_annotations)))
+    return dialog._replace(turns=tuple(new_turns))

@@ -5,7 +5,7 @@ Catalog documents are UTF-8 line-oriented text, one entry per line::
     name, expanse_cm, height_cm, outwardness_cm
 
 ``#`` begins a comment, blank lines are ignored.  A ``# catalog-version: X``
-comment, when present, sets the catalog version.
+comment, when present, sets the catalog version; a second one is an error.
 """
 
 from __future__ import annotations
@@ -53,10 +53,12 @@ def load_catalog(source: str) -> GestureCatalog:
     lines, non-finite or negative-expanse geometry and empty documents.
     """
     entries: dict[str, GestureDef] = {}
-    version = "1"
+    version = None
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if line.startswith(VERSION_PREFIX):
+            if version is not None:
+                raise CatalogError(f"line {lineno}: a second {VERSION_PREFIX!r} line")
             version = line[len(VERSION_PREFIX):].strip()
             continue
         if not line or line.startswith("#"):
@@ -76,7 +78,7 @@ def load_catalog(source: str) -> GestureCatalog:
         entries[name] = GestureDef(name, expanse, height, outwardness)
     if not entries:
         raise CatalogError("empty catalog")
-    return GestureCatalog(entries=entries, version=version)
+    return GestureCatalog(entries=entries, version="1" if version is None else version)
 
 
 def lookup(catalog: GestureCatalog, name: str) -> GestureDef:

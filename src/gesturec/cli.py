@@ -33,11 +33,15 @@ from .stimuli import run_adaptation_batch, run_personality_batch, speaker_script
 
 def _parse_extraversion(text: str) -> dict[str, float]:
     scores = PipelineSettings().extraversion
+    given = set()
     for piece in text.split(","):
         speaker, sep, value = piece.partition("=")
         speaker = speaker.strip().upper()
         if not sep or speaker not in scores:
             raise argparse.ArgumentTypeError(f"expected A=<score>,B=<score>, got {text!r}")
+        if speaker in given:
+            raise argparse.ArgumentTypeError(f"speaker {speaker} is given more than once in {text!r}")
+        given.add(speaker)
         scores[speaker] = float(value)
     return scores
 

@@ -20,6 +20,12 @@ form, and the variant after ``/`` is the non-adapted alternative.  Seconds
 are printed with exactly two decimals in canonical form, and the parser
 refuses a time off that centisecond grid.  Square brackets are reserved
 for annotations and may not appear in turn text.
+
+The dialog records (:class:`AnnotatedDialog`, :class:`Turn`,
+:class:`GestureAnnotation`, :class:`Alternative`, :class:`Features`) are
+immutable ``NamedTuple`` values whose sequences are tuples, so a stage
+derives a record with ``_replace`` and can hand on an unchanged one as it
+is.  Equality compares every field, features included.
 """
 
 from __future__ import annotations
@@ -27,8 +33,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import AnnotationOrderError, DialogParseError
 
@@ -43,14 +48,13 @@ _BRACKET_RE = re.compile(r"[][]")
 _VARIANT_RE = re.compile(rf"^(!)?({GESTURE_NAME})\s*,\s*({'|'.join(HANDS)})\s+(\d+(?:\.\d+)?)s$")
 _CENTISECONDS_RE = re.compile(r"\d+(?:\.\d\d?0*)?")  # at most two decimals, trailing zeros aside
 
-# A token ends a sentence when it closes with terminal punctuation,
-# optionally followed by closing quotes.  Mid-token punctuation ("old...a")
-# does not split.
-_SENTENCE_END_RE = re.compile(r"[.!?…]+[\"'”’]*$")
+# A word ends a sentence when it closes with terminal punctuation,
+# optionally followed by closing quotes.  Mid-word punctuation ("old...a")
+# does not split.  Matched in words joined by single spaces.
+_SENTENCE_END_RE = re.compile(r"[.!?…]+[\"'”’]*(?= |$)")
 
 
-@dataclass(frozen=True)
-class Features:
+class Features(NamedTuple):
     """Effective per-gesture performance features, filled by the personality
     and adaptation stages and consumed by the scheduler.
 
@@ -65,15 +69,13 @@ class Features:
     scale: float
 
 
-@dataclass(frozen=True)
-class Alternative:
+class Alternative(NamedTuple):
     gesture_name: str
     hand: str
     stroke_duration: float
 
 
-@dataclass
-class GestureAnnotation:
+class GestureAnnotation(NamedTuple):
     stroke_begin: float
     gesture_name: str
     hand: str
@@ -86,56 +88,26 @@ class GestureAnnotation:
     # sentence assignment and alignment, which times the stroke to this
     # word's onset and requires ``stroke_begin`` to fall in its window.
     word_index: int = 0
-    # Derived state, not part of the annotation's identity.
-    features: Features | None = field(default=None, compare=False)
-    alt_features: Features | None = field(default=None, compare=False)
+    # Stamped by the personality and adaptation stages.
+    features: Features | None = None
+    alt_features: Features | None = None
 
     @property
     def stroke_end(self) -> float:
         return self.stroke_begin + self.stroke_duration
 
 
-@dataclass
-class Turn:
+class Turn(NamedTuple):
     speaker: str
     index: int  # global 1-based position in the dialog
     text: str
-    annotations: list[GestureAnnotation]
+    annotations: tuple[GestureAnnotation, ...]
 
 
-@dataclass
-class AnnotatedDialog:
+class AnnotatedDialog(NamedTuple):
     story_id: str
-    turns: list[Turn]
+    turns: tuple[Turn, ...]
     audio_duration: float
-
-
-# Per record class: a getter of all its fields in declaration order, and
-# each field's position in that order.
-_RECORD_FIELDS = {
-    cls: (attrgetter(*cls.__dataclass_fields__), {name: i for i, name in enumerate(cls.__dataclass_fields__)})
-    for cls in (GestureAnnotation, Turn, AnnotatedDialog)
-}
-
-
-def copy_with(record, **changes):
-    """A shallow copy of a dialog record (a :class:`GestureAnnotation`, a
-    :class:`Turn` or an :class:`AnnotatedDialog`) with ``changes`` applied,
-    as :func:`dataclasses.replace` makes it.  A name that is not a field of
-    the record raises ``TypeError``.
-
-    The fields go to ``__init__`` by position, so each must be an init field
-    that is not keyword-only.  They are read with ``getattr``: reading
-    ``__dict__`` instead makes every later attribute read of both records
-    several times slower on CPython 3.11."""
-    cls = type(record)
-    getter, position = _RECORD_FIELDS[cls]
-    values = list(getter(record))
-    for name, value in changes.items():
-        if name not in position:
-            raise TypeError(f"{cls.__name__} has no field {name!r}")
-        values[position[name]] = value
-    return cls(*values)
 
 
 def _seconds(text: str, what: str, lineno: int, col: int) -> float:
@@ -200,7 +172,7 @@ def _check_brackets(body: str, end: int, stop: int, lineno: int, offset: int) ->
     raise DialogParseError("square brackets are reserved for annotations", lineno, offset + pos + 1)
 
 
-def _parse_turn_body(body: str, lineno: int, offset: int) -> tuple[str, list[GestureAnnotation]]:
+def _parse_turn_body(body: str, lineno: int, offset: int) -> tuple[str, tuple[GestureAnnotation, ...]]:
     """The text and the annotations of a turn body that starts ``offset``
     characters into its line.  Only words may stand between annotations."""
     words: list[str] = []
@@ -224,7 +196,7 @@ def _parse_turn_body(body: str, lineno: int, offset: int) -> tuple[str, list[Ges
     words += body[end:].split()
     if disorder is not None:
         raise disorder
-    return " ".join(words), annotations
+    return " ".join(words), tuple(annotations)
 
 
 def parse_dialog(source: str, story_id: str = "") -> AnnotatedDialog:
@@ -281,7 +253,7 @@ def parse_dialog(source: str, story_id: str = "") -> AnnotatedDialog:
         raise DialogParseError(
             f"annotation ends at {max(ends):.2f}s, past audio duration {audio_duration:.2f}s"
         )
-    return AnnotatedDialog(story_id=story_id, turns=turns, audio_duration=audio_duration)
+    return AnnotatedDialog(story_id=story_id, turns=tuple(turns), audio_duration=audio_duration)
 
 
 def _format_variant(copied: bool, name: str, hand: str, duration: float) -> str:
@@ -333,7 +305,13 @@ def segment_sentences(turn: Turn) -> list[tuple[int, list[GestureAnnotation]]]:
     words = turn.text.split()
     if not words:
         return []
-    ends = [i for i, word in enumerate(words, start=1) if _SENTENCE_END_RE.search(word)]
+    text = " ".join(words)
+    ends = []
+    end = spaces = 0  # a sentence end's word count is one more than the spaces before it
+    for m in _SENTENCE_END_RE.finditer(text):
+        spaces += text.count(" ", end, m.end())
+        end = m.end()
+        ends.append(spaces + 1)
     if not ends or ends[-1] < len(words):
         ends.append(len(words))
     buckets: list[list[GestureAnnotation]] = [[] for _ in ends]
@@ -344,4 +322,4 @@ def segment_sentences(turn: Turn) -> list[tuple[int, list[GestureAnnotation]]]:
 
 def truncate_dialog(dialog: AnnotatedDialog, n_turns: int) -> AnnotatedDialog:
     """First ``n_turns`` turns with the original audio reference."""
-    return copy_with(dialog, turns=[copy_with(t, annotations=list(t.annotations)) for t in dialog.turns[:n_turns]])
+    return dialog._replace(turns=dialog.turns[:n_turns])

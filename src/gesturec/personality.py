@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .catalog import GestureCatalog, lookup
-from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, copy_with, segment_sentences
+from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, segment_sentences
 from .errors import DomainError
 
 EXTRAVERSION_MIN = 1.0
@@ -127,7 +127,7 @@ def apply_personality(
     new_turns: list[Turn] = []
     for turn in dialog.turns:
         if turn.speaker != speaker:
-            new_turns.append(copy_with(turn, annotations=list(turn.annotations)))
+            new_turns.append(turn)
             continue
         to_drop: set[int] = set()
         for _, bucket in segment_sentences(turn):
@@ -142,6 +142,6 @@ def apply_personality(
                 if ann.alternative is not None
                 else None
             )
-            kept.append(copy_with(ann, features=features, alt_features=alt_features))
-        new_turns.append(copy_with(turn, annotations=kept))
-    return copy_with(dialog, turns=new_turns)
+            kept.append(ann._replace(features=features, alt_features=alt_features))
+        new_turns.append(turn._replace(annotations=tuple(kept)))
+    return dialog._replace(turns=tuple(new_turns))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .dsl import GESTURE_NAME, HANDS, AnnotatedDialog, GestureAnnotation
+from .dsl import GESTURE_NAME, HANDS, SPEAKERS, AnnotatedDialog, GestureAnnotation
 from .errors import EmptyStrokeError, ScheduleError, StrokeOverlapError, StrokeOverrunError
 
 PREP = "prep"
@@ -135,6 +135,8 @@ class ScheduleResult:
     diagnostics: list[str]
 
     def for_speaker(self, speaker: str) -> Timeline:
+        if speaker not in SPEAKERS:
+            raise ScheduleError(f"no timeline for speaker {speaker!r}; speakers are A and B")
         return self.a if speaker == "A" else self.b
 
 

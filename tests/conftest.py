@@ -129,11 +129,11 @@ def make_random_dialog(rng: random.Random, max_turns: int = 4, with_markers: boo
                         word_index=wi,
                     )
                 )
-        turns.append(Turn(speaker="AB"[(index - 1) % 2], index=index, text=" ".join(words), annotations=annotations))
+        turns.append(Turn("AB"[(index - 1) % 2], index, " ".join(words), tuple(annotations)))
         time = round(time + rng.uniform(0.5, 1.5), 2)
     ends = [a.stroke_end for t in turns for a in t.annotations]
     audio = round((max(ends) if ends else time) + rng.uniform(1.0, 3.0), 2)
-    return AnnotatedDialog(story_id=f"story{rng.randint(0, 999)}", turns=turns, audio_duration=audio)
+    return AnnotatedDialog(story_id=f"story{rng.randint(0, 999)}", turns=tuple(turns), audio_duration=audio)
 
 
 def make_aligned_pair(rng: random.Random) -> tuple[AnnotatedDialog, WordTimingTrack]:
@@ -173,10 +173,10 @@ def make_aligned_pair(rng: random.Random) -> tuple[AnnotatedDialog, WordTimingTr
                     word_index=wi,
                 )
             )
-        turns.append(Turn(speaker="AB"[(index - 1) % 2], index=index, text=" ".join(words), annotations=annotations))
+        turns.append(Turn("AB"[(index - 1) % 2], index, " ".join(words), tuple(annotations)))
         onset = round(onset + rng.uniform(0.5, 1.5), 2)
     audio = round(onset + 3.0, 2)
-    dialog = AnnotatedDialog(story_id="aligned", turns=turns, audio_duration=audio)
+    dialog = AnnotatedDialog(story_id="aligned", turns=tuple(turns), audio_duration=audio)
     return dialog, parse_word_timings("\n".join(tsv_lines) + "\n")
 
 
@@ -201,6 +201,6 @@ def make_stroke_dialog(rng: random.Random, n_strokes: int | None = None,
             )
         )
         time = round(time + duration / features.speed + rng.uniform(*gap_range), 2)
-    turn_a = Turn(speaker="A", index=1, text="so it went.", annotations=annotations)
-    turn_b = Turn(speaker="B", index=2, text="yeah.", annotations=[])
-    return AnnotatedDialog(story_id="strokes", turns=[turn_a, turn_b], audio_duration=round(time + 2.0, 2))
+    turn_a = Turn(speaker="A", index=1, text="so it went.", annotations=tuple(annotations))
+    turn_b = Turn(speaker="B", index=2, text="yeah.", annotations=())
+    return AnnotatedDialog(story_id="strokes", turns=(turn_a, turn_b), audio_duration=round(time + 2.0, 2))

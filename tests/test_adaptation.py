@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import asdict
 
 import pytest
 
@@ -43,9 +42,14 @@ def test_stages_leave_their_input_unchanged_and_unshared(stage, protest_dialog, 
     }[stage]
     before = copy.deepcopy(dialog)
     result = run(dialog)
-    assert asdict(dialog) == asdict(before)  # features included, though they take no part in ==
-    inputs = {id(turn.annotations) for turn in dialog.turns}
-    assert not any(id(turn.annotations) in inputs for turn in result.turns)
+    assert dialog == before  # features included
+    # unshared: the result holds nothing mutable that a later stage could change under its input
+    assert type(result.turns) is tuple and all(type(turn.annotations) is tuple for turn in result.turns)
+    hash(result)  # raises TypeError for a mutable object anywhere inside
+    annotation = next(a for turn in result.turns for a in turn.annotations)
+    for record, name in ((result, "turns"), (result.turns[0], "annotations"), (annotation, "features")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
 def test_spec_validation():
@@ -132,7 +136,7 @@ def test_nonadapted_resolution_idempotent(prepared_b2):
 def test_plan_errors():
     # a dialog without turns has no response turn to adapt
     with pytest.raises(PlanError, match="no turns"):
-        resolve_variant(AnnotatedDialog(story_id="empty", turns=[], audio_duration=5.0))
+        resolve_variant(AnnotatedDialog(story_id="empty", turns=(), audio_duration=5.0))
 
 
 def test_adapted_requires_features(protest_dialog):
@@ -162,18 +166,16 @@ def test_context_invariance_on_generated_dialogs(catalog, protest_dialog, protes
 
 
 def _with_neutral_features(dialog):
-    from dataclasses import replace
-
     from conftest import neutral_features
 
-    turns = [
-        replace(t, annotations=[
-            replace(a, features=neutral_features(), alt_features=neutral_features())
+    turns = tuple(
+        t._replace(annotations=tuple(
+            a._replace(features=neutral_features(), alt_features=neutral_features())
             for a in t.annotations
-        ])
+        ))
         for t in dialog.turns
-    ]
-    return replace(dialog, turns=turns)
+    )
+    return dialog._replace(turns=turns)
 
 
 def test_provenance_b2_final(protest_dialog):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -62,6 +61,25 @@ def test_parse_rejects_non_finite_and_negative_onsets(onset):
         parse_word_timings(f"1\tone\t1.00\n1\ttwo\t{onset}\n1\tthree\t2.00\n")
 
 
+@pytest.mark.parametrize("turn_index", ["1_0", "+1", " 1", "1 ", "0", "\u0661"])  # U+0661 is an Arabic-Indic 1
+def test_parse_refuses_a_turn_index_not_in_plain_decimal_digits(turn_index):
+    with pytest.raises(TimingFormatError) as err:
+        parse_word_timings(f"1\tone\t1.00\n{turn_index}\ttwo\t3.00\n")
+    assert str(err.value) == f"line 2: turn index {turn_index!r} is not a decimal whole number >= 1"
+
+
+@pytest.mark.parametrize("onset", ["1_0.5", "1e1", "+3.00", "3.00 ", " 3.00", "1.2.3", ".", "0x10", "\u0663", pytest.param("9" * 309, id="inf")])
+def test_parse_refuses_an_onset_not_in_plain_decimal_digits(onset):
+    with pytest.raises(TimingFormatError) as err:
+        parse_word_timings(f"1\tone\t1.00\n1\ttwo\t{onset}\n")
+    assert str(err.value) == f"line 2: onset {onset!r} is not a finite number >= 0 in decimal digits"
+
+
+def test_parse_reads_plain_decimal_digits():
+    track = parse_word_timings("1\tone\t1\n01\ttwo\t1.5\n10\tthree\t012.250\n10\tfour\t13.\n")
+    assert [tuple(e) for e in track.entries] == [(1, "one", 1.0), (1, "two", 1.5), (10, "three", 12.25), (10, "four", 13.0)]
+
+
 def test_cup_aligns_to_hey():
     dialog = parse_dialog("A1: [1.70s](Cup, RH 0.46s) Hey, there.\n")
     track = parse_word_timings("1\tHey,\t2.10\n1\tthere.\t2.60\n")
@@ -103,10 +121,10 @@ def test_annotation_before_no_word_of_its_turn():
     # index would pick by Python's indexing
     dialog = parse_dialog("A1: one [1.20s](Cup, RH 0.46s) two.\n")
     turn = dialog.turns[0]
-    moved = replace(turn, annotations=[replace(turn.annotations[0], word_index=-1)])
+    moved = turn._replace(annotations=(turn.annotations[0]._replace(word_index=-1),))
     track = parse_word_timings("1\tone\t1.00\n1\ttwo.\t1.50\n")
     with pytest.raises(NoFollowingWordError):
-        align_strokes(replace(dialog, turns=[moved]), track)
+        align_strokes(dialog._replace(turns=(moved,)), track)
 
 
 def test_turn_without_timing_entries():
@@ -215,12 +233,12 @@ def _moved(rng, dialog, track):
         word_indices = sorted(
             rng.randint(0, len(onsets)) if rng.random() < 0.3 else a.word_index for a in turn.annotations
         )
-        annotations = [
-            replace(a, stroke_begin=t, word_index=wi)
+        annotations = tuple(
+            a._replace(stroke_begin=t, word_index=wi)
             for a, t, wi in zip(turn.annotations, times, word_indices)
-        ]
-        turns.append(replace(turn, annotations=annotations))
-    return replace(dialog, turns=turns)
+        )
+        turns.append(turn._replace(annotations=annotations))
+    return dialog._replace(turns=tuple(turns))
 
 
 def test_alignment_matches_reference_scan_on_generated_pairs():
@@ -281,14 +299,14 @@ def _long_pair(turns, words_per_turn=20):
             onsets.append(onset)
             tsv.append(f"{index}\tw{w}\t{onset:.2f}")
             onset = round(onset + 0.3, 2)
-        annotations = [
+        annotations = tuple(
             GestureAnnotation(round(onsets[wi] - 0.1, 2), "Cup", "RH", 0.46, word_index=wi)
             for wi in (3, 12)
-        ]
+        )
         text = " ".join(f"w{w}" for w in range(words_per_turn))
         dialog_turns.append(Turn("AB"[(index - 1) % 2], index, text, annotations))
         onset = round(onset + 1.0, 2)
-    dialog = AnnotatedDialog(story_id="long", turns=dialog_turns, audio_duration=onset + 3.0)
+    dialog = AnnotatedDialog(story_id="long", turns=tuple(dialog_turns), audio_duration=onset + 3.0)
     return dialog, parse_word_timings("\n".join(tsv) + "\n")
 
 

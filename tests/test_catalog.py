@@ -92,6 +92,14 @@ def test_negative_expanse_rejected():
             load_catalog(f"Cup, 25, {bad}, 20\n")
 
 
+def test_catalog_version():
+    assert load_catalog("Cup, 25, 0, 20\n").version == "1"
+    assert load_catalog("# catalog-version: 2b\nCup, 25, 0, 20\n").version == "2b"
+    doc = "# catalog-version: 2\nCup, 25, 0, 20\n\n# catalog-version: 3\n"
+    with pytest.raises(CatalogError, match="line 4: a second '# catalog-version:' line"):
+        load_catalog(doc)
+
+
 def test_load_is_deterministic():
     text = (DATA_DIR / "catalog.txt").read_text(encoding="utf-8")
     assert load_catalog(text) == load_catalog(text)

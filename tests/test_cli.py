@@ -57,6 +57,21 @@ def test_compile_variant_and_extraversion(tmp_path, shipped):
     assert 1.25 in speeds  # the response turn runs at the adapted speed
 
 
+@pytest.mark.parametrize("scores", ["A=7,A=1", "B=2,a=3,b=4"])
+def test_compile_refuses_a_speaker_given_twice(shipped, capsys, scores):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "compile",
+            "--dialog", str(DATA_DIR / "stories" / "garden.dialog"),
+            "--catalog", shipped["catalog"],
+            "--extraversion", scores,
+            "--out", shipped["out"],
+        ])
+    assert exc.value.code == 2
+    speaker = scores.split(",")[-1][0].upper()
+    assert f"speaker {speaker} is given more than once in {scores!r}" in capsys.readouterr().err
+
+
 def _garden_disagreeing(case):
     """garden's dialog and track, with the track's words or the first
     stroke's written time no longer agreeing with the dialog."""

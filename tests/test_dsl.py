@@ -12,9 +12,9 @@ from gesturec import dsl
 from gesturec.dsl import (
     Alternative,
     AnnotatedDialog,
+    Features,
     GestureAnnotation,
     Turn,
-    copy_with,
     format_dialog,
     parse_dialog,
     segment_sentences,
@@ -198,13 +198,32 @@ def test_parse_format_identity_on_generated_dialogs(seed):
 def test_sentence_ends_quotes_and_ellipses():
     def sentences(text):
         words = text.split()
-        ends = [end for end, _ in segment_sentences(Turn("A", 1, text, []))]
+        ends = [end for end, _ in segment_sentences(Turn("A", 1, text, ()))]
         return [" ".join(words[start:end]) for start, end in zip([0, *ends], ends)]
 
     assert sentences('He said "go." Then left.') == ['He said "go."', "Then left."]
     assert sentences("It ended....") == ["It ended...."]
     assert sentences("four to six months old...a bit bigger.") == ["four to six months old...a bit bigger."]
     assert sentences("no terminator here") == ["no terminator here"]
+
+
+SENTENCE_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["word", "end.", "so...", "why?!", "old...a", "ok…", "‘hm’", "’", "…", ".", "!?", "a.b"]),
+        st.text(st.sampled_from(list("ab.!?…\"'”’ \t\n\xa0\u2003")), max_size=6),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@given(SENTENCE_TEXT)
+@settings(max_examples=500, deadline=None)
+def test_sentence_ends_match_the_per_word_rule(text):
+    words = text.split()
+    ends = [i for i, word in enumerate(words, start=1) if re.search(r"[.!?…]+[\"'”’]*$", word)]
+    if words and (not ends or ends[-1] < len(words)):
+        ends.append(len(words))
+    assert [end for end, _ in segment_sentences(Turn("A", 1, text, ()))] == ends
 
 
 def test_segment_fixture_a1_two_by_two(protest_dialog):
@@ -215,18 +234,18 @@ def test_segment_fixture_a1_two_by_two(protest_dialog):
 
 
 def test_segment_single_sentence_no_gestures():
-    turn = Turn(speaker="A", index=1, text="Just one sentence.", annotations=[])
+    turn = Turn(speaker="A", index=1, text="Just one sentence.", annotations=())
     assert segment_sentences(turn) == [(3, [])]
 
 
 def test_segment_single_bucket():
     ann = GestureAnnotation(1.0, "Cup", "RH", 0.46, word_index=0)
-    turn = Turn(speaker="A", index=1, text="Yeah, exactly.", annotations=[ann])
+    turn = Turn(speaker="A", index=1, text="Yeah, exactly.", annotations=(ann,))
     assert segment_sentences(turn) == [(2, [ann])]
 
 
 def test_segment_empty_text_returns_nothing():
-    turn = Turn(speaker="A", index=1, text="", annotations=[])
+    turn = Turn(speaker="A", index=1, text="", annotations=())
     assert segment_sentences(turn) == []
 
 
@@ -238,30 +257,36 @@ def test_segment_counts_preserved(protest_dialog):
 
 def test_trailing_annotation_lands_in_last_sentence():
     ann = GestureAnnotation(1.0, "Cup", "RH", 0.46, word_index=99)
-    turn = Turn(speaker="A", index=1, text="First one. Second one.", annotations=[ann])
-    dialog = AnnotatedDialog(story_id="t", turns=[turn], audio_duration=5.0)
+    turn = Turn(speaker="A", index=1, text="First one. Second one.", annotations=(ann,))
+    dialog = AnnotatedDialog(story_id="t", turns=(turn,), audio_duration=5.0)
     buckets = segment_sentences(dialog.turns[0])
     assert [len(anns) for _, anns in buckets] == [0, 1]
     assert parse_dialog(format_dialog(dialog)).turns[0].annotations[0].word_index == 4
 
 
-def test_copy_with_copies_every_field_and_rejects_unknown_names():
-    ann = GestureAnnotation(1.0, "Cup", "RH", 0.46, alternative=Alternative("Reject", "LH", 0.4), word_index=2)
-    ann.features = object()
-    moved = copy_with(ann, stroke_begin=1.5)
-    assert moved is not ann and type(moved) is GestureAnnotation
-    assert vars(moved) == {**vars(ann), "stroke_begin": 1.5}
+def test_replace_derives_a_record_and_records_are_values():
+    features = Features(25.0, 0.0, 20.0, 1.0, 1.0)
+    ann = GestureAnnotation(1.0, "Cup", "RH", 0.46, alternative=Alternative("Reject", "LH", 0.4), word_index=2,
+                            features=features)
+    moved = ann._replace(stroke_begin=1.5)
+    assert type(moved) is GestureAnnotation
+    assert moved._asdict() == {**ann._asdict(), "stroke_begin": 1.5}
     assert ann.stroke_begin == 1.0 and moved.stroke_end == 1.96
-    turn = Turn("A", 1, "one", [ann])
-    copied = copy_with(turn, annotations=[moved])
-    assert (copied.speaker, copied.index, copied.text, copied.annotations) == ("A", 1, "one", [moved])
-    assert turn.annotations == [ann]
+    turn = Turn("A", 1, "one", (ann,))
+    derived = turn._replace(annotations=(moved,))
+    assert derived == ("A", 1, "one", (moved,)) and turn.annotations == (ann,)
+    # equality compares features too
+    assert ann != ann._replace(features=features._replace(speed=1.25))
+    assert ann == GestureAnnotation(*ann)
     for record, name in ((ann, "begin"), (turn, "turns"), (ann, "stroke_end")):
-        with pytest.raises(TypeError, match=repr(name)):
-            copy_with(record, **{name: 1})
+        with pytest.raises(ValueError, match=repr(name)):
+            record._replace(**{name: 1})
+    for record, name in ((ann, "features"), (turn, "annotations"), (features, "speed")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
-def reference_parse_turn_body(body: str) -> tuple[str, list[GestureAnnotation]]:
+def reference_parse_turn_body(body: str) -> tuple[str, tuple[GestureAnnotation, ...]]:
     """The character-at-a-time turn scanner the parser replaced, followed by
     the order check ``parse_dialog`` ran after it; columns count from the
     start of the body, and an order error names column 1.  The oracle for
@@ -296,7 +321,7 @@ def reference_parse_turn_body(body: str) -> tuple[str, list[GestureAnnotation]]:
                 1, 1,
             )
         last = ann.stroke_begin
-    return " ".join(words), annotations
+    return " ".join(words), tuple(annotations)
 
 
 BODY_WORDS = st.sampled_from(["word", "Hey,", "so...", "end.", '"go."', "s)", "()"])

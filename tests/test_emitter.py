@@ -220,7 +220,8 @@ def test_unknown_hand_rejected_before_writing(catalog):
     # Only code that builds annotations itself can set a hand the parser
     # does not admit; the scheduler treats it as two-handed.
     dialog = parse_dialog("A1: [1.00s](Cup, RH 0.46s) one two\n")
-    dialog.turns[0].annotations[0].hand = "XH"
+    turn = dialog.turns[0]
+    dialog = dialog._replace(turns=(turn._replace(annotations=(turn.annotations[0]._replace(hand="XH"),)),))
     timeline = schedule(apply_personality(dialog, "A", EXTRAVERT_ANCHOR, catalog)).for_speaker("A")
     assert "right[1]: unknown hand 'XH'" in validate_timeline(timeline)
     with pytest.raises(EmitError, match="unknown hand 'XH'"):

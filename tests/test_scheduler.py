@@ -121,6 +121,15 @@ def test_schedule_requires_features():
         schedule(dialog)
 
 
+@pytest.mark.parametrize("speaker", ["C", "a", "", "AB"])
+def test_for_speaker_refuses_an_unknown_speaker(catalog, speaker):
+    dialog = parse_dialog("audio: 8.00s\nA1: [1.00s](Cup, RH 0.46s) one.\n")
+    result = schedule(apply_personality(dialog, "A", EXTRAVERT_ANCHOR, catalog))
+    assert (result.for_speaker("A"), result.for_speaker("B")) == (result.a, result.b)
+    with pytest.raises(ScheduleError, match=f"no timeline for speaker {speaker!r}"):
+        result.for_speaker(speaker)
+
+
 def test_one_hand_conflicting_with_two_hand(catalog):
     source = "audio: 8.00s\nA1: [1.00s](Cup_Up, 2H 0.34s) one [1.20s](Cup, RH 0.46s) two.\n"
     with pytest.raises(StrokeOverlapError):

@@ -30,6 +30,7 @@ from gesturec.dsl import (
     format_dialog,
     parse_dialog,
     segment_sentences,
+    truncate_dialog,
 )
 from gesturec.pipeline import PipelineSettings, prepare_dialog
 from gesturec.scheduler import schedule, validate_timeline
@@ -328,9 +329,9 @@ def build_story(story_id: str, spec: list) -> tuple[AnnotatedDialog, str]:
                     word_index=a["wi"],
                 )
             )
-        turns.append(Turn(speaker=speaker, index=turn_number, text=" ".join(words), annotations=annotations))
+        turns.append(Turn(speaker=speaker, index=turn_number, text=" ".join(words), annotations=tuple(annotations)))
     audio = round(floor + AUDIO_TAIL, 2)
-    dialog = AnnotatedDialog(story_id=story_id, turns=turns, audio_duration=audio)
+    dialog = AnnotatedDialog(story_id=story_id, turns=tuple(turns), audio_duration=audio)
     return dialog, "\n".join(tsv_lines) + "\n"
 
 
@@ -425,8 +426,7 @@ def verify(stories, catalog) -> None:
             assert lines_a == lines_n, f"{story_id}_{structure} {speaker}: context events differ"
         # every response turn carries at least one traceable copy; orphan
         # copies are allowed (they are reported, not fatal)
-        truncated_turns = dialog.turns[: len(structure)]
-        pairs = check_copy_provenance(AnnotatedDialog(story_id, list(truncated_turns), dialog.audio_duration))
+        pairs = check_copy_provenance(truncate_dialog(dialog, len(structure)))
         assert any(p.source is not None for p in pairs), (
             f"{story_id}_{structure}: no traceable copied gesture in the response turn"
         )
