@@ -141,7 +141,8 @@ def align_strokes(
     text or a written time falls outside its word's window, and
     :class:`StrokeCollisionError` when realignment breaks the
     strictly-increasing stroke order (two annotations before one word
-    collide).
+    collide).  An annotation that alignment does not move, and a turn with
+    no moved annotation, are handed on as they are.
     """
     lead_ms = _ms(lead)
     new_turns: list[Turn] = []
@@ -169,6 +170,8 @@ def align_strokes(
                     f"turn {turn.index}: aligned strokes collide at {begin_ms / 1000:.3f}s"
                 )
             last_ms = begin_ms
-            new_annotations.append(ann._replace(stroke_begin=begin_ms / 1000))
-        new_turns.append(turn._replace(annotations=tuple(new_annotations)))
+            begin = begin_ms / 1000
+            new_annotations.append(ann if ann.stroke_begin == begin else ann._replace(stroke_begin=begin))
+        annotations = tuple(new_annotations)
+        new_turns.append(turn if annotations == turn.annotations else turn._replace(annotations=annotations))
     return dialog._replace(turns=tuple(new_turns))

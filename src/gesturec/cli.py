@@ -28,7 +28,7 @@ from .config import load_config
 from .dsl import parse_dialog
 from .errors import GesturecError
 from .pipeline import PipelineSettings, compile_dialog
-from .stimuli import run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles
+from .stimuli import run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file
 
 
 def _parse_extraversion(text: str) -> dict[str, float]:
@@ -89,7 +89,7 @@ def _cmd_compile(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for filename, content in speaker_scripts(result.schedule).items():
-        (out_dir / filename).write_bytes(content)
+        write_file(out_dir / filename, content)
     for note in result.schedule.diagnostics:
         print(f"note: {note}", file=sys.stderr)
     print(f"wrote scripts for A and B to {out_dir}")
@@ -172,7 +172,7 @@ def _cmd_analyze(args) -> int:
             print(f"  {stimulus}: " + ", ".join(f"{t}={v}" for t, v in means.items()))
 
     Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_file(Path(args.report), (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     print(f"\nreport written to {args.report}")
     return 0
 

@@ -17,6 +17,7 @@ output root.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,11 +62,11 @@ class StimulusBundle:
     scripts: dict[str, bytes]  # filename -> content
 
 
-def speaker_scripts(result: ScheduleResult) -> dict[str, bytes]:
+def speaker_scripts(result: ScheduleResult, speakers: tuple[str, ...] = SPEAKERS) -> dict[str, bytes]:
     """The script files of one schedule by file name: a JSON and a text
-    script per speaker."""
+    script per speaker of ``speakers``."""
     files = {}
-    for speaker in SPEAKERS:
+    for speaker in speakers:
         timeline = result.for_speaker(speaker)
         files[f"{speaker}.script.json"] = emit_script(timeline, "json")
         files[f"{speaker}.script.txt"] = emit_script(timeline, "text")
@@ -157,19 +158,24 @@ def build_adaptation_pair(
     _validate_structure(dialog, turn_structure)
     prepared = prepare_dialog(truncate_dialog(dialog, len(turn_structure)), catalog, track, settings)
     task = f"{dialog.story_id}_{turn_structure}"
+    responder = turn_structure[-1]
+    non_responder = "B" if responder == "A" else "A"
 
-    variants = (
-        ("A", "adapted", resolve_variant(prepared, settings.adaptation)),
-        ("B", "nonadapted", strip_adaptation(prepared)),
+    adapted, nonadapted = (
+        schedule(resolved, settings.scheduler, strict=settings.strict)
+        for resolved in (resolve_variant(prepared, settings.adaptation), strip_adaptation(prepared))
     )
+    # The non-responder speaks only context turns, which both variants
+    # schedule alike, so its scripts are emitted once and shared.
+    context = speaker_scripts(nonadapted, (non_responder,))
     bundles = []
-    for label, variant, resolved in variants:
-        result = schedule(resolved, settings.scheduler, strict=settings.strict)
+    for label, variant, result in (("A", "adapted", adapted), ("B", "nonadapted", nonadapted)):
         bundles.append(_bundle(
-            dialog, f"{task}/{variant}", "adaptation", label, speaker_scripts(result), ADAPTATION_GENDERS,
+            dialog, f"{task}/{variant}", "adaptation", label,
+            {**context, **speaker_scripts(result, (responder,))}, ADAPTATION_GENDERS,
             task=task,
             turn_structure=turn_structure,
-            responder=turn_structure[-1],
+            responder=responder,
             context_turns=len(turn_structure) - 1,
             variant=variant,
         ))
@@ -206,8 +212,33 @@ def run_adaptation_batch(
     return bundles
 
 
+def write_file(path: Path, data: bytes) -> None:
+    """Make ``path`` hold exactly ``data``, overwriting it in place.
+
+    The file is not truncated before the write, only cut at the end of the
+    new bytes after it: on ext4 (``auto_da_alloc``) closing a file that was
+    truncated from non-empty and rewritten starts its writeback at once,
+    which made re-running ``build`` over an existing output directory
+    several times slower than writing it fresh.  A new file gets the mode
+    ``open(path, "wb")`` gives it.  Like a truncating write, this is not
+    atomic: an interrupted write can leave the new bytes followed by the old
+    file's tail.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as f:
+        f.write(data)
+        f.truncate()
+
+
+def _json_bytes(value) -> bytes:
+    """``value`` as indented JSON with sorted keys and a final newline."""
+    return (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+
+
 def write_bundles(bundles: list[StimulusBundle], out_dir: Path, experiment: str) -> dict:
-    """Write bundle directories plus a manifest; returns the manifest."""
+    """Write bundle directories plus a manifest, the manifest last; returns
+    the manifest.  Files already in ``out_dir`` that this batch does not
+    write are left as they are."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_entries = []
@@ -215,10 +246,8 @@ def write_bundles(bundles: list[StimulusBundle], out_dir: Path, experiment: str)
         bundle_dir = out_dir / bundle.name
         bundle_dir.mkdir(parents=True, exist_ok=True)
         for filename, content in sorted(bundle.scripts.items()):
-            (bundle_dir / filename).write_bytes(content)
-        (bundle_dir / "bundle.json").write_text(
-            json.dumps(bundle.metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+            write_file(bundle_dir / filename, content)
+        write_file(bundle_dir / "bundle.json", _json_bytes(bundle.metadata))
         manifest_entries.append(
             {"path": bundle.name, **{key: bundle.metadata[key] for key in ("story", "experiment", "label")}}
         )
@@ -227,7 +256,5 @@ def write_bundles(bundles: list[StimulusBundle], out_dir: Path, experiment: str)
         "bundle_count": len(bundles),
         "bundles": manifest_entries,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_file(out_dir / "manifest.json", _json_bytes(manifest))
     return manifest

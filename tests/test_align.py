@@ -94,6 +94,22 @@ def test_fixture_alignment_is_noop(protest_dialog, protest_track):
             assert x.stroke_begin == y.stroke_begin
 
 
+def test_alignment_hands_on_what_it_does_not_move():
+    dialog = parse_dialog(
+        "A1: [1.90s](Cup, RH 0.46s) Hey, [2.40s](Reject, RH 0.44s) there.\n"
+        "B1: [2.90s](Cup, LH 0.46s) one [3.20s](Reject, RH 0.44s) two.\n"
+    )
+    track = parse_word_timings("1\tHey,\t2.10\n1\tthere.\t2.60\n2\tone\t3.10\n2\ttwo.\t3.60\n")
+    aligned = align_strokes(dialog, track)
+    # turn 1 is written at the lead: the turn and its annotations are handed on
+    assert aligned.turns[0] is dialog.turns[0]
+    # in turn 2 only the second stroke moves, from 3.20 to 3.40
+    first, second = aligned.turns[1].annotations
+    assert first is dialog.turns[1].annotations[0]
+    assert second == dialog.turns[1].annotations[1]._replace(stroke_begin=3.40)
+    assert aligned.turns[1] == dialog.turns[1]._replace(annotations=(first, second))
+
+
 def test_clamp_at_zero():
     dialog = parse_dialog("A1: [0.00s](Cup, RH 0.46s) hi there.\n")
     track = parse_word_timings("1\thi\t0.10\n1\tthere.\t0.60\n")

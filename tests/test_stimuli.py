@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from gesturec.dsl import format_dialog, parse_dialog
+import gesturec.stimuli
+from gesturec.adaptation import resolve_variant, strip_adaptation
+from gesturec.dsl import format_dialog, parse_dialog, truncate_dialog
 from gesturec.errors import PlanError
 from gesturec.personality import EXTRAVERT_ANCHOR
-from gesturec.pipeline import PipelineSettings, compile_dialog
+from gesturec.pipeline import PipelineSettings, compile_dialog, prepare_dialog
+from gesturec.scheduler import schedule
 from gesturec.stimuli import (
     ADAPTATION_TASKS,
     build_adaptation_pair,
@@ -16,7 +23,10 @@ from gesturec.stimuli import (
     run_personality_batch,
     speaker_scripts,
     write_bundles,
+    write_file,
 )
+
+BUILD_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "build_digests.json"
 
 
 def test_personality_batch_emits_eight_bundles(stories, catalog):
@@ -104,6 +114,25 @@ def test_non_responder_script_fully_identical(stories, catalog):
     assert adapted.scripts["A.script.txt"] == nonadapted.scripts["A.script.txt"]
 
 
+def test_adaptation_pair_emits_the_non_responders_scripts_once(stories, catalog, monkeypatch):
+    emitted = Counter()
+    real_emit = gesturec.stimuli.emit_script
+
+    def counting_emit(timeline, fmt):
+        emitted[timeline.speaker, fmt] += 1
+        return real_emit(timeline, fmt)
+
+    monkeypatch.setattr(gesturec.stimuli, "emit_script", counting_emit)
+    dialog, track = stories["storm"]
+    adapted, nonadapted = build_adaptation_pair(dialog, "ABABA", catalog, track=track)
+    # the responder A in both variants, the non-responder B once
+    assert emitted == {("A", "json"): 2, ("A", "text"): 2, ("B", "json"): 1, ("B", "text"): 1}
+    # and each bundle holds what emitting its own schedule gives
+    prepared = prepare_dialog(truncate_dialog(dialog, 5), catalog, track, PipelineSettings())
+    for bundle, resolved in ((adapted, resolve_variant(prepared)), (nonadapted, strip_adaptation(prepared))):
+        assert bundle.scripts == speaker_scripts(schedule(resolved))
+
+
 def test_adaptation_pair_audio_reference_shared(stories, catalog):
     dialog, track = stories["pet"]
     adapted, nonadapted = build_adaptation_pair(dialog, "ABABA", catalog, track=track)
@@ -142,3 +171,43 @@ def test_bundle_labels_are_letter_marks(stories, catalog):
     for bundle in bundles:
         by_task.setdefault(bundle.metadata["task"], []).append(bundle.metadata["label"])
     assert all(sorted(labels) == ["A", "B"] for labels in by_task.values())
+
+
+@pytest.mark.parametrize("old", [None, b"", b"x" * 40, b"abc"], ids=["missing", "empty", "longer", "shorter"])
+def test_write_file_leaves_exactly_the_new_bytes(tmp_path, old):
+    path = tmp_path / "f.txt"
+    if old is not None:
+        path.write_bytes(old)
+    write_file(path, b"new bytes\n")
+    assert path.read_bytes() == b"new bytes\n"
+
+
+def test_write_file_gives_a_new_file_the_mode_of_open_wb(tmp_path):
+    for umask in (0o022, 0o077, 0o002):
+        previous = os.umask(umask)
+        try:
+            write_file(tmp_path / f"ours-{umask:o}", b"x")
+            with open(tmp_path / f"theirs-{umask:o}", "wb") as f:
+                f.write(b"x")
+        finally:
+            os.umask(previous)
+        ours, theirs = ((tmp_path / f"{who}-{umask:o}").stat().st_mode for who in ("ours", "theirs"))
+        assert ours == theirs
+
+
+def test_a_rebuild_over_changed_files_gives_the_shipped_bytes(tmp_path, stories, catalog):
+    def build():
+        write_bundles(run_personality_batch(stories, catalog), tmp_path / "personality", "personality")
+        write_bundles(run_adaptation_batch(stories, catalog), tmp_path / "adaptation", "adaptation")
+
+    build()
+    padded = tmp_path / "personality" / "storm" / "F-extravert" / "B.script.txt"
+    padded.write_bytes(padded.read_bytes() + b"# stale tail\n" * 50)
+    cut = tmp_path / "adaptation" / "garden_ABA" / "adapted" / "A.script.json"
+    cut.write_bytes(cut.read_bytes()[:100])
+    build()
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*") if path.is_file()
+    }
+    assert digests == json.loads(BUILD_DIGESTS.read_text(encoding="utf-8"))
