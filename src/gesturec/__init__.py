@@ -14,14 +14,14 @@ from .dsl import (
     parse_dialog,
     segment_sentences,
 )
-from .emitter import emit_script, read_script
+from .emitter import Timeline, emit_script, read_script, validate_timeline
 from .personality import (
     ParameterSet,
     apply_personality,
     profile_from_extraversion,
 )
 from .pipeline import CompileResult, PipelineSettings, compile_dialog
-from .scheduler import SchedulerConfig, Timeline, schedule, validate_timeline
+from .scheduler import SchedulerConfig, schedule
 
 __version__ = "0.1.0"
 

@@ -5,7 +5,8 @@ A timing track is TSV text, one word per line::
     turn_index<TAB>word<TAB>onset_seconds
 
 Turn indices (at least 1) and onsets are written in plain decimal
-digits, an onset with at most one decimal point.  Onsets are finite, at
+digits, an onset with at most one decimal point.  A word is not empty and
+holds no whitespace, as ``str.split`` finds it.  Onsets are finite, at
 least 0, non-decreasing across the track and strictly increasing within
 a turn.  A stroke's word, its lexical
 affiliate, is the word the dialog writes it before: word ``word_index`` of
@@ -15,7 +16,7 @@ checked: it must fall in that word's window, at or after the previous
 word's onset and before the word's own.  Each dialog turn's track words must
 equal its text; the track may time turns past the dialog's last.  Times are
 kept on the millisecond grid so the lead is exact, not float-approximate;
-seconds become milliseconds by the scheduler's rule.
+seconds become milliseconds by the script's one rule, ``emitter.to_ms``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .errors import (
     TimingOrderError,
     WordMismatchError,
 )
-from .scheduler import SchedulerConfig, _ms
+from .emitter import format_seconds, to_ms
+from .scheduler import SchedulerConfig
 
 
 class TimedWord(NamedTuple):
@@ -73,8 +75,8 @@ def parse_word_timings(source: str) -> WordTimingTrack:
         if turn_index < 1:
             raise TimingFormatError(f"line {lineno}: turn index {parts[0]!r} is not a decimal whole number >= 1")
         word = parts[1]
-        if not word:
-            raise TimingFormatError(f"line {lineno}: empty word")
+        if word.split() != [word]:  # a word as ``str.split`` finds it in a turn's text
+            raise TimingFormatError(f"line {lineno}: word {word!r} is empty or holds whitespace")
         # digits with at most one decimal point; 309 digits or more overflow to inf
         onset = float(parts[2]) if parts[2].isascii() and parts[2].replace(".", "", 1).isdigit() else math.inf
         if onset == math.inf:
@@ -105,7 +107,7 @@ def parse_word_timings(source: str) -> WordTimingTrack:
 def _word_mismatch(turn: Turn, track: WordTimingTrack) -> WordMismatchError:
     """The first word at which the turn's text and its track words differ."""
     ours = turn.text.split()
-    theirs = [e.word for e in track.entries if e.turn_index == turn.index]
+    theirs = track.text_index[turn.index].split()
     k = 0
     while k < len(ours) and k < len(theirs) and ours[k] == theirs[k]:
         k += 1
@@ -144,15 +146,14 @@ def align_strokes(
     collide).  An annotation that alignment does not move, and a turn with
     no moved annotation, are handed on as they are.
     """
-    lead_ms = _ms(lead)
+    lead_ms = to_ms(lead)
     new_turns: list[Turn] = []
     for turn in dialog.turns:
         onsets = track.turn_onsets(turn.index)
         if not onsets:
             raise NoFollowingWordError(f"turn {turn.index}: no timing entries")
         text = track.text_index[turn.index]
-        # equal texts with as many spaces as gaps between onsets: equal words
-        if text != turn.text or text.count(" ") != len(onsets) - 1:
+        if text != turn.text:  # track words hold no whitespace, so equal texts are equal words
             raise _word_mismatch(turn, track)
         new_annotations = []
         last_ms = None
@@ -164,10 +165,10 @@ def align_strokes(
                 )
             if not (ann.stroke_begin < onsets[i] and (i == 0 or onsets[i - 1] <= ann.stroke_begin)):
                 raise _time_mismatch(turn, ann, onsets)
-            begin_ms = max(0, _ms(onsets[i]) - lead_ms)
+            begin_ms = max(0, to_ms(onsets[i]) - lead_ms)
             if last_ms is not None and begin_ms <= last_ms:
                 raise StrokeCollisionError(
-                    f"turn {turn.index}: aligned strokes collide at {begin_ms / 1000:.3f}s"
+                    f"turn {turn.index}: aligned strokes collide at {format_seconds(begin_ms)}s"
                 )
             last_ms = begin_ms
             begin = begin_ms / 1000

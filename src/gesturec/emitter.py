@@ -1,15 +1,17 @@
-"""Deterministic gesture-script serialization.
+"""The gesture script: its record, rules, time base, writer and reader.
 
 A script document is one speaker's ``Timeline``: a header (story, speaker,
-audio duration, scheduler-config fingerprint) and per-arm phase events,
-written flat and sorted by (start, arm, kind).  Times are ``int``
-milliseconds, printed as seconds through ``format_seconds``; the scheduler
-rounds features to 3 decimals, and every number is printed with exactly
-three, so emission is a canonical form.  ``emit_script`` refuses a timeline
-for a header rule or a phase or gesture-name rule of ``validate_timeline``
-(``_refusal``).  ``read_script`` has one format rule: a document is what
-``emit_document`` writes for the timeline it holds, byte for byte in text
-and as a JSON value in JSON.  So read(emit(t)) == t, and every document
+audio duration, scheduler-config fingerprint) and per-arm tracks of
+``ScriptEvent`` phases, written flat and sorted by (start, arm, kind).
+Times are ``int`` milliseconds.  Seconds become milliseconds only through
+``to_ms``, in the scheduler, alignment and the reader alike, and are printed
+as seconds through ``format_seconds``; the scheduler rounds features to 3
+decimals, and every number is printed with exactly three, so emission is a
+canonical form.  ``validate_timeline`` holds the phase and gesture-name
+rules, and ``emit_script`` refuses a timeline for a header rule or one of
+those (``_refusal``).  ``read_script`` has one format rule: a document is
+what ``emit_document`` writes for the timeline it holds, byte for byte in
+text and as a JSON value in JSON.  So read(emit(t)) == t, and every document
 the reader accepts re-emits to itself.
 
 Two formats are supported.  JSON (see ``docs/script.schema.json``) and a
@@ -24,15 +26,196 @@ as are the feature columns.
 from __future__ import annotations
 
 import json
+import math
+import re
 from collections import Counter
+from dataclasses import dataclass
 from itertools import zip_longest
 from operator import itemgetter
+from typing import NamedTuple
 
-from .dsl import HANDS, SPEAKERS
+from .dsl import GESTURE_NAME, HANDS, SPEAKERS
 from .errors import EmitError, ScriptError
-from .scheduler import (
-    ARMS, FEATURES, KINDS, STROKE, ScriptEvent, Timeline, finite_number, format_seconds, validate_timeline,
-)
+
+PREP = "prep"
+STROKE = "stroke"
+HOLD = "hold"
+RETRACT = "retract"
+KINDS = (PREP, STROKE, HOLD, RETRACT)
+
+ARMS = ("left", "right")
+FEATURES = ("expanse", "height", "outward", "speed", "scale")
+
+
+def to_ms(seconds: float) -> int:
+    """Seconds as whole milliseconds, half a millisecond rounded as
+    ``round(seconds, 3)`` rounds it: the one seconds-to-milliseconds rule."""
+    return round(round(seconds, 3) * 1000)
+
+
+def format_seconds(ms: int) -> str:
+    """Milliseconds as seconds with 3 decimals, the inverse of ``to_ms``."""
+    return f"{ms / 1000:.3f}"
+
+
+def finite_number(value) -> bool:
+    """Whether ``value`` is a finite ``int`` or ``float``; a bool is not."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+class ScriptEvent(NamedTuple):
+    """One phase of one arm: the record from the scheduler to the script
+    reader.  A stroke carries its gesture name, hand and features rounded to
+    3 decimals; the other phases carry times only."""
+
+    start: int  # ms
+    end: int  # ms
+    kind: str
+    arm: str
+    gesture: str | None = None
+    hand: str | None = None
+    expanse: float | None = None
+    height: float | None = None
+    outward: float | None = None
+    speed: float | None = None
+    scale: float | None = None
+
+
+@dataclass
+class Timeline:
+    speaker: str
+    tracks: dict[str, list[ScriptEvent]]  # per arm, in time order
+    audio_ms: int
+    story_id: str = ""
+    config_fingerprint: str = ""
+
+
+_AFTER = {
+    PREP: (STROKE,),
+    STROKE: (HOLD, PREP, RETRACT),
+    HOLD: (PREP,),
+    RETRACT: (PREP,),
+}
+_TIMES_ONLY = (None,) * 7  # gesture, hand and features of a prep, hold or retract
+_WRONG_HAND = {"left": "RH", "right": "LH"}
+_GESTURE_RE = re.compile(GESTURE_NAME)
+_INF = math.inf
+_NAN = math.nan
+
+
+def _feature_problem(features: tuple) -> str | None:
+    """What breaks the feature rules of a stroke, or None: every feature is
+    a finite number (``finite_number``), and speed and scale are above 0."""
+    if None in features:
+        return "stroke without effective features"
+    for name, value in zip(FEATURES, features):
+        if not finite_number(value):
+            return f"{name} {value!r} is not a finite number"
+    if not (features[3] > 0 and features[4] > 0):
+        return "speed and scale must be > 0"
+    return None
+
+
+def validate_timeline(timeline: Timeline) -> list[str]:
+    """Every phase rule of a script and the gesture-name rule
+    (``dsl.GESTURE_NAME``); empty means the timeline is well formed.
+
+    ``emit_script`` runs it before writing and ``read_script`` after
+    reading, so the reader accepts exactly what the writer would write.
+    Every time must be an ``int`` of milliseconds and every feature a finite
+    number, and the tracks are a dict with a key per arm and no other key;
+    messages give times in ms and name an event ``arm[i]``, its index on its
+    arm's track.  A value of the wrong type is reported, never raised
+    on, and the order checks pass over an event whose times are not ints.
+    """
+    problems: list[str] = []
+    report = problems.append
+    audio = last = timeline.audio_ms  # ``last``: the latest time an event may end
+    if type(audio) is not int:
+        report(f"audio duration {audio!r} is not integer milliseconds")
+        last = _INF
+    tracks = timeline.tracks
+    if not isinstance(tracks, dict):
+        report(f"tracks is a {type(tracks).__name__}, not a dict of arm tracks")
+        return problems
+    for key in tracks:
+        if key not in ARMS:
+            report(f"track {key!r} is not on an arm")
+    twins = {}  # two-hand strokes per arm, without the arm
+    names = set()  # gesture names already matched, so each is matched once
+    for arm in ARMS:
+        events = tracks.get(arm)
+        twins[arm] = two_hand = set()
+        if events is None:
+            report(f"{arm}: track missing")
+            continue
+        wrong_hand = _WRONG_HAND[arm]
+        prev_kind = prev_end = None
+        for i, e in enumerate(events):
+            start, end, kind, on_arm, gesture, hand, expanse, height, outward, speed, scale = e
+            timed = type(start) is int and type(end) is int
+            if on_arm != arm:
+                report(f"{arm}[{i}]: {on_arm} event on the {arm} track")
+            if kind == STROKE:
+                if isinstance(gesture, str) and (gesture in names or _GESTURE_RE.fullmatch(gesture)):
+                    names.add(gesture)
+                else:
+                    report(f"{arm}[{i}]: gesture {gesture!r} is not a gesture name")
+                    gesture = None  # keeps the two-hand key hashable
+                if hand not in HANDS:
+                    report(f"{arm}[{i}]: unknown hand {hand!r}")
+                elif hand == wrong_hand:
+                    report(f"{arm}[{i}]: {hand} stroke on the {arm} arm")
+                # exact types on the common path (a finite sum has finite
+                # terms); the slow path finds and names the problem, if any
+                if not (
+                    type(expanse) is type(height) is type(outward) is type(speed) is type(scale) is float
+                    and -_INF < expanse + height + outward < _INF and 0 < speed < _INF and 0 < scale < _INF
+                ) and (problem := _feature_problem(e[6:])):
+                    report(f"{arm}[{i}]: {problem}")
+                    expanse = height = outward = speed = scale = None  # keeps the two-hand key hashable
+                if hand == "2H" and timed:
+                    two_hand.add((start, end, gesture, expanse, height, outward, speed, scale))
+            elif kind not in KINDS:
+                report(f"{arm}[{i}]: unknown phase kind {kind!r}")
+                kind = str(kind)  # the same in messages, and usable as a key by the next event's check
+            elif e[4:] != _TIMES_ONLY:
+                report(f"{arm}[{i}]: {kind} must not carry a gesture reference, hand or features")
+            if not timed:
+                report(f"{arm}[{i}]: times {start!r}, {end!r} are not integer milliseconds")
+                start = end = _NAN  # fails every comparison below and in the next event's checks
+            else:
+                if not start < end:
+                    report(f"{arm}[{i}]: start {start} not before end {end}")
+                if start < 0 or end > last:
+                    report(f"{arm}[{i}]: outside [0, {audio}]")
+            if i:
+                if start < prev_end:
+                    report(
+                        f"{arm}[{i - 1}->{i}]: phases overlap ({prev_kind} ends {prev_end}, {kind} starts {start})"
+                    )
+                if kind not in _AFTER.get(prev_kind, ()):
+                    report(f"{arm}[{i - 1}->{i}]: {prev_kind} may not be followed by {kind}")
+                # only retract->prep may leave a rest gap
+                if prev_kind != RETRACT and start > prev_end:
+                    report(f"{arm}[{i - 1}->{i}]: gap between {prev_kind} and {kind}")
+            prev_kind, prev_end = kind, end
+        if events:
+            head, tail = events[0], events[-1]
+            if head.kind != PREP and not (head.kind == STROKE and head.start == 0):
+                report(f"{arm}[0]: track must begin with a prep")
+            if tail.kind != RETRACT and tail.end != audio:
+                report(f"{arm}[{len(events) - 1}]: track must end with a retract")
+    for arm, other in (("left", "right"), ("right", "left")):
+        for key in sorted(twins[arm] - twins[other], key=itemgetter(0)):
+            report(f"{arm}: two-hand stroke at {key[0]} ms has no synchronized twin on the {other} arm")
+    return problems
+
 
 _EVENT_ORDER = itemgetter(0, 3, 2)  # (start, arm, kind)
 
@@ -141,9 +324,9 @@ def _require(condition: bool, message: str, path: str):
 
 
 def _ms(value, path: str) -> int:
-    """A time in seconds as ``int`` milliseconds, once it is a finite number."""
+    """A read time in seconds as ``int`` milliseconds, once it is a finite number."""
     _require(finite_number(value) and finite_number(value * 1000), "expected a finite number", path)
-    return round(value * 1000)
+    return to_ms(value)
 
 
 def _timeline(header: dict, events: list[ScriptEvent]) -> Timeline:

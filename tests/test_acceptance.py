@@ -18,9 +18,11 @@ from test_analysis import FULL_MODEL, _balanced_dataset, balanced_three_way_orac
 from gesturec.align import align_strokes
 from gesturec.analysis import anova, one_sample_ttest, preference_table, why_category_table
 from gesturec.dsl import format_dialog, parse_dialog
-from gesturec.emitter import document_from_timeline, emit_document, emit_script, read_script
+from gesturec.emitter import (
+    document_from_timeline, emit_document, emit_script, read_script, to_ms, validate_timeline,
+)
 from gesturec.pipeline import PipelineSettings, compile_dialog
-from gesturec.scheduler import _ms, schedule, validate_timeline
+from gesturec.scheduler import schedule
 from gesturec.stimuli import (
     ADAPTATION_TASKS,
     run_adaptation_batch,
@@ -29,7 +31,7 @@ from gesturec.stimuli import (
 )
 
 PREP_S = PipelineSettings().scheduler.prep_duration_s
-HOLD_THRESHOLD_MS = _ms(PipelineSettings().scheduler.hold_threshold_s)
+HOLD_THRESHOLD_MS = to_ms(PipelineSettings().scheduler.hold_threshold_s)
 BUILD_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "build_digests.json"
 
 

@@ -14,22 +14,20 @@ from gesturec.align import align_strokes, parse_word_timings
 from gesturec.dsl import parse_dialog
 from gesturec.emitter import (
     FEATURES,
+    STROKE,
     ScriptEvent,
+    Timeline,
     document_from_timeline,
     emit_document,
     emit_script,
+    format_seconds,
     read_script,
+    validate_timeline,
 )
 from gesturec.errors import EmitError, ScriptError
 from gesturec.personality import EXTRAVERT_ANCHOR, apply_personality
 from gesturec.pipeline import PipelineSettings, compile_dialog
-from gesturec.scheduler import (
-    STROKE,
-    Timeline,
-    format_seconds,
-    schedule,
-    validate_timeline,
-)
+from gesturec.scheduler import schedule
 
 SHIPPED = {
     path.stem: (

@@ -9,18 +9,11 @@ import pytest
 from conftest import EMPTY_HOLD, TOUCHING_STROKES, make_stroke_dialog
 from gesturec.align import align_strokes
 from gesturec.dsl import parse_dialog
-from gesturec.emitter import emit_script, read_script
+from gesturec.emitter import ScriptEvent, Timeline, emit_script, read_script, to_ms, validate_timeline
 from gesturec.errors import EmitError, ScheduleError, StrokeOverlapError, StrokeOverrunError
 from gesturec.personality import EXTRAVERT_ANCHOR, apply_personality
 from gesturec.pipeline import PipelineSettings, compile_dialog
-from gesturec.scheduler import (
-    SchedulerConfig,
-    ScriptEvent,
-    Timeline,
-    _ms,
-    schedule,
-    validate_timeline,
-)
+from gesturec.scheduler import SchedulerConfig, schedule
 
 
 def _single(catalog, source):
@@ -359,7 +352,7 @@ def test_hold_retract_dichotomy_generated():
             check_dichotomy(timeline.tracks[arm])
 
 
-def check_dichotomy(phases, threshold=_ms(SchedulerConfig().hold_threshold_s)):
+def check_dichotomy(phases, threshold=to_ms(SchedulerConfig().hold_threshold_s)):
     """Brute-force gap oracle: recompute stroke gaps (integer ms) and assert
     the bridge."""
     stroke_idx = [i for i, p in enumerate(phases) if p.kind == "stroke"]

@@ -16,15 +16,21 @@ from gesturec.align import parse_word_timings
 from gesturec.catalog import load_catalog
 from gesturec.dsl import HANDS
 from gesturec.emitter import (
+    ARMS,
+    KINDS,
+    STROKE,
     ScriptEvent,
+    Timeline,
     document_from_timeline,
     emit_document,
     emit_script,
+    format_seconds,
     read_script,
+    to_ms,
+    validate_timeline,
 )
 from gesturec.errors import EmitError, ScriptError
 from gesturec.pipeline import PipelineSettings, compile_dialog
-from gesturec.scheduler import ARMS, KINDS, STROKE, Timeline, validate_timeline
 
 FORMATS = ("json", "text")
 
@@ -51,6 +57,27 @@ def test_a_prep_stroke_retract_script_reads_back():
     document = _document([_prep(700, 1000), _stroke(1000, 2000), _retract(2000, 2500)])
     for fmt in FORMATS:
         assert read_script(emit_document(document, fmt)) == document
+
+
+@given(k=st.integers(0, 10**12))
+def test_every_whole_millisecond_is_a_fixed_point_of_the_time_base(k):
+    assert to_ms(float(format_seconds(k))) == k
+    prep = [_prep(0, k)] if k else []
+    document = _document([*prep, _stroke(k, k + 1), _retract(k + 1, k + 2)], audio_ms=k + 2)
+    for fmt in FORMATS:
+        assert read_script(emit_script(document, fmt)) == document
+
+
+def test_tracks_other_than_one_per_arm_are_refused():
+    document = _document([_prep(700, 1000), _stroke(1000, 2000), _retract(2000, 2500)])
+    for tracks, problem in (
+        (list(document.tracks.values()), "tracks is a list, not a dict of arm tracks"),
+        ({**document.tracks, "middle": []}, "track 'middle' is not on an arm"),
+    ):
+        timeline = replace(document, tracks=tracks)
+        assert validate_timeline(timeline) == [problem]
+        with pytest.raises(EmitError, match=problem):
+            emit_script(timeline)
 
 
 @pytest.mark.parametrize(
@@ -180,9 +207,14 @@ _TEXT = st.text() | st.text(st.characters(categories=["Cs", "L", "N", "Zs"]))
 @st.composite
 def _relabelled(draw):
     """A compiled timeline with one of its speaker, story and config drawn
-    from any text, or one stroke's gesture from any text or a non-string."""
+    from any text, one stroke's gesture from any text or a non-string, or a
+    track added under a key that is not an arm."""
     timeline = draw(st.sampled_from([t for t in COMPILED if document_from_timeline(t)]))
-    field = draw(st.sampled_from(["speaker", "story_id", "config_fingerprint", "gesture"]))
+    field = draw(st.sampled_from(["speaker", "story_id", "config_fingerprint", "gesture", "track"]))
+    if field == "track":
+        key = draw((_TEXT | st.none() | st.integers()).filter(lambda key: key not in ARMS))
+        events = draw(st.sampled_from([[], *timeline.tracks.values()]))
+        return replace(timeline, tracks={**timeline.tracks, key: events})
     if field != "gesture":
         return replace(timeline, **{field: draw(_TEXT)})
     tracks = {arm: list(events) for arm, events in timeline.tracks.items()}

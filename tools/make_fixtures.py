@@ -32,8 +32,9 @@ from gesturec.dsl import (
     segment_sentences,
     truncate_dialog,
 )
+from gesturec.emitter import validate_timeline
 from gesturec.pipeline import PipelineSettings, prepare_dialog
-from gesturec.scheduler import schedule, validate_timeline
+from gesturec.scheduler import schedule
 from gesturec.stimuli import ADAPTATION_TASKS, build_adaptation_pair, run_personality_batch
 
 LEAD = 0.2
