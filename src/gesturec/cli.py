@@ -21,7 +21,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import analysis
 from .align import parse_word_timings
 from .catalog import load_catalog
 from .config import load_config
@@ -110,6 +109,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis  # numpy: only analyze loads it
     records = analysis.read_judgments(Path(args.infile).read_text(encoding="utf-8"))
     preference = [r for r in records if r.kind == "preference"]
     why = [r for r in records if r.kind == "why"]

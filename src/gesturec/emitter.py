@@ -44,6 +44,7 @@ RETRACT = "retract"
 KINDS = (PREP, STROKE, HOLD, RETRACT)
 
 ARMS = ("left", "right")
+ARMS_OF_HAND = {"LH": ("left",), "RH": ("right",), "2H": ARMS}  # the arms a stroke of each hand uses
 FEATURES = ("expanse", "height", "outward", "speed", "scale")
 
 
@@ -102,20 +103,27 @@ _AFTER = {
     RETRACT: (PREP,),
 }
 _TIMES_ONLY = (None,) * 7  # gesture, hand and features of a prep, hold or retract
-_WRONG_HAND = {"left": "RH", "right": "LH"}
 _GESTURE_RE = re.compile(GESTURE_NAME)
 _INF = math.inf
 _NAN = math.nan
 
 
+def _is_event(value) -> bool:
+    """Whether ``value`` has the shape of a ``ScriptEvent``: a tuple of 11 fields."""
+    return isinstance(value, tuple) and len(value) == 11
+
+
 def _feature_problem(features: tuple) -> str | None:
     """What breaks the feature rules of a stroke, or None: every feature is
-    a finite number (``finite_number``), and speed and scale are above 0."""
+    a finite number (``finite_number``) on the 0.001 grid the writer prints,
+    and speed and scale are above 0."""
     if None in features:
         return "stroke without effective features"
     for name, value in zip(FEATURES, features):
         if not finite_number(value):
             return f"{name} {value!r} is not a finite number"
+        if round(value, 3) != value:
+            return f"{name} {value!r} is not on the 0.001 grid"
     if not (features[3] > 0 and features[4] > 0):
         return "speed and scale must be > 0"
     return None
@@ -128,10 +136,12 @@ def validate_timeline(timeline: Timeline) -> list[str]:
     ``emit_script`` runs it before writing and ``read_script`` after
     reading, so the reader accepts exactly what the writer would write.
     Every time must be an ``int`` of milliseconds and every feature a finite
-    number, and the tracks are a dict with a key per arm and no other key;
-    messages give times in ms and name an event ``arm[i]``, its index on its
-    arm's track.  A value of the wrong type is reported, never raised
-    on, and the order checks pass over an event whose times are not ints.
+    number on the 0.001 grid; the tracks are a dict with a key per arm and
+    no other key, each a list of 11-field event tuples.  Messages give times
+    in ms and name an event ``arm[i]``, its index on its arm's track.  A
+    value of the wrong type or shape is reported, never raised on, and the
+    order checks pass over an event whose times are not ints or that is no
+    event at all.
     """
     problems: list[str] = []
     report = problems.append
@@ -148,15 +158,22 @@ def validate_timeline(timeline: Timeline) -> list[str]:
             report(f"track {key!r} is not on an arm")
     twins = {}  # two-hand strokes per arm, without the arm
     names = set()  # gesture names already matched, so each is matched once
+    passed_features = set()  # feature tuples of exact floats that passed, so each is checked once
     for arm in ARMS:
         events = tracks.get(arm)
         twins[arm] = two_hand = set()
         if events is None:
             report(f"{arm}: track missing")
             continue
-        wrong_hand = _WRONG_HAND[arm]
-        prev_kind = prev_end = None
+        if not isinstance(events, list):
+            report(f"{arm}: track of type {type(events).__name__} is not a list of events")
+            continue
+        prev_kind = prev_end = None  # a kind of None: no event before, or no event checked
         for i, e in enumerate(events):
+            if not _is_event(e):
+                report(f"{arm}[{i}]: {e!r} is not an event of 11 fields")
+                prev_kind = None
+                continue
             start, end, kind, on_arm, gesture, hand, expanse, height, outward, speed, scale = e
             timed = type(start) is int and type(end) is int
             if on_arm != arm:
@@ -169,16 +186,20 @@ def validate_timeline(timeline: Timeline) -> list[str]:
                     gesture = None  # keeps the two-hand key hashable
                 if hand not in HANDS:
                     report(f"{arm}[{i}]: unknown hand {hand!r}")
-                elif hand == wrong_hand:
+                elif arm not in ARMS_OF_HAND[hand]:
                     report(f"{arm}[{i}]: {hand} stroke on the {arm} arm")
-                # exact types on the common path (a finite sum has finite
-                # terms); the slow path finds and names the problem, if any
+                # exact floats already passed skip the check (and the type
+                # test keeps the lookup from hashing a list or matching a bool)
+                features = e[6:]
                 if not (
                     type(expanse) is type(height) is type(outward) is type(speed) is type(scale) is float
-                    and -_INF < expanse + height + outward < _INF and 0 < speed < _INF and 0 < scale < _INF
-                ) and (problem := _feature_problem(e[6:])):
-                    report(f"{arm}[{i}]: {problem}")
-                    expanse = height = outward = speed = scale = None  # keeps the two-hand key hashable
+                    and features in passed_features
+                ):
+                    if problem := _feature_problem(features):
+                        report(f"{arm}[{i}]: {problem}")
+                        expanse = height = outward = speed = scale = None  # keeps the two-hand key hashable
+                    else:
+                        passed_features.add(features)
                 if hand == "2H" and timed:
                     two_hand.add((start, end, gesture, expanse, height, outward, speed, scale))
             elif kind not in KINDS:
@@ -194,7 +215,7 @@ def validate_timeline(timeline: Timeline) -> list[str]:
                     report(f"{arm}[{i}]: start {start} not before end {end}")
                 if start < 0 or end > last:
                     report(f"{arm}[{i}]: outside [0, {audio}]")
-            if i:
+            if prev_kind is not None:
                 if start < prev_end:
                     report(
                         f"{arm}[{i - 1}->{i}]: phases overlap ({prev_kind} ends {prev_end}, {kind} starts {start})"
@@ -207,9 +228,9 @@ def validate_timeline(timeline: Timeline) -> list[str]:
             prev_kind, prev_end = kind, end
         if events:
             head, tail = events[0], events[-1]
-            if head.kind != PREP and not (head.kind == STROKE and head.start == 0):
+            if _is_event(head) and head[2] != PREP and not (head[2] == STROKE and head[0] == 0):
                 report(f"{arm}[0]: track must begin with a prep")
-            if tail.kind != RETRACT and tail.end != audio:
+            if _is_event(tail) and tail[2] != RETRACT and tail[1] != audio:
                 report(f"{arm}[{len(events) - 1}]: track must end with a retract")
     for arm, other in (("left", "right"), ("right", "left")):
         for key in sorted(twins[arm] - twins[other], key=itemgetter(0)):
@@ -329,6 +350,13 @@ def _ms(value, path: str) -> int:
     return to_ms(value)
 
 
+def _feature(value):
+    """A read feature; a float goes onto the writer's 0.001 grid, as a read time
+    goes onto the millisecond grid, so the comparison with the writer's
+    document, not the feature rules, names a value written with more decimals."""
+    return round(value, 3) if type(value) is float else value
+
+
 def _timeline(header: dict, events: list[ScriptEvent]) -> Timeline:
     """The timeline a read script holds, refused as ``emit_script`` refuses it.
     An event on neither arm is left out, so the phase rules or the comparison refuse it."""
@@ -392,7 +420,7 @@ def _read_json(text: str) -> Timeline:
             _require(key in item, f"missing field {key!r}", f"{path}.{key}")
         events.append(ScriptEvent(
             _ms(item["start"], f"{path}.start"), _ms(item["end"], f"{path}.end"), item["kind"], item["arm"],
-            item.get("gesture"), item.get("hand"), *(item.get(name) for name in FEATURES),
+            item.get("gesture"), item.get("hand"), *(_feature(item.get(name)) for name in FEATURES),
         ))
     return _timeline(raw["header"], events)
 
@@ -413,7 +441,9 @@ def _read_text(text: str) -> Timeline:
                 stroke = cols[4] != "-"
                 start, end, *features = map(float, cols[:2] + (cols[5:] if stroke else []))
                 gesture, _, hand = cols[4].partition(":") if stroke else (None, None, None)
-                events.append(ScriptEvent(_ms(start, path), _ms(end, path), *cols[2:4], gesture, hand, *features))
+                events.append(ScriptEvent(
+                    _ms(start, path), _ms(end, path), *cols[2:4], gesture, hand, *map(_feature, features)
+                ))
         except ValueError as exc:  # only float() raises it
             raise ScriptError(str(exc), path=path) from None
     return _timeline(header, events)

@@ -43,18 +43,13 @@ def prepare_dialog(
     catalog: GestureCatalog,
     track: WordTimingTrack | None,
     settings: PipelineSettings,
-    profiles: dict[str, ParameterSet] | None = None,
 ) -> AnnotatedDialog:
-    """Align against the timing track and stamp personality features.
-
-    ``profiles`` overrides the parameter sets derived from the settings'
-    per-speaker extraversion scores.
-    """
+    """Align against the timing track and stamp each speaker's personality
+    features, from ``settings.profile``."""
     if track is not None:
         dialog = align_strokes(dialog, track, lead=settings.scheduler.stroke_lead_s)
     for speaker in ("A", "B"):
-        params = profiles[speaker] if profiles else settings.profile(speaker)
-        dialog = apply_personality(dialog, speaker, params, catalog)
+        dialog = apply_personality(dialog, speaker, settings.profile(speaker), catalog)
     return dialog
 
 

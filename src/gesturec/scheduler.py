@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dsl import SPEAKERS, AnnotatedDialog, GestureAnnotation
-from .emitter import ARMS, HOLD, PREP, RETRACT, STROKE, ScriptEvent, Timeline, format_seconds, to_ms
+from .emitter import ARMS, ARMS_OF_HAND, HOLD, PREP, RETRACT, STROKE, ScriptEvent, Timeline, format_seconds, to_ms
 from .errors import EmptyStrokeError, ScheduleError, StrokeOverlapError, StrokeOverrunError
 
 
@@ -85,9 +85,6 @@ class _Stroke(NamedTuple):
     fields: tuple  # gesture, hand and rounded features of each of its stroke events
 
 
-_ARMS_OF = {"LH": ("left",), "RH": ("right",)}  # any other hand uses both arms
-
-
 def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) -> list[_Stroke]:
     strokes = []
     for turn in dialog.turns:
@@ -135,7 +132,7 @@ def _admit_strokes(
     last_end = {arm: -1 for arm in ARMS}
     for stroke in strokes:
         ann = stroke.annotation
-        arms = _ARMS_OF.get(ann.hand, ARMS)
+        arms = ARMS_OF_HAND.get(ann.hand, ARMS)
         if stroke.end <= stroke.start:
             message = (
                 f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(stroke.start)}s lasts 0 ms "

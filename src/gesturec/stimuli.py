@@ -3,8 +3,9 @@
 Two experiment families:
 
 * personality: per story, two bundles with identical gesture scripts in
-  which only the agent genders (model and voice) are swapped, one with the
-  female agent extraverted, one with the male.
+  which speaker A is the extravert and B the introvert; only the agent
+  genders (model and voice) are swapped, one with the female agent
+  extraverted, one with the male.
 * adaptation: per task (story plus turn structure such as ABA or ABABA),
   an adapted and a non-adapted bundle sharing byte-identical context turns
   and the same audio reference, diverging only in the final response turn.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .adaptation import resolve_variant, strip_adaptation
@@ -27,6 +28,7 @@ from .catalog import GestureCatalog
 from .dsl import SPEAKERS, AnnotatedDialog, truncate_dialog
 from .emitter import emit_script
 from .errors import PlanError
+# profile_from_extraversion is unused here but stays bound for perfbench/tracing.py BINDINGS (ROADMAP item 4)
 from .personality import EXTRAVERSION_MAX, EXTRAVERSION_MIN, profile_from_extraversion
 from .pipeline import PipelineSettings, prepare_dialog
 from .scheduler import ScheduleResult, schedule
@@ -96,21 +98,15 @@ def build_personality_pair(
     catalog: GestureCatalog,
     settings: PipelineSettings = PipelineSettings(),
     track: WordTimingTrack | None = None,
-    extraverted_role: str = "A",
 ) -> tuple[StimulusBundle, StimulusBundle]:
     """Two stimulus bundles whose gesture scripts are identical per role;
     only the gender metadata differs between them.
 
-    The speaker of ``extraverted_role`` performs at the extravert score,
-    the other at the introvert score, and the bundles state those scores.
+    Speaker A performs at the extravert score, B at the introvert score,
+    and the bundles state those scores.
     """
-    other = "B" if extraverted_role == "A" else "A"
-    extraversion = {extraverted_role: EXTRAVERSION_MAX, other: EXTRAVERSION_MIN}
-    profiles = {
-        speaker: profile_from_extraversion(score, settings.introvert, settings.extravert)
-        for speaker, score in extraversion.items()
-    }
-    prepared = prepare_dialog(dialog, catalog, track, settings, profiles=profiles)
+    extraversion = {"A": EXTRAVERSION_MAX, "B": EXTRAVERSION_MIN}
+    prepared = prepare_dialog(dialog, catalog, track, replace(settings, extraversion=extraversion))
     result = schedule(strip_adaptation(prepared), settings.scheduler, strict=settings.strict)
     scripts = speaker_scripts(result)
 
@@ -120,9 +116,9 @@ def build_personality_pair(
         other_gender = "M" if extravert_gender == "F" else "F"
         bundles.append(_bundle(
             dialog, f"{dialog.story_id}/{assignment}", "personality", label, dict(scripts),
-            {extraverted_role: extravert_gender, other: other_gender},
+            {"A": extravert_gender, "B": other_gender},
             gender_assignment=assignment,
-            extraverted_role=extraverted_role,
+            extraverted_role="A",
             extraversion=extraversion,
         ))
     return bundles[0], bundles[1]
@@ -186,13 +182,12 @@ def run_personality_batch(
     stories: dict[str, tuple[AnnotatedDialog, WordTimingTrack | None]],
     catalog: GestureCatalog,
     settings: PipelineSettings = PipelineSettings(),
-    extraverted_role: str = "A",
 ) -> list[StimulusBundle]:
     """8 bundles for 4 stories: two gender assignments each."""
     bundles: list[StimulusBundle] = []
     for story_id in sorted(stories):
         dialog, track = stories[story_id]
-        bundles.extend(build_personality_pair(dialog, catalog, settings, track, extraverted_role))
+        bundles.extend(build_personality_pair(dialog, catalog, settings, track))
     return bundles
 
 
@@ -200,11 +195,10 @@ def run_adaptation_batch(
     stories: dict[str, tuple[AnnotatedDialog, WordTimingTrack | None]],
     catalog: GestureCatalog,
     settings: PipelineSettings = PipelineSettings(),
-    tasks: tuple[tuple[str, str], ...] = ADAPTATION_TASKS,
 ) -> list[StimulusBundle]:
     """16 bundles for the 8 shipped tasks: adapted and non-adapted each."""
     bundles: list[StimulusBundle] = []
-    for story_id, structure in tasks:
+    for story_id, structure in ADAPTATION_TASKS:
         if story_id not in stories:
             raise PlanError(f"no story {story_id!r} for task {story_id}_{structure}")
         dialog, track = stories[story_id]

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import gesturec
 
 from conftest import DATA_DIR, EMPTY_HOLD, TOUCHING_STROKES
 from gesturec.align import parse_word_timings
@@ -348,3 +354,13 @@ def test_missing_file_is_clean_error(tmp_path, capsys):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_only_analyze_loads_numpy():
+    """``compile`` and ``build`` start without numpy: importing the CLI leaves
+    it unloaded, and ``analyze`` imports the analysis module itself."""
+    src = str(Path(gesturec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, gesturec.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

@@ -351,11 +351,12 @@ def test_reader_rejects_bad_header_strings_and_gesture_names(field, bad):
         ({"gesture": "Cup Big"}, "right[1]: gesture 'Cup Big'"),
         ({"story_id": "\ud800x"}, "header.story"),
         ({"config_fingerprint": "\ud800x"}, "header.config"),
+        ({"expanse": 1.2345}, "right[1]: expanse 1.2345 is not on the 0.001 grid"),
     ],
 )
 def test_writer_refuses_what_the_reader_refuses(fixture_timelines, change, field):
     timeline, _ = fixture_timelines
-    if "gesture" in change:
+    if "gesture" in change or "expanse" in change:
         right = list(timeline.tracks["right"])
         assert right[1].kind == STROKE and right[1].hand == "RH"
         right[1] = right[1]._replace(**change)

@@ -5,6 +5,7 @@ gesture-name or header rule is refused on reading as it is on writing."""
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from gesturec.catalog import load_catalog
 from gesturec.dsl import HANDS
 from gesturec.emitter import (
     ARMS,
+    FEATURES,
     KINDS,
     STROKE,
     ScriptEvent,
@@ -73,10 +75,14 @@ def test_tracks_other_than_one_per_arm_are_refused():
     for tracks, problem in (
         (list(document.tracks.values()), "tracks is a list, not a dict of arm tracks"),
         ({**document.tracks, "middle": []}, "track 'middle' is not on an arm"),
+        ({**document.tracks, "left": 5}, "left: track of type int is not a list of events"),
+        ({**document.tracks, "left": "prep"}, "left: track of type str is not a list of events"),
+        ({**document.tracks, "left": [(1, 2)]}, "left[0]: (1, 2) is not an event of 11 fields"),
+        ({**document.tracks, "left": [{"kind": "prep"}]}, "left[0]: {'kind': 'prep'} is not an event of 11 fields"),
     ):
         timeline = replace(document, tracks=tracks)
         assert validate_timeline(timeline) == [problem]
-        with pytest.raises(EmitError, match=problem):
+        with pytest.raises(EmitError, match=re.escape(problem)):
             emit_script(timeline)
 
 
@@ -207,22 +213,36 @@ _TEXT = st.text() | st.text(st.characters(categories=["Cs", "L", "N", "Zs"]))
 @st.composite
 def _relabelled(draw):
     """A compiled timeline with one of its speaker, story and config drawn
-    from any text, one stroke's gesture from any text or a non-string, or a
-    track added under a key that is not an arm."""
+    from any text, one stroke's gesture from any text or a non-string, one
+    stroke's features from finite numbers on and off the 0.001 grid, a
+    track added under a key that is not an arm, or an arm's track replaced
+    by a non-list or by a list of plain tuples, short tuples or dicts."""
     timeline = draw(st.sampled_from([t for t in COMPILED if document_from_timeline(t)]))
-    field = draw(st.sampled_from(["speaker", "story_id", "config_fingerprint", "gesture", "track"]))
+    field = draw(st.sampled_from(["speaker", "story_id", "config_fingerprint", "gesture", "features", "track", "arm"]))
     if field == "track":
         key = draw((_TEXT | st.none() | st.integers()).filter(lambda key: key not in ARMS))
         events = draw(st.sampled_from([[], *timeline.tracks.values()]))
         return replace(timeline, tracks={**timeline.tracks, key: events})
-    if field != "gesture":
+    if field == "arm":
+        arm = draw(st.sampled_from(ARMS))
+        events = timeline.tracks[arm]
+        track = draw(
+            st.integers() | _TEXT | st.lists(st.tuples(st.integers(), st.integers()), min_size=1, max_size=2)
+            | st.sampled_from([[tuple(e) for e in events], [e._asdict() for e in events]])
+        )
+        return replace(timeline, tracks={**timeline.tracks, arm: track})
+    if field not in ("gesture", "features"):
         return replace(timeline, **{field: draw(_TEXT)})
     tracks = {arm: list(events) for arm, events in timeline.tracks.items()}
     arm, i = draw(st.sampled_from(
         [(arm, i) for arm in ARMS for i, e in enumerate(tracks[arm]) if e.kind == STROKE]
     ))
-    gesture = draw(_TEXT | st.none() | st.booleans() | st.integers() | st.lists(st.text(), max_size=2))
-    tracks[arm][i] = tracks[arm][i]._replace(gesture=gesture)
+    if field == "gesture":
+        gesture = draw(_TEXT | st.none() | st.booleans() | st.integers() | st.lists(st.text(), max_size=2))
+        tracks[arm][i] = tracks[arm][i]._replace(gesture=gesture)
+    else:
+        number = st.floats(-1e6, 1e6) | st.integers(-10**9, 10**9).map(lambda k: k / 1000)
+        tracks[arm][i] = tracks[arm][i]._replace(**{name: draw(number) for name in FEATURES})
     return replace(timeline, tracks=tracks)
 
 
@@ -232,9 +252,11 @@ def test_the_writer_refuses_what_the_reader_refuses_or_reads_back_changed(timeli
     for fmt in FORMATS:
         try:
             rendered = emit_document(timeline, fmt)  # what an unchecked writer would write
-            back = read_script(rendered)
-        except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
-            rendered = back = None
+        # a lone surrogate has no UTF-8 form (a ValueError), a malformed track no rendering
+        except (LookupError, TypeError, ValueError):
+            rendered = None
+        try:
+            back = None if rendered is None else read_script(rendered)
         except ScriptError:
             back = None
         try:

@@ -74,12 +74,12 @@ def test_identical_profiles_differ_only_in_metadata(stories, catalog):
     assert meta_a == meta_b
 
 
-@pytest.mark.parametrize("role", ["A", "B"])
-def test_personality_metadata_states_the_scripts_extraversion(stories, catalog, role):
+def test_personality_metadata_states_the_scripts_extraversion(stories, catalog):
     dialog, track = stories["protest"]
-    first, _ = build_personality_pair(dialog, catalog, track=track, extraverted_role=role)
+    first, _ = build_personality_pair(dialog, catalog, track=track)
+    assert first.metadata["extraverted_role"] == "A"
     extraversion = first.metadata["extraversion"]
-    assert extraversion == {role: 7.0, "B" if role == "A" else "A": 1.0}
+    assert extraversion == {"A": 7.0, "B": 1.0}
     settings = PipelineSettings(extraversion=extraversion)
     result = compile_dialog(format_dialog(dialog), catalog, track, settings)
     assert first.scripts == speaker_scripts(result.schedule)
