@@ -4,18 +4,23 @@ Catalog documents are UTF-8 line-oriented text, one entry per line::
 
     name, expanse_cm, height_cm, outwardness_cm
 
-``#`` begins a comment, blank lines are ignored.  A ``# catalog-version: X``
-comment, when present, sets the catalog version; a second one is an error.
+``#`` begins a comment, blank lines are ignored.  A name follows the
+gesture-name rule of dialogs and scripts (``dsl.GESTURE_NAME``).  A
+``# catalog-version: X`` comment, when present, sets the catalog version; a
+second one is an error.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
+from .dsl import GESTURE_NAME
 from .errors import CatalogError, DuplicateGestureError, UnknownGestureError
 
 VERSION_PREFIX = "# catalog-version:"
+_NAME_RE = re.compile(GESTURE_NAME)
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,9 @@ class GestureCatalog:
 def load_catalog(source: str) -> GestureCatalog:
     """Parse a catalog document, validating every entry.
 
-    Raises :class:`CatalogError` subclasses on duplicate names, malformed
-    lines, non-finite or negative-expanse geometry and empty documents.
+    Raises :class:`CatalogError` subclasses on duplicate names, names that
+    break the gesture-name rule, malformed lines, non-finite or
+    negative-expanse geometry and empty documents.
     """
     entries: dict[str, GestureDef] = {}
     version = None
@@ -67,8 +73,8 @@ def load_catalog(source: str) -> GestureCatalog:
         if len(parts) != 4:
             raise CatalogError(f"line {lineno}: expected 4 comma-separated fields, got {len(parts)}")
         name = parts[0]
-        if not name:
-            raise CatalogError(f"line {lineno}: empty gesture name")
+        if not _NAME_RE.fullmatch(name):
+            raise CatalogError(f"line {lineno}: gesture name {name!r} is not a gesture name")
         if name in entries:
             raise DuplicateGestureError(f"line {lineno}: duplicate gesture {name!r}")
         try:

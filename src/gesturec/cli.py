@@ -17,7 +17,6 @@ timeline validates.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .config import load_config
 from .dsl import parse_dialog
 from .errors import GesturecError
 from .pipeline import PipelineSettings, compile_dialog
-from .stimuli import run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file
+from .stimuli import run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json
 
 
 def _parse_extraversion(text: str) -> dict[str, float]:
@@ -104,6 +103,9 @@ def _cmd_build(args) -> int:
     else:
         bundles = run_adaptation_batch(stories, catalog, settings)
     manifest = write_bundles(bundles, Path(args.out), args.experiment)
+    for bundle in bundles:
+        for note in bundle.diagnostics:
+            print(f"note: {bundle.name}: {note}", file=sys.stderr)
     print(f"wrote {manifest['bundle_count']} bundles to {args.out}")
     return 0
 
@@ -172,7 +174,7 @@ def _cmd_analyze(args) -> int:
             print(f"  {stimulus}: " + ", ".join(f"{t}={v}" for t, v in means.items()))
 
     Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-    write_file(Path(args.report), (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
+    write_json(Path(args.report), report)
     print(f"\nreport written to {args.report}")
     return 0
 

@@ -11,8 +11,8 @@ dataclass fields::
 
 for example ``scheduler.hold_threshold_s = 2.0`` or
 ``extravert.max_rate = 3``.  Every key is optional; the built-in defaults
-match the shipped experiment setup.  A value is parsed by the type of the
-value it replaces (boolean or number), and an unknown key is an error.
+match the shipped experiment setup.  A value is read as a number, and an
+unknown key is an error.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ class ConfigError(GesturecError):
     pass
 
 
-def _parse(value: str, default: float | bool, where: str) -> float | bool:
-    if isinstance(default, bool):
-        if value.lower() in ("true", "yes", "1"):
-            return True
-        if value.lower() in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"{where}: expected a boolean, got {value!r}")
+def _parse(value: str, where: str) -> float:
     try:
         return float(value)
     except ValueError:
@@ -48,12 +42,8 @@ def load_config(text: str, settings: PipelineSettings = PipelineSettings()) -> P
     Each settings object is rebuilt with :func:`dataclasses.replace`, so its
     own ``__post_init__`` checks the new values.
     """
-    defaults = {
-        f"{section}.{f.name}": getattr(getattr(settings, section), f.name)
-        for section in SECTIONS
-        for f in fields(getattr(settings, section))
-    }
-    changes: dict[str, dict[str, float | bool]] = {section: {} for section in SECTIONS}
+    keys = {f"{section}.{f.name}" for section in SECTIONS for f in fields(getattr(settings, section))}
+    changes: dict[str, dict[str, float]] = {section: {} for section in SECTIONS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -62,11 +52,11 @@ def load_config(text: str, settings: PipelineSettings = PipelineSettings()) -> P
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key = key.strip()
-        if key not in defaults:
+        if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         section, _, name = key.partition(".")
         if name in changes[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        changes[section][name] = _parse(value.strip(), defaults[key], f"line {lineno}: {key}")
+        changes[section][name] = _parse(value.strip(), f"line {lineno}: {key}")
     rebuilt = {section: replace(getattr(settings, section), **changes[section]) for section in SECTIONS}
     return replace(settings, **rebuilt)

@@ -11,6 +11,8 @@ meaning-bearing movement), hold (freeze at the stroke end) and retract
   the prep itself, the hold is dropped and the prep compresses to ``g``.
 * otherwise: a retraction, rest, and a fresh prep before the next stroke.
 
+This is the one rule, within a turn and across a change of turn alike.
+
 A prep precedes the first stroke of each arm and a retract follows the
 last one (compressed or omitted when the audio ends first).  Stroke start
 times are never moved; in strict mode conflicting or overrunning strokes
@@ -41,7 +43,6 @@ class SchedulerConfig:
     prep_duration_s: float = 0.3
     retract_duration_s: float = 0.5
     stroke_lead_s: float = 0.2  # consumed by the alignment stage
-    retract_on_turn_end: bool = False
 
     def __post_init__(self):
         if not 0 <= self.stroke_lead_s < math.inf:  # before the grid loop, which also refuses nan and inf
@@ -56,10 +57,10 @@ class SchedulerConfig:
             raise ScheduleError("hold threshold must cover prep + retract")
 
     def fingerprint(self) -> str:
+        # "turn_end=False" is the one retract policy; the literal keeps every script's `# config:` line
         text = (
             f"hold={self.hold_threshold_s!r};prep={self.prep_duration_s!r};"
-            f"retract={self.retract_duration_s!r};lead={self.stroke_lead_s!r};"
-            f"turn_end={self.retract_on_turn_end!r}"
+            f"retract={self.retract_duration_s!r};lead={self.stroke_lead_s!r};turn_end=False"
         )
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -80,7 +81,6 @@ class _Stroke(NamedTuple):
     start: int
     end: int
     retract_end: int
-    turn_index: int
     annotation: GestureAnnotation
     fields: tuple  # gesture, hand and rounded features of each of its stroke events
 
@@ -102,9 +102,7 @@ def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) ->
                 ann.gesture_name, ann.hand, round(f.expanse_cm, 3), round(f.height_cm, 3),
                 round(f.outwardness_cm, 3), round(f.speed, 3), round(f.scale, 3),
             )
-            strokes.append(
-                _Stroke(to_ms(ann.stroke_begin), to_ms(end), to_ms(end + retract_s), turn.index, ann, fields)
-            )
+            strokes.append(_Stroke(to_ms(ann.stroke_begin), to_ms(end), to_ms(end + retract_s), ann, fields))
     strokes.sort(key=lambda s: (s.start, s.annotation.hand))
     return strokes
 
@@ -162,9 +160,7 @@ def _admit_strokes(
     return per_arm
 
 
-def _build_track(
-    arm: str, strokes: list[_Stroke], audio: int, prep: int, hold: int, turn_end: bool
-) -> list[ScriptEvent]:
+def _build_track(arm: str, strokes: list[_Stroke], audio: int, prep: int, hold: int) -> list[ScriptEvent]:
     track: list[ScriptEvent] = []
     if not strokes:
         return track
@@ -177,9 +173,8 @@ def _build_track(
             break
         nxt = strokes[i + 1]
         prep_start = nxt.start - prep
-        retract = nxt.start - cur.end >= hold or (turn_end and nxt.turn_index != cur.turn_index)
         # a retract needs room for itself and the next prep
-        if retract and cur.retract_end <= prep_start:
+        if nxt.start - cur.end >= hold and cur.retract_end <= prep_start:
             track.append(ScriptEvent(cur.end, cur.retract_end, RETRACT, arm))
         elif prep_start > cur.end:
             track.append(ScriptEvent(cur.end, prep_start, HOLD, arm))
@@ -205,10 +200,7 @@ def schedule(
     for speaker in ("A", "B"):
         strokes = _collect_strokes(dialog, speaker, config.retract_duration_s)
         per_arm = _admit_strokes(strokes, audio, speaker, strict, diagnostics)
-        tracks = {
-            arm: _build_track(arm, per_arm[arm], audio, prep, hold, config.retract_on_turn_end)
-            for arm in ARMS
-        }
+        tracks = {arm: _build_track(arm, per_arm[arm], audio, prep, hold) for arm in ARMS}
         timelines[speaker] = Timeline(
             speaker=speaker,
             tracks=tracks,

@@ -62,6 +62,7 @@ class StimulusBundle:
     name: str  # directory path relative to the batch output root
     metadata: dict  # bundle.json: story, experiment, label, agents, ...
     scripts: dict[str, bytes]  # filename -> content
+    diagnostics: tuple[str, ...] = ()  # what the lenient schedule of these scripts dropped
 
 
 def speaker_scripts(result: ScheduleResult, speakers: tuple[str, ...] = SPEAKERS) -> dict[str, bytes]:
@@ -76,8 +77,8 @@ def speaker_scripts(result: ScheduleResult, speakers: tuple[str, ...] = SPEAKERS
 
 
 def _bundle(
-    dialog: AnnotatedDialog, name: str, experiment: str, label: str, scripts: dict[str, bytes],
-    gender_of: dict[str, str], **metadata,
+    dialog: AnnotatedDialog, name: str, experiment: str, label: str, result: ScheduleResult,
+    scripts: dict[str, bytes], gender_of: dict[str, str], **metadata,
 ) -> StimulusBundle:
     metadata.update(
         story=dialog.story_id,
@@ -90,7 +91,7 @@ def _bundle(
         audio=f"{dialog.story_id}.wav",
         scripts={speaker: f"{speaker}.script.json" for speaker in SPEAKERS},
     )
-    return StimulusBundle(name, metadata, scripts)
+    return StimulusBundle(name, metadata, scripts, tuple(result.diagnostics))
 
 
 def build_personality_pair(
@@ -115,7 +116,7 @@ def build_personality_pair(
         extravert_gender = assignment[0]  # "F" or "M"
         other_gender = "M" if extravert_gender == "F" else "F"
         bundles.append(_bundle(
-            dialog, f"{dialog.story_id}/{assignment}", "personality", label, dict(scripts),
+            dialog, f"{dialog.story_id}/{assignment}", "personality", label, result, dict(scripts),
             {"A": extravert_gender, "B": other_gender},
             gender_assignment=assignment,
             extraverted_role="A",
@@ -162,12 +163,13 @@ def build_adaptation_pair(
         for resolved in (resolve_variant(prepared, settings.adaptation), strip_adaptation(prepared))
     )
     # The non-responder speaks only context turns, which both variants
-    # schedule alike, so its scripts are emitted once and shared.
+    # schedule alike, so its scripts are emitted once and shared, and each
+    # bundle's diagnostics are those of its own variant's schedule.
     context = speaker_scripts(nonadapted, (non_responder,))
     bundles = []
     for label, variant, result in (("A", "adapted", adapted), ("B", "nonadapted", nonadapted)):
         bundles.append(_bundle(
-            dialog, f"{task}/{variant}", "adaptation", label,
+            dialog, f"{task}/{variant}", "adaptation", label, result,
             {**context, **speaker_scripts(result, (responder,))}, ADAPTATION_GENDERS,
             task=task,
             turn_structure=turn_structure,
@@ -224,9 +226,10 @@ def write_file(path: Path, data: bytes) -> None:
         f.truncate()
 
 
-def _json_bytes(value) -> bytes:
-    """``value`` as indented JSON with sorted keys and a final newline."""
-    return (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+def write_json(path: Path, value) -> None:
+    """Write ``value`` to ``path`` as indented JSON with sorted keys and a
+    final newline."""
+    write_file(path, (json.dumps(value, indent=2, sort_keys=True) + "\n").encode())
 
 
 def write_bundles(bundles: list[StimulusBundle], out_dir: Path, experiment: str) -> dict:
@@ -241,7 +244,7 @@ def write_bundles(bundles: list[StimulusBundle], out_dir: Path, experiment: str)
         bundle_dir.mkdir(parents=True, exist_ok=True)
         for filename, content in sorted(bundle.scripts.items()):
             write_file(bundle_dir / filename, content)
-        write_file(bundle_dir / "bundle.json", _json_bytes(bundle.metadata))
+        write_json(bundle_dir / "bundle.json", bundle.metadata)
         manifest_entries.append(
             {"path": bundle.name, **{key: bundle.metadata[key] for key in ("story", "experiment", "label")}}
         )
@@ -250,5 +253,5 @@ def write_bundles(bundles: list[StimulusBundle], out_dir: Path, experiment: str)
         "bundle_count": len(bundles),
         "bundles": manifest_entries,
     }
-    write_file(out_dir / "manifest.json", _json_bytes(manifest))
+    write_json(out_dir / "manifest.json", manifest)
     return manifest

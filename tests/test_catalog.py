@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from conftest import DATA_DIR
 from gesturec.catalog import GestureDef, load_catalog, lookup
+from gesturec.dsl import GESTURE_NAME
 from gesturec.emitter import document_from_timeline, read_script
 from gesturec.errors import CatalogError, DuplicateGestureError, UnknownGestureError
 from gesturec.pipeline import PipelineSettings, compile_dialog
@@ -82,6 +85,17 @@ def test_malformed_line_rejected():
     # the former columns (duration, hands, category) are no longer accepted
     with pytest.raises(CatalogError, match="expected 4 comma-separated fields, got 7"):
         load_catalog("Cup, 0.46, RH, metaphoric, 25, 0, 20\n")
+
+
+def test_name_that_no_dialog_can_reference_rejected(catalog):
+    # every shipped name follows the rule, so a dialog can name each of them
+    assert all(re.fullmatch(GESTURE_NAME, name) for name in catalog.entries)
+    with pytest.raises(CatalogError, match=re.escape("line 1: gesture name 'Bad Name' is not a gesture name")):
+        load_catalog("Bad Name, 1, 2, 3\nx-y, 1, 2, 3\n")
+    with pytest.raises(CatalogError, match=re.escape("line 2: gesture name 'x-y' is not a gesture name")):
+        load_catalog("Good_Name2, 1, 2, 3\nx-y, 1, 2, 3\n")
+    with pytest.raises(CatalogError, match=re.escape("line 1: gesture name '' is not a gesture name")):
+        load_catalog(", 1, 2, 3\n")
 
 
 def test_negative_expanse_rejected():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -252,6 +253,26 @@ def test_zero_length_stroke_dropped_in_lenient_mode(tmp_path, shipped, capsys):
     assert notes and all(line.startswith("note: dropped: B: stroke ") for line in notes)
     for name in SCRIPTS:
         read_script((tmp_path / "out" / name).read_bytes())
+
+
+def test_lenient_build_prints_what_it_dropped(tmp_path, shipped, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("adaptation.speed_factor = 1000\n", encoding="utf-8")
+    code = main([
+        "build", "--experiment", "adaptation",
+        "--stories", shipped["stories"],
+        "--timings", shipped["timings"],
+        "--catalog", shipped["catalog"],
+        "--config", str(config),
+        "--out", shipped["out"],
+        "--lenient",
+    ])
+    assert code == 0
+    # only the adapted response turns run at 1000x; each note names its bundle
+    notes = capsys.readouterr().err.splitlines()
+    assert len(notes) == 19
+    assert all(re.match(r"note: [a-z]+_AB[AB]*/adapted: dropped: ", line) for line in notes)
+    assert "note: garden_ABAB/adapted: dropped: B: stroke 'Cup' at 21.230s lasts 0 ms (0.46s at speed 1000)" in notes
 
 
 def _compile_case(tmp_path, shipped, case, *flags):

@@ -166,21 +166,33 @@ def test_schedule_is_deterministic(catalog, protest_dialog, protest_track):
     assert emit_script(one.b) == emit_script(two.b)
 
 
-def test_retract_on_turn_end_flag(catalog):
+def test_short_gap_across_a_turn_change_holds(catalog):
     source = (
         "audio: 12.00s\n"
         "A1: [1.00s](Cup, RH 0.46s) one.\n"
         "B1: word.\n"
         "A2: [3.00s](Reject, RH 0.44s) two.\n"
     )
-    dialog = _single(catalog, source)
-    default = schedule(dialog).a
-    assert "hold" in _kinds(default, "right")  # gap 1.54 < 2.5
-    forced = schedule(dialog, SchedulerConfig(retract_on_turn_end=True)).a
-    kinds = _kinds(forced, "right")
-    assert "hold" not in kinds
-    assert kinds.count("retract") == 2
-    assert validate_timeline(forced) == []
+    timeline = schedule(_single(catalog, source)).a
+    assert _kinds(timeline, "right") == ["prep", "stroke", "hold", "prep", "stroke", "retract"]  # gap 1.54 < 2.5
+
+
+@pytest.mark.parametrize(
+    "config,fingerprint",
+    [
+        (SchedulerConfig(), "b960a17d6ef9"),
+        (SchedulerConfig(hold_threshold_s=2.0), "91fa97f73f8e"),
+        (SchedulerConfig(prep_duration_s=0.25, stroke_lead_s=0.1), "8f3210995069"),
+    ],
+)
+def test_config_fingerprint_is_pinned(config, fingerprint):
+    # every script's `# config:` line carries it
+    assert config.fingerprint() == fingerprint
+
+
+def test_retract_policy_is_not_a_setting():
+    with pytest.raises(TypeError):
+        SchedulerConfig(retract_on_turn_end=True)
 
 
 def _compile(catalog, case, strict):

@@ -10,6 +10,7 @@ import pytest
 
 import gesturec.stimuli
 from gesturec.adaptation import resolve_variant, strip_adaptation
+from gesturec.config import load_config
 from gesturec.dsl import format_dialog, parse_dialog, truncate_dialog
 from gesturec.errors import PlanError
 from gesturec.personality import EXTRAVERT_ANCHOR
@@ -131,6 +132,21 @@ def test_adaptation_pair_emits_the_non_responders_scripts_once(stories, catalog,
     prepared = prepare_dialog(truncate_dialog(dialog, 5), catalog, track, PipelineSettings())
     for bundle, resolved in ((adapted, resolve_variant(prepared)), (nonadapted, strip_adaptation(prepared))):
         assert bundle.scripts == speaker_scripts(schedule(resolved))
+
+
+def test_each_bundle_carries_the_diagnostics_of_its_schedule(stories, catalog):
+    dialog = parse_dialog("story: x\naudio: 5.00s\nA1: [1.00s](Cup, RH 0.46s) one [1.20s](Reject, RH 0.44s) two.\n")
+    overlap = "dropped: A/right: stroke 'Reject' at 1.200s overlaps the previous stroke ending at 1.460s"
+    pair = build_personality_pair(dialog, catalog, PipelineSettings(strict=False))
+    assert [bundle.diagnostics for bundle in pair] == [(overlap,), (overlap,)]
+    # at 1000x only the adapted response turn loses strokes; the metadata does not list them
+    settings = load_config("adaptation.speed_factor = 1000\n", PipelineSettings(strict=False))
+    dialog, track = stories["garden"]
+    adapted, nonadapted = build_adaptation_pair(dialog, "ABAB", catalog, settings, track)
+    assert len(adapted.diagnostics) == 3
+    assert adapted.diagnostics[0] == "dropped: B: stroke 'Cup' at 21.230s lasts 0 ms (0.46s at speed 1000)"
+    assert nonadapted.diagnostics == ()
+    assert not any("diagnostics" in bundle.metadata for bundle in (*pair, adapted, nonadapted))
 
 
 def test_adaptation_pair_audio_reference_shared(stories, catalog):
