@@ -17,6 +17,8 @@ word's onset and before the word's own.  Each dialog turn's track words must
 equal its text; the track may time turns past the dialog's last.  Times are
 kept on the millisecond grid so the lead is exact, not float-approximate;
 seconds become milliseconds by the script's one rule, ``emitter.to_ms``.
+``parse_word_timings`` parses a turn field once per run of lines with that
+turn, and checks each distinct word once.
 """
 
 from __future__ import annotations
@@ -64,19 +66,30 @@ def parse_word_timings(source: str) -> WordTimingTrack:
     entries: list[TimedWord] = []
     last_overall = 0.0
     by_turn: dict[int, tuple[list[float], list[str]]] = {}  # onsets and words
+    field = None  # the turn field of the run of lines being read, parsed once per run
+    words_seen = set()  # words that passed the word check, so each is checked once
     for lineno, line in enumerate(source.splitlines(), start=1):
-        stripped = line.lstrip()
-        if not stripped or stripped[0] == "#":
-            continue
+        if not "0" <= line[:1] <= "9":  # a line that starts with a digit is no blank or comment line
+            stripped = line.lstrip()
+            if not stripped or stripped[0] == "#":
+                continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise TimingFormatError(f"line {lineno}: expected 3 tab-separated fields")
-        turn_index = int(parts[0]) if parts[0].isascii() and parts[0].isdigit() else 0
-        if turn_index < 1:
-            raise TimingFormatError(f"line {lineno}: turn index {parts[0]!r} is not a decimal whole number >= 1")
+        if parts[0] != field:
+            turn_index = int(parts[0]) if parts[0].isascii() and parts[0].isdigit() else 0
+            if turn_index < 1:
+                raise TimingFormatError(f"line {lineno}: turn index {parts[0]!r} is not a decimal whole number >= 1")
+            field = parts[0]
+            turn = by_turn.get(turn_index)
+            if turn is None:
+                turn = by_turn[turn_index] = ([], [])
+            onsets, words = turn
         word = parts[1]
-        if word.split() != [word]:  # a word as ``str.split`` finds it in a turn's text
-            raise TimingFormatError(f"line {lineno}: word {word!r} is empty or holds whitespace")
+        if word not in words_seen:
+            if word.split() != [word]:  # a word as ``str.split`` finds it in a turn's text
+                raise TimingFormatError(f"line {lineno}: word {word!r} is empty or holds whitespace")
+            words_seen.add(word)
         # digits with at most one decimal point; 309 digits or more overflow to inf
         onset = float(parts[2]) if parts[2].isascii() and parts[2].replace(".", "", 1).isdigit() else math.inf
         if onset == math.inf:
@@ -85,10 +98,6 @@ def parse_word_timings(source: str) -> WordTimingTrack:
             )
         if onset < last_overall:
             raise TimingOrderError(f"line {lineno}: onset {onset} decreases across the track")
-        turn = by_turn.get(turn_index)
-        if turn is None:
-            turn = by_turn[turn_index] = ([], [])
-        onsets, words = turn
         if onsets and onset <= onsets[-1]:
             raise TimingOrderError(f"line {lineno}: onset {onset} not increasing within turn {turn_index}")
         last_overall = onset

@@ -7,7 +7,8 @@ anchor narrows, lowers and slows the same gestures and halves the rate.
 Introvert anchor numbers are engineering constants consistent with the
 qualitative introvert/extravert contrasts (narrow vs wide, inward vs
 outward, low vs high rate, slow vs fast); only the adaptation deltas have
-published values.
+published values.  ``apply_personality`` builds each gesture's ``Features``
+once per call, for main gestures and alternatives alike.
 """
 
 from __future__ import annotations
@@ -124,24 +125,27 @@ def apply_personality(
     raise :class:`UnknownGestureError`.
     """
     cap = _rate_cap(params)
+    by_name: dict[str, Features] = {}  # one Features per gesture: the profile is fixed for the call
     new_turns: list[Turn] = []
     for turn in dialog.turns:
         if turn.speaker != speaker:
             new_turns.append(turn)
             continue
         to_drop: set[int] = set()
-        for _, bucket in segment_sentences(turn):
-            to_drop |= _cap_sentence([a for a in bucket if not a.rate_added], cap)
+        if len(turn.annotations) > cap:  # else no sentence of the turn can pass the cap
+            for _, bucket in segment_sentences(turn):
+                to_drop |= _cap_sentence([a for a in bucket if not a.rate_added], cap)
         kept = []
         for ann in turn.annotations:
             if id(ann) in to_drop:
                 continue
-            features = _features_for(ann.gesture_name, params, catalog)
-            alt_features = (
-                _features_for(ann.alternative.gesture_name, params, catalog)
-                if ann.alternative is not None
-                else None
+            features = by_name.get(ann.gesture_name) or by_name.setdefault(
+                ann.gesture_name, _features_for(ann.gesture_name, params, catalog)
             )
+            alt_features = None
+            if ann.alternative is not None:
+                alt = ann.alternative.gesture_name
+                alt_features = by_name.get(alt) or by_name.setdefault(alt, _features_for(alt, params, catalog))
             kept.append(ann._replace(features=features, alt_features=alt_features))
         new_turns.append(turn._replace(annotations=tuple(kept)))
     return dialog._replace(turns=tuple(new_turns))

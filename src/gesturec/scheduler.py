@@ -22,7 +22,7 @@ Tracks are lists of ``emitter.ScriptEvent`` in ``int`` milliseconds from
 ``emitter.to_ms``: once per stroke (start, end and the end of its retract,
 a fixed duration after the exact stroke end) and once per run for the
 audio, prep duration and hold threshold.  Config values and annotations
-stay in seconds.
+stay in seconds.  Each features record is rounded to 3 decimals once per call.
 """
 
 from __future__ import annotations
@@ -87,21 +87,27 @@ class _Stroke(NamedTuple):
 
 def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) -> list[_Stroke]:
     strokes = []
+    # each features record rounded once, keyed by identity, which keeps 0.0 and -0.0
+    # apart (they are equal, but print apart); apply_personality shares a gesture's record
+    rounded: dict[int, tuple] = {}
     for turn in dialog.turns:
         if turn.speaker != speaker:
             continue
         for ann in turn.annotations:
-            if ann.features is None:
+            f = ann.features
+            if f is None:
                 raise ScheduleError(
                     f"annotation at {ann.stroke_begin:.2f}s has no effective features; "
                     "apply personality before scheduling"
                 )
-            f = ann.features
             end = ann.stroke_begin + ann.stroke_duration / f.speed
-            fields = (
-                ann.gesture_name, ann.hand, round(f.expanse_cm, 3), round(f.height_cm, 3),
-                round(f.outwardness_cm, 3), round(f.speed, 3), round(f.scale, 3),
-            )
+            features = rounded.get(id(f))
+            if features is None:
+                features = rounded[id(f)] = (
+                    round(f.expanse_cm, 3), round(f.height_cm, 3), round(f.outwardness_cm, 3),
+                    round(f.speed, 3), round(f.scale, 3),
+                )
+            fields = (ann.gesture_name, ann.hand) + features
             strokes.append(_Stroke(to_ms(ann.stroke_begin), to_ms(end), to_ms(end + retract_s), ann, fields))
     strokes.sort(key=lambda s: (s.start, s.annotation.hand))
     return strokes

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .adaptation import resolve_variant, strip_adaptation
@@ -226,10 +227,28 @@ def write_file(path: Path, data: bytes) -> None:
         f.truncate()
 
 
+def _indented_json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for objects with string
+    keys, without the indenting encoder: it is pure Python, and each call
+    leaves a reference cycle of closures for the garbage collector.  Strings
+    go to the C function that ``json.dumps`` quotes them with, other scalars
+    and empty containers to ``json.dumps``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{inner}{encode_basestring_ascii(key)}: {_indented_json(value[key], inner)}" for key in sorted(value))
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[\n" + ",\n".join(inner + _indented_json(item, inner) for item in value) + f"\n{indent}]"
+    return json.dumps(value)
+
+
 def write_json(path: Path, value) -> None:
-    """Write ``value`` to ``path`` as indented JSON with sorted keys and a
-    final newline."""
-    write_file(path, (json.dumps(value, indent=2, sort_keys=True) + "\n").encode())
+    """Write ``value``, whose objects have string keys, to ``path`` as
+    indented JSON with sorted keys and a final newline: the bytes of
+    ``json.dumps(value, indent=2, sort_keys=True)``."""
+    write_file(path, (_indented_json(value) + "\n").encode())
 
 
 def write_bundles(bundles: list[StimulusBundle], out_dir: Path, experiment: str) -> dict:

@@ -88,6 +88,83 @@ def test_parse_reads_plain_decimal_digits():
     assert [tuple(e) for e in track.entries] == [(1, "one", 1.0), (1, "two", 1.5), (10, "three", 12.25), (10, "four", 13.0)]
 
 
+@pytest.mark.parametrize("source,entries,onsets,texts", [
+    pytest.param(  # turn 1 resumed after turn 2 goes on with turn 1's words
+        "1\ta\t1.0\n2\tb\t2.0\n1\tc\t3.0\n",
+        [(1, "a", 1.0), (2, "b", 2.0), (1, "c", 3.0)],
+        {1: (1.0, 3.0), 2: (2.0,)},
+        {1: "a c", 2: "b"},
+        id="resumed-turn",
+    ),
+    pytest.param(  # "1" and "01" are one turn
+        "1\ta\t1.0\n01\tb\t2.0\n1\tc\t3.0\n",
+        [(1, "a", 1.0), (1, "b", 2.0), (1, "c", 3.0)],
+        {1: (1.0, 2.0, 3.0)},
+        {1: "a b c"},
+        id="leading-zero",
+    ),
+    pytest.param(
+        "1\ta\t1.0\n# note\n\n  \t \n  # indented note\n1\tb\t2.0\n2\ta\t3.0\n",
+        [(1, "a", 1.0), (1, "b", 2.0), (2, "a", 3.0)],
+        {1: (1.0, 2.0), 2: (3.0,)},
+        {1: "a b", 2: "a"},
+        id="comment-and-blanks-inside-a-run",
+    ),
+])
+def test_parse_reads_runs_of_a_turn(source, entries, onsets, texts):
+    track = parse_word_timings(source)
+    assert [tuple(e) for e in track.entries] == entries
+    assert track.onset_index == onsets
+    assert track.text_index == texts
+
+
+@pytest.mark.parametrize("source,error,message", [
+    pytest.param(  # the resumed turn's own last onset, not turn 2's, is the one to pass
+        "1\ta\t1.0\n2\tb\t1.0\n1\tc\t1.0\n", TimingOrderError, "line 3: onset 1.0 not increasing within turn 1",
+        id="resumed-turn",
+    ),
+    pytest.param(
+        "2\ta\t1.0\n1\tb\t2.0\n2\tc\t1.5\n", TimingOrderError, "line 3: onset 1.5 decreases across the track",
+        id="resumed-turn-decreasing",
+    ),
+    pytest.param(
+        "1\ta\t1.0\n01\tb\t1.0\n", TimingOrderError, "line 2: onset 1.0 not increasing within turn 1",
+        id="leading-zero",
+    ),
+    pytest.param(
+        "1\ta\t1.0\n01\tb\t2.0\n0\tc\t3.0\n", TimingFormatError,
+        "line 3: turn index '0' is not a decimal whole number >= 1",
+        id="zero-after-a-run",
+    ),
+    pytest.param(  # a word with whitespace after valid repeats of other words
+        "1\tyes\t1.0\n1\tno\t2.0\n1\tyes\t3.0\n2\tno\t4.0\n2\tno go\t5.0\n", TimingFormatError,
+        "line 5: word 'no go' is empty or holds whitespace",
+        id="bad-word-after-repeats",
+    ),
+    pytest.param(
+        "1\tyes\t1.0\n1\tyes\t2.0\n1\t\t3.0\n", TimingFormatError, "line 3: word '' is empty or holds whitespace",
+        id="empty-word-after-repeats",
+    ),
+    pytest.param(  # line numbers count the comment and blank lines inside the run
+        "1\ta\t1.0\n# note\n\n1\tb\t0.5\n", TimingOrderError, "line 4: onset 0.5 decreases across the track",
+        id="comment-inside-a-run",
+    ),
+    pytest.param(
+        "1\ta\t1.0\n\n 1\tb\t2.0\n", TimingFormatError, "line 3: turn index ' 1' is not a decimal whole number >= 1",
+        id="indented-line-inside-a-run",
+    ),
+    pytest.param(
+        "1\ta\t1.0\n1 # note\n", TimingFormatError, "line 2: expected 3 tab-separated fields",
+        id="digit-line-without-tabs",
+    ),
+])
+def test_parse_refuses_a_run_of_a_turn_as_it_refuses_each_line(source, error, message):
+    with pytest.raises(error) as err:
+        parse_word_timings(source)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 def test_cup_aligns_to_hey():
     dialog = parse_dialog("A1: [1.70s](Cup, RH 0.46s) Hey, there.\n")
     track = parse_word_timings("1\tHey,\t2.10\n1\tthere.\t2.60\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -20,6 +21,9 @@ from gesturec.errors import WordMismatchError
 from gesturec.pipeline import PipelineSettings, compile_dialog
 
 SCRIPTS = ("A.script.json", "A.script.txt", "B.script.json", "B.script.txt")
+# SHA-256 of every script `compile --extraversion A=7,B=1` writes for each
+# shipped story and variant, as "<story>/<variant>/<script>"
+COMPILE_DIGESTS = Path(__file__).resolve().parent / "compile_digests.json"
 
 
 @pytest.fixture()
@@ -46,6 +50,28 @@ def test_compile_writes_scripts(tmp_path, shipped, capsys):
         assert (out_dir / name).exists()
     header = json.loads((out_dir / "A.script.json").read_text())["header"]
     assert header["story"] == "protest"
+
+
+def test_compile_writes_the_recorded_bytes_for_every_story_and_variant(tmp_path, shipped):
+    # the full-story adapted turn and the A=7/B=1 profile pair reach the scripts only through compile
+    digests = {}
+    for dialog in sorted((DATA_DIR / "stories").glob("*.dialog")):
+        for variant in ("adapted", "nonadapted"):
+            out_dir = tmp_path / dialog.stem / variant
+            code = main([
+                "compile",
+                "--dialog", str(dialog),
+                "--timings", str(DATA_DIR / "timings" / f"{dialog.stem}.tsv"),
+                "--catalog", shipped["catalog"],
+                "--extraversion", "A=7,B=1",
+                "--variant", variant,
+                "--out", str(out_dir),
+            ])
+            assert code == 0
+            assert sorted(path.name for path in out_dir.iterdir()) == sorted(SCRIPTS)
+            for name in SCRIPTS:
+                digests[f"{dialog.stem}/{variant}/{name}"] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    assert digests == json.loads(COMPILE_DIGESTS.read_text(encoding="utf-8"))
 
 
 def test_compile_variant_and_extraversion(tmp_path, shipped):

@@ -118,6 +118,39 @@ def test_three_decimal_formatting(fixture_timelines):
     assert '"start": 1.900' in data
 
 
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+def test_a_zero_feature_keeps_its_sign(zeros):
+    # 0.0 == -0.0 and they hash alike, but the writer prints 0.000 and -0.000
+    first, second = (
+        ScriptEvent(start, start + 460, STROKE, "right", "Cup", "RH", zero, 0.0, 20.0, 1.0, 1.0)
+        for start, zero in zip((1000, 5000), zeros)
+    )
+    track = [
+        ScriptEvent(700, 1000, "prep", "right"), first, ScriptEvent(1460, 1960, "retract", "right"),
+        ScriptEvent(4700, 5000, "prep", "right"), second, ScriptEvent(5460, 5960, "retract", "right"),
+    ]
+    timeline = Timeline("A", {"left": [], "right": track}, 8000, "zeros", "cfg")
+    for fmt in ("json", "text"):
+        blob = emit_script(timeline, fmt)
+        assert blob == reference_render(timeline, fmt)
+        assert re.findall(rb'(?:"expanse": |:RH )(-?0\.000)', blob) == [f"{zero:.3f}".encode() for zero in zeros]
+        assert emit_document(read_script(blob), fmt) == blob
+
+
+def test_the_unchecked_render_prints_equal_values_each_as_it_prints():
+    # each pair is equal and hashes alike, but prints apart
+    track = [
+        ScriptEvent(0, 460, STROKE, "right", 1, "RH", 25.0, 0.0, 20.0, 1.0, 1.0),
+        ScriptEvent(-0.0, 460, STROKE, "right", True, "RH", 25.0, 0.0, 20.0, 1.0, 1.0),
+        ScriptEvent(0.0, 460, STROKE, "right", 1.0, "RH", 25.0, -0.0, 20.0, 1.0, 1.0),
+        ScriptEvent(0, 460, STROKE, "right", "Cup", 1, 25.0, 0.0, 20.0, 1.0, 1.0),
+        ScriptEvent(0, 460, STROKE, "right", "Cup", True, 25.0, 0.0, 20.0, 1.0, 1.0),
+    ]
+    timeline = Timeline("A", {"left": [], "right": track}, 8000, "mixed", "cfg")
+    for fmt in ("json", "text"):
+        assert emit_document(timeline, fmt) == reference_render(timeline, fmt)
+
+
 def test_empty_timeline_round_trips():
     timeline = Timeline(
         speaker="A",

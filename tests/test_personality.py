@@ -147,6 +147,32 @@ def test_alternative_features_stamped(catalog):
     assert ann.features is not None and ann.alt_features is not None
 
 
+def test_each_gesture_gets_one_features_record_per_call(catalog):
+    source = (
+        "A1: [1.00s](Cup, RH 0.46s) one [3.00s](!WeighOptions, 2H 0.60s / Cup, 2H 0.46s) two.\n"
+        "B1: [6.00s](Cup, RH 0.46s) three.\n"
+    )
+    out = apply_personality(parse_dialog(source), "A", EXTRAVERT_ANCHOR, catalog)
+    out = apply_personality(out, "B", INTROVERT_ANCHOR, catalog)
+    cup, weigh = out.turns[0].annotations
+    assert weigh.alt_features is cup.features  # the alternative shares the main gesture's record
+    assert cup.features == (25.0, 0.0, 20.0, 1.0, 1.0)
+    assert out.turns[1].annotations[0].features == (15.0, -5.0, 10.0, 0.8, 0.8)
+
+
+def test_unknown_alternative_named_after_a_known_gesture(catalog):
+    dialog = parse_dialog("A1: [1.00s](Cup, RH 0.46s) one [3.00s](Cup, RH 0.46s / Nonesuch, RH 0.40s) two.\n")
+    with pytest.raises(UnknownGestureError, match="Nonesuch"):
+        apply_personality(dialog, "A", EXTRAVERT_ANCHOR, catalog)
+
+
+@pytest.mark.parametrize("n,kept", [(2, 2), (3, 2)])
+def test_a_turn_at_the_cap_keeps_every_gesture(catalog, n, kept):
+    words = " ".join(f"[{i + 1}.00s](Cup, RH 0.46s) w{i}" for i in range(n))
+    out = apply_personality(parse_dialog(f"A1: {words}.\n"), "A", EXTRAVERT_ANCHOR, catalog)  # cap 2
+    assert [a.stroke_begin for a in out.turns[0].annotations] == [float(i + 1) for i in range(kept)]
+
+
 def test_unknown_gesture_name(catalog):
     dialog = parse_dialog("A1: [1.00s](Nonesuch, RH 0.40s) word.\n")
     with pytest.raises(UnknownGestureError):

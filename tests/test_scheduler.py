@@ -114,6 +114,24 @@ def test_schedule_requires_features():
         schedule(dialog)
 
 
+@pytest.mark.parametrize("signs", [(0.0, -0.0), (-0.0, 0.0)])
+def test_each_stroke_keeps_the_sign_of_its_zero_features(catalog, signs):
+    # 0.0 == -0.0 and they hash alike, but the scripts print 0.000 and -0.000
+    source = "audio: 12.00s\nA1: [1.00s](Cup, RH 0.46s) one two three four [6.00s](Cup, RH 0.46s) five.\n"
+    dialog = _single(catalog, source)
+    turn = dialog.turns[0]
+    annotations = tuple(
+        ann._replace(features=ann.features._replace(expanse_cm=zero, height_cm=zero))
+        for ann, zero in zip(turn.annotations, signs)
+    )
+    assert annotations[0].features == annotations[1].features
+    dialog = dialog._replace(turns=(turn._replace(annotations=annotations),))
+    strokes = _strokes(schedule(dialog).a.tracks["right"])
+    assert [(math.copysign(1, s.expanse), math.copysign(1, s.height)) for s in strokes] == [
+        (math.copysign(1, zero),) * 2 for zero in signs
+    ]
+
+
 @pytest.mark.parametrize("speaker", ["C", "a", "", "AB"])
 def test_for_speaker_refuses_an_unknown_speaker(catalog, speaker):
     dialog = parse_dialog("audio: 8.00s\nA1: [1.00s](Cup, RH 0.46s) one.\n")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import math
 import os
 from collections import Counter
 from pathlib import Path
@@ -25,6 +27,7 @@ from gesturec.stimuli import (
     speaker_scripts,
     write_bundles,
     write_file,
+    write_json,
 )
 
 BUILD_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "build_digests.json"
@@ -187,6 +190,38 @@ def test_bundle_labels_are_letter_marks(stories, catalog):
     for bundle in bundles:
         by_task.setdefault(bundle.metadata["task"], []).append(bundle.metadata["label"])
     assert all(sorted(labels) == ["A", "B"] for labels in by_task.values())
+
+
+@pytest.mark.parametrize("value", [
+    {},
+    [],
+    {"b": [1, 2.5, -0.0, None, True, "x"], "a": {"d": [], "c": {}}, "é": "line\n\"quoted\"\x00"},
+    {"z": [math.nan, math.inf, 10**30, (1, (2, 3))]},
+    [[[{"deep": [{}]}]]],
+    "scalar",
+])
+def test_write_json_writes_the_bytes_of_indented_key_sorted_json(tmp_path, value):
+    write_json(tmp_path / "v.json", value)
+    assert (tmp_path / "v.json").read_bytes() == (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {"b": object()}}])
+def test_write_json_refuses_a_key_that_is_no_string_and_a_value_json_cannot_write(tmp_path, value):
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "v.json", value)
+
+
+def test_write_json_leaves_no_reference_cycles(tmp_path, stories, catalog):
+    bundles = run_personality_batch(stories, catalog)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        write_json(tmp_path / "bundle.json", bundles[0].metadata)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("old", [None, b"", b"x" * 40, b"abc"], ids=["missing", "empty", "longer", "shorter"])
