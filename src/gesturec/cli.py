@@ -24,9 +24,11 @@ from .align import parse_word_timings
 from .catalog import load_catalog
 from .config import load_config
 from .dsl import parse_dialog
-from .errors import GesturecError
+from .errors import GesturecError, PlanError
 from .pipeline import PipelineSettings, compile_dialog
-from .stimuli import run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json
+from .stimuli import (
+    check_story_id, run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json,
+)
 
 
 def _parse_extraversion(text: str) -> dict[str, float]:
@@ -44,18 +46,31 @@ def _parse_extraversion(text: str) -> dict[str, float]:
     return scores
 
 
+def _read(path) -> str:
+    """The text of a UTF-8 file; other bytes raise a ``GesturecError`` that
+    names the file and the first byte that is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GesturecError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def _settings_from_args(args) -> PipelineSettings:
     extraversion = getattr(args, "extraversion", None) or PipelineSettings().extraversion
     settings = PipelineSettings(extraversion=extraversion, strict=args.strict)
-    return load_config(Path(args.config).read_text(encoding="utf-8") if args.config else "", settings)
+    return load_config(_read(args.config) if args.config else "", settings)
 
 
 def _load_stories(stories_dir: Path, timings_dir: Path | None):
     stories = {}
     sources = {}  # story id -> the file that names it
     for path in sorted(Path(stories_dir).glob("*.dialog")):
-        dialog = parse_dialog(path.read_text(encoding="utf-8"), story_id=path.stem)
-        story_id = dialog.story_id or path.stem
+        dialog = parse_dialog(_read(path), story_id=path.stem)
+        story_id = dialog.story_id
+        try:
+            check_story_id(story_id)
+        except PlanError as exc:
+            raise PlanError(f"{path}: {exc}") from None
         if story_id in sources:
             raise GesturecError(f"story {story_id!r} is named by both {sources[story_id]} and {path}")
         sources[story_id] = path
@@ -64,7 +79,7 @@ def _load_stories(stories_dir: Path, timings_dir: Path | None):
             timing_path = Path(timings_dir) / f"{path.stem}.tsv"
             if not timing_path.exists():
                 raise GesturecError(f"no timing track for story {path.stem!r} at {timing_path}")
-            track = parse_word_timings(timing_path.read_text(encoding="utf-8"))
+            track = parse_word_timings(_read(timing_path))
         stories[story_id] = (dialog, track)
     if not stories:
         raise GesturecError(f"no .dialog files in {stories_dir}")
@@ -73,17 +88,9 @@ def _load_stories(stories_dir: Path, timings_dir: Path | None):
 
 def _cmd_compile(args) -> int:
     settings = _settings_from_args(args)
-    catalog = load_catalog(Path(args.catalog).read_text(encoding="utf-8"))
-    timings = (
-        parse_word_timings(Path(args.timings).read_text(encoding="utf-8")) if args.timings else None
-    )
-    result = compile_dialog(
-        Path(args.dialog).read_text(encoding="utf-8"),
-        catalog,
-        timings=timings,
-        settings=settings,
-        variant=args.variant,
-    )
+    catalog = load_catalog(_read(args.catalog))
+    timings = parse_word_timings(_read(args.timings)) if args.timings else None
+    result = compile_dialog(_read(args.dialog), catalog, timings=timings, settings=settings, variant=args.variant)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for filename, content in speaker_scripts(result.schedule).items():
@@ -96,7 +103,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_build(args) -> int:
     settings = _settings_from_args(args)
-    catalog = load_catalog(Path(args.catalog).read_text(encoding="utf-8"))
+    catalog = load_catalog(_read(args.catalog))
     stories = _load_stories(Path(args.stories), Path(args.timings) if args.timings else None)
     if args.experiment == "personality":
         bundles = run_personality_batch(stories, catalog, settings)
@@ -112,7 +119,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from . import analysis  # numpy: only analyze loads it
-    records = analysis.read_judgments(Path(args.infile).read_text(encoding="utf-8"))
+    records = analysis.read_judgments(_read(args.infile))
     preference = [r for r in records if r.kind == "preference"]
     why = [r for r in records if r.kind == "why"]
     tipi = [r for r in records if r.kind == "tipi"]
@@ -190,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--out", required=True)
     p_compile.add_argument("--extraversion", type=_parse_extraversion, default=None,
                            help="per-speaker scores, e.g. A=7,B=1")
-    p_compile.add_argument("--variant", choices=("adapted", "nonadapted"), default=None)
+    p_compile.add_argument("--variant", choices=("adapted", "nonadapted"), default="nonadapted")
     p_compile.add_argument("--config", help="key = value overrides file")
     p_compile.add_argument("--lenient", dest="strict", action="store_false")
     p_compile.set_defaults(func=_cmd_compile)

@@ -12,8 +12,8 @@ rules, and ``emit_script`` refuses a timeline for a header rule or one of
 those (``_refusal``).  ``read_script`` has one format rule: a document is
 what ``emit_document`` writes for the timeline it holds, byte for byte in
 text and as a JSON value in JSON.  So read(emit(t)) == t, and every document
-the reader accepts re-emits to itself.  ``emit_document`` prints each
-distinct time and each distinct stroke text once per call.
+the reader accepts re-emits to itself.  ``emit_document`` renders a timeline
+whose values the rules admit and does not check its phase rules.
 
 Two formats are supported.  JSON (see ``docs/script.schema.json``) and a
 line-oriented text form, one event per line::
@@ -272,17 +272,9 @@ def _refusal(timeline: Timeline) -> ScriptError | None:
     return ScriptError("; ".join(problems), path="events") if problems else None
 
 
-# Vocabulary words need no JSON escaping; any other string goes through json.dumps.
-_JSON_WORDS = {word: f'"{word}"' for word in KINDS + ARMS + HANDS}
-
-
-def _json_string(value) -> str:
-    return _JSON_WORDS.get(value) or json.dumps(value)
-
-
 def _json_stroke(gesture, hand, expanse, height, outward, speed, scale) -> str:
     return (
-        f'"gesture": {json.dumps(gesture)}, "hand": {_json_string(hand)}, '
+        f'"gesture": "{gesture}", "hand": "{hand}", '
         f'"expanse": {expanse:.3f}, "height": {height:.3f}, "outward": {outward:.3f}, '
         f'"speed": {speed:.3f}, "scale": {scale:.3f}'
     )
@@ -292,23 +284,18 @@ def _text_stroke(gesture, hand, expanse, height, outward, speed, scale) -> str:
     return f"{gesture}:{hand} {expanse:.3f} {height:.3f} {outward:.3f} {speed:.3f} {scale:.3f}"
 
 
-def _seconds(ms, seconds: dict[int, str]) -> str:
-    """``format_seconds(ms)``, kept in ``seconds`` if ``ms`` is an int."""
-    text = format_seconds(ms)
-    if type(ms) is int:
-        seconds[ms] = text
-    return text
+class _Seconds(dict):
+    """``format_seconds`` of each millisecond time looked up, each printed once."""
+
+    def __missing__(self, ms: int) -> str:
+        text = self[ms] = format_seconds(ms)
+        return text
 
 
 def _stroke(strokes: dict[tuple, str], render, gesture, hand, expanse, height, outward, speed, scale) -> str:
-    """``render(gesture, hand, expanse, ...)``, kept in ``strokes`` when each
-    value is an exact str or float: a value of another type can equal one
-    and print apart, as ``True`` and ``1`` do.  A zero keys by its text,
-    since ``0.0 == -0.0`` but they print apart."""
-    if not (type(gesture) is type(hand) is str and (
-        type(expanse) is type(height) is type(outward) is type(speed) is type(scale) is float
-    )):
-        return render(gesture, hand, expanse, height, outward, speed, scale)
+    """``render(gesture, hand, expanse, ...)``, kept in ``strokes``.  A zero
+    keys by its text, since ``0.0 == -0.0`` but they print apart; an int and
+    a float of one value print alike."""
     key = (gesture, hand, expanse or str(expanse), height or str(height), outward or str(outward),
            speed or str(speed), scale or str(scale))
     text = strokes.get(key)
@@ -318,21 +305,21 @@ def _stroke(strokes: dict[tuple, str], render, gesture, hand, expanse, height, o
 
 
 def emit_document(timeline: Timeline, format: str = "json") -> bytes:
-    """Render a timeline without checking it; ``emit_script`` checks first.
+    """Render a timeline whose values the rules admit (int times, vocabulary
+    words and gesture names, which JSON quotes as they are, and finite
+    features) without its phase rules; ``emit_script`` checks them first.
 
-    Each distinct time and each distinct stroke is printed once: a phase
-    starts where the one before it ends, and a gesture keeps its hand and
-    features.  Only ints, which print one way each, are looked up among
-    the times, so no two values that print differently share a text."""
+    Each distinct time and stroke is printed once: a phase starts where the
+    one before it ends, and a gesture keeps its hand and features."""
     events = document_from_timeline(timeline)
-    seconds: dict[int, str] = {}
+    seconds = _Seconds()
     strokes: dict[tuple, str] = {}
     if format == "json":
         lines = [
             "{",
             '  "header": {'
             f'"story": {json.dumps(timeline.story_id)}, '
-            f'"speaker": {json.dumps(timeline.speaker)}, '
+            f'"speaker": "{timeline.speaker}", '
             f'"audio": {format_seconds(timeline.audio_ms)}, '
             f'"config": {json.dumps(timeline.config_fingerprint)}'
             "},",
@@ -340,18 +327,15 @@ def emit_document(timeline: Timeline, format: str = "json") -> bytes:
         ]
         rendered = []
         for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in events:
-            start_text = (type(start) is int and seconds.get(start)) or _seconds(start, seconds)
-            end_text = (type(end) is int and seconds.get(end)) or _seconds(end, seconds)
             if kind == STROKE:
                 rendered.append(
-                    f'    {{"start": {start_text}, "end": {end_text}, '
-                    f'"kind": "stroke", "arm": {_json_string(arm)}, '
+                    f'    {{"start": {seconds[start]}, "end": {seconds[end]}, '
+                    f'"kind": "stroke", "arm": "{arm}", '
                     f"{_stroke(strokes, _json_stroke, gesture, hand, expanse, height, outward, speed, scale)}}}"
                 )
             else:
                 rendered.append(
-                    f'    {{"start": {start_text}, "end": {end_text}, '
-                    f'"kind": {_json_string(kind)}, "arm": {_json_string(arm)}}}'
+                    f'    {{"start": {seconds[start]}, "end": {seconds[end]}, "kind": "{kind}", "arm": "{arm}"}}'
                 )
         lines.append(",\n".join(rendered))
         lines += ["  ]", "}", ""]
@@ -365,15 +349,13 @@ def emit_document(timeline: Timeline, format: str = "json") -> bytes:
             f"# config: {timeline.config_fingerprint}",
         ]
         for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in events:
-            start_text = (type(start) is int and seconds.get(start)) or _seconds(start, seconds)
-            end_text = (type(end) is int and seconds.get(end)) or _seconds(end, seconds)
             if kind == STROKE:
                 lines.append(
-                    f"{start_text} {end_text} {kind} {arm} "
+                    f"{seconds[start]} {seconds[end]} {kind} {arm} "
                     f"{_stroke(strokes, _text_stroke, gesture, hand, expanse, height, outward, speed, scale)}"
                 )
             else:
-                lines.append(f"{start_text} {end_text} {kind} {arm} - - - - - -")
+                lines.append(f"{seconds[start]} {seconds[end]} {kind} {arm} - - - - - -")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise EmitError(f"unknown script format {format!r}")
 

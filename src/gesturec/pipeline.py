@@ -58,18 +58,17 @@ def compile_dialog(
     catalog: GestureCatalog,
     timings: WordTimingTrack | None = None,
     settings: PipelineSettings = PipelineSettings(),
-    variant: str | None = None,
+    variant: str = "nonadapted",
 ) -> CompileResult:
     """Full pipeline for one dialog document.
 
-    ``variant='adapted'`` adapts the final turn, spoken by the responder.
-    Unset or ``'nonadapted'``, the dialog renders without adaptation
-    anywhere.
+    ``variant='adapted'`` adapts the final turn, spoken by the responder;
+    ``'nonadapted'`` renders the dialog without adaptation anywhere.
     """
     dialog = prepare_dialog(parse_dialog(source), catalog, timings, settings)
     if variant == "adapted":
         resolved = resolve_variant(dialog, settings.adaptation)
-    elif variant in (None, "nonadapted"):
+    elif variant == "nonadapted":
         resolved = strip_adaptation(dialog)
     else:
         raise PlanError(f"unknown variant {variant!r}")

@@ -77,10 +77,18 @@ def speaker_scripts(result: ScheduleResult, speakers: tuple[str, ...] = SPEAKERS
     return files
 
 
+def check_story_id(story_id: str) -> None:
+    """Refuse a story id that cannot name one directory under a batch's
+    output root, where each bundle's path begins with it."""
+    if story_id in ("", ".", "..") or "/" in story_id or "\\" in story_id:
+        raise PlanError(f"story id {story_id!r} cannot name a bundle directory (empty, '.', '..', '/' or '\\')")
+
+
 def _bundle(
     dialog: AnnotatedDialog, name: str, experiment: str, label: str, result: ScheduleResult,
     scripts: dict[str, bytes], gender_of: dict[str, str], **metadata,
 ) -> StimulusBundle:
+    check_story_id(dialog.story_id)
     metadata.update(
         story=dialog.story_id,
         experiment=experiment,

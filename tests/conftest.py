@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from gesturec.dsl import (
     Turn,
     parse_dialog,
 )
+from gesturec.emitter import FEATURES, STROKE, ScriptEvent, Timeline, document_from_timeline, format_seconds
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "gesturec" / "data"
 
@@ -204,3 +206,51 @@ def make_stroke_dialog(rng: random.Random, n_strokes: int | None = None,
     turn_a = Turn(speaker="A", index=1, text="so it went.", annotations=tuple(annotations))
     turn_b = Turn(speaker="B", index=2, text="yeah.", annotations=())
     return AnnotatedDialog(story_id="strokes", turns=(turn_a, turn_b), audio_duration=round(time + 2.0, 2))
+
+
+def _reference_json_event(e: ScriptEvent) -> str:
+    parts = [
+        f'"start": {format_seconds(e.start)}',
+        f'"end": {format_seconds(e.end)}',
+        f'"kind": {json.dumps(e.kind)}',
+        f'"arm": {json.dumps(e.arm)}',
+    ]
+    if e.kind == STROKE:
+        parts += [f'"gesture": {json.dumps(e.gesture)}', f'"hand": {json.dumps(e.hand)}']
+        parts += [f'"{name}": {getattr(e, name):.3f}' for name in FEATURES]
+    return "    {" + ", ".join(parts) + "}"
+
+
+def reference_render(timeline: Timeline, format: str) -> bytes:
+    """The renderer field by field (``getattr``, ``json.dumps`` and
+    ``format_seconds`` per field): the oracle for ``emit_document``, and an
+    unchecked writer that renders what the script rules refuse too."""
+    events = [ScriptEvent._make(e) for e in document_from_timeline(timeline)]
+    if format == "json":
+        lines = [
+            "{",
+            '  "header": {'
+            f'"story": {json.dumps(timeline.story_id)}, '
+            f'"speaker": {json.dumps(timeline.speaker)}, '
+            f'"audio": {format_seconds(timeline.audio_ms)}, '
+            f'"config": {json.dumps(timeline.config_fingerprint)}'
+            "},",
+            '  "events": [',
+        ]
+        lines.append(",\n".join(_reference_json_event(e) for e in events))
+        lines += ["  ]", "}", ""]
+        return "\n".join(lines).encode("utf-8")
+    lines = [
+        "# gesture-script v1",
+        f"# story: {timeline.story_id}",
+        f"# speaker: {timeline.speaker}",
+        f"# audio: {format_seconds(timeline.audio_ms)}",
+        f"# config: {timeline.config_fingerprint}",
+    ]
+    for e in events:
+        if e.kind == STROKE:
+            tail = " ".join([f"{e.gesture}:{e.hand}"] + [f"{getattr(e, name):.3f}" for name in FEATURES])
+        else:
+            tail = "- - - - - -"
+        lines.append(f"{format_seconds(e.start)} {format_seconds(e.end)} {e.kind} {e.arm} {tail}")
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from gesturec.align import align_strokes
 from gesturec.dsl import AnnotatedDialog, parse_dialog, truncate_dialog
 from gesturec.errors import DomainError, PlanError
 from gesturec.personality import EXTRAVERT_ANCHOR, apply_personality
+from gesturec.pipeline import compile_dialog
 
 
 @pytest.fixture()
@@ -137,6 +139,14 @@ def test_plan_errors():
     # a dialog without turns has no response turn to adapt
     with pytest.raises(PlanError, match="no turns"):
         resolve_variant(AnnotatedDialog(story_id="empty", turns=(), audio_duration=5.0))
+
+
+@pytest.mark.parametrize("variant", [None, "", "Adapted"])
+def test_compile_names_its_variant(catalog, protest_text, variant):
+    # "nonadapted" is the default and the one spelling of no adaptation
+    with pytest.raises(PlanError, match=re.escape(f"unknown variant {variant!r}")):
+        compile_dialog(protest_text, catalog, variant=variant)
+    assert compile_dialog(protest_text, catalog) == compile_dialog(protest_text, catalog, variant="nonadapted")
 
 
 def test_adapted_requires_features(protest_dialog):

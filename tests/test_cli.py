@@ -11,14 +11,16 @@ from pathlib import Path
 import pytest
 
 import gesturec
+import gesturec.cli
 
 from conftest import DATA_DIR, EMPTY_HOLD, TOUCHING_STROKES
 from gesturec.align import parse_word_timings
 from gesturec.catalog import load_catalog
 from gesturec.cli import main
 from gesturec.emitter import read_script
-from gesturec.errors import WordMismatchError
+from gesturec.errors import PlanError, WordMismatchError
 from gesturec.pipeline import PipelineSettings, compile_dialog
+from gesturec.stimuli import run_personality_batch
 
 SCRIPTS = ("A.script.json", "A.script.txt", "B.script.json", "B.script.txt")
 # SHA-256 of every script `compile --extraversion A=7,B=1` writes for each
@@ -197,6 +199,41 @@ def test_build_refuses_two_files_naming_one_story(tmp_path, shipped, capsys):
     assert "story 'garden' is named by both" in err
     assert str(stories / "a.dialog") in err and str(stories / "b.dialog") in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("story", ["", "../../x", "absolute"])
+def test_build_refuses_a_story_id_that_is_no_directory_name(tmp_path, shipped, capsys, monkeypatch, story):
+    # each bundle's path begins with its story id: "/F-extravert" at the
+    # root for an empty id, two levels above --out for "../../x"
+    story = str(tmp_path / "elsewhere") if story == "absolute" else story
+    written = []
+    monkeypatch.setattr(gesturec.cli, "write_bundles", lambda *args: written.append(args))
+    stories, timings = tmp_path / "stories", tmp_path / "timings"
+    stories.mkdir()
+    timings.mkdir()
+    dialog = (DATA_DIR / "stories" / "garden.dialog").read_text(encoding="utf-8")
+    (stories / "garden.dialog").write_text(dialog.replace("story: garden", f"story: {story}"), encoding="utf-8")
+    (timings / "garden.tsv").write_bytes((DATA_DIR / "timings" / "garden.tsv").read_bytes())
+    out = tmp_path / "deep" / "er" / "out"
+    before = sorted(tmp_path.rglob("*"))
+    code = main([
+        "build", "--experiment", "personality",
+        "--stories", str(stories),
+        "--timings", str(timings),
+        "--catalog", shipped["catalog"],
+        "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stories / 'garden.dialog'}: story id {story!r} cannot name a bundle directory")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert written == []
+
+
+def test_bundles_refuse_a_story_id_that_is_no_directory_name(catalog, stories):
+    dialog, track = stories["garden"]
+    with pytest.raises(PlanError, match=re.escape("story id '..' cannot name a bundle directory")):
+        run_personality_batch({"garden": (dialog._replace(story_id=".."), track)}, catalog)
 
 
 def test_build_with_config_override(tmp_path, shipped):
@@ -401,6 +438,28 @@ def test_missing_file_is_clean_error(tmp_path, capsys):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["dialog", "timings", "catalog", "config", "judgments"])
+def test_input_that_is_not_utf8_exits_1(tmp_path, shipped, capsys, kind):
+    sources = {
+        "dialog": (DATA_DIR / "stories" / "garden.dialog").read_bytes(),
+        "timings": (DATA_DIR / "timings" / "garden.tsv").read_bytes(),
+        "catalog": (DATA_DIR / "catalog.txt").read_bytes(),
+        "config": b"# no overrides\n",
+        "judgments": (DATA_DIR / "adaptation_judgments.csv").read_bytes(),
+    }
+    paths = {name: tmp_path / f"input.{name}" for name in sources}
+    for name, data in sources.items():
+        paths[name].write_bytes(data[:10] + b"\xff" + data[10:] if name == kind else data)
+    if kind == "judgments":
+        argv = ["analyze", "--in", str(paths[kind]), "--report", str(tmp_path / "out" / "report.json")]
+    else:
+        argv = ["compile", *(f"--{name}={paths[name]}" for name in ("dialog", "timings", "catalog", "config"))]
+        argv += ["--out", shipped["out"]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {paths[kind]}: not UTF-8: invalid start byte at byte 10\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_only_analyze_loads_numpy():
