@@ -24,7 +24,7 @@ from .align import parse_word_timings
 from .catalog import load_catalog
 from .config import load_config
 from .dsl import parse_dialog
-from .errors import GesturecError, PlanError
+from .errors import GesturecError
 from .pipeline import PipelineSettings, compile_dialog
 from .stimuli import (
     check_story_id, run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json,
@@ -65,12 +65,13 @@ def _load_stories(stories_dir: Path, timings_dir: Path | None):
     stories = {}
     sources = {}  # story id -> the file that names it
     for path in sorted(Path(stories_dir).glob("*.dialog")):
-        dialog = parse_dialog(_read(path), story_id=path.stem)
-        story_id = dialog.story_id
+        source = _read(path)
         try:
-            check_story_id(story_id)
-        except PlanError as exc:
-            raise PlanError(f"{path}: {exc}") from None
+            dialog = parse_dialog(source, story_id=path.stem)
+            check_story_id(dialog.story_id)
+        except GesturecError as exc:
+            raise GesturecError(f"{path}: {exc}") from None
+        story_id = dialog.story_id
         if story_id in sources:
             raise GesturecError(f"story {story_id!r} is named by both {sources[story_id]} and {path}")
         sources[story_id] = path
@@ -79,7 +80,11 @@ def _load_stories(stories_dir: Path, timings_dir: Path | None):
             timing_path = Path(timings_dir) / f"{path.stem}.tsv"
             if not timing_path.exists():
                 raise GesturecError(f"no timing track for story {path.stem!r} at {timing_path}")
-            track = parse_word_timings(_read(timing_path))
+            source = _read(timing_path)
+            try:
+                track = parse_word_timings(source)
+            except GesturecError as exc:
+                raise GesturecError(f"{timing_path}: {exc}") from None
         stories[story_id] = (dialog, track)
     if not stories:
         raise GesturecError(f"no .dialog files in {stories_dir}")

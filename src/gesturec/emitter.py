@@ -9,11 +9,11 @@ as seconds through ``format_seconds``; the scheduler rounds features to 3
 decimals, and every number is printed with exactly three, so emission is a
 canonical form.  ``validate_timeline`` holds the phase and gesture-name
 rules, and ``emit_script`` refuses a timeline for a header rule or one of
-those (``_refusal``).  ``read_script`` has one format rule: a document is
-what ``emit_document`` writes for the timeline it holds, byte for byte in
-text and as a JSON value in JSON.  So read(emit(t)) == t, and every document
-the reader accepts re-emits to itself.  ``emit_document`` renders a timeline
-whose values the rules admit and does not check its phase rules.
+those (``_refusal``).  ``read_script`` has one format rule for both
+formats: a document is the bytes ``emit_document`` writes for the timeline
+it holds.  So read(emit(t)) == t, and every document the reader accepts
+re-emits to itself.  ``emit_document`` renders a timeline whose values the
+rules admit and does not check its phase rules.
 
 Two formats are supported.  JSON (see ``docs/script.schema.json``) and a
 line-oriented text form, one event per line::
@@ -29,9 +29,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -400,39 +398,6 @@ def _timeline(header: dict, events: list[ScriptEvent]) -> Timeline:
     return timeline
 
 
-class _Object(dict):
-    """A read JSON object; ``repeated`` is a key it holds more than once, or None."""
-
-    __slots__ = ("repeated",)
-
-    def __init__(self, pairs: list):
-        super().__init__(pairs)
-        counts = Counter(key for key, _ in pairs) if len(self) < len(pairs) else {}
-        self.repeated = next((key for key, n in counts.items() if n > 1), None)
-
-
-_ABSENT = object()
-
-
-def _json_difference(value, written, path: str) -> ScriptError | None:
-    """Where a read JSON value first differs from the writer's, as the error
-    the reader raises, or None.  Object keys may come in any order, each
-    once; numbers are equal when their values are."""
-    if isinstance(value, dict) and isinstance(written, dict):
-        if value.repeated is not None:
-            return ScriptError(f"key {value.repeated!r} appears more than once", path=path or "$")
-        keys = [*written, *(key for key in value if key not in written)]
-        children = ((f"{path}.{k}" if path else k, value.get(k, _ABSENT), written.get(k, _ABSENT)) for k in keys)
-    elif isinstance(value, list) and isinstance(written, list):
-        children = ((f"{path}[{i}]", v, w) for i, (v, w) in enumerate(zip_longest(value, written, fillvalue=_ABSENT)))
-    elif value == written:
-        return None
-    else:
-        expected = "nothing" if written is _ABSENT else json.dumps(written)
-        return ScriptError(f"the writer writes {expected} here", path=path or "$")
-    return next(filter(None, (_json_difference(v, w, child) for child, v, w in children)), None)
-
-
 def _read_json(text: str) -> Timeline:
     """The timeline a JSON script holds."""
     try:
@@ -479,7 +444,7 @@ def _read_text(text: str) -> Timeline:
 
 
 def _not_as_written(data: bytes, written: bytes) -> ScriptError:
-    """The first line of a text script that differs from the writer's."""
+    """The first line of a script that differs from the writer's."""
     ours, theirs = written.splitlines(keepends=True), data.splitlines(keepends=True)
     n = 0
     while n < len(ours) and n < len(theirs) and ours[n] == theirs[n]:
@@ -490,13 +455,12 @@ def _not_as_written(data: bytes, written: bytes) -> ScriptError:
 
 def read_script(data: bytes) -> Timeline:
     """Parse a script document (either format) into the ``Timeline`` it
-    holds, if the document is what ``emit_document`` writes for it.
+    holds, if the document is the bytes ``emit_document`` writes for it.
 
     A timeline that ``emit_script`` refuses raises its :class:`ScriptError`
     (naming a header field, or ``arm[i]`` at path ``events``).  Otherwise a
-    text script must be the writer's bytes, or the error names the first
-    line that differs; a JSON script must be the writer's JSON value, or the
-    error names the first path that differs.
+    script of either format must be the writer's bytes, or the error names
+    the first line that differs.
     """
     fmt = "json" if data.lstrip().startswith(b"{") else "text"
     try:
@@ -504,10 +468,6 @@ def read_script(data: bytes) -> Timeline:
     except UnicodeDecodeError as exc:
         raise ScriptError(f"not UTF-8: {exc}") from None
     written = emit_document(timeline, fmt)
-    if written != data and fmt == "text":
+    if written != data:
         raise _not_as_written(data, written)
-    if written != data:  # another JSON layout may hold the same value; only it pays for a second parse
-        error = _json_difference(json.loads(data.decode("utf-8"), object_pairs_hook=_Object), json.loads(written), "")
-        if error:
-            raise error
     return timeline

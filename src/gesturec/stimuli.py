@@ -80,8 +80,8 @@ def speaker_scripts(result: ScheduleResult, speakers: tuple[str, ...] = SPEAKERS
 def check_story_id(story_id: str) -> None:
     """Refuse a story id that cannot name one directory under a batch's
     output root, where each bundle's path begins with it."""
-    if story_id in ("", ".", "..") or "/" in story_id or "\\" in story_id:
-        raise PlanError(f"story id {story_id!r} cannot name a bundle directory (empty, '.', '..', '/' or '\\')")
+    if story_id in ("", ".", "..") or any(c in story_id for c in "/\\\0"):
+        raise PlanError(f"story id {story_id!r} cannot name a bundle directory (empty, '.', '..', '/', '\\' or NUL)")
 
 
 def _bundle(

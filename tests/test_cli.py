@@ -201,7 +201,7 @@ def test_build_refuses_two_files_naming_one_story(tmp_path, shipped, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("story", ["", "../../x", "absolute"])
+@pytest.mark.parametrize("story", ["", "../../x", "absolute", "a\x00b"])
 def test_build_refuses_a_story_id_that_is_no_directory_name(tmp_path, shipped, capsys, monkeypatch, story):
     # each bundle's path begins with its story id: "/F-extravert" at the
     # root for an empty id, two levels above --out for "../../x"
@@ -228,6 +228,38 @@ def test_build_refuses_a_story_id_that_is_no_directory_name(tmp_path, shipped, c
     assert err.startswith(f"error: {stories / 'garden.dialog'}: story id {story!r} cannot name a bundle directory")
     assert sorted(tmp_path.rglob("*")) == before
     assert written == []
+
+
+@pytest.mark.parametrize(
+    "kind, old, new, message",
+    [
+        ("dialog", b"(Cup, RH 0.46s)", b"(Cup RH 0.46s)", "line 4, col 12: malformed gesture variant 'Cup RH 0.46s'"),
+        ("tsv", b"1\tthe\t1.33\n", b"1\tthe\n", "line 2: expected 3 tab-separated fields"),
+    ],
+    ids=["dialog", "timings"],
+)
+def test_build_names_the_file_it_cannot_load(tmp_path, shipped, capsys, kind, old, new, message):
+    # among several stories, the one error names the file it comes from
+    stories, timings = tmp_path / "stories", tmp_path / "timings"
+    stories.mkdir()
+    timings.mkdir()
+    for story in ("garden", "pet"):
+        (stories / f"{story}.dialog").write_bytes((DATA_DIR / "stories" / f"{story}.dialog").read_bytes())
+        (timings / f"{story}.tsv").write_bytes((DATA_DIR / "timings" / f"{story}.tsv").read_bytes())
+    broken = (stories if kind == "dialog" else timings) / f"garden.{kind}"
+    data = broken.read_bytes()
+    assert old in data
+    broken.write_bytes(data.replace(old, new, 1))
+    code = main([
+        "build", "--experiment", "personality",
+        "--stories", str(stories),
+        "--timings", str(timings),
+        "--catalog", shipped["catalog"],
+        "--out", shipped["out"],
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {broken}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_bundles_refuse_a_story_id_that_is_no_directory_name(catalog, stories):

@@ -185,23 +185,17 @@ def test_render_matches_reference_renderer(catalog, story, variant, a, b):
 
 
 def test_render_matches_reference_renderer_on_escaped_strings():
-    header = {"story": 'say "hi" \\ café ✓', "speaker": "B", "audio": 5.0, "config": "cfg\t\u00e9\"x"}
-    events = [
-        {"start": 0.7, "end": 1.0, "kind": "prep", "arm": "left"},
-        {"start": 0.7, "end": 1.0, "kind": "prep", "arm": "right"},
-        {"start": 1.0, "end": 1.46, "kind": "stroke", "arm": "left", "gesture": "Cup_2", "hand": "2H",
-         "expanse": 25.0, "height": -0.5, "outward": 20.125, "speed": 1.25, "scale": 0.8},
-        {"start": 1.0, "end": 1.46, "kind": "stroke", "arm": "right", "gesture": "Cup_2", "hand": "2H",
-         "expanse": 25.0, "height": -0.5, "outward": 20.125, "speed": 1.25, "scale": 0.8},
-        {"start": 1.46, "end": 1.96, "kind": "retract", "arm": "left"},
-        {"start": 1.46, "end": 1.96, "kind": "retract", "arm": "right"},
-    ]
-    document = read_script(json.dumps({"header": header, "events": events}).encode())
-    assert document.story_id == header["story"]
+    stroke = ("Cup_2", "2H", 25.0, -0.5, 20.125, 1.25, 0.8)
+    tracks = {
+        arm: [ScriptEvent(700, 1000, "prep", arm), ScriptEvent(1000, 1460, STROKE, arm, *stroke),
+              ScriptEvent(1460, 1960, "retract", arm)]
+        for arm in ARMS
+    }
+    timeline = Timeline("B", tracks, 5000, 'say "hi" \\ café ✓', "cfg\t\u00e9\"x")
     for fmt in ("json", "text"):
-        blob = emit_document(document, fmt)
-        assert blob == reference_render(document, fmt)
-        assert read_script(blob) == document
+        blob = emit_script(timeline, fmt)
+        assert blob == reference_render(timeline, fmt)
+        assert read_script(blob) == timeline
 
 
 def test_invalid_timeline_rejected():
@@ -240,9 +234,9 @@ def test_deeply_nested_json_is_a_script_error():
 
 def test_end_before_start_names_the_record(fixture_timelines):
     timeline_a, _ = fixture_timelines
-    raw = json.loads(emit_script(timeline_a).decode())
-    raw["events"][3]["end"] = raw["events"][3]["start"] - 1.0
-    blob = json.dumps(raw).encode()
+    right = list(timeline_a.tracks["right"])
+    right[3] = right[3]._replace(end=right[3].start - 1000)
+    blob = emit_document(replace(timeline_a, tracks={**timeline_a.tracks, "right": right}))
     with pytest.raises(ScriptError) as err:
         read_script(blob)
     assert err.value.path == "events"
@@ -259,66 +253,100 @@ def test_unsorted_events_rejected(fixture_timelines):
     assert "right[0]: track must begin with a prep" in str(err.value)
 
 
+_STROKE_TIMELINE = Timeline(
+    "A",
+    {"left": [], "right": [
+        ScriptEvent(700, 1000, "prep", "right"),
+        ScriptEvent(1000, 2000, STROKE, "right", "Cup", "RH", 25.0, 0.0, 20.0, 1.0, 1.0),
+        ScriptEvent(2000, 2500, "retract", "right"),
+    ]},
+    5000, "x", "c",
+)
+
+
+def _stroke_document(**changes) -> bytes:
+    """The writer's JSON bytes for one prep, stroke, retract script; each of
+    ``changes`` writes its value, as ``json.dumps`` does, in place of its key's
+    value on the header line or the stroke line (line 2 or 5)."""
+    lines = emit_document(_STROKE_TIMELINE).decode().split("\n")
+    for key, value in changes.items():
+        at = 1 if key in ("story", "speaker", "audio", "config") else 4
+        lines[at] = re.sub(f'"{key}": [^,}}]+', lambda _: f'"{key}": {json.dumps(value)}', lines[at], count=1)
+    return "\n".join(lines).encode()
+
+
+def _refused_at(written: bytes, lineno: int) -> str:
+    """The reader's message for a script that first differs from ``written``, the writer's bytes, at ``lineno``."""
+    return f"line {lineno}: the writer writes {written.splitlines(keepends=True)[lineno - 1].decode()!r} here"
+
+
 def test_extra_precision_rejected():
     for field in ("start", "speed"):  # a time and a feature, both 1.0 to 3 decimals
         with pytest.raises(ScriptError) as err:
             read_script(_stroke_document(**{field: 1.0001}))
-        assert str(err.value) == f"events[1].{field}: the writer writes 1.0 here"
+        assert str(err.value) == _refused_at(_stroke_document(), 5)
 
 
 @pytest.mark.parametrize("field", ["audio", "start", "expanse"])
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), pytest.param(10**400, id="401-digit-int")])
 def test_non_finite_numbers_rejected(field, bad):
-    header = {"story": "x", "speaker": "A", "audio": 5.0, "config": "c"}
-    event = {"start": 1.0, "end": 2.0, "kind": "stroke", "arm": "right", "gesture": "Cup", "hand": "RH",
-             "expanse": 25.0, "height": 0.0, "outward": 20.0, "speed": 1.0, "scale": 1.0}
-    (header if field == "audio" else event)[field] = bad
     with pytest.raises(ScriptError) as err:
-        read_script(json.dumps({"header": header, "events": [event]}).encode())
+        read_script(_stroke_document(**{field: bad}))
     assert "finite" in str(err.value)
 
 
-def _stroke_document(**changes) -> bytes:
-    """One prep, stroke, retract script; ``changes`` apply to the header or the stroke."""
-    header = {"story": "x", "speaker": "A", "audio": 5.0, "config": "c"}
-    event = {"start": 1.0, "end": 2.0, "kind": "stroke", "arm": "right", "gesture": "Cup", "hand": "RH",
-             "expanse": 25.0, "height": 0.0, "outward": 20.0, "speed": 1.0, "scale": 1.0}
-    for key, value in changes.items():
-        (header if key in header else event)[key] = value
-    events = [
-        {"start": 0.7, "end": 1.0, "kind": "prep", "arm": "right"},
-        event,
-        {"start": 2.0, "end": 2.5, "kind": "retract", "arm": "right"},
-    ]
-    return json.dumps({"header": header, "events": events}).encode()
-
-
 @pytest.mark.parametrize(
-    "where, key, path",
-    [("document", "extra", "extra"), ("header", "extra", "header.extra"), ("stroke", "bogus", "events[1].bogus")],
-)
-def test_json_reader_refuses_a_field_the_writer_never_writes(where, key, path):
-    raw = json.loads(_stroke_document())
-    {"document": raw, "header": raw["header"], "stroke": raw["events"][1]}[where][key] = 3
-    with pytest.raises(ScriptError) as err:
-        read_script(json.dumps(raw).encode())
-    assert str(err.value) == f"{path}: the writer writes nothing here"
-
-
-@pytest.mark.parametrize(
-    "old, new, message",
+    "edit, lineno",
     [
-        ('"story": "x"', '"story": "x", "story": "y"', "header: key 'story' appears more than once"),
-        ('"speed": 1.0', '"speed": 2.0, "speed": 1.0', "events[1]: key 'speed' appears more than once"),
-        ('{"header"', '{"events": [], "header"', "$: key 'events' appears more than once"),
+        pytest.param(lambda blob: blob.replace(b"{\n", b'{\n  "extra": 3,\n', 1), 2, id="document-extra-extra"),
+        pytest.param(lambda blob: blob.replace(b'"},\n', b'", "extra": 3},\n', 1), 2, id="header-extra-header.extra"),
+        pytest.param(
+            lambda blob: blob.replace(b"1.000},\n", b'1.000, "bogus": 3},\n', 1), 5, id="stroke-bogus-events[1].bogus"
+        ),
+        pytest.param(lambda blob: json.dumps(json.loads(blob), indent=2).encode(), 2, id="reindented"),
+        pytest.param(
+            lambda blob: blob.replace(b'{"story": "protest", "speaker": "A"', b'{"speaker": "A", "story": "protest"'),
+            2, id="reordered-keys",
+        ),
     ],
 )
-def test_json_reader_refuses_a_repeated_key(old, new, message):
+def test_json_reader_refuses_a_field_the_writer_never_writes(fixture_timelines, edit, lineno):
+    # a field, a layout or a key order the writer never writes, in the
+    # script of a shipped story: each holds a timeline the rules admit, and
+    # is refused at the first line that differs from the writer's
+    blob = emit_script(fixture_timelines[0])
+    edited = edit(blob)
+    assert edited != blob
+    with pytest.raises(ScriptError) as err:
+        read_script(edited)
+    assert str(err.value) == _refused_at(blob, lineno)
+
+
+@pytest.mark.parametrize(
+    "old, new, lineno, story",
+    [
+        pytest.param(
+            '"story": "x"', '"story": "x", "story": "y"', 2, "y",
+            id='''"story": "x"-"story": "x", "story": "y"-header: key 'story' appears more than once''',
+        ),
+        pytest.param(
+            '"speed": 1.0', '"speed": 2.0, "speed": 1.0', 5, "x",
+            id='''"speed": 1.0-"speed": 2.0, "speed": 1.0-events[1]: key 'speed' appears more than once''',
+        ),
+        pytest.param(
+            '{\n  "header"', '{\n  "events": [],\n  "header"', 2, "x",
+            id='''{"header"-{"events": [], "header"-$: key 'events' appears more than once''',
+        ),
+    ],
+)
+def test_json_reader_refuses_a_repeated_key(old, new, lineno, story):
+    # the reader keeps a repeated key's last value, and holds a timeline with
+    # ``story``, whose writer's bytes differ from the document only by the key
     blob = _stroke_document()
     assert old.encode() in blob
     with pytest.raises(ScriptError) as err:
         read_script(blob.replace(old.encode(), new.encode(), 1))
-    assert str(err.value) == message
+    assert str(err.value) == _refused_at(_stroke_document(story=story), lineno)
 
 
 @pytest.mark.parametrize(
@@ -373,7 +401,7 @@ def test_writer_refuses_what_the_reader_refuses(fixture_timelines, change, field
     [("# speaker: A", "# speaker: C"), ("Cup:RH", "5:RH"), ("Cup:RH", "Cup-Big:RH")],
 )
 def test_text_reader_rejects_unknown_speaker_and_bad_gesture_names(line, replacement):
-    text = emit_document(read_script(_stroke_document()), "text")
+    text = emit_document(_STROKE_TIMELINE, "text")
     assert line.encode() in text
     with pytest.raises(ScriptError):
         read_script(text.replace(line.encode(), replacement.encode()))
@@ -412,7 +440,7 @@ def test_json_reader_refuses_a_lone_surrogate_as_the_writer_does(fixture_timelin
     ],
 )
 def test_text_reader_refuses_what_the_writer_never_writes(old, new, message):
-    text = emit_document(read_script(_stroke_document()), "text")
+    text = emit_document(_STROKE_TIMELINE, "text")
     assert old in text
     with pytest.raises(ScriptError) as err:
         read_script(text.replace(old, new))
