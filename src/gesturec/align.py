@@ -19,12 +19,16 @@ kept on the millisecond grid so the lead is exact, not float-approximate;
 seconds become milliseconds by the script's one rule, ``emitter.to_ms``.
 ``parse_word_timings`` parses a turn field once per run of lines with that
 turn, and checks each distinct word once.
+A parsed track keeps only what alignment reads, each turn's onsets and
+text, and is equal to another by both; its ``entries`` is a view derived
+from them, in turn order rather than line order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .dsl import AnnotatedDialog, GestureAnnotation, Turn
@@ -48,22 +52,31 @@ class TimedWord(NamedTuple):
 
 @dataclass(frozen=True)
 class WordTimingTrack:
-    """A parsed timing track.  Equality is by ``entries``; the per-turn
-    onsets and texts (the words joined by single spaces, as ``Turn.text``
-    holds them) are derived from them by :func:`parse_word_timings`."""
+    """A parsed timing track: per turn, its onsets in increasing order and
+    its text, the words joined by single spaces as ``Turn.text`` holds them.
+    Equality is by both."""
 
-    entries: tuple[TimedWord, ...]
-    onset_index: dict[int, tuple[float, ...]] = field(compare=False, repr=False)
-    text_index: dict[int, str] = field(compare=False, repr=False)
+    onset_index: dict[int, tuple[float, ...]]
+    text_index: dict[int, str]
 
     def turn_onsets(self, turn_index: int) -> tuple[float, ...]:
         """The turn's onsets in increasing order; empty for a turn the
         track does not time."""
         return self.onset_index.get(turn_index, ())
 
+    @cached_property
+    def entries(self) -> tuple[TimedWord, ...]:
+        """Every timed word, turn by turn in increasing turn index, built once
+        per track.  Only the benchmark's inputs (``perfbench/inputs.py``) and
+        its tests (``perfbench/test_perfbench.py``) read it."""
+        return tuple(
+            TimedWord(turn, word, onset)
+            for turn in sorted(self.onset_index)
+            for word, onset in zip(self.text_index[turn].split(), self.onset_index[turn])
+        )
+
 
 def parse_word_timings(source: str) -> WordTimingTrack:
-    entries: list[TimedWord] = []
     last_overall = 0.0
     by_turn: dict[int, tuple[list[float], list[str]]] = {}  # onsets and words
     field = None  # the turn field of the run of lines being read, parsed once per run
@@ -103,11 +116,9 @@ def parse_word_timings(source: str) -> WordTimingTrack:
         last_overall = onset
         onsets.append(onset)
         words.append(word)
-        entries.append(TimedWord(turn_index, word, onset))
-    if not entries:
+    if not by_turn:
         raise TimingError("timing track has no entries")
     return WordTimingTrack(
-        entries=tuple(entries),
         onset_index={turn: tuple(onsets) for turn, (onsets, _) in by_turn.items()},
         text_index={turn: " ".join(words) for turn, (_, words) in by_turn.items()},
     )

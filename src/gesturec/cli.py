@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .align import parse_word_timings
 from .catalog import load_catalog
 from .config import load_config
 from .dsl import parse_dialog
-from .errors import GesturecError
+from .errors import DialogParseError, GesturecError
 from .pipeline import PipelineSettings, compile_dialog
 from .stimuli import (
     check_story_id, run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json,
@@ -46,31 +47,36 @@ def _parse_extraversion(text: str) -> dict[str, float]:
     return scores
 
 
-def _read(path) -> str:
-    """The text of a UTF-8 file; other bytes raise a ``GesturecError`` that
-    names the file and the first byte that is not UTF-8."""
+def _load(path, parse):
+    """``parse`` applied to the text of the UTF-8 file at ``path`` (``str``
+    gives the text itself).  Bytes that are not UTF-8, and any
+    ``GesturecError`` from ``parse``, raise a ``GesturecError`` that names
+    the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise GesturecError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except GesturecError as exc:
+        raise GesturecError(f"{path}: {exc}") from None
 
 
 def _settings_from_args(args) -> PipelineSettings:
     extraversion = getattr(args, "extraversion", None) or PipelineSettings().extraversion
     settings = PipelineSettings(extraversion=extraversion, strict=args.strict)
-    return load_config(_read(args.config) if args.config else "", settings)
+    return _load(args.config, partial(load_config, settings=settings)) if args.config else settings
+
+
+def _parse_story(source: str, story_id: str):
+    dialog = parse_dialog(source, story_id=story_id)
+    check_story_id(dialog.story_id)
+    return dialog
 
 
 def _load_stories(stories_dir: Path, timings_dir: Path | None):
     stories = {}
     sources = {}  # story id -> the file that names it
     for path in sorted(Path(stories_dir).glob("*.dialog")):
-        source = _read(path)
-        try:
-            dialog = parse_dialog(source, story_id=path.stem)
-            check_story_id(dialog.story_id)
-        except GesturecError as exc:
-            raise GesturecError(f"{path}: {exc}") from None
+        dialog = _load(path, partial(_parse_story, story_id=path.stem))
         story_id = dialog.story_id
         if story_id in sources:
             raise GesturecError(f"story {story_id!r} is named by both {sources[story_id]} and {path}")
@@ -80,11 +86,7 @@ def _load_stories(stories_dir: Path, timings_dir: Path | None):
             timing_path = Path(timings_dir) / f"{path.stem}.tsv"
             if not timing_path.exists():
                 raise GesturecError(f"no timing track for story {path.stem!r} at {timing_path}")
-            source = _read(timing_path)
-            try:
-                track = parse_word_timings(source)
-            except GesturecError as exc:
-                raise GesturecError(f"{timing_path}: {exc}") from None
+            track = _load(timing_path, parse_word_timings)
         stories[story_id] = (dialog, track)
     if not stories:
         raise GesturecError(f"no .dialog files in {stories_dir}")
@@ -93,9 +95,13 @@ def _load_stories(stories_dir: Path, timings_dir: Path | None):
 
 def _cmd_compile(args) -> int:
     settings = _settings_from_args(args)
-    catalog = load_catalog(_read(args.catalog))
-    timings = parse_word_timings(_read(args.timings)) if args.timings else None
-    result = compile_dialog(_read(args.dialog), catalog, timings=timings, settings=settings, variant=args.variant)
+    catalog = _load(args.catalog, load_catalog)
+    timings = _load(args.timings, parse_word_timings) if args.timings else None
+    source = _load(args.dialog, str)
+    try:
+        result = compile_dialog(source, catalog, timings=timings, settings=settings, variant=args.variant)
+    except DialogParseError as exc:  # the other errors of compile_dialog involve two files
+        raise GesturecError(f"{args.dialog}: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for filename, content in speaker_scripts(result.schedule).items():
@@ -108,7 +114,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_build(args) -> int:
     settings = _settings_from_args(args)
-    catalog = load_catalog(_read(args.catalog))
+    catalog = _load(args.catalog, load_catalog)
     stories = _load_stories(Path(args.stories), Path(args.timings) if args.timings else None)
     if args.experiment == "personality":
         bundles = run_personality_batch(stories, catalog, settings)
@@ -124,7 +130,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from . import analysis  # numpy: only analyze loads it
-    records = analysis.read_judgments(_read(args.infile))
+    records = _load(args.infile, analysis.read_judgments)
     preference = [r for r in records if r.kind == "preference"]
     why = [r for r in records if r.kind == "why"]
     tipi = [r for r in records if r.kind == "tipi"]

@@ -138,8 +138,8 @@ def make_random_dialog(rng: random.Random, max_turns: int = 4, with_markers: boo
     return AnnotatedDialog(story_id=f"story{rng.randint(0, 999)}", turns=tuple(turns), audio_duration=audio)
 
 
-def make_aligned_pair(rng: random.Random) -> tuple[AnnotatedDialog, WordTimingTrack]:
-    """Dialog plus a complete timing track.
+def make_aligned_pair(rng: random.Random) -> tuple[AnnotatedDialog, WordTimingTrack, str]:
+    """Dialog plus a complete timing track, parsed and as TSV text.
 
     Word onsets keep gaps above the alignment lead so that realignment
     targets the same following words.
@@ -179,7 +179,8 @@ def make_aligned_pair(rng: random.Random) -> tuple[AnnotatedDialog, WordTimingTr
         onset = round(onset + rng.uniform(0.5, 1.5), 2)
     audio = round(onset + 3.0, 2)
     dialog = AnnotatedDialog(story_id="aligned", turns=tuple(turns), audio_duration=audio)
-    return dialog, parse_word_timings("\n".join(tsv_lines) + "\n")
+    tsv = "\n".join(tsv_lines) + "\n"
+    return dialog, parse_word_timings(tsv), tsv
 
 
 def make_stroke_dialog(rng: random.Random, n_strokes: int | None = None,

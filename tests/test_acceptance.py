@@ -101,7 +101,7 @@ def test_criterion_2_alignment_rule(stories):
         check(dialog, track)
     assert any(t.annotations for d, _ in stories.values() for t in d.turns)
     for seed in range(1000):
-        dialog, track = make_aligned_pair(random.Random(seed))
+        dialog, track, _ = make_aligned_pair(random.Random(seed))
         check(dialog, track)
     _report(2, violations == 0, (
         f"{checked} aligned strokes across shipped fixtures and 1000 generated "

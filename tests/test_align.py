@@ -91,7 +91,7 @@ def test_parse_reads_plain_decimal_digits():
 @pytest.mark.parametrize("source,entries,onsets,texts", [
     pytest.param(  # turn 1 resumed after turn 2 goes on with turn 1's words
         "1\ta\t1.0\n2\tb\t2.0\n1\tc\t3.0\n",
-        [(1, "a", 1.0), (2, "b", 2.0), (1, "c", 3.0)],
+        [(1, "a", 1.0), (1, "c", 3.0), (2, "b", 2.0)],
         {1: (1.0, 3.0), 2: (2.0,)},
         {1: "a c", 2: "b"},
         id="resumed-turn",
@@ -116,6 +116,13 @@ def test_parse_reads_runs_of_a_turn(source, entries, onsets, texts):
     assert [tuple(e) for e in track.entries] == entries
     assert track.onset_index == onsets
     assert track.text_index == texts
+
+
+def test_parse_tracks_are_equal_by_their_turns_onsets_and_texts():
+    resumed = parse_word_timings("1\ta\t1.0\n2\tb\t2.0\n1\tc\t2.0\n")
+    assert resumed == parse_word_timings("1\ta\t1.0\n1\tc\t2.0\n2\tb\t2.0\n")
+    assert resumed != parse_word_timings("1\ta\t1.0\n2\tb\t2.0\n1\tc\t2.5\n")
+    assert resumed != parse_word_timings("1\ta\t1.0\n2\tb\t2.0\n1\td\t2.0\n")
 
 
 @pytest.mark.parametrize("source,error,message", [
@@ -261,7 +268,7 @@ def test_onset_becomes_milliseconds_by_the_scheduler_rule():
 def test_generated_pairs_exact_lead_and_idempotent():
     lead_ms = 200
     for seed in range(300):
-        dialog, track = make_aligned_pair(random.Random(seed))
+        dialog, track, _ = make_aligned_pair(random.Random(seed))
         aligned = align_strokes(dialog, track)
         for turn in aligned.turns:
             onsets = track.turn_onsets(turn.index)
@@ -277,26 +284,34 @@ def test_generated_pairs_exact_lead_and_idempotent():
         assert again == aligned
 
 
-def _reference_align(dialog, track):
-    """The alignment rule as a linear scan of ``track.entries``: new stroke
-    begins per turn, or the error :func:`align_strokes` must raise.  The
-    track's words must be the turn's, and the first word timed after a
+def _timed_rows(tsv):
+    """The ``(turn, word, onset)`` rows of a timing track that holds no
+    comment or blank line, read without :func:`parse_word_timings`."""
+    rows = (line.split("\t") for line in tsv.splitlines())
+    return [(int(turn), word, float(onset)) for turn, word, onset in rows]
+
+
+def _reference_align(dialog, tsv):
+    """The alignment rule as a linear scan of the timing track's rows: new
+    stroke begins per turn, or the error :func:`align_strokes` must raise.
+    The track's words must be the turn's, and the first word timed after a
     stroke's written time must be the word it is written before."""
+    rows = _timed_rows(tsv)
     begins = []
     for turn in dialog.turns:
-        timed = [e for e in track.entries if e.turn_index == turn.index]
+        timed = [(word, onset) for index, word, onset in rows if index == turn.index]
         if not timed:
             return NoFollowingWordError
-        if [e.word for e in timed] != turn.text.split():
+        if [word for word, _ in timed] != turn.text.split():
             return WordMismatchError
         turn_begins = []
         for ann in turn.annotations:
             if not 0 <= ann.word_index < len(timed):
                 return NoFollowingWordError
-            following = next((k for k, e in enumerate(timed) if e.onset > ann.stroke_begin), None)
+            following = next((k for k, (_, onset) in enumerate(timed) if onset > ann.stroke_begin), None)
             if following != ann.word_index:
                 return WordMismatchError
-            begin_ms = max(0, round(timed[following].onset * 1000) - 200)
+            begin_ms = max(0, round(timed[following][1] * 1000) - 200)
             if turn_begins and begin_ms <= turn_begins[-1]:
                 return StrokeCollisionError
             turn_begins.append(begin_ms)
@@ -312,13 +327,14 @@ def _align_outcome(dialog, track):
     return [[a.stroke_begin for a in t.annotations] for t in aligned.turns]
 
 
-def _moved(rng, dialog, track):
+def _moved(rng, dialog, tsv):
     """``dialog`` with its strokes moved to times drawn near and on the
-    track's onsets, before the first word and past the last, and some of
+    onsets of the timing track ``tsv``, before the first word and past the last, and some of
     them written before another word, a word already taken or no word."""
+    rows = _timed_rows(tsv)
     turns = []
     for turn in dialog.turns:
-        onsets = [e.onset for e in track.entries if e.turn_index == turn.index]
+        onsets = [onset for index, _, onset in rows if index == turn.index]
         times = set()
         for _ in turn.annotations:
             pick = rng.random()
@@ -346,9 +362,9 @@ def test_alignment_matches_reference_scan_on_generated_pairs():
     outcomes = set()
     for seed in range(300):
         rng = random.Random(seed)
-        dialog, track = make_aligned_pair(rng)
-        for case in (dialog, _moved(rng, dialog, track)):
-            expected = _reference_align(case, track)
+        dialog, track, tsv = make_aligned_pair(rng)
+        for case in (dialog, _moved(rng, dialog, tsv)):
+            expected = _reference_align(case, tsv)
             assert _align_outcome(case, track) == expected, seed
             outcomes.add(expected if isinstance(expected, type) else list)
     # the moved strokes reach every error as well as success
@@ -384,9 +400,8 @@ def test_alignment_matches_reference_scan_on_generated_pairs():
 ])
 def test_alignment_matches_reference_scan_on_edge_cases(dialog_source, track_source, expected):
     dialog = parse_dialog(dialog_source)
-    track = parse_word_timings(track_source)
-    assert _reference_align(dialog, track) == expected
-    assert _align_outcome(dialog, track) == expected
+    assert _reference_align(dialog, track_source) == expected
+    assert _align_outcome(dialog, parse_word_timings(track_source)) == expected
 
 
 def _long_pair(turns, words_per_turn=20):

@@ -231,22 +231,29 @@ def test_build_refuses_a_story_id_that_is_no_directory_name(tmp_path, shipped, c
 
 
 @pytest.mark.parametrize(
-    "kind, old, new, message",
+    "name, old, new, message",
     [
-        ("dialog", b"(Cup, RH 0.46s)", b"(Cup RH 0.46s)", "line 4, col 12: malformed gesture variant 'Cup RH 0.46s'"),
-        ("tsv", b"1\tthe\t1.33\n", b"1\tthe\n", "line 2: expected 3 tab-separated fields"),
+        (
+            "stories/garden.dialog", b"(Cup, RH 0.46s)", b"(Cup RH 0.46s)",
+            "line 4, col 12: malformed gesture variant 'Cup RH 0.46s'",
+        ),
+        ("timings/garden.tsv", b"1\tthe\t1.33\n", b"1\tthe\n", "line 2: expected 3 tab-separated fields"),
+        ("catalog.txt", b"Cup, 25, 0, 20\n", b"Cup, 25, 0\n", "line 3: expected 4 comma-separated fields, got 3"),
+        ("run.cfg", b"# no overrides\n", b"scheduler.bogus = 1\n", "line 1: unknown key 'scheduler.bogus'"),
     ],
-    ids=["dialog", "timings"],
+    ids=["dialog", "timings", "catalog", "config"],
 )
-def test_build_names_the_file_it_cannot_load(tmp_path, shipped, capsys, kind, old, new, message):
-    # among several stories, the one error names the file it comes from
+def test_build_names_the_file_it_cannot_load(tmp_path, capsys, name, old, new, message):
+    # among several stories and the other inputs, the one error names the file it comes from
     stories, timings = tmp_path / "stories", tmp_path / "timings"
     stories.mkdir()
     timings.mkdir()
     for story in ("garden", "pet"):
         (stories / f"{story}.dialog").write_bytes((DATA_DIR / "stories" / f"{story}.dialog").read_bytes())
         (timings / f"{story}.tsv").write_bytes((DATA_DIR / "timings" / f"{story}.tsv").read_bytes())
-    broken = (stories if kind == "dialog" else timings) / f"garden.{kind}"
+    (tmp_path / "catalog.txt").write_bytes((DATA_DIR / "catalog.txt").read_bytes())
+    (tmp_path / "run.cfg").write_bytes(b"# no overrides\n")
+    broken = tmp_path / name
     data = broken.read_bytes()
     assert old in data
     broken.write_bytes(data.replace(old, new, 1))
@@ -254,8 +261,9 @@ def test_build_names_the_file_it_cannot_load(tmp_path, shipped, capsys, kind, ol
         "build", "--experiment", "personality",
         "--stories", str(stories),
         "--timings", str(timings),
-        "--catalog", shipped["catalog"],
-        "--out", shipped["out"],
+        "--catalog", str(tmp_path / "catalog.txt"),
+        "--config", str(tmp_path / "run.cfg"),
+        "--out", str(tmp_path / "out"),
     ])
     assert code == 1
     assert capsys.readouterr().err == f"error: {broken}: {message}\n"
@@ -491,6 +499,37 @@ def test_input_that_is_not_utf8_exits_1(tmp_path, shipped, capsys, kind):
         argv += ["--out", shipped["out"]]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {paths[kind]}: not UTF-8: invalid start byte at byte 10\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, data, message", [
+    ("dialog", "A1: [1.00s](Cup RH 0.46s) one.\n", "line 1, col 5: malformed gesture variant 'Cup RH 0.46s'"),
+    ("timings", "1\tone.\tx\n", "line 1: onset 'x' is not a finite number >= 0 in decimal digits"),
+    ("catalog", "Cup, 25, 0\n", "line 1: expected 4 comma-separated fields, got 3"),
+    ("config", "scheduler.bogus = 1\n", "line 1: unknown key 'scheduler.bogus'"),
+    (
+        "judgments", "subject_id,stimulus_id,kind,payload\ns1,garden_ABA,preference,maybe\n",
+        "row 2: preference must be A or NA, got 'maybe'",
+    ),
+], ids=["dialog", "timings", "catalog", "config", "judgments"])
+def test_malformed_input_names_its_file(tmp_path, shipped, capsys, kind, data, message):
+    sources = {
+        "dialog": (DATA_DIR / "stories" / "garden.dialog").read_text(encoding="utf-8"),
+        "timings": (DATA_DIR / "timings" / "garden.tsv").read_text(encoding="utf-8"),
+        "catalog": (DATA_DIR / "catalog.txt").read_text(encoding="utf-8"),
+        "config": "# no overrides\n",
+        "judgments": (DATA_DIR / "adaptation_judgments.csv").read_text(encoding="utf-8"),
+    }
+    paths = {name: tmp_path / f"input.{name}" for name in sources}
+    for name, text in sources.items():
+        paths[name].write_text(data if name == kind else text, encoding="utf-8")
+    if kind == "judgments":
+        argv = ["analyze", "--in", str(paths[kind]), "--report", str(tmp_path / "out" / "report.json")]
+    else:
+        argv = ["compile", *(f"--{name}={paths[name]}" for name in ("dialog", "timings", "catalog", "config"))]
+        argv += ["--out", shipped["out"]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {paths[kind]}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
