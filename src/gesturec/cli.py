@@ -25,7 +25,7 @@ from .align import parse_word_timings
 from .catalog import load_catalog
 from .config import load_config
 from .dsl import parse_dialog
-from .errors import DialogParseError, GesturecError
+from .errors import DialogParseError, GesturecError, UnknownGestureError
 from .pipeline import PipelineSettings, compile_dialog
 from .stimuli import (
     check_story_id, run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json,
@@ -73,6 +73,7 @@ def _parse_story(source: str, story_id: str):
 
 
 def _load_stories(stories_dir: Path, timings_dir: Path | None):
+    """The stories of a directory by story id, and the dialog file of each."""
     stories = {}
     sources = {}  # story id -> the file that names it
     for path in sorted(Path(stories_dir).glob("*.dialog")):
@@ -90,7 +91,7 @@ def _load_stories(stories_dir: Path, timings_dir: Path | None):
         stories[story_id] = (dialog, track)
     if not stories:
         raise GesturecError(f"no .dialog files in {stories_dir}")
-    return stories
+    return stories, sources
 
 
 def _cmd_compile(args) -> int:
@@ -100,7 +101,7 @@ def _cmd_compile(args) -> int:
     source = _load(args.dialog, str)
     try:
         result = compile_dialog(source, catalog, timings=timings, settings=settings, variant=args.variant)
-    except DialogParseError as exc:  # the other errors of compile_dialog involve two files
+    except (DialogParseError, UnknownGestureError) as exc:  # the dialog's own; the others involve two files
         raise GesturecError(f"{args.dialog}: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -115,11 +116,12 @@ def _cmd_compile(args) -> int:
 def _cmd_build(args) -> int:
     settings = _settings_from_args(args)
     catalog = _load(args.catalog, load_catalog)
-    stories = _load_stories(Path(args.stories), Path(args.timings) if args.timings else None)
-    if args.experiment == "personality":
-        bundles = run_personality_batch(stories, catalog, settings)
-    else:
-        bundles = run_adaptation_batch(stories, catalog, settings)
+    stories, sources = _load_stories(Path(args.stories), Path(args.timings) if args.timings else None)
+    run_batch = run_personality_batch if args.experiment == "personality" else run_adaptation_batch
+    try:
+        bundles = run_batch(stories, catalog, settings)
+    except UnknownGestureError as exc:
+        raise GesturecError(f"{sources[exc.story_id]}: {exc}") from None
     manifest = write_bundles(bundles, Path(args.out), args.experiment)
     for bundle in bundles:
         for note in bundle.diagnostics:

@@ -40,10 +40,12 @@ def load_config(text: str, settings: PipelineSettings = PipelineSettings()) -> P
     """``settings`` with the values of a config document applied.
 
     Each settings object is rebuilt with :func:`dataclasses.replace`, so its
-    own ``__post_init__`` checks the new values.
+    own ``__post_init__`` checks the new values; a refusal names the line
+    and key of each value set in that section.
     """
     keys = {f"{section}.{f.name}" for section in SECTIONS for f in fields(getattr(settings, section))}
     changes: dict[str, dict[str, float]] = {section: {} for section in SECTIONS}
+    where: dict[str, list[str]] = {section: [] for section in SECTIONS}  # "line N: key" of each value set
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -57,6 +59,12 @@ def load_config(text: str, settings: PipelineSettings = PipelineSettings()) -> P
         section, _, name = key.partition(".")
         if name in changes[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        changes[section][name] = _parse(value.strip(), f"line {lineno}: {key}")
-    rebuilt = {section: replace(getattr(settings, section), **changes[section]) for section in SECTIONS}
+        where[section].append(f"line {lineno}: {key}")
+        changes[section][name] = _parse(value.strip(), where[section][-1])
+    rebuilt = {}
+    for section in SECTIONS:
+        try:
+            rebuilt[section] = replace(getattr(settings, section), **changes[section])
+        except GesturecError as exc:  # a refusal by the section's __post_init__, kept as its type
+            raise type(exc)(f"{'; '.join(where[section])}: {exc}") from None
     return replace(settings, **rebuilt)

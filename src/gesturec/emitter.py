@@ -8,12 +8,21 @@ Times are ``int`` milliseconds.  Seconds become milliseconds only through
 as seconds through ``format_seconds``; the scheduler rounds features to 3
 decimals, and every number is printed with exactly three, so emission is a
 canonical form.  ``validate_timeline`` holds the phase and gesture-name
-rules, and ``emit_script`` refuses a timeline for a header rule or one of
-those (``_refusal``).  ``read_script`` has one format rule for both
-formats: a document is the bytes ``emit_document`` writes for the timeline
-it holds.  So read(emit(t)) == t, and every document the reader accepts
-re-emits to itself.  ``emit_document`` renders a timeline whose values the
-rules admit and does not check its phase rules.
+rules and checks afresh on each call; ``emit_script`` refuses a timeline
+for a header rule or one of those (``Timeline._refusal``).  ``read_script``
+has one format rule for both formats: a document is the bytes
+``emit_document`` writes for the timeline it holds.  So read(emit(t)) == t,
+and every document the reader accepts re-emits to itself.
+``emit_document`` renders a timeline whose values the rules admit and does
+not check its phase rules.
+
+A ``Timeline`` is immutable: frozen fields and a read-only mapping of arm
+tracks, each a tuple of events, which in an accepted timeline hold only
+ints, strings, floats and None.  So its verdict under the rules, its
+canonical event order and its seconds strings are each computed once per
+timeline, and writing it in both formats, or reading a script and writing
+it again, checks and orders it once.  A refused timeline stays refused,
+since no value of a wrong type can change into a right one.
 
 Two formats are supported.  JSON (see ``docs/script.schema.json``) and a
 line-oriented text form, one event per line::
@@ -29,8 +38,11 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .dsl import GESTURE_NAME, HANDS, SPEAKERS
@@ -86,13 +98,61 @@ class ScriptEvent(NamedTuple):
     scale: float | None = None
 
 
-@dataclass
+class _Seconds(dict):
+    """``format_seconds`` of each millisecond time looked up, each printed once."""
+
+    def __missing__(self, ms: int) -> str:
+        text = self[ms] = format_seconds(ms)
+        return text
+
+
+@dataclass(frozen=True)
 class Timeline:
+    """One speaker's script, immutable (see the module docstring): a dict
+    of tracks is kept as a read-only mapping of each arm to a tuple."""
+
     speaker: str
-    tracks: dict[str, list[ScriptEvent]]  # per arm, in time order
+    tracks: Mapping[str, tuple[ScriptEvent, ...]]  # per arm, in time order
     audio_ms: int
     story_id: str = ""
     config_fingerprint: str = ""
+
+    def __post_init__(self):
+        tracks = self.tracks
+        if isinstance(tracks, (dict, MappingProxyType)):  # any other value stays, for the rules to refuse
+            tracks = {arm: tuple(e) if isinstance(e, (list, tuple)) else e for arm, e in tracks.items()}
+            object.__setattr__(self, "tracks", MappingProxyType(tracks))
+
+    @cached_property
+    def _refusal(self) -> ScriptError | None:
+        """Why the reader would refuse the timeline, as the error it raises,
+        or None: a header rule, then the phase and gesture-name rules of
+        ``validate_timeline``.  ``emit_script`` raises it as an ``EmitError``.
+
+        The text form writes ``story`` and ``config`` on one header line
+        each and strips them on reading, so neither may hold a line break or
+        leading or trailing whitespace.  Both forms are UTF-8, so neither may
+        hold a lone surrogate either."""
+        if self.speaker not in SPEAKERS:
+            return ScriptError(f"unknown speaker {self.speaker!r}", path="header.speaker")
+        for field, value in (("story", self.story_id), ("config", self.config_fingerprint)):
+            if not (isinstance(value, str) and value == value.strip() and len(value.splitlines()) <= 1):
+                message = "expected a string with no line break and no leading or trailing whitespace"
+                return ScriptError(message, path=f"header.{field}")
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                return ScriptError(f"not UTF-8: {exc.reason} at {exc.start}", path=f"header.{field}")
+        problems = validate_timeline(self)
+        return ScriptError("; ".join(problems), path="events") if problems else None
+
+    @cached_property
+    def _order(self) -> list[ScriptEvent]:
+        return document_from_timeline(self)
+
+    @cached_property
+    def _seconds(self) -> _Seconds:
+        return _Seconds()
 
 
 _AFTER = {
@@ -132,12 +192,14 @@ def validate_timeline(timeline: Timeline) -> list[str]:
     """Every phase rule of a script and the gesture-name rule
     (``dsl.GESTURE_NAME``); empty means the timeline is well formed.
 
-    ``emit_script`` runs it before writing and ``read_script`` after
-    reading, so the reader accepts exactly what the writer would write.
+    ``emit_script`` and ``read_script`` run it through the timeline's
+    verdict, once per timeline, so the reader accepts exactly what the
+    writer would write; a direct call checks afresh.
     Every time must be an ``int`` of milliseconds and every feature a finite
     number on the 0.001 grid; the tracks are a dict with a key per arm and
-    no other key, each a list of 11-field event tuples.  Messages give times
-    in ms and name an event ``arm[i]``, its index on its arm's track.  A
+    no other key, each a list or tuple of 11-field event tuples (``Timeline``
+    keeps them as a read-only mapping of tuples).  Messages give times in ms
+    and name an event ``arm[i]``, its index on its arm's track.  A
     value of the wrong type or shape is reported, never raised on, and the
     order checks pass over an event whose times are not ints or that is no
     event at all.
@@ -149,7 +211,7 @@ def validate_timeline(timeline: Timeline) -> list[str]:
         report(f"audio duration {audio!r} is not integer milliseconds")
         last = _INF
     tracks = timeline.tracks
-    if not isinstance(tracks, dict):
+    if not isinstance(tracks, MappingProxyType):
         report(f"tracks is a {type(tracks).__name__}, not a dict of arm tracks")
         return problems
     for key in tracks:
@@ -164,7 +226,7 @@ def validate_timeline(timeline: Timeline) -> list[str]:
         if events is None:
             report(f"{arm}: track missing")
             continue
-        if not isinstance(events, list):
+        if not isinstance(events, tuple):
             report(f"{arm}: track of type {type(events).__name__} is not a list of events")
             continue
         prev_kind = prev_end = None  # a kind of None: no event before, or no event checked
@@ -247,29 +309,6 @@ def document_from_timeline(timeline: Timeline) -> list[ScriptEvent]:
     return events
 
 
-def _refusal(timeline: Timeline) -> ScriptError | None:
-    """Why the reader would refuse the timeline, as the error it raises, or
-    None: a header rule, then the phase and gesture-name rules of
-    ``validate_timeline``.  ``emit_script`` raises it as an ``EmitError``.
-
-    The text form writes ``story`` and ``config`` on one header line each
-    and strips them on reading, so neither may hold a line break or leading
-    or trailing whitespace.  Both forms are UTF-8, so neither may hold a lone
-    surrogate either."""
-    if timeline.speaker not in SPEAKERS:
-        return ScriptError(f"unknown speaker {timeline.speaker!r}", path="header.speaker")
-    for field, value in (("story", timeline.story_id), ("config", timeline.config_fingerprint)):
-        if not (isinstance(value, str) and value == value.strip() and len(value.splitlines()) <= 1):
-            message = "expected a string with no line break and no leading or trailing whitespace"
-            return ScriptError(message, path=f"header.{field}")
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            return ScriptError(f"not UTF-8: {exc.reason} at {exc.start}", path=f"header.{field}")
-    problems = validate_timeline(timeline)
-    return ScriptError("; ".join(problems), path="events") if problems else None
-
-
 def _json_stroke(gesture, hand, expanse, height, outward, speed, scale) -> str:
     return (
         f'"gesture": "{gesture}", "hand": "{hand}", '
@@ -280,14 +319,6 @@ def _json_stroke(gesture, hand, expanse, height, outward, speed, scale) -> str:
 
 def _text_stroke(gesture, hand, expanse, height, outward, speed, scale) -> str:
     return f"{gesture}:{hand} {expanse:.3f} {height:.3f} {outward:.3f} {speed:.3f} {scale:.3f}"
-
-
-class _Seconds(dict):
-    """``format_seconds`` of each millisecond time looked up, each printed once."""
-
-    def __missing__(self, ms: int) -> str:
-        text = self[ms] = format_seconds(ms)
-        return text
 
 
 def _stroke(strokes: dict[tuple, str], render, gesture, hand, expanse, height, outward, speed, scale) -> str:
@@ -309,8 +340,8 @@ def emit_document(timeline: Timeline, format: str = "json") -> bytes:
 
     Each distinct time and stroke is printed once: a phase starts where the
     one before it ends, and a gesture keeps its hand and features."""
-    events = document_from_timeline(timeline)
-    seconds = _Seconds()
+    events = timeline._order
+    seconds = timeline._seconds
     strokes: dict[tuple, str] = {}
     if format == "json":
         lines = [
@@ -318,7 +349,7 @@ def emit_document(timeline: Timeline, format: str = "json") -> bytes:
             '  "header": {'
             f'"story": {json.dumps(timeline.story_id)}, '
             f'"speaker": "{timeline.speaker}", '
-            f'"audio": {format_seconds(timeline.audio_ms)}, '
+            f'"audio": {seconds[timeline.audio_ms]}, '
             f'"config": {json.dumps(timeline.config_fingerprint)}'
             "},",
             '  "events": [',
@@ -343,7 +374,7 @@ def emit_document(timeline: Timeline, format: str = "json") -> bytes:
             "# gesture-script v1",
             f"# story: {timeline.story_id}",
             f"# speaker: {timeline.speaker}",
-            f"# audio: {format_seconds(timeline.audio_ms)}",
+            f"# audio: {seconds[timeline.audio_ms]}",
             f"# config: {timeline.config_fingerprint}",
         ]
         for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in events:
@@ -360,7 +391,7 @@ def emit_document(timeline: Timeline, format: str = "json") -> bytes:
 
 def emit_script(timeline: Timeline, format: str = "json") -> bytes:
     """Serialize a timeline; a timeline the reader would refuse is rejected."""
-    error = _refusal(timeline)
+    error = timeline._refusal
     if error:
         raise EmitError(str(error))
     return emit_document(timeline, format=format)
@@ -392,7 +423,7 @@ def _timeline(header: dict, events: list[ScriptEvent]) -> Timeline:
     audio = _ms(header["audio"], "header.audio")
     tracks = {arm: [e for e in events if e.arm == arm] for arm in ARMS}
     timeline = Timeline(header["speaker"], tracks, audio, header["story"], header["config"])
-    error = _refusal(timeline)
+    error = timeline._refusal
     if error:
         raise error
     return timeline

@@ -16,7 +16,12 @@ class DuplicateGestureError(CatalogError):
 
 
 class UnknownGestureError(CatalogError):
-    pass
+    """A gesture name the catalog lacks; ``story_id`` is the dialog's that
+    uses it, when a dialog does."""
+
+    def __init__(self, message: str, story_id: str | None = None):
+        super().__init__(message)
+        self.story_id = story_id
 
 
 class DialogParseError(GesturecError):

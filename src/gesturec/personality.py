@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 from .catalog import GestureCatalog, lookup
 from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, segment_sentences
-from .errors import DomainError
+from .errors import DomainError, UnknownGestureError
 
 EXTRAVERSION_MIN = 1.0
 EXTRAVERSION_MAX = 7.0
@@ -121,8 +121,9 @@ def apply_personality(
 
     Rate-added annotations are exempt from the cap (counted nor dropped):
     they only exist in adapted performances, whose extra gestures the
-    adaptation stage owns.  Unknown gesture names (including alternatives)
-    raise :class:`UnknownGestureError`.
+    adaptation stage owns.  Unknown gesture names (including alternatives,
+    and those of annotations the cap drops) raise
+    :class:`UnknownGestureError`, naming the turn and the dialog's story.
     """
     cap = _rate_cap(params)
     by_name: dict[str, Features] = {}  # one Features per gesture: the profile is fixed for the call
@@ -136,16 +137,18 @@ def apply_personality(
             for _, bucket in segment_sentences(turn):
                 to_drop |= _cap_sentence([a for a in bucket if not a.rate_added], cap)
         kept = []
-        for ann in turn.annotations:
-            if id(ann) in to_drop:
-                continue
-            features = by_name.get(ann.gesture_name) or by_name.setdefault(
-                ann.gesture_name, _features_for(ann.gesture_name, params, catalog)
-            )
-            alt_features = None
-            if ann.alternative is not None:
-                alt = ann.alternative.gesture_name
-                alt_features = by_name.get(alt) or by_name.setdefault(alt, _features_for(alt, params, catalog))
-            kept.append(ann._replace(features=features, alt_features=alt_features))
+        for ann in turn.annotations:  # a dropped annotation's names are checked too
+            try:
+                features = by_name.get(ann.gesture_name) or by_name.setdefault(
+                    ann.gesture_name, _features_for(ann.gesture_name, params, catalog)
+                )
+                alt_features = None
+                if ann.alternative is not None:
+                    alt = ann.alternative.gesture_name
+                    alt_features = by_name.get(alt) or by_name.setdefault(alt, _features_for(alt, params, catalog))
+            except UnknownGestureError as exc:
+                raise UnknownGestureError(f"turn {turn.index}: {exc}", story_id=dialog.story_id) from None
+            if id(ann) not in to_drop:
+                kept.append(ann._replace(features=features, alt_features=alt_features))
         new_turns.append(turn._replace(annotations=tuple(kept)))
     return dialog._replace(turns=tuple(new_turns))

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import gesturec.emitter
 from gesturec.align import WordTimingTrack, parse_word_timings
 from gesturec.catalog import load_catalog
 from gesturec.dsl import (
@@ -26,6 +28,20 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "gesturec" / "data"
 # 1.47999s, which rounds onto the start of the prep before the next stroke.
 TOUCHING_STROKES = ("audio: 5.00s\nA1: [1.00s](Cup, RH 0.46s) one [1.47s](Reject, RH 0.44s) two\n", 6.3867)
 EMPTY_HOLD = ("audio: 5.00s\nA1: [1.00s](Cup, RH 0.46s) one two [1.78s](Reject, RH 0.44s) three\n", 5.7501)
+
+
+def count_emitter_calls(monkeypatch, *names) -> Counter:
+    """Calls of each named ``gesturec.emitter`` function from here on, by
+    name: each is wrapped at its module global, where its callers find it."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(gesturec.emitter, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(gesturec.emitter, name, counted)
+    return calls
+
 
 WORDS = (
     "the a storm garden cat we saw big wind rain dog fence they ran home "

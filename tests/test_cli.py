@@ -240,8 +240,12 @@ def test_build_refuses_a_story_id_that_is_no_directory_name(tmp_path, shipped, c
         ("timings/garden.tsv", b"1\tthe\t1.33\n", b"1\tthe\n", "line 2: expected 3 tab-separated fields"),
         ("catalog.txt", b"Cup, 25, 0, 20\n", b"Cup, 25, 0\n", "line 3: expected 4 comma-separated fields, got 3"),
         ("run.cfg", b"# no overrides\n", b"scheduler.bogus = 1\n", "line 1: unknown key 'scheduler.bogus'"),
+        (
+            "run.cfg", b"# no overrides\n", b"extravert.expanse_offset = nan\n",
+            "line 1: extravert.expanse_offset: expanse_offset must be finite, got nan",
+        ),
     ],
-    ids=["dialog", "timings", "catalog", "config"],
+    ids=["dialog", "timings", "catalog", "config", "config-value"],
 )
 def test_build_names_the_file_it_cannot_load(tmp_path, capsys, name, old, new, message):
     # among several stories and the other inputs, the one error names the file it comes from
@@ -267,6 +271,23 @@ def test_build_names_the_file_it_cannot_load(tmp_path, capsys, name, old, new, m
     ])
     assert code == 1
     assert capsys.readouterr().err == f"error: {broken}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["compile", "personality", "adaptation"])
+def test_an_unknown_gesture_names_its_dialog_and_turn(tmp_path, shipped, capsys, command):
+    stories = tmp_path / "stories"
+    stories.mkdir()
+    for path in (DATA_DIR / "stories").glob("*.dialog"):
+        (stories / path.name).write_bytes(path.read_bytes())
+    broken = stories / "garden.dialog"
+    broken.write_bytes(broken.read_bytes().replace(b"(Cup, RH 0.46s)", b"(Cupx, RH 0.46s)", 1))
+    if command == "compile":
+        argv = ["compile", "--dialog", str(broken), "--timings", str(DATA_DIR / "timings" / "garden.tsv")]
+    else:
+        argv = ["build", "--experiment", command, "--stories", str(stories), "--timings", shipped["timings"]]
+    assert main([*argv, "--catalog", shipped["catalog"], "--out", shipped["out"]]) == 1
+    assert capsys.readouterr().err == f"error: {broken}: turn 1: unknown gesture 'Cupx'\n"
     assert not (tmp_path / "out").exists()
 
 

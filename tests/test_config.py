@@ -88,3 +88,18 @@ def test_bad_lines():
         for bad in ("nan", "inf", "-inf"):
             with pytest.raises(DomainError, match=f"{key.split('.')[1]} must be finite"):
                 load_config(f"{key} = {bad}\n")
+
+
+def test_a_refused_section_names_the_line_and_key_of_each_value_set_in_it():
+    with pytest.raises(DomainError) as err:
+        load_config("# comment\nextravert.expanse_offset = nan\n")
+    assert str(err.value) == "line 2: extravert.expanse_offset: expanse_offset must be finite, got nan"
+    # the values of other sections are not named
+    with pytest.raises(ScheduleError) as err:
+        load_config(
+            "scheduler.prep_duration_s = 2\nadaptation.speed_factor = 2\nscheduler.hold_threshold_s = 2.4\n"
+        )
+    assert str(err.value) == (
+        "line 1: scheduler.prep_duration_s; line 3: scheduler.hold_threshold_s: "
+        "hold threshold must cover prep + retract"
+    )

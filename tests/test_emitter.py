@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, make_stroke_dialog, reference_render
+import gesturec.emitter
+from conftest import DATA_DIR, count_emitter_calls, make_stroke_dialog, reference_render
 from gesturec.align import align_strokes, parse_word_timings
 from gesturec.dsl import GESTURE_NAME, HANDS, SPEAKERS, parse_dialog
 from gesturec.emitter import (
@@ -504,3 +505,46 @@ def test_script_event_is_value_object():
     assert len({event, ScriptEvent(1000, 2000, "prep", "left")}) == 1
     with pytest.raises(AttributeError):
         event.start = 0
+
+
+def test_a_timeline_is_immutable(fixture_timelines):
+    timeline_a, _ = fixture_timelines
+    assert all(type(track) is tuple for track in timeline_a.tracks.values())
+    with pytest.raises(TypeError):
+        timeline_a.tracks["left"] = ()
+    with pytest.raises(FrozenInstanceError):
+        timeline_a.audio_ms = 0
+    # a list handed in is copied, so changing it later changes no timeline
+    left, right = list(timeline_a.tracks["left"]), list(timeline_a.tracks["right"])
+    copy = Timeline("A", {"left": left, "right": right}, timeline_a.audio_ms, timeline_a.story_id,
+                    timeline_a.config_fingerprint)
+    blob = emit_script(copy, "text")
+    right.clear()
+    assert copy == timeline_a and emit_script(copy, "text") == blob == emit_script(timeline_a, "text")
+
+
+def test_a_refused_timeline_stays_refused(fixture_timelines, monkeypatch):
+    timeline_a, _ = fixture_timelines
+    right = list(timeline_a.tracks["right"])
+    right[1] = right[1]._replace(start=right[1].end)
+    refused = replace(timeline_a, tracks={**timeline_a.tracks, "right": right})
+    calls = count_emitter_calls(monkeypatch, "validate_timeline")
+    for _ in range(2):
+        for fmt in ("json", "text"):
+            with pytest.raises(EmitError, match=re.escape(f"right[1]: start {right[1].start} not before end")):
+                emit_script(refused, fmt)
+    assert calls == {"validate_timeline": 1}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_read_script_is_checked_once_when_written_again(fixture_timelines, monkeypatch, fmt):
+    blob = emit_script(fixture_timelines[1], fmt)
+    calls = count_emitter_calls(monkeypatch, "validate_timeline", "document_from_timeline")
+    timeline = read_script(blob)
+    assert emit_script(timeline, "json") + emit_script(timeline, "text") == (
+        reference_render(timeline, "json") + reference_render(timeline, "text")
+    )
+    assert calls == {"validate_timeline": 1, "document_from_timeline": 1}
+    # a direct call still checks afresh
+    assert gesturec.emitter.validate_timeline(timeline) == []
+    assert calls["validate_timeline"] == 2

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesturec.align import align_strokes
 from gesturec.dsl import parse_dialog, segment_sentences
+from gesturec import personality
 from gesturec.errors import DomainError, UnknownGestureError
 from gesturec.personality import (
     EXTRAVERT_ANCHOR,
@@ -177,6 +180,32 @@ def test_unknown_gesture_name(catalog):
     dialog = parse_dialog("A1: [1.00s](Nonesuch, RH 0.40s) word.\n")
     with pytest.raises(UnknownGestureError):
         apply_personality(dialog, "A", EXTRAVERT_ANCHOR, catalog)
+
+
+def test_an_unknown_gesture_names_its_turn_and_story(catalog, monkeypatch):
+    looked_up = []
+    real_lookup = personality.lookup
+
+    def counting_lookup(catalog, name):
+        looked_up.append(name)
+        return real_lookup(catalog, name)
+
+    monkeypatch.setattr(personality, "lookup", counting_lookup)
+    source = (
+        "story: s\nA1: [1.00s](Cup, RH 0.46s) one [2.00s](Cup, RH 0.46s) two.\n"
+        "B1: three.\nA2: [5.00s](Cup, RH 0.46s / Cupx, RH 0.40s) four.\n"
+    )
+    with pytest.raises(UnknownGestureError) as err:
+        apply_personality(parse_dialog(source), "A", EXTRAVERT_ANCHOR, catalog)
+    assert str(err.value) == "turn 3: unknown gesture 'Cupx'"
+    assert err.value.story_id == "s"
+    assert looked_up == ["Cup", "Cupx"]  # once per distinct name
+
+
+def test_an_unknown_gesture_the_cap_drops_is_refused(catalog):
+    source = "A1: one [1.00s](Cup, RH 0.46s) two [2.00s](Cup, RH 0.46s) three [3.00s](Cupx, RH 0.46s) four.\n"
+    with pytest.raises(UnknownGestureError, match=re.escape("turn 1: unknown gesture 'Cupx'")):
+        apply_personality(parse_dialog(source), "A", EXTRAVERT_ANCHOR, catalog)  # cap 2
 
 
 def test_speed_multiplier_divides_stroke_duration(catalog):

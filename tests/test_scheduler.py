@@ -156,7 +156,7 @@ def test_overrun_strict_and_lenient(catalog):
     with pytest.raises(StrokeOverrunError):
         schedule(dialog, strict=True)
     result = schedule(dialog, strict=False)
-    assert result.a.tracks["right"] == []
+    assert result.a.tracks["right"] == ()
     assert len(result.diagnostics) == 1
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gesturec.stimuli
+from conftest import count_emitter_calls
 from gesturec.adaptation import resolve_variant, strip_adaptation
 from gesturec.config import load_config
 from gesturec.dsl import format_dialog, parse_dialog, truncate_dialog
@@ -135,6 +136,15 @@ def test_adaptation_pair_emits_the_non_responders_scripts_once(stories, catalog,
     prepared = prepare_dialog(truncate_dialog(dialog, 5), catalog, track, PipelineSettings())
     for bundle, resolved in ((adapted, resolve_variant(prepared)), (nonadapted, strip_adaptation(prepared))):
         assert bundle.scripts == speaker_scripts(schedule(resolved))
+
+
+def test_speaker_scripts_check_and_order_each_timeline_once(stories, catalog, monkeypatch):
+    dialog, track = stories["garden"]
+    result = schedule(strip_adaptation(prepare_dialog(dialog, catalog, track, PipelineSettings())))
+    calls = count_emitter_calls(monkeypatch, "validate_timeline", "document_from_timeline")
+    scripts = speaker_scripts(result)
+    assert sorted(scripts) == ["A.script.json", "A.script.txt", "B.script.json", "B.script.txt"]
+    assert calls == {"validate_timeline": 2, "document_from_timeline": 2}
 
 
 def test_each_bundle_carries_the_diagnostics_of_its_schedule(stories, catalog):
