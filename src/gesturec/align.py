@@ -124,7 +124,13 @@ def parse_word_timings(source: str) -> WordTimingTrack:
     )
 
 
-def _word_mismatch(turn: Turn, track: WordTimingTrack) -> WordMismatchError:
+def _label(dialog: AnnotatedDialog, turn: Turn) -> str:
+    """The turn's label as the dialog writes it, as in ``turn B2``;
+    ``turn.index`` is its 1-based position in ``dialog.turns``."""
+    return f"turn {turn.speaker}{sum(t.speaker == turn.speaker for t in dialog.turns[:turn.index])}"
+
+
+def _word_mismatch(dialog: AnnotatedDialog, turn: Turn, track: WordTimingTrack) -> WordMismatchError:
     """The first word at which the turn's text and its track words differ."""
     ours = turn.text.split()
     theirs = track.text_index[turn.index].split()
@@ -133,19 +139,23 @@ def _word_mismatch(turn: Turn, track: WordTimingTrack) -> WordMismatchError:
         k += 1
     ours_k, theirs_k = (repr(words[k]) if k < len(words) else "missing" for words in (ours, theirs))
     return WordMismatchError(
-        f"turn {turn.index}: word {k} is {ours_k} in the dialog but {theirs_k} in the timing track"
+        f"{_label(dialog, turn)}: word {k} is {ours_k} in the dialog but {theirs_k} in the timing track",
+        story_id=dialog.story_id,
     )
 
 
-def _time_mismatch(turn: Turn, ann: GestureAnnotation, onsets: tuple[float, ...]) -> WordMismatchError:
+def _time_mismatch(
+    dialog: AnnotatedDialog, turn: Turn, ann: GestureAnnotation, onsets: tuple[float, ...]
+) -> WordMismatchError:
     """A written time outside the window of the word it is written before."""
     i, words = ann.word_index, turn.text.split()
     window = f"before {words[i]!r} at {onsets[i]}s"
     if i:
         window = f"at or after {words[i - 1]!r} at {onsets[i - 1]}s and " + window
     return WordMismatchError(
-        f"turn {turn.index}: the stroke at {ann.stroke_begin:.2f}s is written before word {i} "
-        f"{words[i]!r}, so it must fall {window}"
+        f"{_label(dialog, turn)}: the stroke at {ann.stroke_begin:.2f}s is written before word {i} "
+        f"{words[i]!r}, so it must fall {window}",
+        story_id=dialog.story_id,
     )
 
 
@@ -163,32 +173,38 @@ def align_strokes(
     text or a written time falls outside its word's window, and
     :class:`StrokeCollisionError` when realignment breaks the
     strictly-increasing stroke order (two annotations before one word
-    collide).  An annotation that alignment does not move, and a turn with
-    no moved annotation, are handed on as they are.
+    collide).  Each error names the turn by its label as the dialog writes
+    it (``turn A1``, ``turn B2``) and carries the dialog's story id.  An
+    annotation that alignment does not move, and a turn with no moved
+    annotation, are handed on as they are.
     """
     lead_ms = to_ms(lead)
     new_turns: list[Turn] = []
     for turn in dialog.turns:
         onsets = track.turn_onsets(turn.index)
         if not onsets:
-            raise NoFollowingWordError(f"turn {turn.index}: no timing entries")
+            raise NoFollowingWordError(
+                f"{_label(dialog, turn)}: no timing entries with turn index {turn.index}", story_id=dialog.story_id
+            )
         text = track.text_index[turn.index]
         if text != turn.text:  # track words hold no whitespace, so equal texts are equal words
-            raise _word_mismatch(turn, track)
+            raise _word_mismatch(dialog, turn, track)
         new_annotations = []
         last_ms = None
         for ann in turn.annotations:
             i = ann.word_index
             if not 0 <= i < len(onsets):
                 raise NoFollowingWordError(
-                    f"turn {turn.index}: annotation at {ann.stroke_begin:.2f}s has no following word"
+                    f"{_label(dialog, turn)}: annotation at {ann.stroke_begin:.2f}s has no following word",
+                    story_id=dialog.story_id,
                 )
             if not (ann.stroke_begin < onsets[i] and (i == 0 or onsets[i - 1] <= ann.stroke_begin)):
-                raise _time_mismatch(turn, ann, onsets)
+                raise _time_mismatch(dialog, turn, ann, onsets)
             begin_ms = max(0, to_ms(onsets[i]) - lead_ms)
             if last_ms is not None and begin_ms <= last_ms:
                 raise StrokeCollisionError(
-                    f"turn {turn.index}: aligned strokes collide at {format_seconds(begin_ms)}s"
+                    f"{_label(dialog, turn)}: aligned strokes collide at {format_seconds(begin_ms)}s",
+                    story_id=dialog.story_id,
                 )
             last_ms = begin_ms
             begin = begin_ms / 1000

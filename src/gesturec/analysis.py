@@ -14,7 +14,8 @@ depends on ``kind``:
 
 The first row may be a header, blank rows and rows whose first column
 starts with ``#`` are skipped, and each column is stripped of surrounding
-whitespace.
+whitespace.  ``read_judgments`` checks each distinct TIPI item text and
+each distinct why payload once per call, in tables that live for that call.
 """
 
 from __future__ import annotations
@@ -45,8 +46,19 @@ _WHY_LABELS = frozenset(WHY_CATEGORIES)
 
 PREFERENCE_CHOICES = ("A", "NA")
 
-# ten items of ASCII digits, each 1-7 (leading zeros allowed)
-_TIPI_PAYLOAD_RE = re.compile(r"0*[1-7](?:\|0*[1-7]){9}")
+# a TIPI item: ASCII digits with a value from 1 to 7 (leading zeros allowed)
+_TIPI_ITEM_RE = re.compile(r"0*[1-7]")
+
+
+class _TipiItems(dict):
+    """TIPI item text -> its score, each text checked on its first lookup;
+    a text that is no item raises ``KeyError`` and is not stored."""
+
+    def __missing__(self, text: str) -> int:
+        if _TIPI_ITEM_RE.fullmatch(text) is None:
+            raise KeyError(text)
+        score = self[text] = int(text)
+        return score
 
 
 class JudgmentRecord(NamedTuple):
@@ -71,8 +83,14 @@ class StatResult:
 
 
 def read_judgments(source: str) -> list[JudgmentRecord]:
+    """The records of a judgment CSV, in row order; a bad row raises
+    :class:`DomainError` naming its row.  Each distinct TIPI item text and
+    each distinct why payload is checked once per call: the tables that
+    remember them live for this call only."""
     records: list[JudgmentRecord] = []
     append = records.append
+    tipi_item = _TipiItems().__getitem__
+    why_labels: dict[str, frozenset[str]] = {}  # why payload -> its checked labels
     reader = csv.reader(io.StringIO(source))
     for row_number, row in enumerate(reader, start=1):
         if not row or row[0].startswith("#"):
@@ -87,17 +105,24 @@ def read_judgments(source: str) -> list[JudgmentRecord]:
         kind = kind.strip()
         payload = payload.strip()
         if kind == "tipi":
-            if _TIPI_PAYLOAD_RE.fullmatch(payload) is None:
+            try:
+                scores = tuple(map(tipi_item, payload.split("|")))
+            except KeyError:
+                scores = ()
+            if len(scores) != 10:
                 raise DomainError(f"row {row_number}: bad tipi payload {payload!r}")
-            append(JudgmentRecord(subject_id, stimulus_id, kind, tuple(map(int, payload.split("|")))))
+            append(JudgmentRecord(subject_id, stimulus_id, kind, scores))
         elif kind == "preference":
             if payload not in PREFERENCE_CHOICES:
                 raise DomainError(f"row {row_number}: preference must be A or NA, got {payload!r}")
             append(JudgmentRecord(subject_id, stimulus_id, kind, None, payload))
         elif kind == "why":
-            labels = frozenset(filter(None, payload.split("|")))
-            if not labels <= _WHY_LABELS:
-                raise DomainError(f"row {row_number}: unknown why categories {sorted(labels - _WHY_LABELS)}")
+            labels = why_labels.get(payload)
+            if labels is None:
+                labels = frozenset(filter(None, payload.split("|")))
+                if not labels <= _WHY_LABELS:
+                    raise DomainError(f"row {row_number}: unknown why categories {sorted(labels - _WHY_LABELS)}")
+                why_labels[payload] = labels
             append(JudgmentRecord(subject_id, stimulus_id, kind, None, None, labels))
         else:
             raise DomainError(f"row {row_number}: unknown record kind {kind!r}")

@@ -25,7 +25,7 @@ from .align import parse_word_timings
 from .catalog import load_catalog
 from .config import load_config
 from .dsl import parse_dialog
-from .errors import DialogParseError, GesturecError, UnknownGestureError
+from .errors import AlignError, DialogParseError, GesturecError, UnknownGestureError
 from .pipeline import PipelineSettings, compile_dialog
 from .stimuli import (
     check_story_id, run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json,
@@ -73,21 +73,22 @@ def _parse_story(source: str, story_id: str):
 
 
 def _load_stories(stories_dir: Path, timings_dir: Path | None):
-    """The stories of a directory by story id, and the dialog file of each."""
+    """The stories of a directory by story id, and the dialog file and
+    timing track file (``None`` without ``timings_dir``) of each."""
     stories = {}
-    sources = {}  # story id -> the file that names it
+    sources = {}  # story id -> the dialog file that names it and its timing track file
     for path in sorted(Path(stories_dir).glob("*.dialog")):
         dialog = _load(path, partial(_parse_story, story_id=path.stem))
         story_id = dialog.story_id
         if story_id in sources:
-            raise GesturecError(f"story {story_id!r} is named by both {sources[story_id]} and {path}")
-        sources[story_id] = path
-        track = None
+            raise GesturecError(f"story {story_id!r} is named by both {sources[story_id][0]} and {path}")
+        track = timing_path = None
         if timings_dir is not None:
             timing_path = Path(timings_dir) / f"{path.stem}.tsv"
             if not timing_path.exists():
                 raise GesturecError(f"no timing track for story {path.stem!r} at {timing_path}")
             track = _load(timing_path, parse_word_timings)
+        sources[story_id] = (path, timing_path)
         stories[story_id] = (dialog, track)
     if not stories:
         raise GesturecError(f"no .dialog files in {stories_dir}")
@@ -101,8 +102,10 @@ def _cmd_compile(args) -> int:
     source = _load(args.dialog, str)
     try:
         result = compile_dialog(source, catalog, timings=timings, settings=settings, variant=args.variant)
-    except (DialogParseError, UnknownGestureError) as exc:  # the dialog's own; the others involve two files
+    except (DialogParseError, UnknownGestureError) as exc:  # the dialog's own
         raise GesturecError(f"{args.dialog}: {exc}") from None
+    except AlignError as exc:  # the dialog's and its timing track's
+        raise GesturecError(f"{args.dialog}, {args.timings}: {exc}") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for filename, content in speaker_scripts(result.schedule).items():
@@ -121,7 +124,10 @@ def _cmd_build(args) -> int:
     try:
         bundles = run_batch(stories, catalog, settings)
     except UnknownGestureError as exc:
-        raise GesturecError(f"{sources[exc.story_id]}: {exc}") from None
+        raise GesturecError(f"{sources[exc.story_id][0]}: {exc}") from None
+    except AlignError as exc:
+        dialog_file, track_file = sources[exc.story_id]
+        raise GesturecError(f"{dialog_file}, {track_file}: {exc}") from None
     manifest = write_bundles(bundles, Path(args.out), args.experiment)
     for bundle in bundles:
         for note in bundle.diagnostics:

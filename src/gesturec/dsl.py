@@ -19,7 +19,9 @@ the performance is adapted), ``!`` before the name marks a copied gesture
 form, and the variant after ``/`` is the non-adapted alternative.  Seconds
 are printed with exactly two decimals in canonical form, and the parser
 refuses a time off that centisecond grid.  Square brackets are reserved
-for annotations and may not appear in turn text.
+for annotations and may not appear in turn text.  ``parse_dialog`` parses
+the text between an annotation's parentheses once per distinct text in a
+document; its time and ``*`` marker are read at each annotation.
 
 The dialog records (:class:`AnnotatedDialog`, :class:`Turn`,
 :class:`GestureAnnotation`, :class:`Alternative`, :class:`Features`) are
@@ -131,9 +133,12 @@ def _parse_variant(text: str, lineno: int, col: int, allow_copy: bool) -> tuple[
     return copied, name, hand, dur
 
 
-def _parse_annotation(m: re.Match, lineno: int, col: int, word_index: int) -> GestureAnnotation:
-    begin = _seconds(m.group(1), "stroke begin", lineno, col)
-    inner = m.group(3)
+# An annotation's form, the text between its parentheses parsed: gesture
+# name, hand, stroke duration, copy marker and alternative.
+_Form = tuple[str, str, float, bool, Alternative | None]
+
+
+def _parse_form(inner: str, lineno: int, col: int) -> _Form:
     pieces = inner.split("/")
     if len(pieces) > 2:
         raise DialogParseError("at most one alternative per annotation", lineno, col)
@@ -142,6 +147,21 @@ def _parse_annotation(m: re.Match, lineno: int, col: int, word_index: int) -> Ge
     if len(pieces) == 2:
         _, alt_name, alt_hand, alt_dur = _parse_variant(pieces[1], lineno, col, allow_copy=False)
         alternative = Alternative(alt_name, alt_hand, alt_dur)
+    return name, hand, dur, copied, alternative
+
+
+def _parse_annotation(
+    m: re.Match, lineno: int, col: int, word_index: int, forms: dict[str, _Form]
+) -> GestureAnnotation:
+    """The annotation ``m`` matched.  ``forms`` holds the forms parsed so
+    far in the document by their text, so each distinct text is parsed
+    once; a text that fails is not stored, and fails again where it recurs."""
+    begin = _seconds(m.group(1), "stroke begin", lineno, col)
+    inner = m.group(3)
+    form = forms.get(inner)
+    if form is None:
+        form = forms[inner] = _parse_form(inner, lineno, col)
+    name, hand, dur, copied, alternative = form
     return GestureAnnotation(
         stroke_begin=begin,
         gesture_name=name,
@@ -172,9 +192,12 @@ def _check_brackets(body: str, end: int, stop: int, lineno: int, offset: int) ->
     raise DialogParseError("square brackets are reserved for annotations", lineno, offset + pos + 1)
 
 
-def _parse_turn_body(body: str, lineno: int, offset: int) -> tuple[str, tuple[GestureAnnotation, ...]]:
+def _parse_turn_body(
+    body: str, lineno: int, offset: int, forms: dict[str, _Form]
+) -> tuple[str, tuple[GestureAnnotation, ...]]:
     """The text and the annotations of a turn body that starts ``offset``
-    characters into its line.  Only words may stand between annotations."""
+    characters into its line, with the document's ``forms`` (see
+    :func:`_parse_annotation`).  Only words may stand between annotations."""
     words: list[str] = []
     annotations: list[GestureAnnotation] = []
     disorder = None  # raised after the scan, so a later syntax error comes first
@@ -183,7 +206,7 @@ def _parse_turn_body(body: str, lineno: int, offset: int) -> tuple[str, tuple[Ge
         start = m.start()
         _check_brackets(body, end, start, lineno, offset)
         words += body[end:start].split()
-        ann = _parse_annotation(m, lineno, offset + start + 1, len(words))
+        ann = _parse_annotation(m, lineno, offset + start + 1, len(words), forms)
         if disorder is None and annotations and ann.stroke_begin <= annotations[-1].stroke_begin:
             disorder = AnnotationOrderError(
                 f"stroke times must strictly increase within a turn "
@@ -211,6 +234,7 @@ def parse_dialog(source: str, story_id: str = "") -> AnnotatedDialog:
     audio_duration: float | None = None
     speaker_counts = {"A": 0, "B": 0}
     headers = set()
+    forms: dict[str, _Form] = {}  # annotation text -> its form, for this document only
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -243,7 +267,7 @@ def parse_dialog(source: str, story_id: str = "") -> AnnotatedDialog:
                 f"expected turn label {speaker}{speaker_counts[speaker]}, got {speaker}{suffix}",
                 lineno, indent + 1,
             )
-        text, annotations = _parse_turn_body(m.group(3), lineno, indent + m.start(3))
+        text, annotations = _parse_turn_body(m.group(3), lineno, indent + m.start(3), forms)
         turns.append(Turn(speaker=speaker, index=len(turns) + 1, text=text, annotations=annotations))
 
     ends = [a.stroke_end for t in turns for a in t.annotations]

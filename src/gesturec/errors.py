@@ -50,7 +50,12 @@ class TimingOrderError(TimingError):
 
 
 class AlignError(GesturecError):
-    """Stroke alignment against a timing track failed."""
+    """Stroke alignment against a timing track failed; ``story_id`` is the
+    aligned dialog's."""
+
+    def __init__(self, message: str, story_id: str | None = None):
+        super().__init__(message)
+        self.story_id = story_id
 
 
 class NoFollowingWordError(AlignError):

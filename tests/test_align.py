@@ -242,6 +242,36 @@ def test_turn_without_timing_entries():
         align_strokes(dialog, track)
 
 
+@pytest.mark.parametrize("third_turn, third_track, error, message", [
+    ("three.", "", NoFollowingWordError, "no timing entries with turn index 3"),
+    (
+        "three.", "3\tthre.\t3.00\n",
+        WordMismatchError, "word 0 is 'three.' in the dialog but 'thre.' in the timing track",
+    ),
+    (
+        "three. [5.00s](Cup, RH 0.46s)", "3\tthree.\t3.00\n",
+        NoFollowingWordError, "annotation at 5.00s has no following word",
+    ),
+    (
+        "[3.50s](Cup, RH 0.46s) three.", "3\tthree.\t3.00\n",
+        WordMismatchError,
+        "the stroke at 3.50s is written before word 0 'three.', so it must fall before 'three.' at 3.0s",
+    ),
+    (
+        "[2.90s](Cup, RH 0.46s) [2.95s](Reject, RH 0.44s) three.", "3\tthree.\t3.00\n",
+        StrokeCollisionError, "aligned strokes collide at 2.800s",
+    ),
+])
+def test_an_alignment_error_names_the_turn_label_and_the_story(third_turn, third_track, error, message):
+    # the third turn is A's second: its label, not its index, names it
+    dialog = parse_dialog(f"story: garden\nA1: one.\nB1: two.\nA2: {third_turn}\n")
+    track = parse_word_timings("1\tone.\t1.00\n2\ttwo.\t2.00\n" + third_track)
+    with pytest.raises(error) as err:
+        align_strokes(dialog, track)
+    assert str(err.value) == f"turn A2: {message}"
+    assert err.value.story_id == "garden"
+
+
 def test_custom_lead():
     dialog = parse_dialog("A1: [1.00s](Cup, RH 0.46s) word.\n")
     track = parse_word_timings("1\tword.\t2.00\n")

@@ -581,6 +581,40 @@ def test_read_judgments_tipi_items():
     assert records[0].choice is None and records[0].why is None
 
 
+def test_read_judgments_reads_an_item_the_same_with_any_leading_zeros():
+    records = read_judgments(
+        "s1,v,tipi,7|07|007|7|07|007|7|07|007|7\n"
+        "s2,v,tipi,007|07|7|1|01|001|2|02|002|0003\n"
+    )
+    assert [r.tipi_items for r in records] == [(7,) * 10, (7, 7, 7, 1, 1, 1, 2, 2, 2, 3)]
+
+
+def test_read_judgments_checks_each_call_afresh():
+    good = "s1,v,tipi,1|2|3|4|5|6|7|1|2|3\ns2,v,why,other\n"
+    assert len(read_judgments(good)) == 2
+    with pytest.raises(DomainError, match=re.escape("row 3: bad tipi payload '1|2|3|4|5|6|7|1|2|8'")):
+        read_judgments(good + "s3,v,tipi,1|2|3|4|5|6|7|1|2|8\n")
+    with pytest.raises(DomainError, match=re.escape("row 2: unknown why categories ['odd']")):
+        read_judgments("s1,v,why,other\ns2,v,why,other|odd\n")
+    # a call that failed leaves nothing behind for the next
+    assert len(read_judgments(good)) == 2
+
+
+def test_read_judgments_names_a_late_bad_why_payload():
+    rows = [f"s{k},v,why,{'other|adapted_animated' if k % 2 else ''}\n" for k in range(500)]
+    source = "".join(rows) + "s500,v,why,adapted_animated|weird\n" + "s501,v,why,other\n"
+    with pytest.raises(DomainError) as err:
+        read_judgments(source)
+    assert str(err.value) == "row 501: unknown why categories ['weird']"
+
+
+def test_read_judgments_gives_a_repeated_why_payload_equal_sets():
+    records = read_judgments("s1,v,why,other|adapted_animated\ns2,w,why,other|adapted_animated\ns3,v,why,\n")
+    assert records[0].why == records[1].why == frozenset({"other", "adapted_animated"})
+    assert records[2].why == frozenset()
+    assert [(r.subject_id, r.stimulus_id) for r in records] == [("s1", "v"), ("s2", "w"), ("s3", "v")]
+
+
 # --- reference equivalence of the reader ----------------------------------
 
 

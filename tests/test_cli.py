@@ -125,11 +125,11 @@ def _garden_disagreeing(case):
 
 @pytest.mark.parametrize("flags", [(), ("--lenient",)])
 @pytest.mark.parametrize("case, message", [
-    ("every track word x", "turn 1: word 0 is 'So' in the dialog but 'x' in the timing track"),
-    ("turn 1's second word missing", "turn 1: word 1 is 'the' in the dialog but 'tomatoes' in the timing track"),
+    ("every track word x", "turn A1: word 0 is 'So' in the dialog but 'x' in the timing track"),
+    ("turn 1's second word missing", "turn A1: word 1 is 'the' in the dialog but 'tomatoes' in the timing track"),
     (
         "first stroke timed 1 s later",
-        "turn 1: the stroke at 2.46s is written before word 2 'tomatoes', "
+        "turn A1: the stroke at 2.46s is written before word 2 'tomatoes', "
         "so it must fall at or after 'the' at 1.33s and before 'tomatoes' at 1.66s",
     ),
 ])
@@ -146,12 +146,37 @@ def test_compile_refuses_a_track_that_disagrees_with_the_dialog(tmp_path, shippe
         *flags,
     ])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'garden.dialog'}, {tmp_path / 'garden.tsv'}: {message}\n"
     assert not (tmp_path / "out").exists()
     catalog = load_catalog((DATA_DIR / "catalog.txt").read_text(encoding="utf-8"))
     settings = PipelineSettings(strict=not flags)
     with pytest.raises(WordMismatchError):
         compile_dialog(dialog, catalog, timings=parse_word_timings(track), settings=settings)
+
+
+@pytest.mark.parametrize("experiment", ["personality", "adaptation"])
+def test_build_names_both_files_of_a_track_that_disagrees_with_its_dialog(tmp_path, shipped, capsys, experiment):
+    stories, timings = tmp_path / "stories", tmp_path / "timings"
+    stories.mkdir()
+    timings.mkdir()
+    for path in (DATA_DIR / "stories").glob("*.dialog"):
+        (stories / path.name).write_bytes(path.read_bytes())
+        (timings / f"{path.stem}.tsv").write_bytes((DATA_DIR / "timings" / f"{path.stem}.tsv").read_bytes())
+    _, track = _garden_disagreeing("every track word x")
+    (timings / "garden.tsv").write_text(track, encoding="utf-8")
+    code = main([
+        "build", "--experiment", experiment,
+        "--stories", str(stories),
+        "--timings", str(timings),
+        "--catalog", shipped["catalog"],
+        "--out", shipped["out"],
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {stories / 'garden.dialog'}, {timings / 'garden.tsv'}: "
+        "turn A1: word 0 is 'So' in the dialog but 'x' in the timing track\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_personality(tmp_path, shipped):

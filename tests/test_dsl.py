@@ -106,6 +106,35 @@ def test_parse_zero_stroke_duration_rejected():
             parse_dialog(source)
 
 
+def test_a_repeated_annotation_text_keeps_its_marker_time_and_word():
+    dialog = parse_dialog(
+        "A1: [1.00s](Cup, RH 0.46s) one [2.00s]*(Cup, RH 0.46s) two.\n"
+        "B1: three [3.00s]*(Cup, RH 0.46s) four [4.00s](Cup, RH 0.46s) five.\n"
+    )
+    annotations = [a for turn in dialog.turns for a in turn.annotations]
+    assert [(a.stroke_begin, a.rate_added, a.word_index) for a in annotations] == [
+        (1.0, False, 0), (2.0, True, 1), (3.0, True, 1), (4.0, False, 2),
+    ]
+    assert {(a.gesture_name, a.hand, a.stroke_duration, a.form_copied, a.alternative) for a in annotations} == {
+        ("Cup", "RH", 0.46, False, None)
+    }
+
+
+def test_a_repeated_malformed_variant_fails_at_its_first_place():
+    source = (
+        "A1: [1.00s](Cup, RH 0.46s) one.\n"
+        "B1: two [2.00s](Cup RH 0.46s) x.\n"
+        "A2: [3.00s](Cup RH 0.46s) y.\n"
+    )
+    with pytest.raises(DialogParseError) as err:
+        parse_dialog(source)
+    assert str(err.value) == "line 2, col 9: malformed gesture variant 'Cup RH 0.46s'"
+    # each call parses its own texts: another document fails at its own first place
+    with pytest.raises(DialogParseError) as err:
+        parse_dialog(source.replace("two [2.00s](Cup RH 0.46s) x.", "two x."))
+    assert str(err.value) == "line 3, col 5: malformed gesture variant 'Cup RH 0.46s'"
+
+
 def test_copy_marker_on_alternative_rejected():
     with pytest.raises(DialogParseError):
         parse_dialog("A1: [1.00s](Cup, RH 0.46s / !Away, 2H 0.40s) word.\n")
@@ -302,7 +331,7 @@ def reference_parse_turn_body(body: str) -> tuple[str, tuple[GestureAnnotation, 
             m = dsl._ANNOT_RE.match(body, pos)
             if not m:
                 raise DialogParseError("malformed annotation", 1, pos + 1)
-            annotations.append(dsl._parse_annotation(m, 1, m.start() + 1, len(words)))
+            annotations.append(dsl._parse_annotation(m, 1, m.start() + 1, len(words), {}))
             pos = m.end()
             continue
         end = pos
@@ -351,7 +380,7 @@ def test_parser_matches_reference_scanner(pieces, lead):
     except DialogParseError as exc:
         expected = exc
     try:
-        got = dsl._parse_turn_body(body, 1, 0)
+        got = dsl._parse_turn_body(body, 1, 0, {})
     except DialogParseError as exc:
         got = exc
     if not isinstance(expected, Exception):
