@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .dsl import AnnotatedDialog, GestureAnnotation, Turn
+from .dsl import AnnotatedDialog, GestureAnnotation, Turn, turn_label
 from .errors import (
     NoFollowingWordError,
     StrokeCollisionError,
@@ -124,12 +124,6 @@ def parse_word_timings(source: str) -> WordTimingTrack:
     )
 
 
-def _label(dialog: AnnotatedDialog, turn: Turn) -> str:
-    """The turn's label as the dialog writes it, as in ``turn B2``;
-    ``turn.index`` is its 1-based position in ``dialog.turns``."""
-    return f"turn {turn.speaker}{sum(t.speaker == turn.speaker for t in dialog.turns[:turn.index])}"
-
-
 def _word_mismatch(dialog: AnnotatedDialog, turn: Turn, track: WordTimingTrack) -> WordMismatchError:
     """The first word at which the turn's text and its track words differ."""
     ours = turn.text.split()
@@ -139,7 +133,7 @@ def _word_mismatch(dialog: AnnotatedDialog, turn: Turn, track: WordTimingTrack) 
         k += 1
     ours_k, theirs_k = (repr(words[k]) if k < len(words) else "missing" for words in (ours, theirs))
     return WordMismatchError(
-        f"{_label(dialog, turn)}: word {k} is {ours_k} in the dialog but {theirs_k} in the timing track",
+        f"{turn_label(dialog, turn)}: word {k} is {ours_k} in the dialog but {theirs_k} in the timing track",
         story_id=dialog.story_id,
     )
 
@@ -153,7 +147,7 @@ def _time_mismatch(
     if i:
         window = f"at or after {words[i - 1]!r} at {onsets[i - 1]}s and " + window
     return WordMismatchError(
-        f"{_label(dialog, turn)}: the stroke at {ann.stroke_begin:.2f}s is written before word {i} "
+        f"{turn_label(dialog, turn)}: the stroke at {ann.stroke_begin:.2f}s is written before word {i} "
         f"{words[i]!r}, so it must fall {window}",
         story_id=dialog.story_id,
     )
@@ -184,7 +178,7 @@ def align_strokes(
         onsets = track.turn_onsets(turn.index)
         if not onsets:
             raise NoFollowingWordError(
-                f"{_label(dialog, turn)}: no timing entries with turn index {turn.index}", story_id=dialog.story_id
+                f"{turn_label(dialog, turn)}: no timing entries with turn index {turn.index}", story_id=dialog.story_id
             )
         text = track.text_index[turn.index]
         if text != turn.text:  # track words hold no whitespace, so equal texts are equal words
@@ -195,7 +189,7 @@ def align_strokes(
             i = ann.word_index
             if not 0 <= i < len(onsets):
                 raise NoFollowingWordError(
-                    f"{_label(dialog, turn)}: annotation at {ann.stroke_begin:.2f}s has no following word",
+                    f"{turn_label(dialog, turn)}: annotation at {ann.stroke_begin:.2f}s has no following word",
                     story_id=dialog.story_id,
                 )
             if not (ann.stroke_begin < onsets[i] and (i == 0 or onsets[i - 1] <= ann.stroke_begin)):
@@ -203,7 +197,7 @@ def align_strokes(
             begin_ms = max(0, to_ms(onsets[i]) - lead_ms)
             if last_ms is not None and begin_ms <= last_ms:
                 raise StrokeCollisionError(
-                    f"{_label(dialog, turn)}: aligned strokes collide at {format_seconds(begin_ms)}s",
+                    f"{turn_label(dialog, turn)}: aligned strokes collide at {format_seconds(begin_ms)}s",
                     story_id=dialog.story_id,
                 )
             last_ms = begin_ms

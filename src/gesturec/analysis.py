@@ -16,6 +16,8 @@ The first row may be a header, blank rows and rows whose first column
 starts with ``#`` are skipped, and each column is stripped of surrounding
 whitespace.  ``read_judgments`` checks each distinct TIPI item text and
 each distinct why payload once per call, in tables that live for that call.
+Only ``anova`` needs numpy, and it imports numpy on its first call, so
+reading, scoring and the preference and why tables run without it.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import DomainError, EmptyCellError, StatError
 from .special import f_sf, student_t_two_tailed
@@ -236,6 +236,7 @@ def anova(
     ``U``, an orthonormal basis of its treatment-coded columns with the
     intercept and all earlier terms projected out, so on unbalanced data the
     listed order matters.  Levels are compared by their ``str()``."""
+    import numpy as np  # on first use: no other path of gesturec pays numpy's import time and memory
     if not observations:
         raise StatError("no observations")
     if not factors:

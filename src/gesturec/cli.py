@@ -25,7 +25,7 @@ from .align import parse_word_timings
 from .catalog import load_catalog
 from .config import load_config
 from .dsl import parse_dialog
-from .errors import AlignError, DialogParseError, GesturecError, UnknownGestureError
+from .errors import AlignError, DialogParseError, GesturecError, PlanError, UnknownGestureError
 from .pipeline import PipelineSettings, compile_dialog
 from .stimuli import (
     check_story_id, run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json,
@@ -102,8 +102,10 @@ def _cmd_compile(args) -> int:
     source = _load(args.dialog, str)
     try:
         result = compile_dialog(source, catalog, timings=timings, settings=settings, variant=args.variant)
-    except (DialogParseError, UnknownGestureError) as exc:  # the dialog's own
+    except (DialogParseError, PlanError) as exc:  # the dialog's own
         raise GesturecError(f"{args.dialog}: {exc}") from None
+    except UnknownGestureError as exc:  # the dialog's and its catalog's
+        raise GesturecError(f"{args.dialog}, {args.catalog}: {exc}") from None
     except AlignError as exc:  # the dialog's and its timing track's
         raise GesturecError(f"{args.dialog}, {args.timings}: {exc}") from None
     out_dir = Path(args.out)
@@ -124,10 +126,14 @@ def _cmd_build(args) -> int:
     try:
         bundles = run_batch(stories, catalog, settings)
     except UnknownGestureError as exc:
-        raise GesturecError(f"{sources[exc.story_id][0]}: {exc}") from None
+        raise GesturecError(f"{sources[exc.story_id][0]}, {args.catalog}: {exc}") from None
     except AlignError as exc:
         dialog_file, track_file = sources[exc.story_id]
         raise GesturecError(f"{dialog_file}, {track_file}: {exc}") from None
+    except PlanError as exc:  # a dialog that does not fit its task's turn structure
+        if exc.story_id is None:  # a task whose story is missing: no file to name
+            raise
+        raise GesturecError(f"{sources[exc.story_id][0]}: {exc}") from None
     manifest = write_bundles(bundles, Path(args.out), args.experiment)
     for bundle in bundles:
         for note in bundle.diagnostics:
@@ -137,7 +143,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from . import analysis  # numpy: only analyze loads it
+    from . import analysis  # only analyze reads judgments: compile and build skip the module
     records = _load(args.infile, analysis.read_judgments)
     preference = [r for r in records if r.kind == "preference"]
     why = [r for r in records if r.kind == "why"]

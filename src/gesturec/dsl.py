@@ -344,6 +344,12 @@ def segment_sentences(turn: Turn) -> list[tuple[int, list[GestureAnnotation]]]:
     return list(zip(ends, buckets))
 
 
+def turn_label(dialog: AnnotatedDialog, turn: Turn) -> str:
+    """The turn's label as the dialog writes it, as in ``turn B2``;
+    ``turn.index`` is its 1-based position in ``dialog.turns``."""
+    return f"turn {turn.speaker}{sum(t.speaker == turn.speaker for t in dialog.turns[:turn.index])}"
+
+
 def truncate_dialog(dialog: AnnotatedDialog, n_turns: int) -> AnnotatedDialog:
     """First ``n_turns`` turns with the original audio reference."""
     return dialog._replace(turns=dialog.turns[:n_turns])

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class GesturecError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``story_id`` is
+    the story of the one dialog an error is about, when the error knows it:
+    a run over several dialogs names that dialog's file by it."""
+
+    def __init__(self, *args, story_id: str | None = None):
+        super().__init__(*args)
+        self.story_id = story_id
 
 
 class CatalogError(GesturecError):
@@ -18,10 +24,6 @@ class DuplicateGestureError(CatalogError):
 class UnknownGestureError(CatalogError):
     """A gesture name the catalog lacks; ``story_id`` is the dialog's that
     uses it, when a dialog does."""
-
-    def __init__(self, message: str, story_id: str | None = None):
-        super().__init__(message)
-        self.story_id = story_id
 
 
 class DialogParseError(GesturecError):
@@ -53,10 +55,6 @@ class AlignError(GesturecError):
     """Stroke alignment against a timing track failed; ``story_id`` is the
     aligned dialog's."""
 
-    def __init__(self, message: str, story_id: str | None = None):
-        super().__init__(message)
-        self.story_id = story_id
-
 
 class NoFollowingWordError(AlignError):
     pass
@@ -76,7 +74,8 @@ class DomainError(GesturecError, ValueError):
 
 
 class PlanError(GesturecError):
-    """Stimulus or variant plan inconsistent with the dialog."""
+    """Stimulus or variant plan inconsistent with the dialog; ``story_id`` is
+    the dialog's when a stimulus structure does not fit it."""
 
 
 class ScheduleError(GesturecError):

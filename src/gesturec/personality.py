@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .catalog import GestureCatalog, lookup
-from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, segment_sentences
+from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, segment_sentences, turn_label
 from .errors import DomainError, UnknownGestureError
 
 EXTRAVERSION_MIN = 1.0
@@ -123,7 +123,8 @@ def apply_personality(
     they only exist in adapted performances, whose extra gestures the
     adaptation stage owns.  Unknown gesture names (including alternatives,
     and those of annotations the cap drops) raise
-    :class:`UnknownGestureError`, naming the turn and the dialog's story.
+    :class:`UnknownGestureError`, naming the turn by its label, the stroke
+    time and the dialog's story.
     """
     cap = _rate_cap(params)
     by_name: dict[str, Features] = {}  # one Features per gesture: the profile is fixed for the call
@@ -147,7 +148,9 @@ def apply_personality(
                     alt = ann.alternative.gesture_name
                     alt_features = by_name.get(alt) or by_name.setdefault(alt, _features_for(alt, params, catalog))
             except UnknownGestureError as exc:
-                raise UnknownGestureError(f"turn {turn.index}: {exc}", story_id=dialog.story_id) from None
+                raise UnknownGestureError(
+                    f"{turn_label(dialog, turn)}: {exc} at {ann.stroke_begin:.2f}s", story_id=dialog.story_id
+                ) from None
             if id(ann) not in to_drop:
                 kept.append(ann._replace(features=features, alt_features=alt_features))
         new_turns.append(turn._replace(annotations=tuple(kept)))

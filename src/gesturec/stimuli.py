@@ -140,11 +140,12 @@ def _validate_structure(dialog: AnnotatedDialog, structure: str) -> None:
     if len(structure) > len(dialog.turns):
         raise PlanError(
             f"structure {structure!r} needs {len(structure)} turns, "
-            f"dialog {dialog.story_id!r} has {len(dialog.turns)}"
+            f"dialog {dialog.story_id!r} has {len(dialog.turns)}",
+            story_id=dialog.story_id,
         )
     actual = "".join(t.speaker for t in dialog.turns[: len(structure)])
     if actual != structure:
-        raise PlanError(f"structure {structure!r} does not match dialog turns {actual!r}")
+        raise PlanError(f"structure {structure!r} does not match dialog turns {actual!r}", story_id=dialog.story_id)
 
 
 def build_adaptation_pair(

@@ -15,6 +15,7 @@ import gesturec.cli
 
 from conftest import DATA_DIR, EMPTY_HOLD, TOUCHING_STROKES
 from gesturec.align import parse_word_timings
+from gesturec.analysis import anova
 from gesturec.catalog import load_catalog
 from gesturec.cli import main
 from gesturec.emitter import read_script
@@ -124,13 +125,21 @@ def _garden_disagreeing(case):
 
 
 @pytest.mark.parametrize("flags", [(), ("--lenient",)])
-@pytest.mark.parametrize("case, message", [
-    ("every track word x", "turn A1: word 0 is 'So' in the dialog but 'x' in the timing track"),
-    ("turn 1's second word missing", "turn A1: word 1 is 'the' in the dialog but 'tomatoes' in the timing track"),
-    (
+@pytest.mark.parametrize("case, message", [  # ids name the case, so a reworded message keeps them
+    pytest.param(
+        "every track word x", "turn A1: word 0 is 'So' in the dialog but 'x' in the timing track",
+        id="every track word x",
+    ),
+    pytest.param(
+        "turn 1's second word missing",
+        "turn A1: word 1 is 'the' in the dialog but 'tomatoes' in the timing track",
+        id="turn 1's second word missing",
+    ),
+    pytest.param(
         "first stroke timed 1 s later",
         "turn A1: the stroke at 2.46s is written before word 2 'tomatoes', "
         "so it must fall at or after 'the' at 1.33s and before 'tomatoes' at 1.66s",
+        id="first stroke timed 1 s later",
     ),
 ])
 def test_compile_refuses_a_track_that_disagrees_with_the_dialog(tmp_path, shipped, capsys, case, message, flags):
@@ -312,7 +321,8 @@ def test_an_unknown_gesture_names_its_dialog_and_turn(tmp_path, shipped, capsys,
     else:
         argv = ["build", "--experiment", command, "--stories", str(stories), "--timings", shipped["timings"]]
     assert main([*argv, "--catalog", shipped["catalog"], "--out", shipped["out"]]) == 1
-    assert capsys.readouterr().err == f"error: {broken}: turn 1: unknown gesture 'Cupx'\n"
+    message = "turn A1: unknown gesture 'Cupx' at 1.46s"
+    assert capsys.readouterr().err == f"error: {broken}, {shipped['catalog']}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -587,3 +597,66 @@ def test_only_analyze_loads_numpy():
     code = "import sys, gesturec.cli; print('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_analyze_leaves_numpy_unloaded_until_the_first_anova(tmp_path):
+    """``analyze`` scores preference, why and TIPI rows without numpy; the
+    first ``analysis.anova`` loads it and gives the F values of a call in
+    this process."""
+    tipi = tmp_path / "tipi.csv"
+    tipi.write_text(
+        "subject_id,stimulus_id,kind,payload\n"
+        "s1,storm/F-extravert/A,tipi,7|2|5|3|6|1|4|4|5|2\n"
+        "s2,storm/F-extravert/A,tipi,06|03|004|3|5|2|5|3|4|3\n"
+        "s1,storm/F-extravert/B,tipi,02|4|04|5|3|006|4|4|3|5\n",
+        encoding="utf-8",
+    )
+    responses = [6.5, 6.0, 5.5, 5.0, 6.0, 4.5, 2.0, 2.5, 3.0, 3.5, 1.5, 2.5]
+    cells = [(p, g) for p in ("extravert", "introvert") for g in ("F", "M") for _ in range(3)]
+    observations = [({"personality": p, "gender": g}, y) for (p, g), y in zip(cells, responses)]
+    code = (
+        "import json, sys\n"
+        "from gesturec import analysis, cli\n"
+        "for path in sys.argv[1:3]:\n"
+        "    if cli.main(['analyze', '--in', path, '--report', sys.argv[3]]) != 0:\n"
+        "        sys.exit(f'analyze {path} failed')\n"
+        "before = 'numpy' in sys.modules\n"
+        "results = analysis.anova(json.loads(sys.argv[4]), ['personality', 'gender'], [('personality', 'gender')])\n"
+        "print(json.dumps([before, 'numpy' in sys.modules, [r.value for r in results]]))\n"
+    )
+    src = str(Path(gesturec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    csvs = [str(DATA_DIR / "adaptation_judgments.csv"), str(tipi)]
+    argv = [sys.executable, "-c", code, *csvs, str(tmp_path / "report.json"), json.dumps(observations)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    before, after, f_values = json.loads(result.stdout.splitlines()[-1])
+    assert (before, after) == (False, True)
+    expected = anova(observations, ["personality", "gender"], [("personality", "gender")])
+    assert f_values == [r.value for r in expected]
+
+
+def test_compile_names_a_dialog_with_no_turn_to_adapt(tmp_path, shipped, capsys):
+    dialog = tmp_path / "empty.dialog"
+    dialog.write_text("story: garden\naudio: 28.05s\n", encoding="utf-8")
+    argv = ["compile", "--dialog", str(dialog), "--catalog", shipped["catalog"], "--out", shipped["out"]]
+    assert main([*argv, "--variant", "adapted"]) == 1
+    assert capsys.readouterr().err == f"error: {dialog}: dialog has no turns\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_names_a_dialog_too_short_for_its_task(tmp_path, shipped, capsys):
+    stories = tmp_path / "stories"
+    stories.mkdir()
+    for path in (DATA_DIR / "stories").glob("*.dialog"):
+        (stories / path.name).write_bytes(path.read_bytes())
+    broken = stories / "garden.dialog"
+    lines = broken.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[3].startswith("A1: ") and lines[4].startswith("B1: ")
+    broken.write_text("".join(lines[:4]), encoding="utf-8")  # the headers and turn A1
+    code = main([
+        "build", "--experiment", "adaptation", "--stories", str(stories), "--timings", shipped["timings"],
+        "--catalog", shipped["catalog"], "--out", shipped["out"],
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {broken}: structure 'ABA' needs 3 turns, dialog 'garden' has 1\n"
+    assert not (tmp_path / "out").exists()

@@ -197,14 +197,14 @@ def test_an_unknown_gesture_names_its_turn_and_story(catalog, monkeypatch):
     )
     with pytest.raises(UnknownGestureError) as err:
         apply_personality(parse_dialog(source), "A", EXTRAVERT_ANCHOR, catalog)
-    assert str(err.value) == "turn 3: unknown gesture 'Cupx'"
+    assert str(err.value) == "turn A2: unknown gesture 'Cupx' at 5.00s"
     assert err.value.story_id == "s"
     assert looked_up == ["Cup", "Cupx"]  # once per distinct name
 
 
 def test_an_unknown_gesture_the_cap_drops_is_refused(catalog):
     source = "A1: one [1.00s](Cup, RH 0.46s) two [2.00s](Cup, RH 0.46s) three [3.00s](Cupx, RH 0.46s) four.\n"
-    with pytest.raises(UnknownGestureError, match=re.escape("turn 1: unknown gesture 'Cupx'")):
+    with pytest.raises(UnknownGestureError, match=re.escape("turn A1: unknown gesture 'Cupx' at 3.00s")):
         apply_personality(parse_dialog(source), "A", EXTRAVERT_ANCHOR, catalog)  # cap 2
 
 
