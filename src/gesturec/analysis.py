@@ -16,17 +16,23 @@ The first row may be a header, blank rows and rows whose first column
 starts with ``#`` are skipped, and each column is stripped of surrounding
 whitespace.  ``read_judgments`` checks each distinct TIPI item text and
 each distinct why payload once per call, in tables that live for that call.
-Only ``anova`` needs numpy, and it imports numpy on its first call, so
-reading, scoring and the preference and why tables run without it.
+``anova`` fits its model from the cell counts and sums of the observations,
+so the module, like the whole package, needs nothing beyond the standard
+library.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import numbers
 import re
+import sys
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, EmptyCellError, StatError
@@ -235,8 +241,13 @@ def anova(
     squares.  A term's sum of squares is ``|U'y|^2`` and its df the rank of
     ``U``, an orthonormal basis of its treatment-coded columns with the
     intercept and all earlier terms projected out, so on unbalanced data the
-    listed order matters.  Levels are compared by their ``str()``."""
-    import numpy as np  # on first use: no other path of gesturec pays numpy's import time and memory
+    listed order matters.  Levels are compared by their ``str()``.
+
+    Every column is constant within a cell of the factors, so the fit runs
+    in the cell-means form: one vector entry per cell, scaled by the square
+    root of the cell's count so that a dot product is the inner product over
+    observations.  The response enters through its cell means, and the
+    within-cell sum of squares joins the residual."""
     if not observations:
         raise StatError("no observations")
     if not factors:
@@ -244,58 +255,75 @@ def anova(
     terms: list[tuple[str, ...]] = [(f,) for f in factors] + [tuple(i) for i in interactions]
     for term, factor in ((t, f) for t in terms for f in t if f not in factors):
         raise StatError(f"term {term} names {factor!r}, which is not a factor")
+    rows = [obs for obs, _ in observations]
+    cells: defaultdict[tuple[str, ...], list[float]] = defaultdict(list)  # levels, by str() -> responses
     try:
-        y = np.array([response for _, response in observations])
-    except ValueError:  # sequences of unequal length among the responses
-        y = np.array(None)
-    if y.ndim != 1 or y.dtype.kind not in "biuf" or not np.isfinite(y).all():
-        for index, (_, r) in enumerate(observations):
-            if np.asarray(r, dtype=object).ndim or np.asarray(r).dtype.kind not in "biuf" or not np.isfinite(r):
-                raise StatError(f"observation {index}: response {r!r} is not a finite real number")
-    n = len(y)
-    coded: dict[str, tuple[list[str], np.ndarray]] = {}  # factor -> (levels, level index per observation)
-    for factor in factors:
-        if factor in coded:
-            raise StatError(f"factor {factor!r} is listed twice")
-        try:
-            labels = [str(obs[factor]) for obs, _ in observations]
-        except KeyError:
-            index = next(k for k, (obs, _) in enumerate(observations) if factor not in obs)
-            raise StatError(f"observation {index} has no factor {factor!r}") from None
-        names, code = np.unique(labels, return_inverse=True)
-        if len(names) < 2:
-            raise StatError(f"factor {factor!r} needs at least 2 levels")
-        coded[factor] = (names.tolist(), code)
-    shape = tuple(len(names) for names, _ in coded.values())
-    cells = np.ravel_multi_index([code for _, code in coded.values()], shape)
-    counts = np.bincount(cells, minlength=math.prod(shape))
-    if counts.min() == 0:
-        cell = np.unravel_index(int(np.argmin(counts)), shape)
-        raise EmptyCellError(f"empty cell { {f: coded[f][0][c] for f, c in zip(factors, cell)} }")
+        keys = zip(*[map(str, map(itemgetter(factor), rows)) for factor in factors])
+        for key, (_, y) in zip(keys, observations):
+            if type(y) is not float or not math.isfinite(y):
+                y = _real(y)
+                if not math.isfinite(y):
+                    _check_inputs(observations, factors)
+            cells[key].append(y)
+    except KeyError:
+        _check_inputs(observations, factors)
+        raise
+    levels = [sorted({cell[k] for cell in cells}) for k in range(len(factors))]
+    if len(set(factors)) < len(factors) or min(map(len, levels)) < 2:
+        _check_inputs(observations, factors)
+    grid = list(itertools.product(*levels))  # every cell, the first factor's level varying slowest
+    if len(cells) < len(grid):
+        cell = next(cell for cell in grid if cell not in cells)
+        raise EmptyCellError(f"empty cell {dict(zip(factors, cell))}")
 
-    resid = y.astype(float) - y.mean()
-    tiny = 1e-12 * max(float(resid @ resid), 1.0)
-    basis = np.full((n, 1), 1.0 / math.sqrt(n))
-    rank_tol = np.finfo(float).eps * n * math.sqrt(n)  # design columns have norm <= sqrt(n)
+    n = len(observations)
+    weights, sums, means, within = [], [], [], 0.0
+    for cell in grid:
+        ys = cells[cell]
+        total = sum(ys)
+        mean = total / len(ys)
+        deviations = [y - mean for y in ys]
+        within += _dot(deviations, deviations)
+        weights.append(math.sqrt(len(ys)))
+        sums.append(total)
+        means.append(mean)
+    grand = sum(sums) / n
+    resid = [w * (mean - grand) for w, mean in zip(weights, means)]
+    ss_total = within + _dot(resid, resid)
+    if not math.isfinite(ss_total):
+        raise StatError("the sum of squared deviations overflows a float")
+    tiny = 1e-12 * max(ss_total, 1.0)
+    basis = [[w / math.sqrt(n) for w in weights]]
+    rank_tol = sys.float_info.epsilon * n * math.sqrt(n)  # design columns have norm <= sqrt(n)
+    # each factor's level index in every cell of the grid
+    codes = list(zip(*itertools.product(*(range(len(names)) for names in levels))))
+    position = {factor: k for k, factor in enumerate(factors)}
     fits: list[tuple[float, int]] = []
     for term in terms:
-        block = np.ones((n, 1))
-        for factor in term:
-            names, code = coded[factor]
-            dummy = code[:, None] == np.arange(1, len(names))  # treatment coding, first level as reference
-            block = (block[:, :, None] * dummy[:, None, :]).reshape(n, -1)
-        for _ in range(2):  # the second pass removes what rounding left of earlier terms
-            block = block - basis @ (basis.T @ block)
-        u, s, _ = np.linalg.svd(block, full_matrices=False)
-        u = u[:, s > rank_tol]
-        coef = u.T @ resid
-        resid = resid - u @ coef
-        fits.append((float(coef @ coef), u.shape[1]))
-        basis = np.hstack([basis, u])
-    df_resid = n - basis.shape[1]
+        at = [position[factor] for factor in term]
+        ss_term, df_term = 0.0, 0
+        # treatment coding, first level as reference: one column per non-reference level combination
+        for combo in itertools.product(*(range(1, len(levels[k])) for k in at)):
+            column = weights
+            for k, level in zip(at, combo):
+                column = [c if code == level else 0.0 for c, code in zip(column, codes[k])]
+            for _ in range(2):  # the second pass removes what rounding left of earlier columns
+                for q in basis:
+                    d = _dot(q, column)
+                    column = [c - d * b for c, b in zip(column, q)]
+            norm = math.sqrt(_dot(column, column))
+            if norm > rank_tol:
+                q = [c / norm for c in column]
+                basis.append(q)
+                coef = _dot(q, resid)
+                resid = [r - coef * b for r, b in zip(resid, q)]
+                ss_term += coef * coef
+                df_term += 1
+        fits.append((ss_term, df_term))
+    df_resid = n - len(basis)
     if df_resid <= 0:
         raise StatError("no residual degrees of freedom (need replication within cells)")
-    ms_resid = float(resid @ resid) / df_resid
+    ms_resid = (within + _dot(resid, resid)) / df_resid
     results = []
     for term, (ss_term, df_term) in zip(terms, fits):
         if df_term == 0:
@@ -309,6 +337,39 @@ def anova(
             p = f_sf(f_value, df_term, df_resid)
         results.append(StatResult(name=":".join(term), value=f_value, df=(df_term, df_resid), p_value=p))
     return results
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(map(mul, a, b))
+
+
+def _real(value) -> float:
+    """``value`` as a float; nan unless it is a real number in the float
+    range.  ``numbers.Real`` takes in ``int`` and ``bool``, and the integer
+    and floating scalars of array libraries, which register with it."""
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    return math.nan
+
+
+def _check_inputs(observations: Sequence[tuple[Mapping[str, str], float]], factors: Sequence[str]) -> None:
+    """Raise the error of ``anova``'s first failing input check, in the
+    order they run: every response, then each factor in turn for being listed
+    twice, missing from an observation or having fewer than 2 levels."""
+    for index, (_, response) in enumerate(observations):
+        if not math.isfinite(_real(response)):
+            raise StatError(f"observation {index}: response {response!r} is not a finite real number")
+    for k, factor in enumerate(factors):
+        if factor in factors[:k]:
+            raise StatError(f"factor {factor!r} is listed twice")
+        for index, (obs, _) in enumerate(observations):
+            if factor not in obs:
+                raise StatError(f"observation {index} has no factor {factor!r}")
+        if len({str(obs[factor]) for obs, _ in observations}) < 2:
+            raise StatError(f"factor {factor!r} needs at least 2 levels")
 
 
 @dataclass(frozen=True)

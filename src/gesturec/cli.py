@@ -25,7 +25,7 @@ from .align import parse_word_timings
 from .catalog import load_catalog
 from .config import load_config
 from .dsl import parse_dialog
-from .errors import AlignError, DialogParseError, GesturecError, PlanError, UnknownGestureError
+from .errors import AlignError, DialogParseError, GesturecError, PlanError, ScheduleError, UnknownGestureError
 from .pipeline import PipelineSettings, compile_dialog
 from .stimuli import (
     check_story_id, run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json,
@@ -130,7 +130,7 @@ def _cmd_build(args) -> int:
     except AlignError as exc:
         dialog_file, track_file = sources[exc.story_id]
         raise GesturecError(f"{dialog_file}, {track_file}: {exc}") from None
-    except PlanError as exc:  # a dialog that does not fit its task's turn structure
+    except (PlanError, ScheduleError) as exc:  # a dialog that misfits its task, or a stroke strict mode refused
         if exc.story_id is None:  # a task whose story is missing: no file to name
             raise
         raise GesturecError(f"{sources[exc.story_id][0]}: {exc}") from None

@@ -113,9 +113,9 @@ def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) ->
     return strokes
 
 
-def _reject(error: type[ScheduleError], message: str, strict: bool, diagnostics: list[str]) -> None:
+def _reject(error: type[ScheduleError], message: str, strict: bool, diagnostics: list[str], story_id: str) -> None:
     if strict:
-        raise error(message)
+        raise error(message, story_id=story_id)
     diagnostics.append(f"dropped: {message}")
 
 
@@ -125,6 +125,7 @@ def _admit_strokes(
     speaker: str,
     strict: bool,
     diagnostics: list[str],
+    story_id: str,
 ) -> dict[str, list[_Stroke]]:
     """Assign strokes to arms, rejecting conflicts.
 
@@ -142,14 +143,14 @@ def _admit_strokes(
                 f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(stroke.start)}s lasts 0 ms "
                 f"({ann.stroke_duration}s at speed {ann.features.speed:g})"
             )
-            _reject(EmptyStrokeError, message, strict, diagnostics)
+            _reject(EmptyStrokeError, message, strict, diagnostics, story_id)
             continue
         if stroke.end > audio:
             message = (
                 f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(stroke.start)}s "
                 f"runs past the audio end ({format_seconds(stroke.end)}s > {format_seconds(audio)}s)"
             )
-            _reject(StrokeOverrunError, message, strict, diagnostics)
+            _reject(StrokeOverrunError, message, strict, diagnostics, story_id)
             continue
         blocked = next((arm for arm in arms if stroke.start <= last_end[arm]), None)
         if blocked is not None:
@@ -158,7 +159,7 @@ def _admit_strokes(
                 f"{format_seconds(stroke.start)}s overlaps the previous stroke ending at "
                 f"{format_seconds(last_end[blocked])}s"
             )
-            _reject(StrokeOverlapError, message, strict, diagnostics)
+            _reject(StrokeOverlapError, message, strict, diagnostics, story_id)
             continue
         for arm in arms:
             per_arm[arm].append(stroke)
@@ -205,7 +206,7 @@ def schedule(
     prep, hold = to_ms(config.prep_duration_s), to_ms(config.hold_threshold_s)
     for speaker in ("A", "B"):
         strokes = _collect_strokes(dialog, speaker, config.retract_duration_s)
-        per_arm = _admit_strokes(strokes, audio, speaker, strict, diagnostics)
+        per_arm = _admit_strokes(strokes, audio, speaker, strict, diagnostics, dialog.story_id)
         tracks = {arm: _build_track(arm, per_arm[arm], audio, prep, hold) for arm in ARMS}
         timelines[speaker] = Timeline(
             speaker=speaker,

@@ -28,7 +28,7 @@ from .align import WordTimingTrack
 from .catalog import GestureCatalog
 from .dsl import SPEAKERS, AnnotatedDialog, truncate_dialog
 from .emitter import emit_script
-from .errors import PlanError
+from .errors import PlanError, ScheduleError
 # profile_from_extraversion is unused here but stays bound for perfbench/tracing.py BINDINGS (ROADMAP item 4)
 from .personality import EXTRAVERSION_MAX, EXTRAVERSION_MIN, profile_from_extraversion
 from .pipeline import PipelineSettings, prepare_dialog
@@ -103,6 +103,15 @@ def _bundle(
     return StimulusBundle(name, metadata, scripts, tuple(result.diagnostics))
 
 
+def _schedule(bundles: str, dialog: AnnotatedDialog, settings: PipelineSettings) -> ScheduleResult:
+    """The schedule of ``dialog`` under ``settings``; a strict schedule
+    error names the bundles it was for in front of its message."""
+    try:
+        return schedule(dialog, settings.scheduler, strict=settings.strict)
+    except ScheduleError as exc:
+        raise type(exc)(f"{bundles}: {exc}", story_id=exc.story_id) from None
+
+
 def build_personality_pair(
     dialog: AnnotatedDialog,
     catalog: GestureCatalog,
@@ -117,7 +126,8 @@ def build_personality_pair(
     """
     extraversion = {"A": EXTRAVERSION_MAX, "B": EXTRAVERSION_MIN}
     prepared = prepare_dialog(dialog, catalog, track, replace(settings, extraversion=extraversion))
-    result = schedule(strip_adaptation(prepared), settings.scheduler, strict=settings.strict)
+    names = ", ".join(f"{dialog.story_id}/{assignment}" for assignment in PERSONALITY_ASSIGNMENTS)
+    result = _schedule(names, strip_adaptation(prepared), settings)
     scripts = speaker_scripts(result)
 
     bundles = []
@@ -168,10 +178,8 @@ def build_adaptation_pair(
     responder = turn_structure[-1]
     non_responder = "B" if responder == "A" else "A"
 
-    adapted, nonadapted = (
-        schedule(resolved, settings.scheduler, strict=settings.strict)
-        for resolved in (resolve_variant(prepared, settings.adaptation), strip_adaptation(prepared))
-    )
+    adapted = _schedule(f"{task}/adapted", resolve_variant(prepared, settings.adaptation), settings)
+    nonadapted = _schedule(f"{task}/nonadapted", strip_adaptation(prepared), settings)
     # The non-responder speaks only context turns, which both variants
     # schedule alike, so its scripts are emitted once and shared, and each
     # bundle's diagnostics are those of its own variant's schedule.

@@ -4,16 +4,22 @@ import ast
 import csv
 import io
 import itertools
+import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gesturec
 from conftest import DATA_DIR
 from gesturec.analysis import (
     PREFERENCE_CHOICES,
@@ -415,34 +421,63 @@ def nested_lstsq_anova(observations, factors, interactions=()):
     return out
 
 
-def _unbalanced_dataset(rng):
+def _unbalanced_dataset(rng, shape=(2, 2, 3)):
+    """2 to 6 observations in each cell of a personality x gender x story
+    design with ``shape`` levels; level ``i`` shifts the mean by ``i`` times
+    0.8, 0.5 and 0.3."""
     observations = []
-    for p, g, s in itertools.product(("p0", "p1"), ("g0", "g1"), ("s0", "s1", "s2")):
+    levels = [[f"{prefix}{i}" for i in range(count)] for prefix, count in zip("pgs", shape)]
+    for p, g, s in itertools.product(*levels):
         for _ in range(rng.randint(2, 6)):
-            shift = (0.8 if p == "p1" else 0.0) + (0.5 if g == "g1" else 0.0) + int(s[1]) * 0.3
+            shift = int(p[1:]) * 0.8 + int(g[1:]) * 0.5 + int(s[1:]) * 0.3
             observations.append(({"personality": p, "gender": g, "story": s}, shift + rng.gauss(0.0, 1.0)))
     return observations
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_anova_matches_nested_lstsq_reference_on_unbalanced_data(seed):
-    observations = _unbalanced_dataset(random.Random(seed))
-    by_order = {}
-    for order in (("personality", "gender", "story"), ("story", "gender", "personality")):
-        interactions = tuple(itertools.combinations(order, 2)) + (order,)
-        expected = nested_lstsq_anova(observations, order, interactions)
-        results = anova(observations, order, interactions)
-        assert [r.name for r in results] == list(expected)
-        for r in results:
-            f_value, p, df = expected[r.name]
-            assert r.df == df, r.name
-            assert r.value == pytest.approx(f_value, rel=1e-9, abs=1e-9), r.name
-            assert r.p_value == pytest.approx(p, rel=1e-9, abs=1e-9), r.name
-        by_order[order] = {r.name: r.value for r in results}
-    first, second = by_order.values()
-    # unbalanced: a main effect's sum of squares depends on what precedes it
-    assert first["personality"] != pytest.approx(second["personality"], rel=1e-6)
-    assert first["story"] != pytest.approx(second["story"], rel=1e-6)
+    for shape in ((2, 2, 3), (2, 2, 4), (3, 2, 4)):
+        observations = _unbalanced_dataset(random.Random(seed), shape)
+        by_order = {}
+        for order in (("personality", "gender", "story"), ("story", "gender", "personality")):
+            interactions = tuple(itertools.combinations(order, 2)) + (order,)
+            expected = nested_lstsq_anova(observations, order, interactions)
+            results = anova(observations, order, interactions)
+            assert [r.name for r in results] == list(expected)
+            for r in results:
+                f_value, p, df = expected[r.name]
+                assert r.df == df, (shape, r.name)
+                assert r.value == pytest.approx(f_value, rel=1e-9, abs=1e-9), (shape, r.name)
+                assert r.p_value == pytest.approx(p, rel=1e-9, abs=1e-9), (shape, r.name)
+            by_order[order] = {r.name: r.value for r in results}
+        first, second = by_order.values()
+        # unbalanced: a main effect's sum of squares depends on what precedes it
+        assert first["personality"] != pytest.approx(second["personality"], rel=1e-6), shape
+        assert first["story"] != pytest.approx(second["story"], rel=1e-6), shape
+
+
+def test_anova_runs_where_numpy_cannot_be_imported():
+    """``anova`` needs only the standard library: in a process where every
+    ``import numpy`` fails it gives the results of this process."""
+    observations = _unbalanced_dataset(random.Random(17), (3, 2, 4))
+    factors = ["personality", "gender", "story"]
+    interactions = [["personality", "gender"], ["personality", "story"], ["gender", "story"], factors]
+    code = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None  # makes every import of numpy raise ImportError\n"
+        "from gesturec.analysis import anova\n"
+        "observations, factors, interactions = json.load(sys.stdin)\n"
+        "results = anova(observations, factors, [tuple(term) for term in interactions])\n"
+        "print(json.dumps([[r.name, r.value, list(r.df), r.p_value] for r in results]))\n"
+    )
+    src = str(Path(gesturec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps([observations, factors, interactions]),
+        env=env, capture_output=True, text=True, check=True,
+    )
+    expected = anova(observations, factors, [tuple(term) for term in interactions])
+    assert json.loads(result.stdout) == [[r.name, r.value, list(r.df), r.p_value] for r in expected]
 
 
 def test_anova_compares_levels_by_their_string():
@@ -501,6 +536,33 @@ def test_anova_rejects_responses_that_are_not_finite_numbers(bad):
     observations[5] = (observations[5][0], bad)
     with pytest.raises(StatError, match="observation 5: response .* is not a finite real number"):
         anova(observations, factors)
+
+
+def test_anova_runs_its_input_checks_in_order():
+    """Whatever the order of the observations, every response is checked
+    first, then each factor in turn for being listed twice, missing from an
+    observation or having fewer than 2 levels."""
+    rng = random.Random(18)
+    observations, factors, _ = _balanced_dataset(rng, shape=(2, 2, 2), per_cell=3)
+    data = list(observations)
+    data[2] = ({"personality": "p0", "gender": "g0"}, data[2][1])
+    data[7] = (data[7][0], math.nan)
+    with pytest.raises(StatError, match="observation 7: response nan is not a finite real number"):
+        anova(data, factors)
+    data[7] = observations[7]
+    data[9] = ({"gender": "g0", "story": "s0"}, 1.0)
+    with pytest.raises(StatError, match="observation 9 has no factor 'personality'"):
+        anova(data, factors)
+    one_level = [({**obs, "personality": "p0"}, y) for obs, y in observations]
+    with pytest.raises(StatError, match="factor 'personality' needs at least 2 levels"):
+        anova(one_level, ("personality", "gender", "gender"))
+
+
+def test_anova_refuses_sums_of_squares_beyond_the_float_range():
+    observations, factors, _ = _balanced_dataset(random.Random(19), shape=(2, 2, 2), per_cell=3)
+    huge = [(obs, y * 1e200) for obs, y in observations]
+    with pytest.raises(StatError, match="the sum of squared deviations overflows a float"):
+        anova(huge, factors)
 
 
 def test_anova_accepts_integer_and_numpy_responses():

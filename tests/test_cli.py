@@ -414,19 +414,31 @@ def test_zero_length_stroke_dropped_in_lenient_mode(tmp_path, shipped, capsys):
         read_script((tmp_path / "out" / name).read_bytes())
 
 
-def test_lenient_build_prints_what_it_dropped(tmp_path, shipped, capsys):
+def _build_adaptation_at_speed_1000(tmp_path, shipped, *flags):
     config = tmp_path / "run.cfg"
     config.write_text("adaptation.speed_factor = 1000\n", encoding="utf-8")
-    code = main([
+    return main([
         "build", "--experiment", "adaptation",
         "--stories", shipped["stories"],
         "--timings", shipped["timings"],
         "--catalog", shipped["catalog"],
         "--config", str(config),
         "--out", shipped["out"],
-        "--lenient",
+        *flags,
     ])
-    assert code == 0
+
+
+def test_strict_build_names_the_dialog_and_bundle_of_a_refused_stroke(tmp_path, shipped, capsys):
+    assert _build_adaptation_at_speed_1000(tmp_path, shipped) == 1
+    dialog = Path(shipped["stories"]) / "garden.dialog"
+    assert capsys.readouterr().err == (
+        f"error: {dialog}: garden_ABA/adapted: A: stroke 'CupBeats_Small' at 17.060s lasts 0 ms (0.37s at speed 1000)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_lenient_build_prints_what_it_dropped(tmp_path, shipped, capsys):
+    assert _build_adaptation_at_speed_1000(tmp_path, shipped, "--lenient") == 0
     # only the adapted response turns run at 1000x; each note names its bundle
     notes = capsys.readouterr().err.splitlines()
     assert len(notes) == 19
@@ -600,9 +612,9 @@ def test_only_analyze_loads_numpy():
 
 
 def test_analyze_leaves_numpy_unloaded_until_the_first_anova(tmp_path):
-    """``analyze`` scores preference, why and TIPI rows without numpy; the
-    first ``analysis.anova`` loads it and gives the F values of a call in
-    this process."""
+    """``analyze`` scores preference, why and TIPI rows without numpy, and
+    ``analysis.anova`` leaves it unloaded too while it gives the F values of
+    a call in this process."""
     tipi = tmp_path / "tipi.csv"
     tipi.write_text(
         "subject_id,stimulus_id,kind,payload\n"
@@ -630,7 +642,7 @@ def test_analyze_leaves_numpy_unloaded_until_the_first_anova(tmp_path):
     argv = [sys.executable, "-c", code, *csvs, str(tmp_path / "report.json"), json.dumps(observations)]
     result = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     before, after, f_values = json.loads(result.stdout.splitlines()[-1])
-    assert (before, after) == (False, True)
+    assert (before, after) == (False, False)
     expected = anova(observations, ["personality", "gender"], [("personality", "gender")])
     assert f_values == [r.value for r in expected]
 

@@ -15,7 +15,7 @@ from conftest import count_emitter_calls
 from gesturec.adaptation import resolve_variant, strip_adaptation
 from gesturec.config import load_config
 from gesturec.dsl import format_dialog, parse_dialog, truncate_dialog
-from gesturec.errors import PlanError
+from gesturec.errors import EmptyStrokeError, PlanError, StrokeOverlapError
 from gesturec.personality import EXTRAVERT_ANCHOR
 from gesturec.pipeline import PipelineSettings, compile_dialog, prepare_dialog
 from gesturec.scheduler import schedule
@@ -160,6 +160,21 @@ def test_each_bundle_carries_the_diagnostics_of_its_schedule(stories, catalog):
     assert adapted.diagnostics[0] == "dropped: B: stroke 'Cup' at 21.230s lasts 0 ms (0.46s at speed 1000)"
     assert nonadapted.diagnostics == ()
     assert not any("diagnostics" in bundle.metadata for bundle in (*pair, adapted, nonadapted))
+
+
+def test_a_strict_schedule_error_names_its_bundles_and_story(stories, catalog):
+    dialog = parse_dialog("story: x\naudio: 5.00s\nA1: [1.00s](Cup, RH 0.46s) one [1.20s](Reject, RH 0.44s) two.\n")
+    with pytest.raises(StrokeOverlapError) as err:
+        build_personality_pair(dialog, catalog)
+    assert str(err.value) == (
+        "x/F-extravert, x/M-extravert: A/right: stroke 'Reject' at 1.200s overlaps the previous stroke ending at 1.460s"
+    )
+    assert err.value.story_id == "x"
+    dialog, track = stories["garden"]
+    with pytest.raises(EmptyStrokeError) as err:
+        build_adaptation_pair(dialog, "ABAB", catalog, load_config("adaptation.speed_factor = 1000\n"), track)
+    assert str(err.value) == "garden_ABAB/adapted: B: stroke 'Cup' at 21.230s lasts 0 ms (0.46s at speed 1000)"
+    assert err.value.story_id == "garden"
 
 
 def test_adaptation_pair_audio_reference_shared(stories, catalog):
