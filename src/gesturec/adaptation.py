@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn
+from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, new_annotation, new_turn
 from .errors import DomainError, PlanError
 
 
@@ -60,17 +60,12 @@ def _nonadapted(ann: GestureAnnotation) -> GestureAnnotation | None:
         return None
     if ann.alternative is not None:
         alt = ann.alternative
-        return ann._replace(
-            gesture_name=alt.gesture_name,
-            hand=alt.hand,
-            stroke_duration=alt.stroke_duration,
-            form_copied=False,
-            alternative=None,
-            features=ann.alt_features,
-            alt_features=None,
-        )
+        return new_annotation((
+            ann.stroke_begin, alt.gesture_name, alt.hand, alt.stroke_duration, ann.rate_added,
+            False, None, ann.word_index, ann.alt_features, None,
+        ))
     if ann.form_copied:
-        return ann._replace(form_copied=False)
+        return new_annotation(ann[:5] + (False,) + ann[6:])
     return ann
 
 
@@ -88,12 +83,12 @@ def _adapted(ann: GestureAnnotation, spec: AdaptationSpec) -> GestureAnnotation:
         speed=f.speed * spec.speed_factor,
         scale=f.scale * spec.scale_factor,
     )
-    return ann._replace(alternative=None, features=adapted_features, alt_features=None)
+    return new_annotation(ann[:6] + (None, ann.word_index, adapted_features, None))
 
 
 def _nonadapted_turn(turn: Turn) -> Turn:
     annotations = tuple(r for a in turn.annotations if (r := _nonadapted(a)) is not None)
-    return turn if annotations == turn.annotations else turn._replace(annotations=annotations)
+    return turn if annotations == turn.annotations else new_turn(turn[:3] + (annotations,))
 
 
 def resolve_variant(dialog: AnnotatedDialog, spec: AdaptationSpec = AdaptationSpec()) -> AnnotatedDialog:
@@ -104,7 +99,7 @@ def resolve_variant(dialog: AnnotatedDialog, spec: AdaptationSpec = AdaptationSp
     if not dialog.turns:
         raise PlanError("dialog has no turns")
     *context, response = dialog.turns
-    adapted = response._replace(annotations=tuple(_adapted(a, spec) for a in response.annotations))
+    adapted = new_turn(response[:3] + (tuple(_adapted(a, spec) for a in response.annotations),))
     return dialog._replace(turns=(*map(_nonadapted_turn, context), adapted))
 
 

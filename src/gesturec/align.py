@@ -17,8 +17,9 @@ word's onset and before the word's own.  Each dialog turn's track words must
 equal its text; the track may time turns past the dialog's last.  Times are
 kept on the millisecond grid so the lead is exact, not float-approximate;
 seconds become milliseconds by the script's one rule, ``emitter.to_ms``.
-``parse_word_timings`` parses a turn field once per run of lines with that
-turn, and checks each distinct word once.
+``parse_word_timings`` splits each line once, parses a turn field once per
+run of lines with that turn, and checks each distinct word once; a line
+that goes on with a run skips the blank and comment test.
 A parsed track keeps only what alignment reads, each turn's onsets and
 text, and is equal to another by both; its ``entries`` is a view derived
 from them, in turn order rather than line order.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .dsl import AnnotatedDialog, GestureAnnotation, Turn, turn_label
+from .dsl import AnnotatedDialog, GestureAnnotation, Turn, new_annotation, new_turn, turn_label
 from .errors import (
     NoFollowingWordError,
     StrokeCollisionError,
@@ -77,43 +78,48 @@ class WordTimingTrack:
 
 
 def parse_word_timings(source: str) -> WordTimingTrack:
-    last_overall = 0.0
+    last_overall = 0.0  # the track's last onset before the run being read
     by_turn: dict[int, tuple[list[float], list[str]]] = {}  # onsets and words
     field = None  # the turn field of the run of lines being read, parsed once per run
+    onsets: list[float] = []  # the run's turn's onsets, whose last is the track's last within the run
     words_seen = set()  # words that passed the word check, so each is checked once
     for lineno, line in enumerate(source.splitlines(), start=1):
-        if not "0" <= line[:1] <= "9":  # a line that starts with a digit is no blank or comment line
+        parts = line.split("\t")
+        in_run = parts[0] == field
+        # a line that goes on with the run, or starts with a digit, is no blank or comment line
+        if not in_run and not "0" <= line[:1] <= "9":
             stripped = line.lstrip()
             if not stripped or stripped[0] == "#":
                 continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise TimingFormatError(f"line {lineno}: expected 3 tab-separated fields")
-        if parts[0] != field:
-            turn_index = int(parts[0]) if parts[0].isascii() and parts[0].isdigit() else 0
+        try:
+            turn_field, word, onset_field = parts
+        except ValueError:
+            raise TimingFormatError(f"line {lineno}: expected 3 tab-separated fields") from None
+        if not in_run:
+            turn_index = int(turn_field) if turn_field.isascii() and turn_field.isdigit() else 0
             if turn_index < 1:
-                raise TimingFormatError(f"line {lineno}: turn index {parts[0]!r} is not a decimal whole number >= 1")
-            field = parts[0]
+                raise TimingFormatError(f"line {lineno}: turn index {turn_field!r} is not a decimal whole number >= 1")
+            if onsets:
+                last_overall = onsets[-1]
+            field = turn_field
             turn = by_turn.get(turn_index)
             if turn is None:
                 turn = by_turn[turn_index] = ([], [])
             onsets, words = turn
-        word = parts[1]
         if word not in words_seen:
             if word.split() != [word]:  # a word as ``str.split`` finds it in a turn's text
                 raise TimingFormatError(f"line {lineno}: word {word!r} is empty or holds whitespace")
             words_seen.add(word)
         # digits with at most one decimal point; 309 digits or more overflow to inf
-        onset = float(parts[2]) if parts[2].isascii() and parts[2].replace(".", "", 1).isdigit() else math.inf
+        onset = float(onset_field) if onset_field.isascii() and onset_field.replace(".", "", 1).isdigit() else math.inf
         if onset == math.inf:
             raise TimingFormatError(
-                f"line {lineno}: onset {parts[2]!r} is not a finite number >= 0 in decimal digits"
+                f"line {lineno}: onset {onset_field!r} is not a finite number >= 0 in decimal digits"
             )
-        if onset < last_overall:
+        if onset < (onsets[-1] if in_run else last_overall):
             raise TimingOrderError(f"line {lineno}: onset {onset} decreases across the track")
         if onsets and onset <= onsets[-1]:
             raise TimingOrderError(f"line {lineno}: onset {onset} not increasing within turn {turn_index}")
-        last_overall = onset
         onsets.append(onset)
         words.append(word)
     if not by_turn:
@@ -202,7 +208,7 @@ def align_strokes(
                 )
             last_ms = begin_ms
             begin = begin_ms / 1000
-            new_annotations.append(ann if ann.stroke_begin == begin else ann._replace(stroke_begin=begin))
+            new_annotations.append(ann if ann.stroke_begin == begin else new_annotation((begin,) + ann[1:]))
         annotations = tuple(new_annotations)
-        new_turns.append(turn if annotations == turn.annotations else turn._replace(annotations=annotations))
+        new_turns.append(turn if annotations == turn.annotations else new_turn(turn[:3] + (annotations,)))
     return dialog._replace(turns=tuple(new_turns))

@@ -102,7 +102,7 @@ def _cmd_compile(args) -> int:
     source = _load(args.dialog, str)
     try:
         result = compile_dialog(source, catalog, timings=timings, settings=settings, variant=args.variant)
-    except (DialogParseError, PlanError) as exc:  # the dialog's own
+    except (DialogParseError, PlanError, ScheduleError) as exc:  # the dialog's own, or a stroke strict mode refused
         raise GesturecError(f"{args.dialog}: {exc}") from None
     except UnknownGestureError as exc:  # the dialog's and its catalog's
         raise GesturecError(f"{args.dialog}, {args.catalog}: {exc}") from None

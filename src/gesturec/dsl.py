@@ -25,9 +25,14 @@ document; its time and ``*`` marker are read at each annotation.
 
 The dialog records (:class:`AnnotatedDialog`, :class:`Turn`,
 :class:`GestureAnnotation`, :class:`Alternative`, :class:`Features`) are
-immutable ``NamedTuple`` values whose sequences are tuples, so a stage
-derives a record with ``_replace`` and can hand on an unchanged one as it
-is.  Equality compares every field, features included.
+immutable ``NamedTuple`` values whose sequences are tuples, so a stage can
+hand on an unchanged record as it is.  Equality compares every field,
+features included.  On the per-annotation and per-turn paths (here, in
+``align``, ``personality`` and ``adaptation``) annotations and turns are
+built by ``new_annotation`` and ``new_turn``, which call ``tuple.__new__``
+on one tuple of every field, positional and in class order, with no
+keyword constructor, ``_make`` or ``_replace``.  The result is the record
+the keyword constructor gives.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
+from functools import partial
 from typing import NamedTuple
 
 from .errors import AnnotationOrderError, DialogParseError
@@ -112,6 +118,11 @@ class AnnotatedDialog(NamedTuple):
     audio_duration: float
 
 
+# Each takes one tuple of every field in class order (see the module docstring).
+new_annotation = partial(tuple.__new__, GestureAnnotation)
+new_turn = partial(tuple.__new__, Turn)
+
+
 def _seconds(text: str, what: str, lineno: int, col: int) -> float:
     """A dialog time, which must lie on the centisecond grid ``format_dialog`` writes."""
     value = _CENTISECONDS_RE.fullmatch(text) and float(text)
@@ -156,22 +167,13 @@ def _parse_annotation(
     """The annotation ``m`` matched.  ``forms`` holds the forms parsed so
     far in the document by their text, so each distinct text is parsed
     once; a text that fails is not stored, and fails again where it recurs."""
-    begin = _seconds(m.group(1), "stroke begin", lineno, col)
-    inner = m.group(3)
+    begin_text, star, inner = m.groups()
+    begin = _seconds(begin_text, "stroke begin", lineno, col)
     form = forms.get(inner)
     if form is None:
         form = forms[inner] = _parse_form(inner, lineno, col)
     name, hand, dur, copied, alternative = form
-    return GestureAnnotation(
-        stroke_begin=begin,
-        gesture_name=name,
-        hand=hand,
-        stroke_duration=dur,
-        rate_added=m.group(2) is not None,
-        form_copied=copied,
-        alternative=alternative,
-        word_index=word_index,
-    )
+    return new_annotation((begin, name, hand, dur, star is not None, copied, alternative, word_index, None, None))
 
 
 def _check_brackets(body: str, end: int, stop: int, lineno: int, offset: int) -> None:
@@ -268,7 +270,7 @@ def parse_dialog(source: str, story_id: str = "") -> AnnotatedDialog:
                 lineno, indent + 1,
             )
         text, annotations = _parse_turn_body(m.group(3), lineno, indent + m.start(3), forms)
-        turns.append(Turn(speaker=speaker, index=len(turns) + 1, text=text, annotations=annotations))
+        turns.append(new_turn((speaker, len(turns) + 1, text, annotations)))
 
     ends = [a.stroke_end for t in turns for a in t.annotations]
     if audio_duration is None:

@@ -80,6 +80,9 @@ def finite_number(value) -> bool:
         return False
 
 
+TIMES_ONLY = (None,) * 7  # the gesture, hand and features of a prep, hold or retract
+
+
 class ScriptEvent(NamedTuple):
     """One phase of one arm: the record from the scheduler to the script
     reader.  A stroke carries its gesture name, hand and features rounded to
@@ -161,7 +164,6 @@ _AFTER = {
     HOLD: (PREP,),
     RETRACT: (PREP,),
 }
-_TIMES_ONLY = (None,) * 7  # gesture, hand and features of a prep, hold or retract
 _GESTURE_RE = re.compile(GESTURE_NAME)
 _INF = math.inf
 _NAN = math.nan
@@ -266,7 +268,7 @@ def validate_timeline(timeline: Timeline) -> list[str]:
             elif kind not in KINDS:
                 report(f"{arm}[{i}]: unknown phase kind {kind!r}")
                 kind = str(kind)  # the same in messages, and usable as a key by the next event's check
-            elif e[4:] != _TIMES_ONLY:
+            elif e[4:] != TIMES_ONLY:
                 report(f"{arm}[{i}]: {kind} must not carry a gesture reference, hand or features")
             if not timed:
                 report(f"{arm}[{i}]: times {start!r}, {end!r} are not integer milliseconds")

@@ -8,7 +8,9 @@ Introvert anchor numbers are engineering constants consistent with the
 qualitative introvert/extravert contrasts (narrow vs wide, inward vs
 outward, low vs high rate, slow vs fast); only the adaptation deltas have
 published values.  ``apply_personality`` builds each gesture's ``Features``
-once per call, for main gestures and alternatives alike.
+once per call, for main gestures and alternatives alike.  It builds each
+stamped annotation and each turn it rebuilds positionally, in class order,
+with ``dsl.new_annotation`` and ``dsl.new_turn``, not ``_replace``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import math
 from dataclasses import dataclass, fields
 
 from .catalog import GestureCatalog, lookup
-from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, segment_sentences, turn_label
+from .dsl import (
+    AnnotatedDialog, Features, GestureAnnotation, Turn, new_annotation, new_turn, segment_sentences, turn_label,
+)
 from .errors import DomainError, UnknownGestureError
 
 EXTRAVERSION_MIN = 1.0
@@ -151,7 +155,7 @@ def apply_personality(
                 raise UnknownGestureError(
                     f"{turn_label(dialog, turn)}: {exc} at {ann.stroke_begin:.2f}s", story_id=dialog.story_id
                 ) from None
-            if id(ann) not in to_drop:
-                kept.append(ann._replace(features=features, alt_features=alt_features))
-        new_turns.append(turn._replace(annotations=tuple(kept)))
+            if id(ann) not in to_drop:  # the fields up to word_index, then the stamped features
+                kept.append(new_annotation(ann[:8] + (features, alt_features)))
+        new_turns.append(new_turn(turn[:3] + (tuple(kept),)))
     return dialog._replace(turns=tuple(new_turns))

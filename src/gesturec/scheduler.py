@@ -23,6 +23,9 @@ Tracks are lists of ``emitter.ScriptEvent`` in ``int`` milliseconds from
 a fixed duration after the exact stroke end) and once per run for the
 audio, prep duration and hold threshold.  Config values and annotations
 stay in seconds.  Each features record is rounded to 3 decimals once per call.
+Each stroke record and each event is built positionally, in class order, by
+``tuple.__new__`` on one tuple of every field: no keyword constructor,
+``_make`` or ``_replace`` runs per stroke or per event.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .dsl import SPEAKERS, AnnotatedDialog, GestureAnnotation
-from .emitter import ARMS, ARMS_OF_HAND, HOLD, PREP, RETRACT, STROKE, ScriptEvent, Timeline, format_seconds, to_ms
+from .emitter import (
+    ARMS, ARMS_OF_HAND, HOLD, PREP, RETRACT, STROKE, TIMES_ONLY, ScriptEvent, Timeline, format_seconds, to_ms,
+)
 from .errors import EmptyStrokeError, ScheduleError, StrokeOverlapError, StrokeOverrunError
 
 
@@ -85,6 +91,10 @@ class _Stroke(NamedTuple):
     fields: tuple  # gesture, hand and rounded features of each of its stroke events
 
 
+_new_stroke = partial(tuple.__new__, _Stroke)
+_new_event = partial(tuple.__new__, ScriptEvent)
+
+
 def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) -> list[_Stroke]:
     strokes = []
     # each features record rounded once, keyed by identity, which keeps 0.0 and -0.0
@@ -108,7 +118,7 @@ def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) ->
                     round(f.speed, 3), round(f.scale, 3),
                 )
             fields = (ann.gesture_name, ann.hand) + features
-            strokes.append(_Stroke(to_ms(ann.stroke_begin), to_ms(end), to_ms(end + retract_s), ann, fields))
+            strokes.append(_new_stroke((to_ms(ann.stroke_begin), to_ms(end), to_ms(end + retract_s), ann, fields)))
     strokes.sort(key=lambda s: (s.start, s.annotation.hand))
     return strokes
 
@@ -152,18 +162,19 @@ def _admit_strokes(
             )
             _reject(StrokeOverrunError, message, strict, diagnostics, story_id)
             continue
-        blocked = next((arm for arm in arms if stroke.start <= last_end[arm]), None)
-        if blocked is not None:
-            message = (
-                f"{speaker}/{blocked}: stroke {ann.gesture_name!r} at "
-                f"{format_seconds(stroke.start)}s overlaps the previous stroke ending at "
-                f"{format_seconds(last_end[blocked])}s"
-            )
-            _reject(StrokeOverlapError, message, strict, diagnostics, story_id)
-            continue
         for arm in arms:
-            per_arm[arm].append(stroke)
-            last_end[arm] = stroke.end
+            if stroke.start <= last_end[arm]:
+                message = (
+                    f"{speaker}/{arm}: stroke {ann.gesture_name!r} at "
+                    f"{format_seconds(stroke.start)}s overlaps the previous stroke ending at "
+                    f"{format_seconds(last_end[arm])}s"
+                )
+                _reject(StrokeOverlapError, message, strict, diagnostics, story_id)
+                break
+        else:  # no arm is blocked
+            for arm in arms:
+                per_arm[arm].append(stroke)
+                last_end[arm] = stroke.end
     return per_arm
 
 
@@ -171,26 +182,28 @@ def _build_track(arm: str, strokes: list[_Stroke], audio: int, prep: int, hold: 
     track: list[ScriptEvent] = []
     if not strokes:
         return track
+    # every field of an event after its start and end, for each phase other than a stroke
+    prep_tail, hold_tail, retract_tail = ((kind, arm) + TIMES_ONLY for kind in (PREP, HOLD, RETRACT))
     first = strokes[0]
     if first.start > 0:
-        track.append(ScriptEvent(max(0, first.start - prep), first.start, PREP, arm))
+        track.append(_new_event((max(0, first.start - prep), first.start) + prep_tail))
     for i, cur in enumerate(strokes):
-        track.append(ScriptEvent._make((cur.start, cur.end, STROKE, arm) + cur.fields))
+        track.append(_new_event((cur.start, cur.end, STROKE, arm) + cur.fields))
         if i + 1 == len(strokes):
             break
         nxt = strokes[i + 1]
         prep_start = nxt.start - prep
         # a retract needs room for itself and the next prep
         if nxt.start - cur.end >= hold and cur.retract_end <= prep_start:
-            track.append(ScriptEvent(cur.end, cur.retract_end, RETRACT, arm))
+            track.append(_new_event((cur.end, cur.retract_end) + retract_tail))
         elif prep_start > cur.end:
-            track.append(ScriptEvent(cur.end, prep_start, HOLD, arm))
+            track.append(_new_event((cur.end, prep_start) + hold_tail))
         else:  # the prep compresses to the gap
             prep_start = cur.end
-        track.append(ScriptEvent(prep_start, nxt.start, PREP, arm))
+        track.append(_new_event((prep_start, nxt.start) + prep_tail))
     retract_end = min(cur.retract_end, audio)
     if retract_end > cur.end:
-        track.append(ScriptEvent(cur.end, retract_end, RETRACT, arm))
+        track.append(_new_event((cur.end, retract_end) + retract_tail))
     return track
 
 

@@ -239,9 +239,13 @@ def write_file(path: Path, data: bytes) -> None:
     file's tail.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as f:
-        f.write(data)
-        f.truncate()
+    try:
+        view = memoryview(data)
+        while view:  # os.write may write fewer bytes than it is given
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _indented_json(value, indent: str = "") -> str:

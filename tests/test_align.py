@@ -110,6 +110,13 @@ def test_parse_reads_plain_decimal_digits():
         {1: "a b", 2: "a"},
         id="comment-and-blanks-inside-a-run",
     ),
+    pytest.param(  # a comment with three fields is still a comment
+        "1\ta\t1.0\n# a\tnote\there\n1\tb\t2.0\n",
+        [(1, "a", 1.0), (1, "b", 2.0)],
+        {1: (1.0, 2.0)},
+        {1: "a b"},
+        id="comment-with-two-tabs-inside-a-run",
+    ),
 ])
 def test_parse_reads_runs_of_a_turn(source, entries, onsets, texts):
     track = parse_word_timings(source)
@@ -163,6 +170,14 @@ def test_parse_tracks_are_equal_by_their_turns_onsets_and_texts():
     pytest.param(
         "1\ta\t1.0\n1 # note\n", TimingFormatError, "line 2: expected 3 tab-separated fields",
         id="digit-line-without-tabs",
+    ),
+    pytest.param(
+        "1\ta\t1.0\n1\tb\t2.0\textra\n", TimingFormatError, "line 2: expected 3 tab-separated fields",
+        id="four-fields-inside-a-run",
+    ),
+    pytest.param(
+        "1\ta\t1.0\n1\n", TimingFormatError, "line 2: expected 3 tab-separated fields",
+        id="turn-field-alone-inside-a-run",
     ),
 ])
 def test_parse_refuses_a_run_of_a_turn_as_it_refuses_each_line(source, error, message):

@@ -402,7 +402,8 @@ def _compile_garden_at_speed_1000(tmp_path, shipped, *flags):
 def test_zero_length_stroke_exits_1(tmp_path, shipped, capsys):
     # at 1000x speed the response turn's 0.46s Cup lasts 0.4 ms, 0 when rounded
     assert _compile_garden_at_speed_1000(tmp_path, shipped) == 1
-    assert "error: B: stroke 'Cup' at 21.230s lasts 0 ms" in capsys.readouterr().err
+    dialog = DATA_DIR / "stories" / "garden.dialog"
+    assert capsys.readouterr().err == f"error: {dialog}: B: stroke 'Cup' at 21.230s lasts 0 ms (0.46s at speed 1000)\n"
     assert not (tmp_path / "out").exists()
 
 
