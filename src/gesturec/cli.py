@@ -27,23 +27,27 @@ from .config import load_config
 from .dsl import parse_dialog
 from .errors import AlignError, DialogParseError, GesturecError, PlanError, ScheduleError, UnknownGestureError
 from .pipeline import PipelineSettings, compile_dialog
-from .stimuli import (
-    check_story_id, run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json,
-)
+from .stimuli import run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json
+
+_PIPELINE_ERRORS = (DialogParseError, PlanError, ScheduleError, UnknownGestureError, AlignError)
 
 
 def _parse_extraversion(text: str) -> dict[str, float]:
     scores = PipelineSettings().extraversion
     given = set()
+    malformed = f"expected A=<score>,B=<score>, got {text!r}"
     for piece in text.split(","):
         speaker, sep, value = piece.partition("=")
         speaker = speaker.strip().upper()
         if not sep or speaker not in scores:
-            raise argparse.ArgumentTypeError(f"expected A=<score>,B=<score>, got {text!r}")
+            raise argparse.ArgumentTypeError(malformed)
         if speaker in given:
             raise argparse.ArgumentTypeError(f"speaker {speaker} is given more than once in {text!r}")
         given.add(speaker)
-        scores[speaker] = float(value)
+        try:
+            scores[speaker] = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(malformed) from None
     return scores
 
 
@@ -66,10 +70,17 @@ def _settings_from_args(args) -> PipelineSettings:
     return _load(args.config, partial(load_config, settings=settings)) if args.config else settings
 
 
-def _parse_story(source: str, story_id: str):
-    dialog = parse_dialog(source, story_id=story_id)
-    check_story_id(dialog.story_id)
-    return dialog
+def _naming_files(exc: GesturecError, dialog_file, catalog_file, track_file) -> GesturecError:
+    """``exc``, an error of running one dialog through the pipeline, with
+    the files behind it in front of its message: the dialog file, and the
+    catalog of an unknown gesture or the timing track of an alignment
+    error."""
+    files = [dialog_file]
+    if isinstance(exc, UnknownGestureError):
+        files.append(catalog_file)
+    elif isinstance(exc, AlignError):
+        files.append(track_file)
+    return GesturecError(f"{', '.join(map(str, files))}: {exc}")
 
 
 def _load_stories(stories_dir: Path, timings_dir: Path | None):
@@ -78,7 +89,7 @@ def _load_stories(stories_dir: Path, timings_dir: Path | None):
     stories = {}
     sources = {}  # story id -> the dialog file that names it and its timing track file
     for path in sorted(Path(stories_dir).glob("*.dialog")):
-        dialog = _load(path, partial(_parse_story, story_id=path.stem))
+        dialog = _load(path, partial(parse_dialog, story_id=path.stem))
         story_id = dialog.story_id
         if story_id in sources:
             raise GesturecError(f"story {story_id!r} is named by both {sources[story_id][0]} and {path}")
@@ -102,12 +113,8 @@ def _cmd_compile(args) -> int:
     source = _load(args.dialog, str)
     try:
         result = compile_dialog(source, catalog, timings=timings, settings=settings, variant=args.variant)
-    except (DialogParseError, PlanError, ScheduleError) as exc:  # the dialog's own, or a stroke strict mode refused
-        raise GesturecError(f"{args.dialog}: {exc}") from None
-    except UnknownGestureError as exc:  # the dialog's and its catalog's
-        raise GesturecError(f"{args.dialog}, {args.catalog}: {exc}") from None
-    except AlignError as exc:  # the dialog's and its timing track's
-        raise GesturecError(f"{args.dialog}, {args.timings}: {exc}") from None
+    except _PIPELINE_ERRORS as exc:
+        raise _naming_files(exc, args.dialog, args.catalog, args.timings) from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for filename, content in speaker_scripts(result.schedule).items():
@@ -125,21 +132,24 @@ def _cmd_build(args) -> int:
     run_batch = run_personality_batch if args.experiment == "personality" else run_adaptation_batch
     try:
         bundles = run_batch(stories, catalog, settings)
-    except UnknownGestureError as exc:
-        raise GesturecError(f"{sources[exc.story_id][0]}, {args.catalog}: {exc}") from None
-    except AlignError as exc:
-        dialog_file, track_file = sources[exc.story_id]
-        raise GesturecError(f"{dialog_file}, {track_file}: {exc}") from None
-    except (PlanError, ScheduleError) as exc:  # a dialog that misfits its task, or a stroke strict mode refused
+    except _PIPELINE_ERRORS as exc:
         if exc.story_id is None:  # a task whose story is missing: no file to name
             raise
-        raise GesturecError(f"{sources[exc.story_id][0]}: {exc}") from None
+        dialog_file, track_file = sources[exc.story_id]
+        raise _naming_files(exc, dialog_file, args.catalog, track_file) from None
     manifest = write_bundles(bundles, Path(args.out), args.experiment)
     for bundle in bundles:
         for note in bundle.diagnostics:
             print(f"note: {bundle.name}: {note}", file=sys.stderr)
     print(f"wrote {manifest['bundle_count']} bundles to {args.out}")
     return 0
+
+
+def _preference_counts(row) -> dict:
+    """A preference row's counts and percentages as the report gives them."""
+    return {
+        "count_a": row.count_a, "count_na": row.count_na, "pct_a": round(row.pct_a, 1), "pct_na": round(row.pct_na, 1),
+    }
 
 
 def _cmd_analyze(args) -> int:
@@ -154,22 +164,8 @@ def _cmd_analyze(args) -> int:
         table = analysis.preference_table(preference)
         print(analysis.format_preference_table(table))
         report["preference"] = {
-            "rows": [
-                {
-                    "version": r.version,
-                    "count_a": r.count_a,
-                    "count_na": r.count_na,
-                    "pct_a": round(r.pct_a, 1),
-                    "pct_na": round(r.pct_na, 1),
-                }
-                for r in table.rows
-            ],
-            "totals": {
-                "count_a": table.totals.count_a,
-                "count_na": table.totals.count_na,
-                "pct_a": round(table.totals.pct_a, 1),
-                "pct_na": round(table.totals.pct_na, 1),
-            },
+            "rows": [{"version": r.version, **_preference_counts(r)} for r in table.rows],
+            "totals": _preference_counts(table.totals),
         }
         if len(table.rows) >= 2:
             ttest = analysis.one_sample_ttest([r.pct_a for r in table.rows], 50.0)

@@ -326,11 +326,12 @@ def segment_sentences(turn: Turn) -> list[tuple[int, list[GestureAnnotation]]]:
     in ``turn.text.split()``) with its annotations.  A sentence ends at a
     word that closes with terminal punctuation or at the end of the turn.
     An annotation belongs to the sentence containing its following word;
-    trailing annotations fall into the last sentence.
+    trailing annotations fall into the last sentence.  A turn with
+    annotations but no words is one sentence, of end 0, that holds them.
     """
     words = turn.text.split()
     if not words:
-        return []
+        return [(0, list(turn.annotations))] if turn.annotations else []
     text = " ".join(words)
     ends = []
     end = spaces = 0  # a sentence end's word count is one more than the spaces before it

@@ -81,7 +81,10 @@ def check_story_id(story_id: str) -> None:
     """Refuse a story id that cannot name one directory under a batch's
     output root, where each bundle's path begins with it."""
     if story_id in ("", ".", "..") or any(c in story_id for c in "/\\\0"):
-        raise PlanError(f"story id {story_id!r} cannot name a bundle directory (empty, '.', '..', '/', '\\' or NUL)")
+        raise PlanError(
+            f"story id {story_id!r} cannot name a bundle directory (empty, '.', '..', '/', '\\' or NUL)",
+            story_id=story_id,
+        )
 
 
 def _bundle(

@@ -314,11 +314,19 @@ def test_criterion_9_determinism(tmp_path, stories, catalog):
     recorded = json.loads(BUILD_DIGESTS.read_text(encoding="utf-8"))
     digests = {Path(name).as_posix(): hashlib.sha256(data).hexdigest() for name, data in first.items()}
     changed = sorted(name for name in recorded.keys() | digests.keys() if recorded.get(name) != digests.get(name))
-    _report(9, identical and not changed, (
+    # the reader accepts every script written, and re-emitting it gives its bytes
+    formats = {".json": "json", ".txt": "text"}
+    scripts = {name: data for name, data in first.items() if ".script." in name}
+    unread = sorted(
+        name for name, data in scripts.items() if emit_document(read_script(data), formats[Path(name).suffix]) != data
+    )
+    _report(9, identical and not changed and bool(scripts) and not unread, (
         f"two full batch runs produced byte-identical trees "
-        f"({len(first)} files compared), checked against {len(recorded)} recorded shipped digests"
+        f"({len(first)} files compared), checked against {len(recorded)} recorded shipped digests; "
+        f"{len(scripts)} scripts read back to their bytes"
         + ("" if identical else f"; differing: {comparison.diff_files}")
         + (f"; not as recorded: {changed}" if changed else "")
+        + (f"; changed by a read and re-emit: {unread}" if unread else "")
     ))
 
 

@@ -18,7 +18,7 @@ from gesturec.align import parse_word_timings
 from gesturec.analysis import anova
 from gesturec.catalog import load_catalog
 from gesturec.cli import main
-from gesturec.emitter import read_script
+from gesturec.emitter import emit_document, read_script
 from gesturec.errors import PlanError, WordMismatchError
 from gesturec.pipeline import PipelineSettings, compile_dialog
 from gesturec.stimuli import run_personality_batch
@@ -72,8 +72,10 @@ def test_compile_writes_the_recorded_bytes_for_every_story_and_variant(tmp_path,
             ])
             assert code == 0
             assert sorted(path.name for path in out_dir.iterdir()) == sorted(SCRIPTS)
-            for name in SCRIPTS:
-                digests[f"{dialog.stem}/{variant}/{name}"] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in SCRIPTS:  # each reads back to its bytes
+                data = (out_dir / name).read_bytes()
+                assert emit_document(read_script(data), "json" if name.endswith(".json") else "text") == data
+                digests[f"{dialog.stem}/{variant}/{name}"] = hashlib.sha256(data).hexdigest()
     assert digests == json.loads(COMPILE_DIGESTS.read_text(encoding="utf-8"))
 
 
@@ -106,6 +108,20 @@ def test_compile_refuses_a_speaker_given_twice(shipped, capsys, scores):
     assert exc.value.code == 2
     speaker = scores.split(",")[-1][0].upper()
     assert f"speaker {speaker} is given more than once in {scores!r}" in capsys.readouterr().err
+
+
+def test_compile_refuses_a_score_that_is_no_number(shipped, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "compile",
+            "--dialog", str(DATA_DIR / "stories" / "garden.dialog"),
+            "--catalog", shipped["catalog"],
+            "--extraversion", "A=7,B=x",
+            "--out", shipped["out"],
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --extraversion: expected A=<score>,B=<score>, got 'A=7,B=x'\n")
 
 
 def _garden_disagreeing(case):
@@ -445,6 +461,11 @@ def test_lenient_build_prints_what_it_dropped(tmp_path, shipped, capsys):
     assert len(notes) == 19
     assert all(re.match(r"note: [a-z]+_AB[AB]*/adapted: dropped: ", line) for line in notes)
     assert "note: garden_ABAB/adapted: dropped: B: stroke 'Cup' at 21.230s lasts 0 ms (0.46s at speed 1000)" in notes
+    scripts = sorted(Path(shipped["out"]).rglob("*.script.*"))
+    assert len(scripts) == 64
+    for path in scripts:  # what is left of each timeline reads back to its bytes
+        data = path.read_bytes()
+        assert emit_document(read_script(data), "json" if path.suffix == ".json" else "text") == data
 
 
 def _compile_case(tmp_path, shipped, case, *flags):
@@ -512,30 +533,43 @@ TIPI_CSV = (
 )
 
 
+# TIPI_CSV with some items written with leading zeros
+ZERO_PADDED_TIPI_CSV = (
+    "subject_id,stimulus_id,kind,payload\n"
+    "s1,storm/F-extravert/A,tipi,7|2|5|3|6|1|4|4|5|2\n"
+    "s2,storm/F-extravert/A,tipi,06|03|004|3|5|2|5|3|4|3\n"
+    "s1,storm/F-extravert/B,tipi,02|4|04|5|3|006|4|4|3|5\n"
+)
+
+
 def test_analyze_reports_tipi_means(tmp_path, capsys):
-    infile, report = tmp_path / "tipi.csv", tmp_path / "report.json"
-    infile.write_text(TIPI_CSV, encoding="utf-8")
-    assert main(["analyze", "--in", str(infile), "--report", str(report)]) == 0
-    # trait = (direct item + 8 - reverse item) / 2, averaged over the stimulus's raters
-    assert json.loads(report.read_text())["tipi_means"] == {
-        "storm/F-extravert/A": {
-            "extraversion": 6.5, "agreeableness": 5.0, "conscientiousness": 4.5,
-            "emotional_stability": 4.75, "openness": 5.5,
-        },
-        "storm/F-extravert/B": {
-            "extraversion": 2.0, "agreeableness": 4.0, "conscientiousness": 4.0,
-            "emotional_stability": 3.0, "openness": 3.0,
-        },
-    }
-    assert "storm/F-extravert/A: extraversion=6.5" in capsys.readouterr().out
+    # items written with leading zeros score as the same numbers
+    for name, csv in (("plain", TIPI_CSV), ("zero-padded", ZERO_PADDED_TIPI_CSV)):
+        infile, report = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        infile.write_text(csv, encoding="utf-8")
+        assert main(["analyze", "--in", str(infile), "--report", str(report)]) == 0
+        # trait = (direct item + 8 - reverse item) / 2, averaged over the stimulus's raters
+        assert json.loads(report.read_text())["tipi_means"] == {
+            "storm/F-extravert/A": {
+                "extraversion": 6.5, "agreeableness": 5.0, "conscientiousness": 4.5,
+                "emotional_stability": 4.75, "openness": 5.5,
+            },
+            "storm/F-extravert/B": {
+                "extraversion": 2.0, "agreeableness": 4.0, "conscientiousness": 4.0,
+                "emotional_stability": 3.0, "openness": 3.0,
+            },
+        }
+        assert "storm/F-extravert/A: extraversion=6.5" in capsys.readouterr().out
 
 
 def test_analyze_bad_tipi_row_exits_1(tmp_path, capsys):
-    infile = tmp_path / "tipi.csv"
-    infile.write_text(TIPI_CSV + "s2,storm/F-extravert/B,tipi,1|2\n", encoding="utf-8")
-    assert main(["analyze", "--in", str(infile), "--report", str(tmp_path / "report.json")]) == 1
-    assert "row 5: bad tipi payload '1|2'" in capsys.readouterr().err
-    assert not (tmp_path / "report.json").exists()
+    # too few items, then an item out of range: one error line naming the CSV and the row
+    for payload in ("1|2", "1|1|1|1|1|1|1|1|1|08"):
+        infile = tmp_path / "tipi.csv"
+        infile.write_text(TIPI_CSV + f"s2,storm/F-extravert/B,tipi,{payload}\n", encoding="utf-8")
+        assert main(["analyze", "--in", str(infile), "--report", str(tmp_path / "report.json")]) == 1
+        assert capsys.readouterr().err == f"error: {infile}: row 5: bad tipi payload {payload!r}\n"
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_missing_file_is_clean_error(tmp_path, capsys):
@@ -617,13 +651,7 @@ def test_analyze_leaves_numpy_unloaded_until_the_first_anova(tmp_path):
     ``analysis.anova`` leaves it unloaded too while it gives the F values of
     a call in this process."""
     tipi = tmp_path / "tipi.csv"
-    tipi.write_text(
-        "subject_id,stimulus_id,kind,payload\n"
-        "s1,storm/F-extravert/A,tipi,7|2|5|3|6|1|4|4|5|2\n"
-        "s2,storm/F-extravert/A,tipi,06|03|004|3|5|2|5|3|4|3\n"
-        "s1,storm/F-extravert/B,tipi,02|4|04|5|3|006|4|4|3|5\n",
-        encoding="utf-8",
-    )
+    tipi.write_text(ZERO_PADDED_TIPI_CSV, encoding="utf-8")
     responses = [6.5, 6.0, 5.5, 5.0, 6.0, 4.5, 2.0, 2.5, 3.0, 3.5, 1.5, 2.5]
     cells = [(p, g) for p in ("extravert", "introvert") for g in ("F", "M") for _ in range(3)]
     observations = [({"personality": p, "gender": g}, y) for (p, g), y in zip(cells, responses)]

@@ -279,9 +279,15 @@ def test_segment_empty_text_returns_nothing():
 
 
 def test_segment_counts_preserved(protest_dialog):
-    for turn in protest_dialog.turns:
+    wordless = parse_dialog("A1: [1.00s](Cup, RH 0.46s) [2.00s](Cup, RH 0.46s) [3.00s](Cup, RH 0.46s)\n").turns
+    for turn in protest_dialog.turns + wordless:
         buckets = segment_sentences(turn)
         assert sum(len(anns) for _, anns in buckets) == len(turn.annotations)
+
+
+def test_a_turn_of_annotations_without_words_is_one_sentence():
+    anns = tuple(GestureAnnotation(t, "Cup", "RH", 0.46, word_index=0) for t in (1.0, 2.0, 3.0))
+    assert segment_sentences(Turn(speaker="A", index=1, text=" ", annotations=anns)) == [(0, list(anns))]
 
 
 def test_trailing_annotation_lands_in_last_sentence():

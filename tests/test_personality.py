@@ -133,6 +133,14 @@ def test_rate_added_exempt_from_cap(catalog):
     assert names == ["SweepSide1", "Reject"]  # cap 1 keeps earliest; the extra is exempt
 
 
+@pytest.mark.parametrize("words", ["", "one "], ids=["no words", "one word"])
+def test_a_turn_without_words_is_held_to_the_rate_cap(catalog, words):
+    # a turn of annotations only is one sentence, so the introvert keeps its earliest gesture
+    source = f"A1: {words}[1.00s](Cup, RH 0.46s) [2.00s](Cup, RH 0.46s) [3.00s](Cup, RH 0.46s)\n"
+    out = apply_personality(parse_dialog(source), "A", INTROVERT_ANCHOR, catalog)
+    assert [a.stroke_begin for a in out.turns[0].annotations] == [1.0]
+
+
 def test_features_stamped_with_offsets(catalog):
     dialog = parse_dialog("A1: [1.00s](Cup, RH 0.46s) word.\n")
     out = apply_personality(dialog, "A", INTROVERT_ANCHOR, catalog)
