@@ -15,8 +15,9 @@ default) before that word's onset, clamped at 0.  The written time is only
 checked: it must fall in that word's window, at or after the previous
 word's onset and before the word's own.  Each dialog turn's track words must
 equal its text; the track may time turns past the dialog's last.  Times are
-kept on the millisecond grid so the lead is exact, not float-approximate;
-seconds become milliseconds by the script's one rule, ``emitter.to_ms``.
+kept on the millisecond grid so the lead is exact, not float-approximate:
+the onset of a stroke's word must lie on that grid, and becomes
+milliseconds by the script's one rule, ``emitter.to_ms``.
 ``parse_word_timings`` splits each line once, parses a turn field once per
 run of lines with that turn, and checks each distinct word once; a line
 that goes on with a run skips the blank and comment test.
@@ -34,6 +35,7 @@ from typing import NamedTuple
 
 from .dsl import AnnotatedDialog, GestureAnnotation, Turn, new_annotation, new_turn, turn_label
 from .errors import (
+    AlignError,
     NoFollowingWordError,
     StrokeCollisionError,
     TimingError,
@@ -173,8 +175,10 @@ def align_strokes(
     text or a written time falls outside its word's window, and
     :class:`StrokeCollisionError` when realignment breaks the
     strictly-increasing stroke order (two annotations before one word
-    collide).  Each error names the turn by its label as the dialog writes
-    it (``turn A1``, ``turn B2``) and carries the dialog's story id.  An
+    collide), and :class:`AlignError` when a stroke's word has an onset off
+    the millisecond grid, which would shift the lead.  Each error names the
+    turn by its label as the dialog writes it (``turn A1``, ``turn B2``) and
+    carries the dialog's story id.  An
     annotation that alignment does not move, and a turn with no moved
     annotation, are handed on as they are.
     """
@@ -200,7 +204,14 @@ def align_strokes(
                 )
             if not (ann.stroke_begin < onsets[i] and (i == 0 or onsets[i - 1] <= ann.stroke_begin)):
                 raise _time_mismatch(dialog, turn, ann, onsets)
-            begin_ms = max(0, to_ms(onsets[i]) - lead_ms)
+            onset_ms = to_ms(onsets[i])
+            if onset_ms / 1000 != onsets[i]:  # rounding it would shift the lead by under a millisecond
+                raise AlignError(
+                    f"{turn_label(dialog, turn)}: word {i} {turn.text.split()[i]!r} has onset {onsets[i]}s, "
+                    "off the millisecond grid",
+                    story_id=dialog.story_id,
+                )
+            begin_ms = max(0, onset_ms - lead_ms)
             if last_ms is not None and begin_ms <= last_ms:
                 raise StrokeCollisionError(
                     f"{turn_label(dialog, turn)}: aligned strokes collide at {format_seconds(begin_ms)}s",

@@ -133,8 +133,8 @@ def _cmd_build(args) -> int:
     try:
         bundles = run_batch(stories, catalog, settings)
     except _PIPELINE_ERRORS as exc:
-        if exc.story_id is None:  # a task whose story is missing: no file to name
-            raise
+        if exc.story_id is None:  # a task whose story is missing: name the directory it is missing from
+            raise GesturecError(f"{args.stories}: {exc}") from None
         dialog_file, track_file = sources[exc.story_id]
         raise _naming_files(exc, dialog_file, args.catalog, track_file) from None
     manifest = write_bundles(bundles, Path(args.out), args.experiment)

@@ -247,6 +247,18 @@ WHY_COLUMNS = (
     "nonadapted_realistic",
 )
 
+# subjects per version whose why set holds each of WHY_COLUMNS, in the shipped CSV
+WHY_COUNTS = {
+    "garden_ABA": (6, 6, 4, 6),
+    "garden_ABAB": (9, 2, 13, 0),
+    "pet_ABABA": (5, 10, 3, 2),
+    "pet_ABABAB": (13, 3, 8, 0),
+    "protest_ABAB": (4, 6, 5, 0),
+    "protest_ABABA": (6, 7, 5, 2),
+    "storm_ABABA": (4, 3, 9, 0),
+    "storm_ABABAB": (6, 4, 9, 0),
+}
+
 
 def test_criterion_7_statistics_reproduction():
     records = _load_judgments()
@@ -270,10 +282,15 @@ def test_criterion_7_statistics_reproduction():
         for version, targets in WHY_TARGETS.items()
         for col, target in zip(WHY_COLUMNS, targets)
     )
-    _report(7, counts_ok and totals_ok and ttest_ok and why_ok, (
+    why_counts = {
+        row.version: tuple(round(row.percentages[col] * row.n_subjects / 100) for col in WHY_COLUMNS)
+        for row in why.rows
+    }
+    _report(7, counts_ok and totals_ok and ttest_ok and why_ok and why_counts == WHY_COUNTS, (
         f"preference counts exact, total split {round(table.totals.pct_a)}%/"
         f"{round(table.totals.pct_na)}%, t({ttest.df[0]:.0f}) = {ttest.value:.3f}, "
-        f"p = {ttest.p_value:.3f}, why-category table within 1%"
+        f"p = {ttest.p_value:.3f}, why-category counts exact, percentages within 1%"
+        + ("" if why_counts == WHY_COUNTS else f"; why-category counts {why_counts}")
     ))
 
 

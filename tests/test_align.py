@@ -9,6 +9,7 @@ from conftest import make_aligned_pair
 from gesturec.align import TimedWord, align_strokes, parse_word_timings
 from gesturec.dsl import AnnotatedDialog, GestureAnnotation, Turn, parse_dialog
 from gesturec.errors import (
+    AlignError,
     NoFollowingWordError,
     StrokeCollisionError,
     TimingError,
@@ -194,11 +195,12 @@ def test_cup_aligns_to_hey():
     assert aligned.turns[0].annotations[0].stroke_begin == 1.90
 
 
-def test_fixture_alignment_is_noop(protest_dialog, protest_track):
-    aligned = align_strokes(protest_dialog, protest_track)
-    for before, after in zip(protest_dialog.turns, aligned.turns):
-        for x, y in zip(before.annotations, after.annotations):
-            assert x.stroke_begin == y.stroke_begin
+def test_fixture_alignment_is_noop(stories):
+    # every shipped stroke is written exactly the lead before its word, inside
+    # that word's window, so alignment moves none of them
+    assert sorted(stories) == ["garden", "pet", "protest", "storm"]
+    for story_id, (dialog, track) in stories.items():
+        assert align_strokes(dialog, track) == dialog, story_id
 
 
 def test_alignment_hands_on_what_it_does_not_move():
@@ -301,13 +303,20 @@ def test_default_lead_is_the_scheduler_setting():
     assert aligned.turns[0].annotations[0].stroke_begin == 2.0 - SchedulerConfig().stroke_lead_s
 
 
-def test_onset_becomes_milliseconds_by_the_scheduler_rule():
+def test_an_onset_off_the_millisecond_grid_is_refused():
     # 1.0635 * 1000 is 1063.5 in floating point, which round() takes up to
-    # 1064; round(1.0635, 3) is 1.063, the scheduler's 1063 ms.
-    dialog = parse_dialog("A1: [0.50s](Cup, RH 0.46s) one\n")
-    aligned = align_strokes(dialog, parse_word_timings("1\tone\t1.0635\n"))
-    assert aligned.turns[0].annotations[0].stroke_begin == 0.863
+    # 1064; round(1.0635, 3) is 1.063, the scheduler's 1063 ms.  Either way
+    # the stroke would begin 199.5 or 200.5 ms before its word, not the lead.
     assert to_ms(1.0635) == 1063
+    dialog = parse_dialog("story: s\nA1: [0.50s](Cup, RH 0.46s) one\n")
+    with pytest.raises(AlignError) as err:
+        align_strokes(dialog, parse_word_timings("1\tone\t1.0635\n"))
+    assert str(err.value) == "turn A1: word 0 'one' has onset 1.0635s, off the millisecond grid"
+    assert err.value.story_id == "s"
+    # an onset that times no stroke may lie off the grid
+    dialog = parse_dialog("A1: [0.50s](Cup, RH 0.46s) one two\n")
+    aligned = align_strokes(dialog, parse_word_timings("1\tone\t1.063\n1\ttwo\t1.0635\n"))
+    assert aligned.turns[0].annotations[0].stroke_begin == 0.863
 
 
 def test_generated_pairs_exact_lead_and_idempotent():

@@ -367,6 +367,12 @@ def test_anova_empty_cell():
         anova(without_cell, factors)
 
 
+def test_anova_needs_observations():
+    with pytest.raises(StatError) as err:
+        anova([], ["f"])
+    assert str(err.value) == "no observations"
+
+
 def test_anova_needs_two_levels():
     observations = [({"f": "only", "g": f"g{i % 2}"}, float(i)) for i in range(8)]
     with pytest.raises(StatError):
@@ -608,6 +614,12 @@ def test_why_multi_category_counts_once_each():
 def test_why_unknown_label():
     with pytest.raises(DomainError):
         why_category_table([JudgmentRecord("s1", "v", "why", why=frozenset({"weird"}))])
+
+
+def test_why_table_refuses_records_of_another_kind():
+    with pytest.raises(DomainError) as err:
+        why_category_table([JudgmentRecord("s1", "v", "preference", choice="A")])
+    assert str(err.value) == "expected why records, got 'preference'"
 
 
 def test_why_record_without_labels_is_rejected():

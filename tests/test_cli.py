@@ -179,6 +179,19 @@ def test_compile_refuses_a_track_that_disagrees_with_the_dialog(tmp_path, shippe
         compile_dialog(dialog, catalog, timings=parse_word_timings(track), settings=settings)
 
 
+def test_compile_names_both_files_of_an_onset_off_the_millisecond_grid(tmp_path, shipped, capsys):
+    # rounded to the millisecond, the strokes would begin 200.5 and 199.5 ms before their words
+    dialog, track = tmp_path / "case.dialog", tmp_path / "case.tsv"
+    dialog.write_text("audio: 5.00s\nA1: [1.00s](Cup, RH 0.46s) one [2.00s](Cup, RH 0.46s) two\n", encoding="utf-8")
+    track.write_text("1\tone\t1.2345\n1\ttwo\t2.0005\n", encoding="utf-8")
+    argv = ["compile", "--dialog", str(dialog), "--timings", str(track), "--catalog", shipped["catalog"]]
+    assert main([*argv, "--out", shipped["out"]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {dialog}, {track}: turn A1: word 0 'one' has onset 1.2345s, off the millisecond grid\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("experiment", ["personality", "adaptation"])
 def test_build_names_both_files_of_a_track_that_disagrees_with_its_dialog(tmp_path, shipped, capsys, experiment):
     stories, timings = tmp_path / "stories", tmp_path / "timings"
@@ -228,6 +241,32 @@ def test_build_adaptation(tmp_path, shipped):
     assert code == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["bundle_count"] == 16
+
+
+@pytest.mark.parametrize("case", ["no dialog", "no track for pet", "no storm"])
+def test_build_names_the_directory_or_file_an_input_is_missing_from(tmp_path, shipped, capsys, case):
+    stories, timings = tmp_path / "stories", tmp_path / "timings"
+    stories.mkdir()
+    timings.mkdir()
+    for story in () if case == "no dialog" else ("garden", "pet", "protest"):
+        (stories / f"{story}.dialog").write_bytes((DATA_DIR / "stories" / f"{story}.dialog").read_bytes())
+        if not (case == "no track for pet" and story == "pet"):
+            (timings / f"{story}.tsv").write_bytes((DATA_DIR / "timings" / f"{story}.tsv").read_bytes())
+    message = {
+        "no dialog": f"no .dialog files in {stories}",
+        "no track for pet": f"no timing track for story 'pet' at {timings / 'pet.tsv'}",
+        "no storm": f"{stories}: no story 'storm' for task storm_ABABA",
+    }[case]
+    code = main([
+        "build", "--experiment", "adaptation",
+        "--stories", str(stories),
+        "--timings", str(timings),
+        "--catalog", shipped["catalog"],
+        "--out", shipped["out"],
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_refuses_two_files_naming_one_story(tmp_path, shipped, capsys):

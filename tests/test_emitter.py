@@ -209,6 +209,13 @@ def test_invalid_timeline_rejected():
         emit_script(timeline)
 
 
+def test_unknown_script_format_is_refused():
+    timeline = Timeline("A", {"left": [], "right": []}, 1000)
+    with pytest.raises(EmitError) as err:
+        emit_document(timeline, "xml")
+    assert str(err.value) == "unknown script format 'xml'"
+
+
 def test_unknown_hand_rejected_before_writing(catalog):
     # Only code that builds annotations itself can set a hand the parser
     # does not admit; the scheduler treats it as two-handed.

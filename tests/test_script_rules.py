@@ -75,6 +75,7 @@ def test_tracks_other_than_one_per_arm_are_refused():
     for tracks, problem in (
         (list(document.tracks.values()), "tracks is a list, not a dict of arm tracks"),
         ({**document.tracks, "middle": []}, "track 'middle' is not on an arm"),
+        ({"left": document.tracks["left"]}, "right: track missing"),
         ({**document.tracks, "left": 5}, "left: track of type int is not a list of events"),
         ({**document.tracks, "left": "prep"}, "left: track of type str is not a list of events"),
         ({**document.tracks, "left": [(1, 2)]}, "left[0]: (1, 2) is not an event of 11 fields"),

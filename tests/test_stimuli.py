@@ -190,6 +190,13 @@ def test_structure_must_match_dialog(stories, catalog):
         build_adaptation_pair(dialog, "ABABAB", catalog, track=track)
 
 
+def test_structure_too_short(stories, catalog):
+    dialog, track = stories["garden"]
+    with pytest.raises(PlanError) as err:
+        build_adaptation_pair(dialog, "A", catalog, track=track)
+    assert str(err.value) == "turn structure too short: 'A'"
+
+
 def test_structure_pattern_mismatch(catalog):
     dialog = parse_dialog("story: odd\nB1: one.\nA1: two.\nB2: three.\n")
     with pytest.raises(PlanError):
