@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .dsl import AnnotatedDialog, Features, GestureAnnotation, Turn, new_annotation, new_turn
+from .dsl import AnnotatedDialog, GestureAnnotation, Turn, new_annotation, new_features, new_turn
 from .errors import DomainError, PlanError
 
 
@@ -76,13 +76,13 @@ def _adapted(ann: GestureAnnotation, spec: AdaptationSpec) -> GestureAnnotation:
             "apply personality before resolving the adapted variant"
         )
     f = ann.features
-    adapted_features = Features(
-        expanse_cm=f.expanse_cm + spec.expanse_delta,
-        height_cm=f.height_cm + spec.height_delta,
-        outwardness_cm=f.outwardness_cm + spec.outwardness_delta,
-        speed=f.speed * spec.speed_factor,
-        scale=f.scale * spec.scale_factor,
-    )
+    adapted_features = new_features((
+        f.expanse_cm + spec.expanse_delta,
+        f.height_cm + spec.height_delta,
+        f.outwardness_cm + spec.outwardness_delta,
+        f.speed * spec.speed_factor,
+        f.scale * spec.scale_factor,
+    ))
     return new_annotation(ann[:6] + (None, ann.word_index, adapted_features, None))
 
 

@@ -28,8 +28,9 @@ The dialog records (:class:`AnnotatedDialog`, :class:`Turn`,
 immutable ``NamedTuple`` values whose sequences are tuples, so a stage can
 hand on an unchanged record as it is.  Equality compares every field,
 features included.  On the per-annotation and per-turn paths (here, in
-``align``, ``personality`` and ``adaptation``) annotations and turns are
-built by ``new_annotation`` and ``new_turn``, which call ``tuple.__new__``
+``align``, ``personality`` and ``adaptation``) annotations, turns and
+features are built by ``new_annotation``, ``new_turn`` and
+``new_features``, which call ``tuple.__new__``
 on one tuple of every field, positional and in class order, with no
 keyword constructor, ``_make`` or ``_replace``.  The result is the record
 the keyword constructor gives.
@@ -121,6 +122,7 @@ class AnnotatedDialog(NamedTuple):
 # Each takes one tuple of every field in class order (see the module docstring).
 new_annotation = partial(tuple.__new__, GestureAnnotation)
 new_turn = partial(tuple.__new__, Turn)
+new_features = partial(tuple.__new__, Features)
 
 
 def _seconds(text: str, what: str, lineno: int, col: int) -> float:

@@ -4,12 +4,14 @@ A script document is one speaker's ``Timeline``: a header (story, speaker,
 audio duration, scheduler-config fingerprint) and per-arm tracks of
 ``ScriptEvent`` phases, written flat and sorted by (start, arm, kind).
 Times are ``int`` milliseconds.  Seconds become milliseconds only through
-``to_ms``, in the scheduler, alignment and the reader alike, and are printed
-as seconds through ``format_seconds``; the scheduler rounds features to 3
-decimals, and every number is printed with exactly three, so emission is a
-canonical form.  ``validate_timeline`` holds the phase and gesture-name
-rules and checks afresh on each call; ``emit_script`` refuses a timeline
-for a header rule or one of those (``Timeline._refusal``).  ``read_script``
+``to_ms``, in the scheduler, alignment and the reader alike, and are
+printed as seconds through ``format_seconds``.  ``to_ms`` is exact, and
+all but near-ties take one float product and one ``round``.  The scheduler
+rounds features to 3 decimals, and every number is printed with exactly
+three, so emission is a canonical form.  ``validate_timeline`` holds the
+phase and gesture-name rules and checks afresh on each call;
+``emit_script`` refuses a timeline for a header rule or one of those
+(``Timeline._refusal``).  ``read_script``
 has one format rule for both formats: a document is the bytes
 ``emit_document`` writes for the timeline it holds.  So read(emit(t)) == t,
 and every document the reader accepts re-emits to itself.
@@ -20,8 +22,9 @@ A ``Timeline`` is immutable: frozen fields and a read-only mapping of arm
 tracks, each a tuple of events, which in an accepted timeline hold only
 ints, strings, floats and None.  So its verdict under the rules, its
 canonical event order and its seconds strings are each computed once per
-timeline, and writing it in both formats, or reading a script and writing
-it again, checks and orders it once.  A refused timeline stays refused,
+timeline, the seconds strings in one pass over the ordered events, and
+writing it in both formats, or reading a script and writing it again,
+checks, orders and formats it once.  A refused timeline stays refused,
 since no value of a wrong type can change into a right one.
 
 Two formats are supported.  JSON (see ``docs/script.schema.json``) and a
@@ -59,9 +62,26 @@ ARMS_OF_HAND = {"LH": ("left",), "RH": ("right",), "2H": ARMS}  # the arms a str
 FEATURES = ("expanse", "height", "outward", "speed", "scale")
 
 
+_FAST_MS = 2.0**31  # below this many milliseconds a product is within 2**-23 ms of the exact one
+
+
 def to_ms(seconds: float) -> int:
     """Seconds as whole milliseconds, half a millisecond rounded as
-    ``round(seconds, 3)`` rounds it: the one seconds-to-milliseconds rule."""
+    ``round(seconds, 3)`` rounds it: the one seconds-to-milliseconds rule.
+
+    The fast path is exact.  ``round(seconds, 3)`` is correctly rounded, so
+    the rule gives the integer on the side of the nearest half millisecond
+    that the exact product ``seconds * 1000`` lies on.  Below ``2**31`` ms
+    the float product ``x`` is within ``2**-23`` (1.2e-7) ms of the exact
+    one, so when ``x`` is more than 1e-6 ms from every half millisecond,
+    both lie on the same side of each, and ``round(x)`` is the rule's
+    integer.  Near-ties, larger values, nan and inf take the rule itself,
+    which gives the same result or raises the same exception."""
+    x = seconds * 1000
+    if -_FAST_MS < x < _FAST_MS:
+        ms = round(x)
+        if abs(abs(x - ms) - 0.5) > 1e-6:
+            return ms
     return round(round(seconds, 3) * 1000)
 
 
@@ -99,14 +119,6 @@ class ScriptEvent(NamedTuple):
     outward: float | None = None
     speed: float | None = None
     scale: float | None = None
-
-
-class _Seconds(dict):
-    """``format_seconds`` of each millisecond time looked up, each printed once."""
-
-    def __missing__(self, ms: int) -> str:
-        text = self[ms] = format_seconds(ms)
-        return text
 
 
 @dataclass(frozen=True)
@@ -154,8 +166,11 @@ class Timeline:
         return document_from_timeline(self)
 
     @cached_property
-    def _seconds(self) -> _Seconds:
-        return _Seconds()
+    def _seconds(self) -> dict[int, str]:
+        """``format_seconds`` of the audio duration and of each event time, each printed once."""
+        order = self._order
+        times = {self.audio_ms, *[e[0] for e in order], *[e[1] for e in order]}
+        return dict(zip(times, map(format_seconds, times)))
 
 
 _AFTER = {

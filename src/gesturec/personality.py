@@ -9,18 +9,22 @@ qualitative introvert/extravert contrasts (narrow vs wide, inward vs
 outward, low vs high rate, slow vs fast); only the adaptation deltas have
 published values.  ``apply_personality`` builds each gesture's ``Features``
 once per call, for main gestures and alternatives alike.  It builds each
-stamped annotation and each turn it rebuilds positionally, in class order,
-with ``dsl.new_annotation`` and ``dsl.new_turn``, not ``_replace``.
+features record, stamped annotation and rebuilt turn positionally, in class
+order, with ``dsl.new_features``, ``dsl.new_annotation`` and
+``dsl.new_turn``, not a keyword constructor or ``_replace``.  Each profile
+is interpolated once per distinct score and anchors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from .catalog import GestureCatalog, lookup
 from .dsl import (
-    AnnotatedDialog, Features, GestureAnnotation, Turn, new_annotation, new_turn, segment_sentences, turn_label,
+    AnnotatedDialog, Features, GestureAnnotation, Turn, new_annotation, new_features, new_turn, segment_sentences,
+    turn_label,
 )
 from .errors import DomainError, UnknownGestureError
 
@@ -75,7 +79,15 @@ def profile_from_extraversion(
     introvert: ParameterSet = INTROVERT_ANCHOR,
     extravert: ParameterSet = EXTRAVERT_ANCHOR,
 ) -> ParameterSet:
-    """Linear interpolation between the anchors at e=1 and e=7."""
+    """Linear interpolation between the anchors at e=1 and e=7, made once
+    per score and pair of anchors: a ``ParameterSet`` is frozen.  The
+    anchors' identities are part of the key, since equal anchors can differ
+    in the sign of a zero, which the interpolation can hand on."""
+    return _interpolate(e, introvert, extravert, id(introvert), id(extravert))
+
+
+@lru_cache(maxsize=64)  # a key holds its anchors, so the ids in it stay theirs
+def _interpolate(e: float, introvert: ParameterSet, extravert: ParameterSet, *_ids: int) -> ParameterSet:
     if not EXTRAVERSION_MIN <= e <= EXTRAVERSION_MAX:
         raise DomainError(f"extraversion must be in [1, 7], got {e}")
     t = (e - EXTRAVERSION_MIN) / (EXTRAVERSION_MAX - EXTRAVERSION_MIN)
@@ -88,13 +100,13 @@ def profile_from_extraversion(
 
 def _features_for(gesture_name: str, params: ParameterSet, catalog: GestureCatalog) -> Features:
     g = lookup(catalog, gesture_name)
-    return Features(
-        expanse_cm=g.base_expanse + params.expanse_offset,
-        height_cm=g.base_height + params.height_offset,
-        outwardness_cm=g.base_outwardness + params.outwardness_offset,
-        speed=params.speed_multiplier,
-        scale=params.scale_multiplier,
-    )
+    return new_features((
+        g.base_expanse + params.expanse_offset,
+        g.base_height + params.height_offset,
+        g.base_outwardness + params.outwardness_offset,
+        params.speed_multiplier,
+        params.scale_multiplier,
+    ))
 
 
 def _rate_cap(params: ParameterSet) -> int:

@@ -9,7 +9,7 @@ from .adaptation import AdaptationSpec, resolve_variant, strip_adaptation
 from .align import WordTimingTrack, align_strokes
 from .catalog import GestureCatalog
 from .dsl import AnnotatedDialog, parse_dialog
-from .errors import PlanError
+from .errors import PlanError, UnknownGestureError
 from .personality import (
     EXTRAVERT_ANCHOR,
     INTROVERT_ANCHOR,
@@ -45,11 +45,22 @@ def prepare_dialog(
     settings: PipelineSettings,
 ) -> AnnotatedDialog:
     """Align against the timing track and stamp each speaker's personality
-    features, from ``settings.profile``."""
+    features, from ``settings.profile``.
+
+    An unknown gesture is named at its time as written: when personality
+    refuses the aligned dialog, it runs again on the written one, which
+    raises the same error at the written time."""
+    written = dialog
     if track is not None:
         dialog = align_strokes(dialog, track, lead=settings.scheduler.stroke_lead_s)
     for speaker in ("A", "B"):
-        dialog = apply_personality(dialog, speaker, settings.profile(speaker), catalog)
+        profile = settings.profile(speaker)
+        try:
+            dialog = apply_personality(dialog, speaker, profile, catalog)
+        except UnknownGestureError:
+            if track is not None:
+                apply_personality(written, speaker, profile, catalog)
+            raise
     return dialog
 
 

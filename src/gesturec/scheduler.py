@@ -18,12 +18,14 @@ last one (compressed or omitted when the audio ends first).  Stroke start
 times are never moved; in strict mode conflicting or overrunning strokes
 raise, in lenient mode they are dropped with a diagnostic.
 
-Tracks are lists of ``emitter.ScriptEvent`` in ``int`` milliseconds from
-``emitter.to_ms``: once per stroke (start, end and the end of its retract,
-a fixed duration after the exact stroke end) and once per run for the
-audio, prep duration and hold threshold.  Config values and annotations
-stay in seconds.  Each features record is rounded to 3 decimals once per call.
-Each stroke record and each event is built positionally, in class order, by
+Tracks of ``emitter.ScriptEvent`` are built as lists, held as tuples by
+``Timeline``, in ``int`` milliseconds from ``emitter.to_ms``: once per
+stroke (start, end and the end of its retract, a fixed duration after the
+exact stroke end) and once per run for the audio, prep duration and hold
+threshold.  Config values and annotations stay in seconds.  A
+``SchedulerConfig`` computes its fingerprint once, when it is made.  Each
+features record is rounded to 3 decimals once per call.  Each stroke
+record and each event is built positionally, in class order, by
 ``tuple.__new__`` on one tuple of every field: no keyword constructor,
 ``_make`` or ``_replace`` runs per stroke or per event.
 """
@@ -61,14 +63,16 @@ class SchedulerConfig:
             raise ScheduleError("prep and retract durations must be > 0")
         if self.hold_threshold_s < self.prep_duration_s + self.retract_duration_s:
             raise ScheduleError("hold threshold must cover prep + retract")
-
-    def fingerprint(self) -> str:
         # "turn_end=False" is the one retract policy; the literal keeps every script's `# config:` line
         text = (
             f"hold={self.hold_threshold_s!r};prep={self.prep_duration_s!r};"
             f"retract={self.retract_duration_s!r};lead={self.stroke_lead_s!r};turn_end=False"
         )
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
+        # not a field, so neither the config keys nor equality see it
+        object.__setattr__(self, "_fingerprint", hashlib.sha256(text.encode()).hexdigest()[:12])
+
+    def fingerprint(self) -> str:
+        return self._fingerprint
 
 
 @dataclass
@@ -217,6 +221,7 @@ def schedule(
     timelines = {}
     audio = to_ms(dialog.audio_duration)
     prep, hold = to_ms(config.prep_duration_s), to_ms(config.hold_threshold_s)
+    fingerprint = config.fingerprint()
     for speaker in ("A", "B"):
         strokes = _collect_strokes(dialog, speaker, config.retract_duration_s)
         per_arm = _admit_strokes(strokes, audio, speaker, strict, diagnostics, dialog.story_id)
@@ -226,6 +231,6 @@ def schedule(
             tracks=tracks,
             audio_ms=audio,
             story_id=dialog.story_id,
-            config_fingerprint=config.fingerprint(),
+            config_fingerprint=fingerprint,
         )
     return ScheduleResult(a=timelines["A"], b=timelines["B"], diagnostics=diagnostics)

@@ -12,7 +12,9 @@ Two experiment families:
 
 A bundle is a directory with one JSON and one text script per speaker plus
 a ``bundle.json`` metadata file; a batch writes ``manifest.json`` at the
-output root.
+output root.  The adaptation batch prepares each story once, through its
+longest turn structure, and truncates that prepared dialog per task.
+Files are written on plain ``str`` paths, joined with ``os.path.join``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import json
 import os
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .adaptation import resolve_variant, strip_adaptation
 from .align import WordTimingTrack
@@ -177,6 +178,14 @@ def build_adaptation_pair(
     """
     _validate_structure(dialog, turn_structure)
     prepared = prepare_dialog(truncate_dialog(dialog, len(turn_structure)), catalog, track, settings)
+    return _adaptation_pair(dialog, turn_structure, prepared, settings)
+
+
+def _adaptation_pair(
+    dialog: AnnotatedDialog, turn_structure: str, prepared: AnnotatedDialog, settings: PipelineSettings,
+) -> tuple[StimulusBundle, StimulusBundle]:
+    """(adapted, non-adapted) bundles for one task of ``dialog``, from
+    ``prepared``: its first ``len(turn_structure)`` turns, prepared."""
     task = f"{dialog.story_id}_{turn_structure}"
     responder = turn_structure[-1]
     non_responder = "B" if responder == "A" else "A"
@@ -219,17 +228,33 @@ def run_adaptation_batch(
     catalog: GestureCatalog,
     settings: PipelineSettings = PipelineSettings(),
 ) -> list[StimulusBundle]:
-    """16 bundles for the 8 shipped tasks: adapted and non-adapted each."""
+    """16 bundles for the 8 shipped tasks: adapted and non-adapted each.
+
+    At its first task, each story's structures are checked in task order,
+    and the story is prepared once, through its longest structure.  Each
+    task truncates that prepared dialog, which gives the dialog the task
+    would prepare alone (``build_adaptation_pair``), since alignment and
+    personality act turn by turn.  So a structure or prepare error of a
+    story's longer task comes before a schedule error of its shorter one.
+    """
     bundles: list[StimulusBundle] = []
+    prepared: dict[str, AnnotatedDialog] = {}  # story id -> the story prepared through its longest structure
     for story_id, structure in ADAPTATION_TASKS:
         if story_id not in stories:
             raise PlanError(f"no story {story_id!r} for task {story_id}_{structure}")
         dialog, track = stories[story_id]
-        bundles.extend(build_adaptation_pair(dialog, structure, catalog, settings, track))
+        if story_id not in prepared:
+            structures = [s for task_story, s in ADAPTATION_TASKS if task_story == story_id]
+            for each in structures:
+                _validate_structure(dialog, each)
+            longest = truncate_dialog(dialog, max(map(len, structures)))
+            prepared[story_id] = prepare_dialog(longest, catalog, track, settings)
+        task_prepared = truncate_dialog(prepared[story_id], len(structure))
+        bundles.extend(_adaptation_pair(dialog, structure, task_prepared, settings))
     return bundles
 
 
-def write_file(path: Path, data: bytes) -> None:
+def write_file(path: str | os.PathLike, data: bytes) -> None:
     """Make ``path`` hold exactly ``data``, overwriting it in place.
 
     The file is not truncated before the write, only cut at the end of the
@@ -268,26 +293,27 @@ def _indented_json(value, indent: str = "") -> str:
     return json.dumps(value)
 
 
-def write_json(path: Path, value) -> None:
+def write_json(path: str | os.PathLike, value) -> None:
     """Write ``value``, whose objects have string keys, to ``path`` as
     indented JSON with sorted keys and a final newline: the bytes of
     ``json.dumps(value, indent=2, sort_keys=True)``."""
     write_file(path, (_indented_json(value) + "\n").encode())
 
 
-def write_bundles(bundles: list[StimulusBundle], out_dir: Path, experiment: str) -> dict:
+def write_bundles(bundles: list[StimulusBundle], out_dir: str | os.PathLike, experiment: str) -> dict:
     """Write bundle directories plus a manifest, the manifest last; returns
     the manifest.  Files already in ``out_dir`` that this batch does not
-    write are left as they are."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    write are left as they are.  Paths are joined as strings; a file where
+    a directory goes raises ``FileExistsError``."""
+    out_dir = os.fspath(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     manifest_entries = []
     for bundle in bundles:
-        bundle_dir = out_dir / bundle.name
-        bundle_dir.mkdir(parents=True, exist_ok=True)
+        bundle_dir = os.path.join(out_dir, bundle.name)
+        os.makedirs(bundle_dir, exist_ok=True)
         for filename, content in sorted(bundle.scripts.items()):
-            write_file(bundle_dir / filename, content)
-        write_json(bundle_dir / "bundle.json", bundle.metadata)
+            write_file(os.path.join(bundle_dir, filename), content)
+        write_json(os.path.join(bundle_dir, "bundle.json"), bundle.metadata)
         manifest_entries.append(
             {"path": bundle.name, **{key: bundle.metadata[key] for key in ("story", "experiment", "label")}}
         )
@@ -296,5 +322,5 @@ def write_bundles(bundles: list[StimulusBundle], out_dir: Path, experiment: str)
         "bundle_count": len(bundles),
         "bundles": manifest_entries,
     }
-    write_json(out_dir / "manifest.json", manifest)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest

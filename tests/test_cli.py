@@ -363,20 +363,38 @@ def test_build_names_the_file_it_cannot_load(tmp_path, capsys, name, old, new, m
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["compile", "personality", "adaptation"])
-def test_an_unknown_gesture_names_its_dialog_and_turn(tmp_path, shipped, capsys, command):
+def _run_with_garden_annotation(tmp_path, shipped, command, annotation: bytes):
+    """Run ``command`` (``compile``, or the ``build`` experiment) on the shipped
+    stories with garden's first annotation written as ``annotation``; returns
+    its exit code and the garden dialog file."""
     stories = tmp_path / "stories"
     stories.mkdir()
     for path in (DATA_DIR / "stories").glob("*.dialog"):
         (stories / path.name).write_bytes(path.read_bytes())
     broken = stories / "garden.dialog"
-    broken.write_bytes(broken.read_bytes().replace(b"(Cup, RH 0.46s)", b"(Cupx, RH 0.46s)", 1))
+    broken.write_bytes(broken.read_bytes().replace(b"[1.46s](Cup, RH 0.46s)", annotation, 1))
     if command == "compile":
         argv = ["compile", "--dialog", str(broken), "--timings", str(DATA_DIR / "timings" / "garden.tsv")]
     else:
         argv = ["build", "--experiment", command, "--stories", str(stories), "--timings", shipped["timings"]]
-    assert main([*argv, "--catalog", shipped["catalog"], "--out", shipped["out"]]) == 1
+    return main([*argv, "--catalog", shipped["catalog"], "--out", shipped["out"]]), broken
+
+
+@pytest.mark.parametrize("command", ["compile", "personality", "adaptation"])
+def test_an_unknown_gesture_names_its_dialog_and_turn(tmp_path, shipped, capsys, command):
+    code, broken = _run_with_garden_annotation(tmp_path, shipped, command, b"[1.46s](Cupx, RH 0.46s)")
+    assert code == 1
     message = "turn A1: unknown gesture 'Cupx' at 1.46s"
+    assert capsys.readouterr().err == f"error: {broken}, {shipped['catalog']}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["compile", "personality", "adaptation"])
+def test_an_unknown_gesture_names_its_written_time_not_its_aligned_one(tmp_path, shipped, capsys, command):
+    # alignment moves the stroke written at 1.40s to 1.46s, 0.2s before 'tomatoes'
+    code, broken = _run_with_garden_annotation(tmp_path, shipped, command, b"[1.40s](Cupx, RH 0.46s)")
+    assert code == 1
+    message = "turn A1: unknown gesture 'Cupx' at 1.40s"
     assert capsys.readouterr().err == f"error: {broken}, {shipped['catalog']}: {message}\n"
     assert not (tmp_path / "out").exists()
 

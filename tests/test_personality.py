@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import math
 import re
 
 import pytest
@@ -48,6 +50,21 @@ def test_midpoint_interpolation():
     assert mid.speed_multiplier == pytest.approx(0.9)
     assert mid.scale_multiplier == pytest.approx(0.9)
     assert mid.max_rate == pytest.approx(1.5)
+
+
+def test_a_profile_is_made_once_per_score_and_anchors():
+    assert profile_from_extraversion(4.0) is profile_from_extraversion(4.0)
+    # anchors equal field by field, but for the sign of a zero offset, which e=1
+    # hands on when the extravert offset is negative: -0.0 + 0 * -1.0 is -0.0
+    negative, positive = (
+        dataclasses.replace(INTROVERT_ANCHOR, expanse_offset=zero) for zero in (-0.0, 0.0)
+    )
+    extravert = dataclasses.replace(EXTRAVERT_ANCHOR, expanse_offset=-1.0)
+    assert negative == positive
+    for order in ((negative, positive), (positive, negative)):
+        profiles = [profile_from_extraversion(1.0, anchor, extravert) for anchor in order]
+        signs = [math.copysign(1, profile.expanse_offset) for profile in profiles]
+        assert signs == [math.copysign(1, anchor.expanse_offset) for anchor in order]
 
 
 def test_out_of_range_extraversion():

@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 import gesturec.stimuli
-from conftest import count_emitter_calls
+from conftest import DATA_DIR, count_emitter_calls
 from gesturec.adaptation import resolve_variant, strip_adaptation
 from gesturec.config import load_config
 from gesturec.dsl import format_dialog, parse_dialog, truncate_dialog
-from gesturec.errors import EmptyStrokeError, PlanError, StrokeOverlapError
+from gesturec.errors import EmptyStrokeError, PlanError, StrokeOverlapError, UnknownGestureError
 from gesturec.personality import EXTRAVERT_ANCHOR
 from gesturec.pipeline import PipelineSettings, compile_dialog, prepare_dialog
 from gesturec.scheduler import schedule
@@ -294,3 +294,76 @@ def test_a_rebuild_over_changed_files_gives_the_shipped_bytes(tmp_path, stories,
         for path in tmp_path.rglob("*") if path.is_file()
     }
     assert digests == json.loads(BUILD_DIGESTS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("config", ["", "adaptation.speed_factor = 1000\n"], ids=["default", "speed-1000"])
+@pytest.mark.parametrize("extraversion", [{"A": 7.0, "B": 7.0}, {"A": 3.5, "B": 6.0}], ids=["7-7", "3.5-6"])
+def test_one_prepare_per_story_gives_the_bundles_of_one_prepare_per_task(
+    stories, catalog, monkeypatch, config, extraversion
+):
+    settings = load_config(config, PipelineSettings(extraversion=extraversion, strict=not config))
+    per_task = [
+        bundle for story_id, structure in ADAPTATION_TASKS
+        for bundle in build_adaptation_pair(stories[story_id][0], structure, catalog, settings, stories[story_id][1])
+    ]
+    prepares = Counter()
+    real_prepare = gesturec.stimuli.prepare_dialog
+
+    def counting_prepare(dialog, *args):
+        prepares[dialog.story_id] += 1
+        return real_prepare(dialog, *args)
+
+    monkeypatch.setattr(gesturec.stimuli, "prepare_dialog", counting_prepare)
+    batch = run_adaptation_batch(stories, catalog, settings)
+    assert prepares == {story_id: 1 for story_id in stories}
+    # names, metadata, script bytes and diagnostics
+    assert batch == per_task
+    assert any(bundle.diagnostics for bundle in batch) == bool(config)
+
+
+def test_a_story_is_prepared_through_its_longest_structure_before_its_first_task_schedules(stories, catalog):
+    # garden_ABA overlaps two strokes of A1; garden_ABAB adds B2, which names an unknown gesture
+    text = (DATA_DIR / "stories" / "garden.dialog").read_text(encoding="utf-8")
+    text = text.replace("[1.46s](Cup, RH 0.46s)", "[1.46s](Cup, RH 3.46s)", 1)
+    text = text.replace("[25.52s](Cup_Vert, RH 0.54s)", "[25.52s](Cupx, RH 0.54s)", 1)
+    garden = parse_dialog(text, story_id="garden")
+    untimed = {story_id: (dialog, None) for story_id, (dialog, _) in stories.items()} | {"garden": (garden, None)}
+    with pytest.raises(StrokeOverlapError) as err:
+        build_adaptation_pair(garden, "ABA", catalog)
+    assert str(err.value) == (
+        "garden_ABA/adapted: A/right: stroke 'ShortProgressive' at 4.430s overlaps the previous stroke ending at 4.920s"
+    )
+    with pytest.raises(UnknownGestureError) as err:
+        run_adaptation_batch(untimed, catalog)
+    assert str(err.value) == "turn B2: unknown gesture 'Cupx' at 25.52s"
+    assert err.value.story_id == "garden"
+    # a structure the story cannot hold is named before the story is prepared
+    with pytest.raises(PlanError) as err:
+        run_adaptation_batch(untimed | {"garden": (truncate_dialog(garden, 3), None)}, catalog)
+    assert str(err.value) == "structure 'ABAB' needs 4 turns, dialog 'garden' has 3"
+
+
+@pytest.mark.parametrize("as_path", [str, Path], ids=["str", "Path"])
+def test_write_bundles_writes_one_tree_for_a_str_and_a_path(tmp_path, stories, catalog, as_path):
+    bundles = run_personality_batch(stories, catalog)
+    write_bundles(bundles, as_path(tmp_path / "out"), "personality")
+    tree = {path.relative_to(tmp_path / "out").as_posix(): path.read_bytes()
+            for path in (tmp_path / "out").rglob("*") if path.is_file()}
+    digests = json.loads(BUILD_DIGESTS.read_text(encoding="utf-8"))
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in tree.items()} == {
+        name.removeprefix("personality/"): digest for name, digest in digests.items()
+        if name.startswith("personality/")
+    }
+
+
+@pytest.mark.parametrize("blocked,error", [
+    ("out", FileExistsError),
+    ("out/garden", NotADirectoryError),  # a bundle directory's parent
+    ("out/garden/F-extravert", FileExistsError),
+])
+def test_write_bundles_refuses_a_file_where_a_directory_goes(tmp_path, stories, catalog, blocked, error):
+    (tmp_path / blocked).parent.mkdir(parents=True, exist_ok=True)
+    (tmp_path / blocked).write_bytes(b"not a directory\n")
+    with pytest.raises(error):
+        write_bundles(run_personality_batch(stories, catalog), str(tmp_path / "out"), "personality")
+    assert (tmp_path / blocked).read_bytes() == b"not a directory\n"
