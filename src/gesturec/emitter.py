@@ -21,11 +21,13 @@ not check its phase rules.
 A ``Timeline`` is immutable: frozen fields and a read-only mapping of arm
 tracks, each a tuple of events, which in an accepted timeline hold only
 ints, strings, floats and None.  So its verdict under the rules, its
-canonical event order and its seconds strings are each computed once per
-timeline, the seconds strings in one pass over the ordered events, and
-writing it in both formats, or reading a script and writing it again,
-checks, orders and formats it once.  A refused timeline stays refused,
-since no value of a wrong type can change into a right one.
+canonical event order, its seconds strings and its two documents are each
+computed once per timeline and kept with it: the seconds strings in one
+pass over the ordered events, and the JSON and text documents together in
+one walk over them, each encoded to UTF-8 only when its format is asked
+for.  Writing it in both formats, or reading a script and writing it
+again, checks, orders, formats and renders it once.  A refused timeline
+stays refused, since no value of a wrong type can change into a right one.
 
 Two formats are supported.  JSON (see ``docs/script.schema.json``) and a
 line-oriented text form, one event per line::
@@ -44,6 +46,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
@@ -170,7 +173,11 @@ class Timeline:
         """``format_seconds`` of the audio duration and of each event time, each printed once."""
         order = self._order
         times = {self.audio_ms, *[e[0] for e in order], *[e[1] for e in order]}
-        return dict(zip(times, map(format_seconds, times)))
+        return {ms: f"{ms / 1000:.3f}" for ms in times}  # format_seconds, inlined
+
+    @cached_property
+    def _documents(self) -> tuple[str, str]:
+        return _render(self)
 
 
 _AFTER = {
@@ -179,6 +186,7 @@ _AFTER = {
     HOLD: (PREP,),
     RETRACT: (PREP,),
 }
+_TRANSITIONS = frozenset((kind, after) for kind, afters in _AFTER.items() for after in afters)
 _GESTURE_RE = re.compile(GESTURE_NAME)
 _INF = math.inf
 _NAN = math.nan
@@ -248,7 +256,7 @@ def validate_timeline(timeline: Timeline) -> list[str]:
             continue
         prev_kind = prev_end = None  # a kind of None: no event before, or no event checked
         for i, e in enumerate(events):
-            if not _is_event(e):
+            if not (isinstance(e, tuple) and len(e) == 11):  # _is_event, inlined
                 report(f"{arm}[{i}]: {e!r} is not an event of 11 fields")
                 prev_kind = None
                 continue
@@ -283,7 +291,10 @@ def validate_timeline(timeline: Timeline) -> list[str]:
             elif kind not in KINDS:
                 report(f"{arm}[{i}]: unknown phase kind {kind!r}")
                 kind = str(kind)  # the same in messages, and usable as a key by the next event's check
-            elif e[4:] != TIMES_ONLY:
+            elif (
+                not (gesture is hand is expanse is height is outward is speed is scale is None)
+                and e[4:] != TIMES_ONLY  # the deciding test: a value equal to None passes it
+            ):
                 report(f"{arm}[{i}]: {kind} must not carry a gesture reference, hand or features")
             if not timed:
                 report(f"{arm}[{i}]: times {start!r}, {end!r} are not integer milliseconds")
@@ -298,7 +309,7 @@ def validate_timeline(timeline: Timeline) -> list[str]:
                     report(
                         f"{arm}[{i - 1}->{i}]: phases overlap ({prev_kind} ends {prev_end}, {kind} starts {start})"
                     )
-                if kind not in _AFTER.get(prev_kind, ()):
+                if (prev_kind, kind) not in _TRANSITIONS:
                     report(f"{arm}[{i - 1}->{i}]: {prev_kind} may not be followed by {kind}")
                 # only retract->prep may leave a rest gap
                 if prev_kind != RETRACT and start > prev_end:
@@ -326,28 +337,50 @@ def document_from_timeline(timeline: Timeline) -> list[ScriptEvent]:
     return events
 
 
-def _json_stroke(gesture, hand, expanse, height, outward, speed, scale) -> str:
+def _render(timeline: Timeline) -> tuple[str, str]:
+    """The JSON and the text document of a timeline, rendered in one walk
+    over its canonical event order (``emit_document`` has the value rules).
+
+    Each distinct time and stroke is printed once: a phase starts where the
+    one before it ends, and a gesture keeps its hand and features.  A stroke
+    keys its pair of tails by its values, a zero by its text, since
+    ``0.0 == -0.0`` but they print apart; an int and a float of one value
+    print alike."""
+    seconds = timeline._seconds
+    story, speaker, config = timeline.story_id, timeline.speaker, timeline.config_fingerprint
+    audio = seconds[timeline.audio_ms]
+    json_lines: list[str] = []
+    text_lines = ["# gesture-script v1", f"# story: {story}", f"# speaker: {speaker}", f"# audio: {audio}",
+                  f"# config: {config}"]
+    add_json, add_text = json_lines.append, text_lines.append
+    strokes: dict[tuple, tuple[str, str]] = {}
+    for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in timeline._order:
+        start, end = seconds[start], seconds[end]
+        if kind == STROKE:
+            key = (gesture, hand, expanse or str(expanse), height or str(height), outward or str(outward),
+                   speed or str(speed), scale or str(scale))
+            tails = strokes.get(key)
+            if tails is None:
+                tails = strokes[key] = (
+                    f'"gesture": "{gesture}", "hand": "{hand}", '
+                    f'"expanse": {expanse:.3f}, "height": {height:.3f}, "outward": {outward:.3f}, '
+                    f'"speed": {speed:.3f}, "scale": {scale:.3f}',
+                    f"{gesture}:{hand} {expanse:.3f} {height:.3f} {outward:.3f} {speed:.3f} {scale:.3f}",
+                )
+            json_tail, text_tail = tails
+            add_json(f'    {{"start": {start}, "end": {end}, "kind": "stroke", "arm": "{arm}", {json_tail}}}')
+            add_text(f"{start} {end} {kind} {arm} {text_tail}")
+        else:
+            add_json(f'    {{"start": {start}, "end": {end}, "kind": "{kind}", "arm": "{arm}"}}')
+            add_text(f"{start} {end} {kind} {arm} - - - - - -")
+    text_lines.append("")
     return (
-        f'"gesture": "{gesture}", "hand": "{hand}", '
-        f'"expanse": {expanse:.3f}, "height": {height:.3f}, "outward": {outward:.3f}, '
-        f'"speed": {speed:.3f}, "scale": {scale:.3f}'
+        '{\n  "header": {'
+        f'"story": {encode_basestring_ascii(story)}, "speaker": "{speaker}", '
+        f'"audio": {audio}, "config": {encode_basestring_ascii(config)}'
+        '},\n  "events": [\n' + ",\n".join(json_lines) + "\n  ]\n}\n",
+        "\n".join(text_lines),
     )
-
-
-def _text_stroke(gesture, hand, expanse, height, outward, speed, scale) -> str:
-    return f"{gesture}:{hand} {expanse:.3f} {height:.3f} {outward:.3f} {speed:.3f} {scale:.3f}"
-
-
-def _stroke(strokes: dict[tuple, str], render, gesture, hand, expanse, height, outward, speed, scale) -> str:
-    """``render(gesture, hand, expanse, ...)``, kept in ``strokes``.  A zero
-    keys by its text, since ``0.0 == -0.0`` but they print apart; an int and
-    a float of one value print alike."""
-    key = (gesture, hand, expanse or str(expanse), height or str(height), outward or str(outward),
-           speed or str(speed), scale or str(scale))
-    text = strokes.get(key)
-    if text is None:
-        text = strokes[key] = render(gesture, hand, expanse, height, outward, speed, scale)
-    return text
 
 
 def emit_document(timeline: Timeline, format: str = "json") -> bytes:
@@ -355,54 +388,13 @@ def emit_document(timeline: Timeline, format: str = "json") -> bytes:
     words and gesture names, which JSON quotes as they are, and finite
     features) without its phase rules; ``emit_script`` checks them first.
 
-    Each distinct time and stroke is printed once: a phase starts where the
-    one before it ends, and a gesture keeps its hand and features."""
-    events = timeline._order
-    seconds = timeline._seconds
-    strokes: dict[tuple, str] = {}
+    The first call renders both formats (``_render``) and keeps them with
+    the timeline; each call encodes only the format it asks for, so a
+    timeline whose text form has no UTF-8 still writes as JSON."""
     if format == "json":
-        lines = [
-            "{",
-            '  "header": {'
-            f'"story": {json.dumps(timeline.story_id)}, '
-            f'"speaker": "{timeline.speaker}", '
-            f'"audio": {seconds[timeline.audio_ms]}, '
-            f'"config": {json.dumps(timeline.config_fingerprint)}'
-            "},",
-            '  "events": [',
-        ]
-        rendered = []
-        for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in events:
-            if kind == STROKE:
-                rendered.append(
-                    f'    {{"start": {seconds[start]}, "end": {seconds[end]}, '
-                    f'"kind": "stroke", "arm": "{arm}", '
-                    f"{_stroke(strokes, _json_stroke, gesture, hand, expanse, height, outward, speed, scale)}}}"
-                )
-            else:
-                rendered.append(
-                    f'    {{"start": {seconds[start]}, "end": {seconds[end]}, "kind": "{kind}", "arm": "{arm}"}}'
-                )
-        lines.append(",\n".join(rendered))
-        lines += ["  ]", "}", ""]
-        return "\n".join(lines).encode("utf-8")
+        return timeline._documents[0].encode("utf-8")
     if format == "text":
-        lines = [
-            "# gesture-script v1",
-            f"# story: {timeline.story_id}",
-            f"# speaker: {timeline.speaker}",
-            f"# audio: {seconds[timeline.audio_ms]}",
-            f"# config: {timeline.config_fingerprint}",
-        ]
-        for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in events:
-            if kind == STROKE:
-                lines.append(
-                    f"{seconds[start]} {seconds[end]} {kind} {arm} "
-                    f"{_stroke(strokes, _text_stroke, gesture, hand, expanse, height, outward, speed, scale)}"
-                )
-            else:
-                lines.append(f"{seconds[start]} {seconds[end]} {kind} {arm} - - - - - -")
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return timeline._documents[1].encode("utf-8")
     raise EmitError(f"unknown script format {format!r}")
 
 

@@ -141,10 +141,10 @@ def test_adaptation_pair_emits_the_non_responders_scripts_once(stories, catalog,
 def test_speaker_scripts_check_and_order_each_timeline_once(stories, catalog, monkeypatch):
     dialog, track = stories["garden"]
     result = schedule(strip_adaptation(prepare_dialog(dialog, catalog, track, PipelineSettings())))
-    calls = count_emitter_calls(monkeypatch, "validate_timeline", "document_from_timeline")
+    calls = count_emitter_calls(monkeypatch, "validate_timeline", "document_from_timeline", "_render")
     scripts = speaker_scripts(result)
     assert sorted(scripts) == ["A.script.json", "A.script.txt", "B.script.json", "B.script.txt"]
-    assert calls == {"validate_timeline": 2, "document_from_timeline": 2}
+    assert calls == {"validate_timeline": 2, "document_from_timeline": 2, "_render": 2}
 
 
 def test_each_bundle_carries_the_diagnostics_of_its_schedule(stories, catalog):
@@ -243,13 +243,32 @@ def test_write_json_refuses_a_key_that_is_no_string_and_a_value_json_cannot_writ
         write_json(tmp_path / "v.json", value)
 
 
-def test_write_json_leaves_no_reference_cycles(tmp_path, stories, catalog):
-    bundles = run_personality_batch(stories, catalog)
+def _compile_garden(tmp_path, stories, catalog):
+    source = (DATA_DIR / "stories" / "garden.dialog").read_text(encoding="utf-8")
+    speaker_scripts(compile_dialog(source, catalog, timings=stories["garden"][1], variant="adapted").schedule)
+
+
+def _build(run_batch, experiment):
+    def build(tmp_path, stories, catalog):
+        write_bundles(run_batch(stories, catalog), tmp_path / experiment, experiment)
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "path",
+    [_compile_garden, _build(run_personality_batch, "personality"), _build(run_adaptation_batch, "adaptation")],
+    ids=["compile", "personality", "adaptation"],
+)
+def test_compile_and_build_paths_leave_no_reference_cycles(tmp_path, stories, catalog, path):
+    """The compile path and both build paths, scripts, bundle files and
+    manifests included, leave nothing for the cycle collector: no timeline
+    is kept alive by a cycle through what it keeps of itself."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        write_json(tmp_path / "bundle.json", bundles[0].metadata)
+        path(tmp_path, stories, catalog)
         assert gc.collect() == 0
     finally:
         if enabled:
