@@ -141,8 +141,7 @@ def _word_mismatch(dialog: AnnotatedDialog, turn: Turn, track: WordTimingTrack) 
         k += 1
     ours_k, theirs_k = (repr(words[k]) if k < len(words) else "missing" for words in (ours, theirs))
     return WordMismatchError(
-        f"{turn_label(dialog, turn)}: word {k} is {ours_k} in the dialog but {theirs_k} in the timing track",
-        story_id=dialog.story_id,
+        f"{turn_label(dialog, turn)}: word {k} is {ours_k} in the dialog but {theirs_k} in the timing track"
     )
 
 
@@ -156,8 +155,7 @@ def _time_mismatch(
         window = f"at or after {words[i - 1]!r} at {onsets[i - 1]}s and " + window
     return WordMismatchError(
         f"{turn_label(dialog, turn)}: the stroke at {ann.stroke_begin:.2f}s is written before word {i} "
-        f"{words[i]!r}, so it must fall {window}",
-        story_id=dialog.story_id,
+        f"{words[i]!r}, so it must fall {window}"
     )
 
 
@@ -177,8 +175,7 @@ def align_strokes(
     strictly-increasing stroke order (two annotations before one word
     collide), and :class:`AlignError` when a stroke's word has an onset off
     the millisecond grid, which would shift the lead.  Each error names the
-    turn by its label as the dialog writes it (``turn A1``, ``turn B2``) and
-    carries the dialog's story id.  An
+    turn by its label as the dialog writes it (``turn A1``, ``turn B2``).  An
     annotation that alignment does not move, and a turn with no moved
     annotation, are handed on as they are.
     """
@@ -187,9 +184,7 @@ def align_strokes(
     for turn in dialog.turns:
         onsets = track.turn_onsets(turn.index)
         if not onsets:
-            raise NoFollowingWordError(
-                f"{turn_label(dialog, turn)}: no timing entries with turn index {turn.index}", story_id=dialog.story_id
-            )
+            raise NoFollowingWordError(f"{turn_label(dialog, turn)}: no timing entries with turn index {turn.index}")
         text = track.text_index[turn.index]
         if text != turn.text:  # track words hold no whitespace, so equal texts are equal words
             raise _word_mismatch(dialog, turn, track)
@@ -199,8 +194,7 @@ def align_strokes(
             i = ann.word_index
             if not 0 <= i < len(onsets):
                 raise NoFollowingWordError(
-                    f"{turn_label(dialog, turn)}: annotation at {ann.stroke_begin:.2f}s has no following word",
-                    story_id=dialog.story_id,
+                    f"{turn_label(dialog, turn)}: annotation at {ann.stroke_begin:.2f}s has no following word"
                 )
             if not (ann.stroke_begin < onsets[i] and (i == 0 or onsets[i - 1] <= ann.stroke_begin)):
                 raise _time_mismatch(dialog, turn, ann, onsets)
@@ -208,14 +202,12 @@ def align_strokes(
             if onset_ms / 1000 != onsets[i]:  # rounding it would shift the lead by under a millisecond
                 raise AlignError(
                     f"{turn_label(dialog, turn)}: word {i} {turn.text.split()[i]!r} has onset {onsets[i]}s, "
-                    "off the millisecond grid",
-                    story_id=dialog.story_id,
+                    "off the millisecond grid"
                 )
             begin_ms = max(0, onset_ms - lead_ms)
             if last_ms is not None and begin_ms <= last_ms:
                 raise StrokeCollisionError(
-                    f"{turn_label(dialog, turn)}: aligned strokes collide at {format_seconds(begin_ms)}s",
-                    story_id=dialog.story_id,
+                    f"{turn_label(dialog, turn)}: aligned strokes collide at {format_seconds(begin_ms)}s"
                 )
             last_ms = begin_ms
             begin = begin_ms / 1000

@@ -25,7 +25,10 @@ from .align import parse_word_timings
 from .catalog import load_catalog
 from .config import load_config
 from .dsl import parse_dialog
-from .errors import AlignError, DialogParseError, GesturecError, PlanError, ScheduleError, UnknownGestureError
+from .errors import (
+    AlignError, DialogParseError, DomainError, GesturecError, PlanError, ScheduleError, UnknownGestureError,
+)
+from .personality import profile_from_extraversion
 from .pipeline import PipelineSettings, compile_dialog
 from .stimuli import run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json
 
@@ -46,6 +49,9 @@ def _parse_extraversion(text: str) -> dict[str, float]:
         given.add(speaker)
         try:
             scores[speaker] = float(value)
+            profile_from_extraversion(scores[speaker])  # personality's rule for a score's range
+        except DomainError as exc:  # a ValueError, so it is caught first
+            raise argparse.ArgumentTypeError(f"speaker {speaker}: {exc}") from None
         except ValueError:
             raise argparse.ArgumentTypeError(malformed) from None
     return scores

@@ -5,12 +5,10 @@ from __future__ import annotations
 
 class GesturecError(Exception):
     """Base class for all errors raised by this package.  ``story_id`` is
-    the story of the one dialog an error is about, when the error knows it:
-    a run over several dialogs names that dialog's file by it."""
+    ``None`` except on an error raised while a stimulus batch built a
+    story: there it is that story's key, by which the CLI names its files."""
 
-    def __init__(self, *args, story_id: str | None = None):
-        super().__init__(*args)
-        self.story_id = story_id
+    story_id: str | None = None
 
 
 class CatalogError(GesturecError):
@@ -22,8 +20,7 @@ class DuplicateGestureError(CatalogError):
 
 
 class UnknownGestureError(CatalogError):
-    """A gesture name the catalog lacks; ``story_id`` is the dialog's that
-    uses it, when a dialog does."""
+    """A gesture name the catalog lacks."""
 
 
 class DialogParseError(GesturecError):
@@ -52,8 +49,7 @@ class TimingOrderError(TimingError):
 
 
 class AlignError(GesturecError):
-    """Stroke alignment against a timing track failed; ``story_id`` is the
-    aligned dialog's."""
+    """Stroke alignment against a timing track failed."""
 
 
 class NoFollowingWordError(AlignError):
@@ -74,8 +70,7 @@ class DomainError(GesturecError, ValueError):
 
 
 class PlanError(GesturecError):
-    """Stimulus or variant plan inconsistent with the dialog; ``story_id`` is
-    the dialog's when a stimulus structure does not fit it."""
+    """Stimulus or variant plan inconsistent with the dialog."""
 
 
 class ScheduleError(GesturecError):

@@ -139,8 +139,8 @@ def apply_personality(
     they only exist in adapted performances, whose extra gestures the
     adaptation stage owns.  Unknown gesture names (including alternatives,
     and those of annotations the cap drops) raise
-    :class:`UnknownGestureError`, naming the turn by its label, the stroke
-    time and the dialog's story.
+    :class:`UnknownGestureError`, naming the turn by its label and the
+    stroke time.
     """
     cap = _rate_cap(params)
     by_name: dict[str, Features] = {}  # one Features per gesture: the profile is fixed for the call
@@ -164,9 +164,7 @@ def apply_personality(
                     alt = ann.alternative.gesture_name
                     alt_features = by_name.get(alt) or by_name.setdefault(alt, _features_for(alt, params, catalog))
             except UnknownGestureError as exc:
-                raise UnknownGestureError(
-                    f"{turn_label(dialog, turn)}: {exc} at {ann.stroke_begin:.2f}s", story_id=dialog.story_id
-                ) from None
+                raise UnknownGestureError(f"{turn_label(dialog, turn)}: {exc} at {ann.stroke_begin:.2f}s") from None
             if id(ann) not in to_drop:  # the fields up to word_index, then the stamped features
                 kept.append(new_annotation(ann[:8] + (features, alt_features)))
         new_turns.append(new_turn(turn[:3] + (tuple(kept),)))

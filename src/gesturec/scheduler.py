@@ -24,7 +24,8 @@ stroke (start, end and the end of its retract, a fixed duration after the
 exact stroke end) and once per run for the audio, prep duration and hold
 threshold.  Config values and annotations stay in seconds.  A
 ``SchedulerConfig`` computes its fingerprint once, when it is made.  Each
-features record is rounded to 3 decimals once per call.  Each stroke
+features record is rounded to 3 decimals once per call, where a feature
+that overflowed a float is refused in either mode.  Each stroke
 record and each event is built positionally, in class order, by
 ``tuple.__new__`` on one tuple of every field: no keyword constructor,
 ``_make`` or ``_replace`` runs per stroke or per event.
@@ -40,7 +41,7 @@ from typing import NamedTuple
 
 from .dsl import SPEAKERS, AnnotatedDialog, GestureAnnotation
 from .emitter import (
-    ARMS, ARMS_OF_HAND, HOLD, PREP, RETRACT, STROKE, TIMES_ONLY, ScriptEvent, Timeline, format_seconds, to_ms,
+    ARMS, ARMS_OF_HAND, FEATURES, HOLD, PREP, RETRACT, STROKE, TIMES_ONLY, ScriptEvent, Timeline, format_seconds, to_ms,
 )
 from .errors import EmptyStrokeError, ScheduleError, StrokeOverlapError, StrokeOverrunError
 
@@ -121,25 +122,27 @@ def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) ->
                     round(f.expanse_cm, 3), round(f.height_cm, 3), round(f.outwardness_cm, 3),
                     round(f.speed, 3), round(f.scale, 3),
                 )
+                if not all(map(math.isfinite, features)):
+                    for name, value in zip(FEATURES, features):  # an infinite speed gives a 0 ms stroke instead
+                        if name != "speed" and not math.isfinite(value):
+                            raise ScheduleError(
+                                f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(to_ms(ann.stroke_begin))}s "
+                                f"has {name} {value}, which overflows a float"
+                            )
             fields = (ann.gesture_name, ann.hand) + features
             strokes.append(_new_stroke((to_ms(ann.stroke_begin), to_ms(end), to_ms(end + retract_s), ann, fields)))
     strokes.sort(key=lambda s: (s.start, s.annotation.hand))
     return strokes
 
 
-def _reject(error: type[ScheduleError], message: str, strict: bool, diagnostics: list[str], story_id: str) -> None:
+def _reject(error: type[ScheduleError], message: str, strict: bool, diagnostics: list[str]) -> None:
     if strict:
-        raise error(message, story_id=story_id)
+        raise error(message)
     diagnostics.append(f"dropped: {message}")
 
 
 def _admit_strokes(
-    strokes: list[_Stroke],
-    audio: int,
-    speaker: str,
-    strict: bool,
-    diagnostics: list[str],
-    story_id: str,
+    strokes: list[_Stroke], audio: int, speaker: str, strict: bool, diagnostics: list[str]
 ) -> dict[str, list[_Stroke]]:
     """Assign strokes to arms, rejecting conflicts.
 
@@ -157,14 +160,14 @@ def _admit_strokes(
                 f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(stroke.start)}s lasts 0 ms "
                 f"({ann.stroke_duration}s at speed {ann.features.speed:g})"
             )
-            _reject(EmptyStrokeError, message, strict, diagnostics, story_id)
+            _reject(EmptyStrokeError, message, strict, diagnostics)
             continue
         if stroke.end > audio:
             message = (
                 f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(stroke.start)}s "
                 f"runs past the audio end ({format_seconds(stroke.end)}s > {format_seconds(audio)}s)"
             )
-            _reject(StrokeOverrunError, message, strict, diagnostics, story_id)
+            _reject(StrokeOverrunError, message, strict, diagnostics)
             continue
         for arm in arms:
             if stroke.start <= last_end[arm]:
@@ -173,7 +176,7 @@ def _admit_strokes(
                     f"{format_seconds(stroke.start)}s overlaps the previous stroke ending at "
                     f"{format_seconds(last_end[arm])}s"
                 )
-                _reject(StrokeOverlapError, message, strict, diagnostics, story_id)
+                _reject(StrokeOverlapError, message, strict, diagnostics)
                 break
         else:  # no arm is blocked
             for arm in arms:
@@ -224,7 +227,7 @@ def schedule(
     fingerprint = config.fingerprint()
     for speaker in ("A", "B"):
         strokes = _collect_strokes(dialog, speaker, config.retract_duration_s)
-        per_arm = _admit_strokes(strokes, audio, speaker, strict, diagnostics, dialog.story_id)
+        per_arm = _admit_strokes(strokes, audio, speaker, strict, diagnostics)
         tracks = {arm: _build_track(arm, per_arm[arm], audio, prep, hold) for arm in ARMS}
         timelines[speaker] = Timeline(
             speaker=speaker,

@@ -12,9 +12,12 @@ Two experiment families:
 
 A bundle is a directory with one JSON and one text script per speaker plus
 a ``bundle.json`` metadata file; a batch writes ``manifest.json`` at the
-output root.  The adaptation batch prepares each story once, through its
-longest turn structure, and truncates that prepared dialog per task.
-Files are written on plain ``str`` paths, joined with ``os.path.join``.
+output root.  Each batch builds story by story, and sets the ``story_id``
+of an error raised while a story is built to the story's key in
+``stories``, by which the CLI names its files.  The adaptation batch
+prepares each story once, through its longest turn structure, and
+truncates that prepared dialog per task.  Files are written on plain
+``str`` paths, joined with ``os.path.join``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .align import WordTimingTrack
 from .catalog import GestureCatalog
 from .dsl import SPEAKERS, AnnotatedDialog, truncate_dialog
 from .emitter import emit_script
-from .errors import PlanError, ScheduleError
+from .errors import GesturecError, PlanError, ScheduleError
 # profile_from_extraversion is unused here but stays bound for perfbench/tracing.py BINDINGS (ROADMAP item 4)
 from .personality import EXTRAVERSION_MAX, EXTRAVERSION_MIN, profile_from_extraversion
 from .pipeline import PipelineSettings, prepare_dialog
@@ -82,10 +85,7 @@ def check_story_id(story_id: str) -> None:
     """Refuse a story id that cannot name one directory under a batch's
     output root, where each bundle's path begins with it."""
     if story_id in ("", ".", "..") or any(c in story_id for c in "/\\\0"):
-        raise PlanError(
-            f"story id {story_id!r} cannot name a bundle directory (empty, '.', '..', '/', '\\' or NUL)",
-            story_id=story_id,
-        )
+        raise PlanError(f"story id {story_id!r} cannot name a bundle directory (empty, '.', '..', '/', '\\' or NUL)")
 
 
 def _bundle(
@@ -113,7 +113,7 @@ def _schedule(bundles: str, dialog: AnnotatedDialog, settings: PipelineSettings)
     try:
         return schedule(dialog, settings.scheduler, strict=settings.strict)
     except ScheduleError as exc:
-        raise type(exc)(f"{bundles}: {exc}", story_id=exc.story_id) from None
+        raise type(exc)(f"{bundles}: {exc}") from None
 
 
 def build_personality_pair(
@@ -154,12 +154,11 @@ def _validate_structure(dialog: AnnotatedDialog, structure: str) -> None:
     if len(structure) > len(dialog.turns):
         raise PlanError(
             f"structure {structure!r} needs {len(structure)} turns, "
-            f"dialog {dialog.story_id!r} has {len(dialog.turns)}",
-            story_id=dialog.story_id,
+            f"dialog {dialog.story_id!r} has {len(dialog.turns)}"
         )
     actual = "".join(t.speaker for t in dialog.turns[: len(structure)])
     if actual != structure:
-        raise PlanError(f"structure {structure!r} does not match dialog turns {actual!r}", story_id=dialog.story_id)
+        raise PlanError(f"structure {structure!r} does not match dialog turns {actual!r}")
 
 
 def build_adaptation_pair(
@@ -219,7 +218,11 @@ def run_personality_batch(
     bundles: list[StimulusBundle] = []
     for story_id in sorted(stories):
         dialog, track = stories[story_id]
-        bundles.extend(build_personality_pair(dialog, catalog, settings, track))
+        try:
+            bundles.extend(build_personality_pair(dialog, catalog, settings, track))
+        except GesturecError as exc:
+            exc.story_id = story_id
+            raise
     return bundles
 
 
@@ -230,27 +233,28 @@ def run_adaptation_batch(
 ) -> list[StimulusBundle]:
     """16 bundles for the 8 shipped tasks: adapted and non-adapted each.
 
-    At its first task, each story's structures are checked in task order,
-    and the story is prepared once, through its longest structure.  Each
-    task truncates that prepared dialog, which gives the dialog the task
-    would prepare alone (``build_adaptation_pair``), since alignment and
-    personality act turn by turn.  So a structure or prepare error of a
-    story's longer task comes before a schedule error of its shorter one.
+    Story by story, in task order, the story's structures are checked, it
+    is prepared once, through its longest structure, and each task truncates
+    that prepared dialog, which gives the dialog the task would prepare
+    alone (``build_adaptation_pair``), since alignment and personality act
+    turn by turn.  So a structure or prepare error of a story's longer task
+    comes before a schedule error of its shorter one.
     """
     bundles: list[StimulusBundle] = []
-    prepared: dict[str, AnnotatedDialog] = {}  # story id -> the story prepared through its longest structure
-    for story_id, structure in ADAPTATION_TASKS:
+    for story_id in dict.fromkeys(task_story for task_story, _ in ADAPTATION_TASKS):
+        structures = [structure for task_story, structure in ADAPTATION_TASKS if task_story == story_id]
         if story_id not in stories:
-            raise PlanError(f"no story {story_id!r} for task {story_id}_{structure}")
+            raise PlanError(f"no story {story_id!r} for task {story_id}_{structures[0]}")
         dialog, track = stories[story_id]
-        if story_id not in prepared:
-            structures = [s for task_story, s in ADAPTATION_TASKS if task_story == story_id]
-            for each in structures:
-                _validate_structure(dialog, each)
-            longest = truncate_dialog(dialog, max(map(len, structures)))
-            prepared[story_id] = prepare_dialog(longest, catalog, track, settings)
-        task_prepared = truncate_dialog(prepared[story_id], len(structure))
-        bundles.extend(_adaptation_pair(dialog, structure, task_prepared, settings))
+        try:
+            for structure in structures:
+                _validate_structure(dialog, structure)
+            prepared = prepare_dialog(truncate_dialog(dialog, max(map(len, structures))), catalog, track, settings)
+            for structure in structures:
+                bundles.extend(_adaptation_pair(dialog, structure, truncate_dialog(prepared, len(structure)), settings))
+        except GesturecError as exc:
+            exc.story_id = story_id
+            raise
     return bundles
 
 

@@ -286,7 +286,6 @@ def test_an_alignment_error_names_the_turn_label_and_the_story(third_turn, third
     with pytest.raises(error) as err:
         align_strokes(dialog, track)
     assert str(err.value) == f"turn A2: {message}"
-    assert err.value.story_id == "garden"
 
 
 def test_custom_lead():
@@ -312,7 +311,6 @@ def test_an_onset_off_the_millisecond_grid_is_refused():
     with pytest.raises(AlignError) as err:
         align_strokes(dialog, parse_word_timings("1\tone\t1.0635\n"))
     assert str(err.value) == "turn A1: word 0 'one' has onset 1.0635s, off the millisecond grid"
-    assert err.value.story_id == "s"
     # an onset that times no stroke may lie off the grid
     dialog = parse_dialog("A1: [0.50s](Cup, RH 0.46s) one two\n")
     aligned = align_strokes(dialog, parse_word_timings("1\tone\t1.063\n1\ttwo\t1.0635\n"))

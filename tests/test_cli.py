@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,26 @@ def test_compile_refuses_a_score_that_is_no_number(shipped, capsys):
     assert err.endswith("error: argument --extraversion: expected A=<score>,B=<score>, got 'A=7,B=x'\n")
 
 
+@pytest.mark.parametrize("scores, message", [
+    ("A=9", "speaker A: extraversion must be in [1, 7], got 9.0"),
+    ("A=7,B=0.5", "speaker B: extraversion must be in [1, 7], got 0.5"),
+    ("A=nan", "speaker A: extraversion must be in [1, 7], got nan"),
+    ("A=inf", "speaker A: extraversion must be in [1, 7], got inf"),
+], ids=["A=9", "B=0.5", "A=nan", "A=inf"])
+def test_compile_refuses_a_score_out_of_range(shipped, capsys, scores, message):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "compile",
+            "--dialog", str(DATA_DIR / "stories" / "garden.dialog"),
+            "--catalog", shipped["catalog"],
+            "--extraversion", scores,
+            "--out", shipped["out"],
+        ])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --extraversion: {message}\n")
+    assert not Path(shipped["out"]).exists()
+
+
 def _garden_disagreeing(case):
     """garden's dialog and track, with the track's words or the first
     stroke's written time no longer agreeing with the dialog."""
@@ -213,6 +234,29 @@ def test_build_names_both_files_of_a_track_that_disagrees_with_its_dialog(tmp_pa
     assert capsys.readouterr().err == (
         f"error: {stories / 'garden.dialog'}, {timings / 'garden.tsv'}: "
         "turn A1: word 0 is 'So' in the dialog but 'x' in the timing track\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["personality", "adaptation"])
+def test_build_names_the_files_of_the_last_story_when_its_track_disagrees(tmp_path, shipped, capsys, experiment):
+    # storm is built last, after every other story has built
+    stories, timings = tmp_path / "stories", tmp_path / "timings"
+    shutil.copytree(DATA_DIR / "stories", stories)
+    shutil.copytree(DATA_DIR / "timings", timings)
+    track = (timings / "storm.tsv").read_text(encoding="utf-8")
+    (timings / "storm.tsv").write_text(track.replace("1\tDo\t", "1\tx\t", 1), encoding="utf-8")
+    code = main([
+        "build", "--experiment", experiment,
+        "--stories", str(stories),
+        "--timings", str(timings),
+        "--catalog", shipped["catalog"],
+        "--out", shipped["out"],
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {stories / 'storm.dialog'}, {timings / 'storm.tsv'}: "
+        "turn A1: word 0 is 'Do' in the dialog but 'x' in the timing track\n"
     )
     assert not (tmp_path / "out").exists()
 
@@ -455,6 +499,26 @@ def test_non_finite_setting_exits_1(tmp_path, shipped, capsys, setting, flags):
     assert code == 1
     field = setting.split(".")[1].split()[0]
     assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [(), ("--lenient",)])
+@pytest.mark.parametrize("command", ["compile", "build"])
+def test_a_feature_that_overflows_a_float_names_its_stroke(tmp_path, shipped, capsys, command, flags):
+    # each setting passes its own check, but the adapted scale is 4 * 1e308
+    config = tmp_path / "run.cfg"
+    config.write_text("adaptation.scale_factor = 1e308\nextravert.scale_multiplier = 4\n", encoding="utf-8")
+    dialog = DATA_DIR / "stories" / "garden.dialog"
+    if command == "compile":
+        argv = ["compile", "--dialog", str(dialog), "--timings", str(DATA_DIR / "timings" / "garden.tsv"),
+                "--variant", "adapted"]
+        message = "B: stroke 'Cup' at 21.230s has scale inf, which overflows a float"
+    else:
+        argv = ["build", "--experiment", "adaptation", "--stories", shipped["stories"], "--timings", shipped["timings"]]
+        message = "garden_ABA/adapted: A: stroke 'Cup_Horizontal' at 15.410s has scale inf, which overflows a float"
+    code = main([*argv, "--catalog", shipped["catalog"], "--config", str(config), "--out", shipped["out"], *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {dialog}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -13,9 +13,10 @@ import pytest
 import gesturec.stimuli
 from conftest import DATA_DIR, count_emitter_calls
 from gesturec.adaptation import resolve_variant, strip_adaptation
+from gesturec.align import parse_word_timings
 from gesturec.config import load_config
 from gesturec.dsl import format_dialog, parse_dialog, truncate_dialog
-from gesturec.errors import EmptyStrokeError, PlanError, StrokeOverlapError, UnknownGestureError
+from gesturec.errors import EmptyStrokeError, PlanError, StrokeOverlapError, UnknownGestureError, WordMismatchError
 from gesturec.personality import EXTRAVERT_ANCHOR
 from gesturec.pipeline import PipelineSettings, compile_dialog, prepare_dialog
 from gesturec.scheduler import schedule
@@ -169,12 +170,11 @@ def test_a_strict_schedule_error_names_its_bundles_and_story(stories, catalog):
     assert str(err.value) == (
         "x/F-extravert, x/M-extravert: A/right: stroke 'Reject' at 1.200s overlaps the previous stroke ending at 1.460s"
     )
-    assert err.value.story_id == "x"
+    assert err.value.story_id is None  # only a batch knows which story an error is about
     dialog, track = stories["garden"]
     with pytest.raises(EmptyStrokeError) as err:
         build_adaptation_pair(dialog, "ABAB", catalog, load_config("adaptation.speed_factor = 1000\n"), track)
     assert str(err.value) == "garden_ABAB/adapted: B: stroke 'Cup' at 21.230s lasts 0 ms (0.46s at speed 1000)"
-    assert err.value.story_id == "garden"
 
 
 def test_adaptation_pair_audio_reference_shared(stories, catalog):
@@ -349,6 +349,75 @@ def test_a_story_is_prepared_through_its_longest_structure_before_its_first_task
     with pytest.raises(PlanError) as err:
         run_adaptation_batch(untimed | {"garden": (truncate_dialog(garden, 3), None)}, catalog)
     assert str(err.value) == "structure 'ABAB' needs 4 turns, dialog 'garden' has 3"
+
+
+def _broken(story, kind):
+    """The shipped dialog and track of ``story``, broken by ``kind``."""
+    text = (DATA_DIR / "stories" / f"{story}.dialog").read_text(encoding="utf-8")
+    track = (DATA_DIR / "timings" / f"{story}.tsv").read_text(encoding="utf-8")
+    if kind == "track word":
+        turn, _, rest = track.split("\t", 2)  # the first word of the track
+        track = f"{turn}\tx\t{rest}"
+    elif kind in ("unknown gesture", "overlap"):  # each story's first stroke is a 0.46 s RH Cup
+        broken = "(Cupx, RH 0.46s)" if kind == "unknown gesture" else "(Cup, RH 3.46s)"
+        text = text.replace("(Cup, RH 0.46s)", broken, 1)
+    elif kind == "story id":
+        text = text.replace(f"story: {story}", f"story: {story[:2]}/{story[2:]}", 1)
+    dialog = parse_dialog(text, story_id=story)
+    if kind == "structure":
+        dialog = truncate_dialog(dialog, len(dialog.turns) - 1)
+    return dialog, parse_word_timings(track)
+
+
+_REFUSED_ID = "cannot name a bundle directory (empty, '.', '..', '/', '\\' or NUL)"
+
+
+_BATCH_ERRORS = [  # experiment, broken story, how it is broken, and the error its batch raises
+    ("personality", "garden", "track word", WordMismatchError,
+     "turn A1: word 0 is 'So' in the dialog but 'x' in the timing track"),
+    ("personality", "garden", "unknown gesture", UnknownGestureError, "turn A1: unknown gesture 'Cupx' at 1.46s"),
+    ("personality", "garden", "overlap", StrokeOverlapError,
+     "garden/F-extravert, garden/M-extravert: A/right: stroke 'ShortProgressive' at 4.430s "
+     "overlaps the previous stroke ending at 4.920s"),
+    ("personality", "garden", "story id", PlanError, f"story id 'ga/rden' {_REFUSED_ID}"),
+    ("personality", "storm", "track word", WordMismatchError,
+     "turn A1: word 0 is 'Do' in the dialog but 'x' in the timing track"),
+    ("personality", "storm", "unknown gesture", UnknownGestureError, "turn A1: unknown gesture 'Cupx' at 1.79s"),
+    ("personality", "storm", "overlap", StrokeOverlapError,
+     "storm/F-extravert, storm/M-extravert: A/right: stroke 'SweepSide1' at 4.100s "
+     "overlaps the previous stroke ending at 5.250s"),
+    ("personality", "storm", "story id", PlanError, f"story id 'st/orm' {_REFUSED_ID}"),
+    ("adaptation", "garden", "track word", WordMismatchError,
+     "turn A1: word 0 is 'So' in the dialog but 'x' in the timing track"),
+    ("adaptation", "garden", "unknown gesture", UnknownGestureError, "turn A1: unknown gesture 'Cupx' at 1.46s"),
+    ("adaptation", "garden", "overlap", StrokeOverlapError,
+     "garden_ABA/adapted: A/right: stroke 'ShortProgressive' at 4.430s overlaps the previous stroke ending at 4.920s"),
+    ("adaptation", "garden", "story id", PlanError, f"story id 'ga/rden' {_REFUSED_ID}"),
+    ("adaptation", "garden", "structure", PlanError, "structure 'ABAB' needs 4 turns, dialog 'garden' has 3"),
+    ("adaptation", "storm", "track word", WordMismatchError,
+     "turn A1: word 0 is 'Do' in the dialog but 'x' in the timing track"),
+    ("adaptation", "storm", "unknown gesture", UnknownGestureError, "turn A1: unknown gesture 'Cupx' at 1.79s"),
+    ("adaptation", "storm", "overlap", StrokeOverlapError,
+     "storm_ABABA/adapted: A/right: stroke 'SweepSide1' at 4.100s overlaps the previous stroke ending at 5.250s"),
+    ("adaptation", "storm", "story id", PlanError, f"story id 'st/orm' {_REFUSED_ID}"),
+    ("adaptation", "storm", "structure", PlanError, "structure 'ABABAB' needs 6 turns, dialog 'storm' has 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, story, kind, error, message", _BATCH_ERRORS, ids=["-".join(case[:3]) for case in _BATCH_ERRORS]
+)
+def test_a_batch_error_carries_the_key_of_the_story_being_built(
+    stories, catalog, experiment, story, kind, error, message
+):
+    # garden is built first and storm last; every other story is as shipped, and
+    # only the adaptation batch has turn structures to check
+    batch = run_personality_batch if experiment == "personality" else run_adaptation_batch
+    with pytest.raises(error) as err:
+        batch(stories | {story: _broken(story, kind)}, catalog)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert err.value.story_id == story  # the key, not the dialog's id, when they differ
 
 
 @pytest.mark.parametrize("as_path", [str, Path], ids=["str", "Path"])
