@@ -11,7 +11,8 @@ Subcommands::
 scripts.  ``build`` reproduces a whole experiment's stimulus set and its
 manifest.  ``analyze`` scores a judgment CSV and writes a JSON report
 while printing the tables.  Exit code is 0 only when every produced
-timeline validates.
+timeline validates.  Each command imports the modules it runs, so
+``analyze`` loads no compiler module.
 """
 
 from __future__ import annotations
@@ -21,21 +22,17 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .align import parse_word_timings
-from .catalog import load_catalog
-from .config import load_config
-from .dsl import parse_dialog
 from .errors import (
     AlignError, DialogParseError, DomainError, GesturecError, PlanError, ScheduleError, UnknownGestureError,
 )
-from .personality import profile_from_extraversion
-from .pipeline import PipelineSettings, compile_dialog
-from .stimuli import run_adaptation_batch, run_personality_batch, speaker_scripts, write_bundles, write_file, write_json
 
 _PIPELINE_ERRORS = (DialogParseError, PlanError, ScheduleError, UnknownGestureError, AlignError)
 
 
 def _parse_extraversion(text: str) -> dict[str, float]:
+    from .personality import profile_from_extraversion
+    from .pipeline import PipelineSettings
+
     scores = PipelineSettings().extraversion
     given = set()
     malformed = f"expected A=<score>,B=<score>, got {text!r}"
@@ -71,6 +68,9 @@ def _load(path, parse):
 
 
 def _settings_from_args(args) -> PipelineSettings:
+    from .config import load_config
+    from .pipeline import PipelineSettings
+
     extraversion = getattr(args, "extraversion", None) or PipelineSettings().extraversion
     settings = PipelineSettings(extraversion=extraversion, strict=args.strict)
     return _load(args.config, partial(load_config, settings=settings)) if args.config else settings
@@ -92,6 +92,9 @@ def _naming_files(exc: GesturecError, dialog_file, catalog_file, track_file) -> 
 def _load_stories(stories_dir: Path, timings_dir: Path | None):
     """The stories of a directory by story id, and the dialog file and
     timing track file (``None`` without ``timings_dir``) of each."""
+    from .align import parse_word_timings
+    from .dsl import parse_dialog
+
     stories = {}
     sources = {}  # story id -> the dialog file that names it and its timing track file
     for path in sorted(Path(stories_dir).glob("*.dialog")):
@@ -113,6 +116,12 @@ def _load_stories(stories_dir: Path, timings_dir: Path | None):
 
 
 def _cmd_compile(args) -> int:
+    from .align import parse_word_timings
+    from .catalog import load_catalog
+    from .files import write_file
+    from .pipeline import compile_dialog
+    from .stimuli import speaker_scripts
+
     settings = _settings_from_args(args)
     catalog = _load(args.catalog, load_catalog)
     timings = _load(args.timings, parse_word_timings) if args.timings else None
@@ -132,6 +141,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from .catalog import load_catalog
+    from .stimuli import run_adaptation_batch, run_personality_batch, write_bundles
+
     settings = _settings_from_args(args)
     catalog = _load(args.catalog, load_catalog)
     stories, sources = _load_stories(Path(args.stories), Path(args.timings) if args.timings else None)
@@ -160,6 +172,7 @@ def _preference_counts(row) -> dict:
 
 def _cmd_analyze(args) -> int:
     from . import analysis  # only analyze reads judgments: compile and build skip the module
+    from .files import write_json
     records = _load(args.infile, analysis.read_judgments)
     preference = [r for r in records if r.kind == "preference"]
     why = [r for r in records if r.kind == "why"]

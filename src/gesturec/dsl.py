@@ -208,8 +208,11 @@ def _parse_turn_body(
     end = 0
     for m in _ANNOT_RE.finditer(body):
         start = m.start()
-        _check_brackets(body, end, start, lineno, offset)
-        words += body[end:start].split()
+        gap = body[end:start]
+        # only a bracket, or an annotation glued to a word, can fail the check
+        if gap and ("[" in gap or "]" in gap or not gap[-1].isspace()):
+            _check_brackets(body, end, start, lineno, offset)
+        words += gap.split()
         ann = _parse_annotation(m, lineno, offset + start + 1, len(words), forms)
         if disorder is None and annotations and ann.stroke_begin <= annotations[-1].stroke_begin:
             disorder = AnnotationOrderError(
@@ -219,8 +222,10 @@ def _parse_turn_body(
             )
         annotations.append(ann)
         end = m.end()
-    _check_brackets(body, end, len(body), lineno, offset)
-    words += body[end:].split()
+    tail = body[end:]
+    if "[" in tail or "]" in tail:
+        _check_brackets(body, end, len(body), lineno, offset)
+    words += tail.split()
     if disorder is not None:
         raise disorder
     return " ".join(words), tuple(annotations)

@@ -78,12 +78,14 @@ def to_ms(seconds: float) -> int:
     the float product ``x`` is within ``2**-23`` (1.2e-7) ms of the exact
     one, so when ``x`` is more than 1e-6 ms from every half millisecond,
     both lie on the same side of each, and ``round(x)`` is the rule's
-    integer.  Near-ties, larger values, nan and inf take the rule itself,
-    which gives the same result or raises the same exception."""
+    integer.  ``round(x)`` is the nearest integer, so ``x`` is within 1e-6
+    ms of a half millisecond exactly when ``x - round(x)`` is outside
+    (-0.499999, 0.499999).  Near-ties, larger values, nan and inf take the
+    rule itself, which gives the same result or raises the same exception."""
     x = seconds * 1000
     if -_FAST_MS < x < _FAST_MS:
         ms = round(x)
-        if abs(abs(x - ms) - 0.5) > 1e-6:
+        if -0.499999 < x - ms < 0.499999:
             return ms
     return round(round(seconds, 3) * 1000)
 
@@ -172,7 +174,7 @@ class Timeline:
     def _seconds(self) -> dict[int, str]:
         """``format_seconds`` of the audio duration and of each event time, each printed once."""
         order = self._order
-        times = {self.audio_ms, *[e[0] for e in order], *[e[1] for e in order]}
+        times = {self.audio_ms, *map(itemgetter(0), order), *map(itemgetter(1), order)}
         return {ms: f"{ms / 1000:.3f}" for ms in times}  # format_seconds, inlined
 
     @cached_property
@@ -180,13 +182,12 @@ class Timeline:
         return _render(self)
 
 
-_AFTER = {
-    PREP: (STROKE,),
-    STROKE: (HOLD, PREP, RETRACT),
-    HOLD: (PREP,),
-    RETRACT: (PREP,),
+_AFTER = {  # the kinds that may follow each kind
+    PREP: frozenset((STROKE,)),
+    STROKE: frozenset((HOLD, PREP, RETRACT)),
+    HOLD: frozenset((PREP,)),
+    RETRACT: frozenset((PREP,)),
 }
-_TRANSITIONS = frozenset((kind, after) for kind, afters in _AFTER.items() for after in afters)
 _GESTURE_RE = re.compile(GESTURE_NAME)
 _INF = math.inf
 _NAN = math.nan
@@ -309,7 +310,7 @@ def validate_timeline(timeline: Timeline) -> list[str]:
                     report(
                         f"{arm}[{i - 1}->{i}]: phases overlap ({prev_kind} ends {prev_end}, {kind} starts {start})"
                     )
-                if (prev_kind, kind) not in _TRANSITIONS:
+                if kind not in _AFTER.get(prev_kind, ()):
                     report(f"{arm}[{i - 1}->{i}]: {prev_kind} may not be followed by {kind}")
                 # only retract->prep may leave a rest gap
                 if prev_kind != RETRACT and start > prev_end:

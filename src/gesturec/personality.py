@@ -94,7 +94,9 @@ def _interpolate(e: float, introvert: ParameterSet, extravert: ParameterSet, *_i
     values = {}
     for f in fields(ParameterSet):
         a, b = getattr(introvert, f.name), getattr(extravert, f.name)
-        values[f.name] = a + t * (b - a)
+        # a weighted sum, never ``b - a``, which can overflow or cancel:
+        # each anchor comes out exactly at its end of the scale
+        values[f.name] = (1 - t) * a + t * b
     return ParameterSet(**values)
 
 

@@ -25,7 +25,8 @@ exact stroke end) and once per run for the audio, prep duration and hold
 threshold.  Config values and annotations stay in seconds.  A
 ``SchedulerConfig`` computes its fingerprint once, when it is made.  Each
 features record is rounded to 3 decimals once per call, where a feature
-that overflowed a float is refused in either mode.  Each stroke
+that overflowed a float, or a speed or scale that rounds to 0, is refused
+in either mode.  Each stroke
 record and each event is built positionally, in class order, by
 ``tuple.__new__`` on one tuple of every field: no keyword constructor,
 ``_make`` or ``_replace`` runs per stroke or per event.
@@ -37,6 +38,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import NamedTuple
 
 from .dsl import SPEAKERS, AnnotatedDialog, GestureAnnotation
@@ -97,6 +99,7 @@ class _Stroke(NamedTuple):
 
 
 _new_stroke = partial(tuple.__new__, _Stroke)
+_STROKE_ORDER = attrgetter("start", "annotation.hand")
 _new_event = partial(tuple.__new__, ScriptEvent)
 
 
@@ -122,16 +125,21 @@ def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) ->
                     round(f.expanse_cm, 3), round(f.height_cm, 3), round(f.outwardness_cm, 3),
                     round(f.speed, 3), round(f.scale, 3),
                 )
-                if not all(map(math.isfinite, features)):
-                    for name, value in zip(FEATURES, features):  # an infinite speed gives a 0 ms stroke instead
-                        if name != "speed" and not math.isfinite(value):
-                            raise ScheduleError(
-                                f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(to_ms(ann.stroke_begin))}s "
-                                f"has {name} {value}, which overflows a float"
-                            )
+                if not (all(map(math.isfinite, features)) and features[3] and features[4]):
+                    for name, value, exact in zip(FEATURES, features, f):
+                        if name != "speed" and not math.isfinite(value):  # an infinite speed gives a 0 ms stroke
+                            problem = f"{value}, which overflows a float"
+                        elif name in ("speed", "scale") and value == 0:
+                            problem = f"{exact}, which rounds to 0.000"
+                        else:
+                            continue
+                        raise ScheduleError(
+                            f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(to_ms(ann.stroke_begin))}s "
+                            f"has {name} {problem}"
+                        )
             fields = (ann.gesture_name, ann.hand) + features
             strokes.append(_new_stroke((to_ms(ann.stroke_begin), to_ms(end), to_ms(end + retract_s), ann, fields)))
-    strokes.sort(key=lambda s: (s.start, s.annotation.hand))
+    strokes.sort(key=_STROKE_ORDER)
     return strokes
 
 
@@ -191,26 +199,27 @@ def _build_track(arm: str, strokes: list[_Stroke], audio: int, prep: int, hold: 
         return track
     # every field of an event after its start and end, for each phase other than a stroke
     prep_tail, hold_tail, retract_tail = ((kind, arm) + TIMES_ONLY for kind in (PREP, HOLD, RETRACT))
-    first = strokes[0]
-    if first.start > 0:
-        track.append(_new_event((max(0, first.start - prep), first.start) + prep_tail))
-    for i, cur in enumerate(strokes):
-        track.append(_new_event((cur.start, cur.end, STROKE, arm) + cur.fields))
-        if i + 1 == len(strokes):
-            break
-        nxt = strokes[i + 1]
-        prep_start = nxt.start - prep
+    add = track.append
+    first = strokes[0].start
+    if first > 0:
+        add(_new_event((max(0, first - prep), first) + prep_tail))
+    for (start, end, retract_end, _, fields), nxt in zip(strokes, strokes[1:]):
+        add(_new_event((start, end, STROKE, arm) + fields))
+        nxt_start = nxt.start
+        prep_start = nxt_start - prep
         # a retract needs room for itself and the next prep
-        if nxt.start - cur.end >= hold and cur.retract_end <= prep_start:
-            track.append(_new_event((cur.end, cur.retract_end) + retract_tail))
-        elif prep_start > cur.end:
-            track.append(_new_event((cur.end, prep_start) + hold_tail))
+        if nxt_start - end >= hold and retract_end <= prep_start:
+            add(_new_event((end, retract_end) + retract_tail))
+        elif prep_start > end:
+            add(_new_event((end, prep_start) + hold_tail))
         else:  # the prep compresses to the gap
-            prep_start = cur.end
-        track.append(_new_event((prep_start, nxt.start) + prep_tail))
-    retract_end = min(cur.retract_end, audio)
-    if retract_end > cur.end:
-        track.append(_new_event((cur.end, retract_end) + retract_tail))
+            prep_start = end
+        add(_new_event((prep_start, nxt_start) + prep_tail))
+    start, end, retract_end, _, fields = strokes[-1]
+    add(_new_event((start, end, STROKE, arm) + fields))
+    retract_end = min(retract_end, audio)
+    if retract_end > end:
+        add(_new_event((end, retract_end) + retract_tail))
     return track
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gesturec
-import gesturec.cli
+import gesturec.stimuli
 
 from conftest import DATA_DIR, EMPTY_HOLD, TOUCHING_STROKES
 from gesturec.align import parse_word_timings
@@ -340,7 +340,7 @@ def test_build_refuses_a_story_id_that_is_no_directory_name(tmp_path, shipped, c
     # root for an empty id, two levels above --out for "../../x"
     story = str(tmp_path / "elsewhere") if story == "absolute" else story
     written = []
-    monkeypatch.setattr(gesturec.cli, "write_bundles", lambda *args: written.append(args))
+    monkeypatch.setattr(gesturec.stimuli, "write_bundles", lambda *args: written.append(args))  # build imports it
     stories, timings = tmp_path / "stories", tmp_path / "timings"
     stories.mkdir()
     timings.mkdir()
@@ -517,6 +517,78 @@ def test_a_feature_that_overflows_a_float_names_its_stroke(tmp_path, shipped, ca
         argv = ["build", "--experiment", "adaptation", "--stories", shipped["stories"], "--timings", shipped["timings"]]
         message = "garden_ABA/adapted: A: stroke 'Cup_Horizontal' at 15.410s has scale inf, which overflows a float"
     code = main([*argv, "--catalog", shipped["catalog"], "--config", str(config), "--out", shipped["out"], *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {dialog}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scores", ["A=7,B=1", "A=4,B=4"])
+def test_anchors_whose_difference_overflows_build_and_compile(tmp_path, shipped, scores):
+    # each setting passes its own check, and the profiles never form 1e308 - (-1e308)
+    config = tmp_path / "run.cfg"
+    config.write_text("extravert.expanse_offset = 1e308\nintrovert.expanse_offset = -1e308\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([
+        "compile", "--dialog", str(DATA_DIR / "stories" / "garden.dialog"),
+        "--timings", str(DATA_DIR / "timings" / "garden.tsv"), "--catalog", shipped["catalog"],
+        "--config", str(config), "--extraversion", scores, "--out", str(out / "garden"),
+    ])
+    assert code == 0
+    for experiment in ("personality", "adaptation"):
+        code = main([
+            "build", "--experiment", experiment, "--stories", shipped["stories"], "--timings", shipped["timings"],
+            "--catalog", shipped["catalog"], "--config", str(config), "--out", str(out / experiment),
+        ])
+        assert code == 0
+    scripts = sorted(out.rglob("*.script.*"))
+    assert len(scripts) == 4 + 4 * 8 + 4 * 16
+    for path in scripts:
+        read_script(path.read_bytes())
+
+
+@pytest.mark.parametrize("flags", [(), ("--lenient",)])
+@pytest.mark.parametrize("setting,argv,message", [
+    (
+        "introvert.scale_multiplier = 1e-300",
+        ["compile", "--extraversion", "A=7,B=1"],
+        "B: stroke 'Cup_Horizontal' at 8.600s has scale 1e-300, which rounds to 0.000",
+    ),
+    (
+        "introvert.scale_multiplier = 1e-300",
+        ["build", "--experiment", "personality"],
+        "garden/F-extravert, garden/M-extravert: B: stroke 'Cup_Horizontal' at 8.600s has scale 1e-300, "
+        "which rounds to 0.000",
+    ),
+    (
+        "extravert.scale_multiplier = 1e-300",
+        ["compile"],
+        "A: stroke 'Cup' at 1.460s has scale 1e-300, which rounds to 0.000",
+    ),
+    (
+        "introvert.speed_multiplier = 0.0001",
+        ["compile", "--extraversion", "A=7,B=1"],
+        "B: stroke 'Cup_Horizontal' at 8.600s has speed 0.0001, which rounds to 0.000",
+    ),
+    (  # the stroke would end at infinity, which has no milliseconds
+        "introvert.speed_multiplier = 1e-320",
+        ["compile", "--extraversion", "A=7,B=1"],
+        "B: stroke 'Cup_Horizontal' at 8.600s has speed 1e-320, which rounds to 0.000",
+    ),
+], ids=[
+    "introvert-scale-compile", "introvert-scale-build", "extravert-scale-compile", "introvert-speed-compile",
+    "subnormal-speed-compile",
+])
+def test_a_speed_or_scale_that_rounds_to_zero_names_its_stroke(tmp_path, shipped, capsys, setting, argv, message, flags):
+    # the profile is valid, but the script prints features to 3 decimals
+    config = tmp_path / "run.cfg"
+    config.write_text(setting + "\n", encoding="utf-8")
+    dialog = DATA_DIR / "stories" / "garden.dialog"
+    if argv[0] == "compile":
+        inputs = ["--dialog", str(dialog), "--timings", str(DATA_DIR / "timings" / "garden.tsv")]
+    else:
+        inputs = ["--stories", shipped["stories"], "--timings", shipped["timings"]]
+    code = main([*argv, *inputs, "--catalog", shipped["catalog"], "--config", str(config), "--out", shipped["out"],
+                 *flags])
     assert code == 1
     assert capsys.readouterr().err == f"error: {dialog}: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -765,6 +837,23 @@ def test_only_analyze_loads_numpy():
     code = "import sys, gesturec.cli; print('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_analyze_loads_no_compiler_module(tmp_path):
+    """``analyze`` imports only what it runs: no pipeline stage, and not the
+    batch module, whose file writers it shares through ``gesturec.files``."""
+    code = (
+        "import sys\n"
+        "from gesturec import cli\n"
+        "status = cli.main(['analyze', '--in', sys.argv[1], '--report', sys.argv[2]])\n"
+        "names = ('dsl', 'emitter', 'scheduler', 'pipeline', 'stimuli')\n"
+        "print(status, [name for name in names if f'gesturec.{name}' in sys.modules])\n"
+    )
+    src = str(Path(gesturec.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-c", code, str(DATA_DIR / "adaptation_judgments.csv"), str(tmp_path / "report.json")]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def test_analyze_leaves_numpy_unloaded_until_the_first_anova(tmp_path):

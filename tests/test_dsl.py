@@ -182,6 +182,41 @@ def test_error_columns_point_into_the_source_line(source, error, message, column
     assert str(err.value) == f"line 1, col {column}: {message}"
 
 
+@pytest.mark.parametrize("body,message,column", [
+    ("[1.00s](Cup, RH 0.46s) one t]wo [2.00s](Cup, RH 0.46s) three.", "square brackets are reserved for annotations", 33),
+    ("[1.00s](Cup, RH 0.46s) one tw[o [2.00s](Cup, RH 0.46s) three.", "square brackets are reserved for annotations", 34),
+    ("[1.00s](Cup, RH 0.46s) one two]", "square brackets are reserved for annotations", 35),
+    ("[1.00s](Cup, RH 0.46s) one [two", "malformed annotation", 32),
+    ("[1.00s](Cup, RH 0.46s) one word[2.00s](Cup, RH 0.46s) two.", "square brackets are reserved for annotations", 36),
+    ("word[2.00s](Cup, RH 0.46s) two.", "square brackets are reserved for annotations", 9),
+    ("one.[2.00s](Cup, RH 0.46s) two.", "square brackets are reserved for annotations", 9),
+    ("[1.00s](Cup, RH 0.46s) one [two [2.00s](Cup, RH 0.46s) three.", "malformed annotation", 32),
+    ("[1.00s](Cup, RH 0.46s)[two [2.00s](Cup, RH 0.46s) three.", "malformed annotation", 27),
+    ("one ] two [2.00s](Cup, RH 0.46s) three.", "square brackets are reserved for annotations", 9),
+    ("[1.00s](Cup, RH 0.46s) one ] two", "square brackets are reserved for annotations", 32),
+], ids=[
+    "in-a-gap", "open-in-a-gap", "in-the-tail", "token-start-in-the-tail", "glued-to-a-word", "glued-first",
+    "glued-to-punctuation", "token-start-in-a-gap", "token-start-after-an-annotation", "lone-close",
+    "lone-close-in-the-tail",
+])
+def test_each_bracket_case_keeps_its_message_and_column(body, message, column):
+    """The parser checks a gap between annotations only when it holds a
+    bracket or ends glued to the next annotation, and the tail only when it
+    holds a bracket; each case gives the message and column it gave when
+    every gap was checked."""
+    with pytest.raises(DialogParseError) as err:
+        parse_dialog(f"A1: {body}\n")
+    assert type(err.value) is DialogParseError
+    assert str(err.value) == f"line 1, col {column}: {message}"
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "\u00a0", "\u2003"])
+def test_an_annotation_after_any_whitespace_starts_a_token(space):
+    dialog = parse_dialog(f"A1: one{space}[2.00s](Cup, RH 0.46s) two.\n")
+    assert dialog.turns[0].text == "one two."
+    assert dialog.turns[0].annotations[0].word_index == 1
+
+
 def test_fixture_turn_a1_has_four_annotations(protest_dialog):
     a1 = protest_dialog.turns[0]
     assert a1.speaker == "A"

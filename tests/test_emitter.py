@@ -23,6 +23,7 @@ from gesturec.emitter import (
     document_from_timeline,
     emit_document,
     emit_script,
+    format_seconds,
     read_script,
     validate_timeline,
 )
@@ -185,6 +186,23 @@ def test_render_matches_reference_renderer(catalog, story, variant, a, b):
         for copy, formats in ((timeline, ("json", "text")), (replace(timeline), ("text", "json"))):
             for fmt in formats:
                 assert emit_document(copy, fmt) == reference_render(timeline, fmt)
+
+
+@pytest.mark.parametrize("times,audio", [
+    ([0, 999, 1000, 1001, 59_999, 2**31 - 1], 2**31 - 1),
+    ([0, 2**31 - 1, 2**31, 2**31 + 1, 2**60], 2**60),
+    ([-1, -999, -1000, -1001, 0, 1], 1),
+], ids=["second-edges", "beyond-2-31", "negative"])
+def test_the_seconds_of_a_timeline_are_those_format_seconds_prints(times, audio):
+    """``Timeline._seconds``, which inlines ``format_seconds``, prints each
+    time as it does, at the edges of a second and beyond ``2**31`` ms;
+    ``emit_document``, which does not check the phase rules, renders what
+    the reference renderer does."""
+    events = [ScriptEvent(ms, ms, "hold", "left") for ms in times]
+    timeline = Timeline("A", {"left": events, "right": []}, audio)
+    assert timeline._seconds == {ms: format_seconds(ms) for ms in {*times, audio}}
+    for fmt in ("json", "text"):
+        assert emit_document(timeline, fmt) == reference_render(timeline, fmt)
 
 
 def test_render_matches_reference_renderer_on_escaped_strings():

@@ -52,10 +52,21 @@ def test_midpoint_interpolation():
     assert mid.max_rate == pytest.approx(1.5)
 
 
+def test_anchors_far_apart_give_themselves_at_the_ends_and_finite_values_between():
+    # 1e308 - (-1e308) overflows, and 0.8 + (1e-300 - 0.8) cancels to 0
+    introvert = dataclasses.replace(INTROVERT_ANCHOR, expanse_offset=-1e308)
+    extravert = dataclasses.replace(EXTRAVERT_ANCHOR, expanse_offset=1e308, scale_multiplier=1e-300)
+    assert profile_from_extraversion(1.0, introvert, extravert) == introvert
+    assert profile_from_extraversion(7.0, introvert, extravert) == extravert
+    mid = profile_from_extraversion(4.0, introvert, extravert)
+    assert mid.expanse_offset == 0.0
+    assert mid.scale_multiplier == pytest.approx(0.4)
+
+
 def test_a_profile_is_made_once_per_score_and_anchors():
     assert profile_from_extraversion(4.0) is profile_from_extraversion(4.0)
     # anchors equal field by field, but for the sign of a zero offset, which e=1
-    # hands on when the extravert offset is negative: -0.0 + 0 * -1.0 is -0.0
+    # hands on when the extravert offset is negative: 1 * -0.0 + 0 * -1.0 is -0.0
     negative, positive = (
         dataclasses.replace(INTROVERT_ANCHOR, expanse_offset=zero) for zero in (-0.0, 0.0)
     )

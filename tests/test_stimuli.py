@@ -28,9 +28,8 @@ from gesturec.stimuli import (
     run_personality_batch,
     speaker_scripts,
     write_bundles,
-    write_file,
-    write_json,
 )
+from gesturec.files import write_file, write_json
 
 BUILD_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "build_digests.json"
 

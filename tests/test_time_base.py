@@ -1,8 +1,9 @@
 """``emitter.to_ms`` gives what the decimal rule ``round(round(s, 3) * 1000)``
 gives, on the times both shipped builds schedule and on the values its
-fast path could get wrong: half milliseconds and their neighbours, sums of
-the scheduler's form, negatives, signed zeros, values at and beyond
-``2**31`` ms, nan and infinities.  The data are fixed-seed.
+fast path could get wrong: half milliseconds and their neighbours, products
+within 1e-5 ms of a half millisecond, sums of the scheduler's form,
+negatives, signed zeros, values at and beyond ``2**31`` ms, nan and
+infinities.  The data are fixed-seed.
 
 The module needs only the standard library, so it also runs as a plain
 script::
@@ -100,6 +101,17 @@ def test_half_milliseconds_and_the_floats_around_them():
     ks = [*range(-1000, 1000), *(rng.randrange(-10**9, 10**9) for _ in range(2000))]
     values = [v for k in ks for v in neighbours((k + 0.5) / 1000)]
     assert sum(map(near_tie, values)) > len(ks)  # most of them take the rule itself
+    assert_rule(values)
+
+
+def test_products_within_1e_5_ms_of_a_half_millisecond():
+    # the fast path's band edge is 1e-6 ms from each half: step across it
+    # from both sides, at distances up to 1e-5 ms
+    rng = random.Random(33)
+    ks = [*range(-500, 500), *(rng.randrange(-2**31, 2**31) for _ in range(1000))]
+    offsets = [d * sign for d in (0, 1e-7, 9e-7, 1e-6, 1.1e-6, 2e-6, 5e-6, 1e-5) for sign in (1, -1)]
+    values = [v for k in ks for half in (0.5, -0.5) for d in offsets for v in neighbours((k + half + d) / 1000, 1)]
+    assert 0 < sum(map(near_tie, values)) < len(values)  # both paths are taken
     assert_rule(values)
 
 
