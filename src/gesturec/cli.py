@@ -22,11 +22,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .errors import (
-    AlignError, DialogParseError, DomainError, GesturecError, PlanError, ScheduleError, UnknownGestureError,
-)
-
-_PIPELINE_ERRORS = (DialogParseError, PlanError, ScheduleError, UnknownGestureError, AlignError)
+from .errors import AlignError, DomainError, GesturecError, UnknownGestureError
 
 
 def _parse_extraversion(text: str) -> dict[str, float]:
@@ -128,7 +124,7 @@ def _cmd_compile(args) -> int:
     source = _load(args.dialog, str)
     try:
         result = compile_dialog(source, catalog, timings=timings, settings=settings, variant=args.variant)
-    except _PIPELINE_ERRORS as exc:
+    except GesturecError as exc:
         raise _naming_files(exc, args.dialog, args.catalog, args.timings) from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -150,10 +146,9 @@ def _cmd_build(args) -> int:
     run_batch = run_personality_batch if args.experiment == "personality" else run_adaptation_batch
     try:
         bundles = run_batch(stories, catalog, settings)
-    except _PIPELINE_ERRORS as exc:
-        if exc.story_id is None:  # a task whose story is missing: name the directory it is missing from
-            raise GesturecError(f"{args.stories}: {exc}") from None
-        dialog_file, track_file = sources[exc.story_id]
+    except GesturecError as exc:
+        # a task whose story is missing (no story id) names the directory it is missing from
+        dialog_file, track_file = sources.get(exc.story_id, (args.stories, None))
         raise _naming_files(exc, dialog_file, args.catalog, track_file) from None
     manifest = write_bundles(bundles, Path(args.out), args.experiment)
     for bundle in bundles:

@@ -42,7 +42,7 @@ import math
 import re
 from bisect import bisect_right
 from functools import partial
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import AnnotationOrderError, DialogParseError
 
@@ -178,20 +178,16 @@ def _parse_annotation(
     return new_annotation((begin, name, hand, dur, star is not None, copied, alternative, word_index, None, None))
 
 
-def _check_brackets(body: str, end: int, stop: int, lineno: int, offset: int) -> None:
-    """Raise for a bracket in ``body[end:stop]``, the text after the
-    annotation that ends at ``end``, or for the annotation at ``stop`` when
-    it is glued to the end of a word.  A ``[`` that starts a token (at
-    ``end`` or after whitespace) is a malformed annotation; any other
-    bracket is reserved."""
-    bracket = _BRACKET_RE.search(body, end, stop + 1)
-    if bracket is None:
-        return
-    pos = bracket.start()
-    starts_token = pos == end or body[pos - 1].isspace()
-    if pos == stop and starts_token:
-        return
-    if body[pos] == "[" and starts_token:
+def _check_brackets(body: str, end: int, stop: int, lineno: int, offset: int) -> NoReturn:
+    """Raise the error of the gap ``body[end:stop]``, the text after the
+    annotation that ends at ``end``.  The caller calls it only on a gap that
+    fails: one that holds a bracket, or one glued to the annotation at
+    ``stop`` (whose ``[`` is then the gap's first bracket).  It names the
+    first bracket from ``end`` on: a ``[`` that starts a token (at ``end``
+    or after whitespace) is a malformed annotation; any other bracket is
+    reserved."""
+    pos = _BRACKET_RE.search(body, end, stop + 1).start()
+    if body[pos] == "[" and (pos == end or body[pos - 1].isspace()):
         raise DialogParseError("malformed annotation", lineno, offset + pos + 1)
     raise DialogParseError("square brackets are reserved for annotations", lineno, offset + pos + 1)
 
@@ -241,7 +237,7 @@ def parse_dialog(source: str, story_id: str = "") -> AnnotatedDialog:
     """
     turns: list[Turn] = []
     audio_duration: float | None = None
-    speaker_counts = {"A": 0, "B": 0}
+    speaker_counts = dict.fromkeys(SPEAKERS, 0)
     headers = set()
     forms: dict[str, _Form] = {}  # annotation text -> its form, for this document only
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -312,7 +308,7 @@ def format_dialog(dialog: AnnotatedDialog) -> str:
         lines.append(f"story: {dialog.story_id}")
     lines.append(f"audio: {dialog.audio_duration:.2f}s")
     lines.append("")
-    speaker_counts = {"A": 0, "B": 0}
+    speaker_counts = dict.fromkeys(SPEAKERS, 0)
     for turn in dialog.turns:
         speaker_counts[turn.speaker] += 1
         words = turn.text.split()

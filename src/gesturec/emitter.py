@@ -20,14 +20,15 @@ not check its phase rules.
 
 A ``Timeline`` is immutable: frozen fields and a read-only mapping of arm
 tracks, each a tuple of events, which in an accepted timeline hold only
-ints, strings, floats and None.  So its verdict under the rules, its
-canonical event order, its seconds strings and its two documents are each
-computed once per timeline and kept with it: the seconds strings in one
-pass over the ordered events, and the JSON and text documents together in
-one walk over them, each encoded to UTF-8 only when its format is asked
-for.  Writing it in both formats, or reading a script and writing it
-again, checks, orders, formats and renders it once.  A refused timeline
-stays refused, since no value of a wrong type can change into a right one.
+ints, strings, floats and None.  So its verdict under the rules and its two
+documents are each computed once per timeline and kept with it.  The JSON
+and text documents are rendered together in one walk over the canonical
+event order, which prints each distinct time once; the order and the
+seconds strings are made for that walk and not kept.  Each document is
+encoded to UTF-8 only when its format is asked for.  Writing a timeline in
+both formats, or reading a script and writing it again, checks, orders,
+formats and renders it once.  A refused timeline stays refused, since no
+value of a wrong type can change into a right one.
 
 Two formats are supported.  JSON (see ``docs/script.schema.json``) and a
 line-oriented text form, one event per line::
@@ -165,17 +166,6 @@ class Timeline:
                 return ScriptError(f"not UTF-8: {exc.reason} at {exc.start}", path=f"header.{field}")
         problems = validate_timeline(self)
         return ScriptError("; ".join(problems), path="events") if problems else None
-
-    @cached_property
-    def _order(self) -> list[ScriptEvent]:
-        return document_from_timeline(self)
-
-    @cached_property
-    def _seconds(self) -> dict[int, str]:
-        """``format_seconds`` of the audio duration and of each event time, each printed once."""
-        order = self._order
-        times = {self.audio_ms, *map(itemgetter(0), order), *map(itemgetter(1), order)}
-        return {ms: f"{ms / 1000:.3f}" for ms in times}  # format_seconds, inlined
 
     @cached_property
     def _documents(self) -> tuple[str, str]:
@@ -347,7 +337,10 @@ def _render(timeline: Timeline) -> tuple[str, str]:
     keys its pair of tails by its values, a zero by its text, since
     ``0.0 == -0.0`` but they print apart; an int and a float of one value
     print alike."""
-    seconds = timeline._seconds
+    order = document_from_timeline(timeline)
+    # format_seconds, inlined, of the audio duration and of each event time, each printed once
+    seconds = {ms: f"{ms / 1000:.3f}"
+               for ms in {timeline.audio_ms, *map(itemgetter(0), order), *map(itemgetter(1), order)}}
     story, speaker, config = timeline.story_id, timeline.speaker, timeline.config_fingerprint
     audio = seconds[timeline.audio_ms]
     json_lines: list[str] = []
@@ -355,7 +348,7 @@ def _render(timeline: Timeline) -> tuple[str, str]:
                   f"# config: {config}"]
     add_json, add_text = json_lines.append, text_lines.append
     strokes: dict[tuple, tuple[str, str]] = {}
-    for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in timeline._order:
+    for start, end, kind, arm, gesture, hand, expanse, height, outward, speed, scale in order:
         start, end = seconds[start], seconds[end]
         if kind == STROKE:
             key = (gesture, hand, expanse or str(expanse), height or str(height), outward or str(outward),
@@ -507,7 +500,7 @@ def read_script(data: bytes) -> Timeline:
     try:
         timeline = (_read_json if fmt == "json" else _read_text)(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise ScriptError(f"not UTF-8: {exc}") from None
+        raise ScriptError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     written = emit_document(timeline, fmt)
     if written != data:
         raise _not_as_written(data, written)

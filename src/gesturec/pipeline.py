@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from .adaptation import AdaptationSpec, resolve_variant, strip_adaptation
 from .align import WordTimingTrack, align_strokes
 from .catalog import GestureCatalog
-from .dsl import AnnotatedDialog, parse_dialog
+from .dsl import SPEAKERS, AnnotatedDialog, parse_dialog
 from .errors import PlanError, UnknownGestureError
 from .personality import (
     EXTRAVERT_ANCHOR,
@@ -53,7 +53,7 @@ def prepare_dialog(
     written = dialog
     if track is not None:
         dialog = align_strokes(dialog, track, lead=settings.scheduler.stroke_lead_s)
-    for speaker in ("A", "B"):
+    for speaker in SPEAKERS:
         profile = settings.profile(speaker)
         try:
             dialog = apply_personality(dialog, speaker, profile, catalog)

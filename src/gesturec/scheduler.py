@@ -234,7 +234,7 @@ def schedule(
     audio = to_ms(dialog.audio_duration)
     prep, hold = to_ms(config.prep_duration_s), to_ms(config.hold_threshold_s)
     fingerprint = config.fingerprint()
-    for speaker in ("A", "B"):
+    for speaker in SPEAKERS:
         strokes = _collect_strokes(dialog, speaker, config.retract_duration_s)
         per_arm = _admit_strokes(strokes, audio, speaker, strict, diagnostics)
         tracks = {arm: _build_track(arm, per_arm[arm], audio, prep, hold) for arm in ARMS}

@@ -208,6 +208,10 @@ def test_provenance_a3_final(protest_dialog):
     assert pairs["Cup_Up"].source.stroke_begin == pytest.approx(22.08)
 
 
+def test_a_dialog_with_no_turns_has_no_copies():
+    assert check_copy_provenance(AnnotatedDialog(story_id="", turns=(), audio_duration=0.0)) == []
+
+
 def test_orphan_copy_reported():
     dialog = parse_dialog("A1: plain words.\nB1: [1.00s](!Cup, RH 0.46s) word.\n")
     pairs = check_copy_provenance(dialog)

@@ -25,6 +25,7 @@ from gesturec.analysis import (
     PREFERENCE_CHOICES,
     WHY_CATEGORIES,
     JudgmentRecord,
+    WhyTable,
     anova,
     one_sample_ttest,
     preference_table,
@@ -590,6 +591,10 @@ def test_why_garden_abab_row(judgment_records):
     assert row.percentages["nonadapted_good_gestures"] == pytest.approx(9, abs=1.0)
     assert row.percentages["adapted_animated"] == pytest.approx(59, abs=1.0)
     assert row.percentages["nonadapted_realistic"] == pytest.approx(0, abs=1.0)
+
+
+def test_why_table_of_no_records_has_no_rows_and_no_totals():
+    assert why_category_table([]) == WhyTable(rows=(), totals=None)
 
 
 def test_why_empty_set_counts_in_denominator():

@@ -125,6 +125,22 @@ def test_compile_refuses_a_score_that_is_no_number(shipped, capsys):
     assert err.endswith("error: argument --extraversion: expected A=<score>,B=<score>, got 'A=7,B=x'\n")
 
 
+@pytest.mark.parametrize("scores", ["A=abc", "A=", "C=1", "7"])
+def test_compile_refuses_a_malformed_score(shipped, capsys, scores):
+    # a score that is no number, and a piece that names no speaker
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "compile",
+            "--dialog", str(DATA_DIR / "stories" / "garden.dialog"),
+            "--catalog", shipped["catalog"],
+            "--extraversion", scores,
+            "--out", shipped["out"],
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --extraversion: expected A=<score>,B=<score>, got {scores!r}\n")
+
+
 @pytest.mark.parametrize("scores, message", [
     ("A=9", "speaker A: extraversion must be in [1, 7], got 9.0"),
     ("A=7,B=0.5", "speaker B: extraversion must be in [1, 7], got 0.5"),

@@ -23,7 +23,6 @@ from gesturec.emitter import (
     document_from_timeline,
     emit_document,
     emit_script,
-    format_seconds,
     read_script,
     validate_timeline,
 )
@@ -194,13 +193,13 @@ def test_render_matches_reference_renderer(catalog, story, variant, a, b):
     ([-1, -999, -1000, -1001, 0, 1], 1),
 ], ids=["second-edges", "beyond-2-31", "negative"])
 def test_the_seconds_of_a_timeline_are_those_format_seconds_prints(times, audio):
-    """``Timeline._seconds``, which inlines ``format_seconds``, prints each
-    time as it does, at the edges of a second and beyond ``2**31`` ms;
+    """The renderer, which inlines ``format_seconds``, prints each time as
+    it does, at the edges of a second and beyond ``2**31`` ms:
     ``emit_document``, which does not check the phase rules, renders what
-    the reference renderer does."""
+    the reference renderer, which prints each time with ``format_seconds``,
+    renders."""
     events = [ScriptEvent(ms, ms, "hold", "left") for ms in times]
     timeline = Timeline("A", {"left": events, "right": []}, audio)
-    assert timeline._seconds == {ms: format_seconds(ms) for ms in {*times, audio}}
     for fmt in ("json", "text"):
         assert emit_document(timeline, fmt) == reference_render(timeline, fmt)
 

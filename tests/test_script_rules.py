@@ -134,6 +134,13 @@ def test_text_reader_refuses_features_on_an_event_without_a_gesture():
     assert str(err.value) == "line 6: the writer writes '0.700 1.000 prep right - - - - - -\\n' here"
 
 
+def test_text_reader_names_the_line_of_a_time_that_is_no_number():
+    text = _text_script()
+    with pytest.raises(ScriptError) as err:
+        read_script(text.replace(b"0.700 1.000 prep", b"0.7x0 1.000 prep"))
+    assert str(err.value) == "line 6: could not convert string to float: '0.7x0'"
+
+
 def test_text_reader_refuses_a_repeated_header_line():
     text = _text_script()
     line = b"# config: c\n"
@@ -141,6 +148,14 @@ def test_text_reader_refuses_a_repeated_header_line():
     with pytest.raises(ScriptError) as err:
         read_script(text.replace(line, line + b"# config: d\n"))
     assert str(err.value) == "line 6: the writer writes '0.700 1.000 prep right - - - - - -\\n' here"
+
+
+@pytest.mark.parametrize("data, offset", [(b"\xff", 0), (b'{"h\xff', 3)], ids=["text", "json"])
+def test_reader_refuses_bytes_that_are_not_utf8(data, offset):
+    # the message the CLI gives for an input file that is not UTF-8
+    with pytest.raises(ScriptError) as err:
+        read_script(data)
+    assert str(err.value) == f"not UTF-8: invalid start byte at byte {offset}"
 
 
 def _compiled_timelines():
