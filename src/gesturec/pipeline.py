@@ -11,11 +11,7 @@ from .catalog import GestureCatalog
 from .dsl import SPEAKERS, AnnotatedDialog, parse_dialog
 from .errors import PlanError, UnknownGestureError
 from .personality import (
-    EXTRAVERT_ANCHOR,
-    INTROVERT_ANCHOR,
-    ParameterSet,
-    apply_personality,
-    profile_from_extraversion,
+    EXTRAVERSION_MAX, EXTRAVERT_ANCHOR, INTROVERT_ANCHOR, ParameterSet, apply_personality, profile_from_extraversion,
 )
 from .scheduler import SchedulerConfig, ScheduleResult, schedule
 
@@ -26,7 +22,7 @@ class PipelineSettings:
     adaptation: AdaptationSpec = AdaptationSpec()
     introvert: ParameterSet = INTROVERT_ANCHOR
     extravert: ParameterSet = EXTRAVERT_ANCHOR
-    extraversion: dict[str, float] = field(default_factory=lambda: {"A": 7.0, "B": 7.0})
+    extraversion: dict[str, float] = field(default_factory=lambda: dict.fromkeys(SPEAKERS, EXTRAVERSION_MAX))
     strict: bool = True
 
     def profile(self, speaker: str) -> ParameterSet:

@@ -15,8 +15,9 @@ This is the one rule, within a turn and across a change of turn alike.
 
 A prep precedes the first stroke of each arm and a retract follows the
 last one (compressed or omitted when the audio ends first).  Stroke start
-times are never moved; in strict mode conflicting or overrunning strokes
-raise, in lenient mode they are dropped with a diagnostic.
+times are never moved.  ``_admit_strokes`` returns the error of each
+stroke it rejects; ``schedule`` alone raises the first in strict mode, or
+drops each with a ``dropped:`` diagnostic in lenient mode.
 
 Tracks of ``emitter.ScriptEvent`` are built as lists, held as tuples by
 ``Timeline``, in ``int`` milliseconds from ``emitter.to_ms``: once per
@@ -80,14 +81,16 @@ class SchedulerConfig:
 
 @dataclass
 class ScheduleResult:
-    a: Timeline
-    b: Timeline
+    """One timeline per speaker, keyed in ``SPEAKERS`` order, and a
+    ``dropped: <error>`` line per stroke a lenient schedule dropped."""
+
+    timelines: dict[str, Timeline]
     diagnostics: list[str]
 
     def for_speaker(self, speaker: str) -> Timeline:
-        if speaker not in SPEAKERS:
-            raise ScheduleError(f"no timeline for speaker {speaker!r}; speakers are A and B")
-        return self.a if speaker == "A" else self.b
+        if speaker not in SPEAKERS:  # a tuple test, which also refuses an unhashable speaker
+            raise ScheduleError(f"no timeline for speaker {speaker!r}; speakers are {' and '.join(SPEAKERS)}")
+        return self.timelines[speaker]
 
 
 class _Stroke(NamedTuple):
@@ -143,54 +146,45 @@ def _collect_strokes(dialog: AnnotatedDialog, speaker: str, retract_s: float) ->
     return strokes
 
 
-def _reject(error: type[ScheduleError], message: str, strict: bool, diagnostics: list[str]) -> None:
-    if strict:
-        raise error(message)
-    diagnostics.append(f"dropped: {message}")
-
-
-def _admit_strokes(
-    strokes: list[_Stroke], audio: int, speaker: str, strict: bool, diagnostics: list[str]
-) -> dict[str, list[_Stroke]]:
-    """Assign strokes to arms, rejecting conflicts.
+def _admit_strokes(strokes: list[_Stroke], audio: int, speaker: str) -> tuple[dict[str, list], list[ScheduleError]]:
+    """Assign strokes to arms, rejecting conflicts; returns the strokes of
+    each arm and the error of each rejected stroke, in stroke order.
 
     A stroke must last at least 1 ms, start strictly after the previous
     stroke ends on every arm it uses, and end within the audio.  A rejected
-    2H stroke is dropped from both arms.
+    2H stroke is dropped from both arms.  Nothing here raises.
     """
+    rejected: list[ScheduleError] = []
     per_arm: dict[str, list[_Stroke]] = {arm: [] for arm in ARMS}
     last_end = {arm: -1 for arm in ARMS}
     for stroke in strokes:
         ann = stroke.annotation
         arms = ARMS_OF_HAND.get(ann.hand, ARMS)
         if stroke.end <= stroke.start:
-            message = (
+            rejected.append(EmptyStrokeError(
                 f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(stroke.start)}s lasts 0 ms "
                 f"({ann.stroke_duration}s at speed {ann.features.speed:g})"
-            )
-            _reject(EmptyStrokeError, message, strict, diagnostics)
+            ))
             continue
         if stroke.end > audio:
-            message = (
+            rejected.append(StrokeOverrunError(
                 f"{speaker}: stroke {ann.gesture_name!r} at {format_seconds(stroke.start)}s "
                 f"runs past the audio end ({format_seconds(stroke.end)}s > {format_seconds(audio)}s)"
-            )
-            _reject(StrokeOverrunError, message, strict, diagnostics)
+            ))
             continue
         for arm in arms:
             if stroke.start <= last_end[arm]:
-                message = (
+                rejected.append(StrokeOverlapError(
                     f"{speaker}/{arm}: stroke {ann.gesture_name!r} at "
                     f"{format_seconds(stroke.start)}s overlaps the previous stroke ending at "
                     f"{format_seconds(last_end[arm])}s"
-                )
-                _reject(StrokeOverlapError, message, strict, diagnostics)
+                ))
                 break
         else:  # no arm is blocked
             for arm in arms:
                 per_arm[arm].append(stroke)
                 last_end[arm] = stroke.end
-    return per_arm
+    return per_arm, rejected
 
 
 def _build_track(arm: str, strokes: list[_Stroke], audio: int, prep: int, hold: int) -> list[ScriptEvent]:
@@ -228,7 +222,8 @@ def schedule(
     config: SchedulerConfig = SchedulerConfig(),
     strict: bool = True,
 ) -> ScheduleResult:
-    """Build per-arm timelines for both speakers."""
+    """Build per-arm timelines for every speaker.  Strict mode raises a
+    speaker's first stroke error before the next speaker is collected."""
     diagnostics: list[str] = []
     timelines = {}
     audio = to_ms(dialog.audio_duration)
@@ -236,7 +231,10 @@ def schedule(
     fingerprint = config.fingerprint()
     for speaker in SPEAKERS:
         strokes = _collect_strokes(dialog, speaker, config.retract_duration_s)
-        per_arm = _admit_strokes(strokes, audio, speaker, strict, diagnostics)
+        per_arm, rejected = _admit_strokes(strokes, audio, speaker)
+        if strict and rejected:
+            raise rejected[0]
+        diagnostics.extend(f"dropped: {error}" for error in rejected)
         tracks = {arm: _build_track(arm, per_arm[arm], audio, prep, hold) for arm in ARMS}
         timelines[speaker] = Timeline(
             speaker=speaker,
@@ -245,4 +243,4 @@ def schedule(
             story_id=dialog.story_id,
             config_fingerprint=fingerprint,
         )
-    return ScheduleResult(a=timelines["A"], b=timelines["B"], diagnostics=diagnostics)
+    return ScheduleResult(timelines, diagnostics)

@@ -186,19 +186,20 @@ def _adaptation_pair(
     ``prepared``: its first ``len(turn_structure)`` turns, prepared."""
     task = f"{dialog.story_id}_{turn_structure}"
     responder = turn_structure[-1]
-    non_responder = "B" if responder == "A" else "A"
 
     adapted = _schedule(f"{task}/adapted", resolve_variant(prepared, settings.adaptation), settings)
     nonadapted = _schedule(f"{task}/nonadapted", strip_adaptation(prepared), settings)
-    # The non-responder speaks only context turns, which both variants
-    # schedule alike, so its scripts are emitted once and shared, and each
+    # Only the responder's scripts differ, so the adapted bundle takes the
+    # non-adapted scripts, emitted once, with the responder's replaced; each
     # bundle's diagnostics are those of its own variant's schedule.
-    context = speaker_scripts(nonadapted, (non_responder,))
+    nonadapted_scripts = speaker_scripts(nonadapted)
     bundles = []
-    for label, variant, result in (("A", "adapted", adapted), ("B", "nonadapted", nonadapted)):
+    for label, variant, result, scripts in (
+        ("A", "adapted", adapted, {**nonadapted_scripts, **speaker_scripts(adapted, (responder,))}),
+        ("B", "nonadapted", nonadapted, nonadapted_scripts),
+    ):
         bundles.append(_bundle(
-            dialog, f"{task}/{variant}", "adaptation", label, result,
-            {**context, **speaker_scripts(result, (responder,))}, ADAPTATION_GENDERS,
+            dialog, f"{task}/{variant}", "adaptation", label, result, scripts, ADAPTATION_GENDERS,
             task=task,
             turn_structure=turn_structure,
             responder=responder,

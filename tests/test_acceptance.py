@@ -66,7 +66,7 @@ def test_criterion_1_fixture_compile(catalog, protest_text, protest_track):
         diagnostics += validate_timeline(result.schedule.for_speaker(speaker))
     elapsed = time.perf_counter() - started
 
-    first = next(e for e in document_from_timeline(result.schedule.a) if e.kind == "stroke")
+    first = next(e for e in document_from_timeline(result.schedule.for_speaker("A")) if e.kind == "stroke")
     ok = (
         not diagnostics
         and (first.start, first.gesture, first.hand, first.end - first.start)
@@ -114,7 +114,7 @@ def test_criterion_3_hold_retract_dichotomy():
     violations = 0
     for seed in range(1000):
         dialog = make_stroke_dialog(random.Random(seed))
-        timeline = schedule(dialog).a
+        timeline = schedule(dialog).for_speaker("A")
         for arm in ("left", "right"):
             phases = timeline.tracks[arm]
             stroke_idx = [i for i, p in enumerate(phases) if p.kind == "stroke"]
@@ -357,7 +357,7 @@ def test_criterion_10_round_trips():
             failures += 1
     for seed in range(5000):
         rng = random.Random(10_000 + seed)
-        timeline = schedule(make_stroke_dialog(rng, n_strokes=rng.randint(1, 4))).a
+        timeline = schedule(make_stroke_dialog(rng, n_strokes=rng.randint(1, 4))).for_speaker("A")
         fmt = "json" if seed % 2 == 0 else "text"
         blob = emit_script(timeline, fmt)
         doc = read_script(blob)

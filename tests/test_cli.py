@@ -640,6 +640,31 @@ def test_zero_length_stroke_dropped_in_lenient_mode(tmp_path, shipped, capsys):
         read_script((tmp_path / "out" / name).read_bytes())
 
 
+# what a lenient adaptation build at speed factor 1000 drops, in order, as
+# "<bundle>: dropped: <error>"
+DROPPED_AT_SPEED_1000 = (
+    "garden_ABA/adapted: dropped: A: stroke 'CupBeats_Small' at 17.060s lasts 0 ms (0.37s at speed 1000)",
+    "garden_ABA/adapted: dropped: A: stroke 'Away' at 20.030s lasts 0 ms (0.4s at speed 1000)",
+    "garden_ABAB/adapted: dropped: B: stroke 'Cup' at 21.230s lasts 0 ms (0.46s at speed 1000)",
+    "garden_ABAB/adapted: dropped: B: stroke 'Cup_Up' at 22.880s lasts 0 ms (0.34s at speed 1000)",
+    "garden_ABAB/adapted: dropped: B: stroke 'Dismiss' at 24.200s lasts 0 ms (0.47s at speed 1000)",
+    "pet_ABABA/adapted: dropped: A: stroke 'Cup_Up' at 35.630s lasts 0 ms (0.34s at speed 1000)",
+    "pet_ABABA/adapted: dropped: A: stroke 'CupBeats_Small' at 36.620s lasts 0 ms (0.37s at speed 1000)",
+    "pet_ABABA/adapted: dropped: A: stroke 'SweepSide1' at 40.250s lasts 0 ms (0.35s at speed 1000)",
+    "pet_ABABAB/adapted: dropped: B: stroke 'PointingAbstract' at 49.700s lasts 0 ms (0.37s at speed 1000)",
+    "protest_ABAB/adapted: dropped: B: stroke 'Cup_Up' at 22.080s lasts 0 ms (0.34s at speed 1000)",
+    "protest_ABAB/adapted: dropped: B: stroke 'Cup' at 29.130s lasts 0 ms (0.46s at speed 1000)",
+    "protest_ABABA/adapted: dropped: A: stroke 'PointingAbstract' at 30.250s lasts 0 ms (0.37s at speed 1000)",
+    "protest_ABABA/adapted: dropped: A: stroke 'Cup_Up' at 34.670s lasts 0 ms (0.34s at speed 1000)",
+    "protest_ABABA/adapted: dropped: A: stroke 'Away' at 37.800s lasts 0 ms (0.4s at speed 1000)",
+    "protest_ABABA/adapted: dropped: A: stroke 'Reject' at 39.870s lasts 0 ms (0.44s at speed 1000)",
+    "storm_ABABA/adapted: dropped: A: stroke 'Cup_Up' at 28.370s lasts 0 ms (0.34s at speed 1000)",
+    "storm_ABABA/adapted: dropped: A: stroke 'CupBeats_Small' at 29.360s lasts 0 ms (0.37s at speed 1000)",
+    "storm_ABABA/adapted: dropped: A: stroke 'Reject' at 32.330s lasts 0 ms (0.44s at speed 1000)",
+    "storm_ABABAB/adapted: dropped: B: stroke 'Cup' at 34.850s lasts 0 ms (0.46s at speed 1000)",
+)
+
+
 def _build_adaptation_at_speed_1000(tmp_path, shipped, *flags):
     config = tmp_path / "run.cfg"
     config.write_text("adaptation.speed_factor = 1000\n", encoding="utf-8")
@@ -664,12 +689,19 @@ def test_strict_build_names_the_dialog_and_bundle_of_a_refused_stroke(tmp_path, 
 
 
 def test_lenient_build_prints_what_it_dropped(tmp_path, shipped, capsys):
+    assert _build_adaptation_at_speed_1000(tmp_path, shipped) == 1
+    strict = capsys.readouterr().err
     assert _build_adaptation_at_speed_1000(tmp_path, shipped, "--lenient") == 0
     # only the adapted response turns run at 1000x; each note names its bundle
     notes = capsys.readouterr().err.splitlines()
     assert len(notes) == 19
     assert all(re.match(r"note: [a-z]+_AB[AB]*/adapted: dropped: ", line) for line in notes)
     assert "note: garden_ABAB/adapted: dropped: B: stroke 'Cup' at 21.230s lasts 0 ms (0.46s at speed 1000)" in notes
+    assert notes == [f"note: {note}" for note in DROPPED_AT_SPEED_1000]
+    # the first note is the error a strict build stops at
+    dialog = Path(shipped["stories"]) / "garden.dialog"
+    bundle, _, error = strict.removeprefix(f"error: {dialog}: ").removesuffix("\n").partition(": ")
+    assert notes[0] == f"note: {bundle}: dropped: {error}"
     scripts = sorted(Path(shipped["out"]).rglob("*.script.*"))
     assert len(scripts) == 64
     for path in scripts:  # what is left of each timeline reads back to its bytes

@@ -5,6 +5,7 @@ import random
 import re
 from dataclasses import FrozenInstanceError, replace
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +47,7 @@ def fixture_timelines(protest_dialog, protest_track, catalog):
     for speaker in ("A", "B"):
         dialog = apply_personality(dialog, speaker, EXTRAVERT_ANCHOR, catalog)
     result = schedule(dialog)
-    return result.a, result.b
+    return result.for_speaker("A"), result.for_speaker("B")
 
 
 def test_first_stroke_record_speaker_a(fixture_timelines):
@@ -146,7 +147,7 @@ def test_read_emit_round_trip(fixture_timelines):
 def test_round_trip_on_generated_timelines():
     rng = random.Random(99)
     for _ in range(100):
-        timeline = schedule(make_stroke_dialog(rng)).a
+        timeline = schedule(make_stroke_dialog(rng)).for_speaker("A")
         for fmt in ("json", "text"):
             blob = emit_script(timeline, fmt)
             doc = read_script(blob)
@@ -491,7 +492,6 @@ def test_stroke_event_requires_features():
 
 
 def test_emitted_json_matches_shipped_schema(fixture_timelines):
-    jsonschema = pytest.importorskip("jsonschema")
     from pathlib import Path
 
     schema = json.loads(

@@ -247,7 +247,7 @@ def test_speed_multiplier_divides_stroke_duration(catalog):
     dialog = parse_dialog("audio: 5.00s\nA1: [1.00s](Cup, RH 0.46s) word.\nB1: fine.\n")
     out = apply_personality(dialog, "A", INTROVERT_ANCHOR, catalog)
     out = apply_personality(out, "B", EXTRAVERT_ANCHOR, catalog)
-    timeline = schedule(out).a
+    timeline = schedule(out).for_speaker("A")
     stroke = next(p for p in timeline.tracks["right"] if p.kind == "stroke")
     assert stroke.start == 1000
     assert stroke.end - stroke.start == round(0.46 / 0.8 * 1000)

@@ -35,7 +35,7 @@ def test_fixture_hold_between_close_strokes(protest_dialog, protest_track, catal
     dialog = align_strokes(protest_dialog, protest_track)
     for speaker in ("A", "B"):
         dialog = apply_personality(dialog, speaker, EXTRAVERT_ANCHOR, catalog)
-    timeline = schedule(dialog).a
+    timeline = schedule(dialog).for_speaker("A")
     phases = timeline.tracks["right"]
     # Cup stroke [1.90, 2.36], PointingAbstract stroke at 3.17: gap 0.81 < 2.5
     assert phases[1].kind == "stroke" and phases[1].gesture == "Cup"
@@ -46,7 +46,7 @@ def test_fixture_hold_between_close_strokes(protest_dialog, protest_track, catal
 
 def test_far_strokes_get_retract_then_prep(catalog):
     source = "audio: 12.00s\nA1: [1.00s](Cup, RH 0.46s) one two three four [6.00s](Reject, RH 0.44s) five.\n"
-    timeline = schedule(_single(catalog, source)).a
+    timeline = schedule(_single(catalog, source)).for_speaker("A")
     assert _kinds(timeline, "right") == ["prep", "stroke", "retract", "prep", "stroke", "retract"]
     retract = timeline.tracks["right"][2]
     assert (retract.start, retract.end) == (1460, 1960)
@@ -55,14 +55,14 @@ def test_far_strokes_get_retract_then_prep(catalog):
 
 
 def test_single_gesture_prep_stroke_retract(catalog):
-    timeline = schedule(_single(catalog, "audio: 5.00s\nA1: [1.00s](Cup, RH 0.46s) word.\n")).a
+    timeline = schedule(_single(catalog, "audio: 5.00s\nA1: [1.00s](Cup, RH 0.46s) word.\n")).for_speaker("A")
     assert _kinds(timeline, "right") == ["prep", "stroke", "retract"]
     assert _kinds(timeline, "left") == []
 
 
 def test_gap_shorter_than_prep_compresses(catalog):
     source = "audio: 6.00s\nA1: [1.00s](Cup, RH 0.46s) one [1.66s](Reject, RH 0.44s) two.\n"
-    timeline = schedule(_single(catalog, source)).a
+    timeline = schedule(_single(catalog, source)).for_speaker("A")
     kinds = _kinds(timeline, "right")
     assert kinds == ["prep", "stroke", "prep", "stroke", "retract"]
     bridge = timeline.tracks["right"][2]
@@ -79,13 +79,13 @@ def test_threshold_boundary_uses_retract(catalog):
             f"audio: 10.00s\nA1: [{first}s](Cup, RH {duration}s) one two three "
             f"[{second}s](Reject, RH 0.44s) four.\n"
         )
-        timeline = schedule(_single(catalog, source)).a
+        timeline = schedule(_single(catalog, source)).for_speaker("A")
         assert _kinds(timeline, "right")[:4] == ["prep", "stroke", "retract", "prep"], source
 
 
 def test_two_hand_gesture_locks_both_arms(catalog):
     source = "audio: 8.00s\nA1: [1.00s](Cup_Up, 2H 0.34s) one word.\n"
-    timeline = schedule(_single(catalog, source)).a
+    timeline = schedule(_single(catalog, source)).for_speaker("A")
     left = _strokes(timeline.tracks["left"])[0]
     right = _strokes(timeline.tracks["right"])[0]
     assert (left.start, left.end) == (right.start, right.end)
@@ -101,11 +101,11 @@ def test_overlap_strict_raises(catalog):
 def test_overlap_lenient_drops_later(catalog):
     source = "audio: 8.00s\nA1: [1.00s](Regressive, RH 1.14s) one [1.50s](Cup, RH 0.46s) two.\n"
     result = schedule(_single(catalog, source), strict=False)
-    names = [p.gesture for p in _strokes(result.a.tracks["right"])]
+    names = [p.gesture for p in _strokes(result.for_speaker("A").tracks["right"])]
     assert names == ["Regressive"]
     assert len(result.diagnostics) == 1
     assert "overlaps" in result.diagnostics[0]
-    assert validate_timeline(result.a) == []
+    assert validate_timeline(result.for_speaker("A")) == []
 
 
 def test_schedule_requires_features():
@@ -126,7 +126,7 @@ def test_each_stroke_keeps_the_sign_of_its_zero_features(catalog, signs):
     )
     assert annotations[0].features == annotations[1].features
     dialog = dialog._replace(turns=(turn._replace(annotations=annotations),))
-    strokes = _strokes(schedule(dialog).a.tracks["right"])
+    strokes = _strokes(schedule(dialog).for_speaker("A").tracks["right"])
     assert [(math.copysign(1, s.expanse), math.copysign(1, s.height)) for s in strokes] == [
         (math.copysign(1, zero),) * 2 for zero in signs
     ]
@@ -136,7 +136,7 @@ def test_each_stroke_keeps_the_sign_of_its_zero_features(catalog, signs):
 def test_for_speaker_refuses_an_unknown_speaker(catalog, speaker):
     dialog = parse_dialog("audio: 8.00s\nA1: [1.00s](Cup, RH 0.46s) one.\n")
     result = schedule(apply_personality(dialog, "A", EXTRAVERT_ANCHOR, catalog))
-    assert (result.for_speaker("A"), result.for_speaker("B")) == (result.a, result.b)
+    assert (result.for_speaker("A"), result.for_speaker("B")) == tuple(result.timelines.values())
     with pytest.raises(ScheduleError, match=f"no timeline for speaker {speaker!r}"):
         result.for_speaker(speaker)
 
@@ -156,7 +156,7 @@ def test_overrun_strict_and_lenient(catalog):
     with pytest.raises(StrokeOverrunError):
         schedule(dialog, strict=True)
     result = schedule(dialog, strict=False)
-    assert result.a.tracks["right"] == ()
+    assert result.for_speaker("A").tracks["right"] == ()
     assert len(result.diagnostics) == 1
 
 
@@ -165,7 +165,7 @@ def test_stroke_times_never_move(catalog):
     for _ in range(50):
         dialog = make_stroke_dialog(rng)
         expected = [round(a.stroke_begin * 1000) for t in dialog.turns for a in t.annotations]
-        timeline = schedule(dialog).a
+        timeline = schedule(dialog).for_speaker("A")
         starts = sorted(
             {p.start for arm in ("left", "right") for p in _strokes(timeline.tracks[arm])}
         )
@@ -180,8 +180,8 @@ def test_schedule_is_deterministic(catalog, protest_dialog, protest_track):
 
     one = schedule(dialog)
     two = schedule(dialog)
-    assert emit_script(one.a) == emit_script(two.a)
-    assert emit_script(one.b) == emit_script(two.b)
+    assert emit_script(one.for_speaker("A")) == emit_script(two.for_speaker("A"))
+    assert emit_script(one.for_speaker("B")) == emit_script(two.for_speaker("B"))
 
 
 def test_short_gap_across_a_turn_change_holds(catalog):
@@ -191,7 +191,7 @@ def test_short_gap_across_a_turn_change_holds(catalog):
         "B1: word.\n"
         "A2: [3.00s](Reject, RH 0.44s) two.\n"
     )
-    timeline = schedule(_single(catalog, source)).a
+    timeline = schedule(_single(catalog, source)).for_speaker("A")
     assert _kinds(timeline, "right") == ["prep", "stroke", "hold", "prep", "stroke", "retract"]  # gap 1.54 < 2.5
 
 
@@ -229,7 +229,7 @@ def test_stroke_rounded_onto_next_start_overlaps(catalog):
     with pytest.raises(StrokeOverlapError):
         _compile(catalog, TOUCHING_STROKES, strict=True)
     result = _compile(catalog, TOUCHING_STROKES, strict=False)
-    assert [p.gesture for p in _strokes(result.a.tracks["right"])] == ["Cup"]
+    assert [p.gesture for p in _strokes(result.for_speaker("A").tracks["right"])] == ["Cup"]
     assert "overlaps the previous stroke ending at 1.470s" in result.diagnostics[0]
     _assert_readable(result)
 
@@ -237,7 +237,7 @@ def test_stroke_rounded_onto_next_start_overlaps(catalog):
 @pytest.mark.parametrize("strict", [True, False])
 def test_hold_rounded_to_nothing_is_left_out(catalog, strict):
     result = _compile(catalog, EMPTY_HOLD, strict)
-    phases = result.a.tracks["right"]
+    phases = result.for_speaker("A").tracks["right"]
     assert [p.kind for p in phases] == ["prep", "stroke", "prep", "stroke", "retract"]
     assert (phases[1].end, phases[2].start, phases[2].end) == (1480, 1480, 1780)
     _assert_readable(result)
@@ -293,8 +293,8 @@ def test_validate_ok_on_scheduled_fixture(protest_dialog, protest_track, catalog
     for speaker in ("A", "B"):
         dialog = apply_personality(dialog, speaker, EXTRAVERT_ANCHOR, catalog)
     result = schedule(dialog)
-    assert validate_timeline(result.a) == []
-    assert validate_timeline(result.b) == []
+    assert validate_timeline(result.for_speaker("A")) == []
+    assert validate_timeline(result.for_speaker("B")) == []
 
 
 def problems_of(timeline):
@@ -376,7 +376,7 @@ def test_hold_retract_dichotomy_generated():
     rng = random.Random(123)
     for _ in range(150):
         dialog = make_stroke_dialog(rng)
-        timeline = schedule(dialog).a
+        timeline = schedule(dialog).for_speaker("A")
         assert validate_timeline(timeline) == []
         for arm in ("left", "right"):
             check_dichotomy(timeline.tracks[arm])
