@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from . import pauses_gc
 from .errors import DomainError, EmptyCellError, StatError
 from .special import f_sf, student_t_two_tailed
 
@@ -88,6 +89,7 @@ class StatResult:
             raise StatError(f"p-value out of [0, 1]: {self.p_value}")
 
 
+@pauses_gc
 def read_judgments(source: str) -> list[JudgmentRecord]:
     """The records of a judgment CSV, in row order; a bad row raises
     :class:`DomainError` naming its row.  Each distinct TIPI item text and

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import pauses_gc
 from .adaptation import AdaptationSpec, resolve_variant, strip_adaptation
 from .align import WordTimingTrack, align_strokes
 from .catalog import GestureCatalog
@@ -60,6 +61,7 @@ def prepare_dialog(
     return dialog
 
 
+@pauses_gc
 def compile_dialog(
     source: str,
     catalog: GestureCatalog,

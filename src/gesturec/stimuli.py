@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from . import pauses_gc
 from .adaptation import resolve_variant, strip_adaptation
 from .align import WordTimingTrack
 from .catalog import GestureCatalog
@@ -209,6 +210,7 @@ def _adaptation_pair(
     return bundles[0], bundles[1]
 
 
+@pauses_gc
 def run_personality_batch(
     stories: dict[str, tuple[AnnotatedDialog, WordTimingTrack | None]],
     catalog: GestureCatalog,
@@ -226,6 +228,7 @@ def run_personality_batch(
     return bundles
 
 
+@pauses_gc
 def run_adaptation_batch(
     stories: dict[str, tuple[AnnotatedDialog, WordTimingTrack | None]],
     catalog: GestureCatalog,

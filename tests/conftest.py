@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 from collections import Counter
@@ -60,6 +61,17 @@ GESTURES = (
     ("Dismiss", "2H", 0.47),
     ("Reject", "RH", 0.44),
 )
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test after which automatic garbage collection is off, and
+    turn it back on for the tests after it: the calls that pause it
+    (``gesturec.pauses_gc``) must restore it on every path."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("automatic garbage collection was left off")
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DATA_DIR
 from gesturec.align import align_strokes
-from gesturec.dsl import parse_dialog, segment_sentences
+from gesturec.dsl import SPEAKERS, parse_dialog, segment_sentences
 from gesturec import personality
+from gesturec.emitter import FEATURES, STROKE
 from gesturec.errors import DomainError, UnknownGestureError
 from gesturec.personality import (
     EXTRAVERT_ANCHOR,
@@ -19,7 +21,9 @@ from gesturec.personality import (
     apply_personality,
     profile_from_extraversion,
 )
+from gesturec.pipeline import PipelineSettings, compile_dialog
 from gesturec.scheduler import schedule
+from gesturec.stimuli import speaker_scripts
 
 _NUMERIC_FIELDS = (
     "max_rate",
@@ -110,6 +114,39 @@ def test_profile_monotone_in_extraversion(e1, e2):
     lo, hi = profile_from_extraversion(e1), profile_from_extraversion(e2)
     for name in _NUMERIC_FIELDS:
         assert getattr(lo, name) <= getattr(hi, name) + 1e-12
+
+
+@pytest.mark.parametrize("variant", ["nonadapted", "adapted"])
+@pytest.mark.parametrize("story_id", ["garden", "pet", "protest", "storm"])
+def test_raising_one_speakers_extraversion_lowers_nothing_of_it_and_changes_nothing_else(
+    stories, catalog, story_id, variant
+):
+    # Directions only.  Non-adapted, A's kept strokes go garden 4 -> 6,
+    # pet 13 -> 18, protest 11 -> 17 and storm 6 -> 8, each in one step at
+    # 4.0, where the rate cap int(max_rate + 0.5) rises.
+    source = (DATA_DIR / "stories" / f"{story_id}.dialog").read_text(encoding="utf-8")
+    track = stories[story_id][1]
+    for speaker in SPEAKERS:
+        other = "B" if speaker == "A" else "A"
+        before = None
+        for score in (1 + 0.5 * step for step in range(13)):
+            settings = PipelineSettings(extraversion={speaker: score, other: 4.0})
+            result = compile_dialog(source, catalog, track, settings, variant).schedule
+            strokes = {
+                (e.start, e.arm): e
+                for events in result.for_speaker(speaker).tracks.values() for e in events if e.kind == STROKE
+            }
+            kept = len({start for start, _ in strokes})  # a two-handed stroke counts once
+            others = {name: script for name, script in speaker_scripts(result).items() if name.startswith(other)}
+            if before is not None:
+                where = f"{story_id} {variant} {speaker}={score}"
+                kept_before, strokes_before, others_before = before
+                assert kept >= kept_before, where
+                for key in strokes.keys() & strokes_before.keys():
+                    for name in FEATURES:
+                        assert getattr(strokes[key], name) >= getattr(strokes_before[key], name), (where, key, name)
+                assert others == others_before, where
+            before = kept, strokes, others
 
 
 def _aligned_fixture(protest_dialog, protest_track):

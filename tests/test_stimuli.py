@@ -5,18 +5,25 @@ import hashlib
 import json
 import math
 import os
+import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import gesturec.analysis
+import gesturec.pipeline
 import gesturec.stimuli
-from conftest import DATA_DIR, count_emitter_calls
+from conftest import DATA_DIR, count_emitter_calls, make_aligned_pair
 from gesturec.adaptation import resolve_variant, strip_adaptation
 from gesturec.align import parse_word_timings
+from gesturec.analysis import preference_table, read_judgments, tipi_score, why_category_table
 from gesturec.config import load_config
 from gesturec.dsl import format_dialog, parse_dialog, truncate_dialog
-from gesturec.errors import EmptyStrokeError, PlanError, StrokeOverlapError, UnknownGestureError, WordMismatchError
+from gesturec.errors import (
+    DialogParseError, DomainError, EmptyStrokeError, PlanError, ScheduleError, StrokeOverlapError,
+    UnknownGestureError, WordMismatchError,
+)
 from gesturec.personality import EXTRAVERT_ANCHOR
 from gesturec.pipeline import PipelineSettings, compile_dialog, prepare_dialog
 from gesturec.scheduler import schedule
@@ -242,25 +249,96 @@ def test_write_json_refuses_a_key_that_is_no_string_and_a_value_json_cannot_writ
         write_json(tmp_path / "v.json", value)
 
 
-@pytest.mark.parametrize("path", ["compile", "personality", "adaptation"])
+@pytest.mark.parametrize("path", ["compile", "personality", "adaptation", "analyze"])
 def test_compile_and_build_paths_leave_no_reference_cycles(tmp_path, stories, catalog, path):
-    """The adapted garden compile with its scripts, and each build with its
-    bundle files and manifest, leave nothing for the cycle collector: no
-    timeline is kept alive by a cycle through what it keeps of itself."""
-    source = (DATA_DIR / "stories" / "garden.dialog").read_text(encoding="utf-8")
+    """The adapted compile of each shipped story with its scripts, each
+    build with its bundle files and manifest, and the shipped judgments with
+    their tables leave nothing for the cycle collector: no record is kept
+    alive by a cycle through what it keeps of itself.  This is what makes it
+    safe for these calls to pause the collector (``gesturec.pauses_gc``)."""
     run_batch = {"personality": run_personality_batch, "adaptation": run_adaptation_batch}.get(path)
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        if run_batch is None:
-            speaker_scripts(compile_dialog(source, catalog, timings=stories["garden"][1], variant="adapted").schedule)
+        if path == "compile":
+            for story_id, (_, track) in stories.items():
+                source = (DATA_DIR / "stories" / f"{story_id}.dialog").read_text(encoding="utf-8")
+                speaker_scripts(compile_dialog(source, catalog, timings=track, variant="adapted").schedule)
+        elif path == "analyze":
+            records = read_judgments((DATA_DIR / "adaptation_judgments.csv").read_text(encoding="utf-8"))
+            preference_table(r for r in records if r.kind == "preference")
+            why_category_table(r for r in records if r.kind == "why")
+            # the shipped study has no TIPI rows
+            for record in read_judgments("s1,storm/F-extravert,tipi,1|2|3|4|5|6|7|1|2|3\n"):
+                tipi_score(record.tipi_items)
         else:
             write_bundles(run_batch(stories, catalog), tmp_path / path, path)
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
+
+
+def _entry_points(stories, catalog) -> dict:
+    """Each call that pauses the collector: (a call that returns, a call
+    that raises, its error, and the module and name of a stage it runs)."""
+    garden = (DATA_DIR / "stories" / "garden.dialog").read_text(encoding="utf-8")
+    judgments = (DATA_DIR / "adaptation_judgments.csv").read_text(encoding="utf-8")
+    dialog, track = stories["garden"]
+    return {
+        "compile": (
+            lambda: compile_dialog(garden, catalog, timings=track),
+            lambda: compile_dialog("garbage\n", catalog),
+            DialogParseError, gesturec.pipeline, "schedule",
+        ),
+        "personality": (
+            lambda: run_personality_batch(stories, catalog),
+            lambda: run_personality_batch({"garden": (dialog._replace(story_id=".."), track)}, catalog),
+            PlanError, gesturec.stimuli, "schedule",
+        ),
+        "adaptation": (
+            lambda: run_adaptation_batch(stories, catalog),
+            lambda: run_adaptation_batch(stories, catalog, load_config("adaptation.speed_factor = 1000\n")),
+            ScheduleError, gesturec.stimuli, "schedule",
+        ),
+        "analyze": (
+            lambda: read_judgments(judgments),
+            lambda: read_judgments(judgments + "s1,garden_ABA,preference,maybe\n"),
+            DomainError, gesturec.analysis, "_TipiItems",
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", ["compile", "personality", "adaptation", "analyze"])
+def test_an_entry_point_pauses_the_collector_and_leaves_it_as_it_found_it(stories, catalog, monkeypatch, entry):
+    returns, raises, error, module, stage = _entry_points(stories, catalog)[entry]
+    seen = []
+    real_stage = getattr(module, stage)
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real_stage(*args, **kwargs)
+
+    monkeypatch.setattr(module, stage, spy)
+    assert gc.isenabled()
+    returns()
+    assert seen and not any(seen)
+    assert gc.isenabled()
+    with pytest.raises(error):
+        raises()
+    assert gc.isenabled()
+    # a caller that turned the collector off finds it off, after a return
+    # and after an error alike
+    gc.disable()
+    try:
+        returns()
+        assert not gc.isenabled()
+        with pytest.raises(error):
+            raises()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("old", [None, b"", b"x" * 40, b"abc"], ids=["missing", "empty", "longer", "shorter"])
@@ -326,6 +404,20 @@ def test_one_prepare_per_story_gives_the_bundles_of_one_prepare_per_task(
     # names, metadata, script bytes and diagnostics
     assert batch == per_task
     assert any(bundle.diagnostics for bundle in batch) == bool(config)
+
+
+def test_preparing_then_truncating_a_generated_dialog_gives_what_truncating_then_preparing_does(catalog):
+    # run_adaptation_batch prepares each story once and truncates it per task
+    cases = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        dialog, track, _ = make_aligned_pair(rng)
+        settings = PipelineSettings(extraversion={"A": rng.uniform(1, 7), "B": rng.uniform(1, 7)})
+        prepared = prepare_dialog(dialog, catalog, track, settings)
+        for n in range(1, len(dialog.turns) + 1):
+            assert truncate_dialog(prepared, n) == prepare_dialog(truncate_dialog(dialog, n), catalog, track, settings), (seed, n)
+            cases += 1
+    assert cases > 400
 
 
 def test_a_story_is_prepared_through_its_longest_structure_before_its_first_task_schedules(stories, catalog):
